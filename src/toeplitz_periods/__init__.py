@@ -65,14 +65,11 @@ from .toeplitz import (
     tail_extension_applicable,
 )
 from .walksets import (
-    ResidueClassSets,
-    StableWalkSets,
     WalkSets,
     p_set,
     q_sequence,
     q_set,
     r_set,
-    stable_walksets,
     walksets_at,
     window,
 )

@@ -5,7 +5,7 @@ holds entry (i, j), so a matrix of order n is a tuple of n integers
 below 2**n.  Multiplication over the Boolean semiring (OR for +, AND
 for *) becomes row selection plus OR, one word operation per machine
 word instead of one per scalar.  Matrices are immutable and hashable,
-which lets dictionaries do fingerprint-then-exact-compare keying for
+which lets dictionaries do hash-then-exact-compare keying for
 free during cycle detection.
 """
 
@@ -153,15 +153,6 @@ class BoolMatrix:
             self._hash = hash((self.n,) + self.rows)
         return self._hash
 
-    def fingerprint(self) -> int:
-        """Cheap equality proxy; equal matrices share it, collisions possible.
-
-        Dictionary lookups keyed by the matrix itself already chase a
-        fingerprint hit with an exact comparison, so use the matrix as
-        the key whenever a first-occurrence map is needed.
-        """
-        return hash(self)
-
     def __str__(self) -> str:
         return "\n".join(
             "".join("1" if (r >> j) & 1 else "0" for j in range(self.n))
@@ -246,22 +237,27 @@ def _row_selectors(m: BoolMatrix) -> list[tuple[int, ...]]:
 
 
 class PowerSequence:
-    """Memoized consecutive Boolean powers of one base matrix.
+    """Memoized orbit base, step(base), step(step(base)), ... of one map.
 
-    ``power(m)`` returns base**m with power(0) the identity.  Powers are
-    grown one multiply at a time, recording the first occurrence of each
-    value; once some power repeats an earlier one the sequence has
-    closed its cycle and any exponent beyond is answered by folding into
-    the recorded cycle rather than multiplying further.  ``cycle()``
-    forces detection and returns (index, period): the first repeat
-    base**b == base**a with a < b gives index a and period b - a, which
-    for a sequence driven by one fixed multiplication is the least
-    transient and least period.
+    ``power(m)`` returns the m-th term with power(0) the identity; the
+    default step is right multiplication by base, so the terms are the
+    Boolean powers base**m.  Terms are grown one step at a time,
+    recording the first occurrence of each value; once some term
+    repeats an earlier one the orbit has closed its cycle and any
+    exponent beyond is answered by folding into the recorded cycle
+    rather than stepping further.  ``cycle()`` forces detection and
+    returns (index, period): the first repeat term b == term a with
+    a < b gives index a and period b - a, which for an orbit of one
+    fixed map is the least transient and least period.
     """
 
-    def __init__(self, base: BoolMatrix):
+    def __init__(
+        self,
+        base: BoolMatrix,
+        step: Callable[[BoolMatrix], BoolMatrix] | None = None,
+    ):
         self._base = base
-        self._step = _right_multiplier(base)
+        self._step = _right_multiplier(base) if step is None else step
         self._pows: list[BoolMatrix] = [BoolMatrix.identity(base.n), base]
         self._first: dict[BoolMatrix, int] = {base: 1}
         self._cycle: tuple[int, int] | None = None
@@ -281,7 +277,7 @@ class PowerSequence:
         self._pows.append(nxt)
 
     def cycle(self, max_steps: int | None = None) -> tuple[int, int]:
-        """(index, period) of the power sequence, scanning from base**1."""
+        """(index, period) of the orbit, scanning from term 1 (the base)."""
         cap = default_power_cap(self._base.n) if max_steps is None else max_steps
         while self._cycle is None:
             if len(self._pows) > cap:

@@ -25,7 +25,7 @@ from .digraph import Digraph, contract, to_dot
 from .engine import analyze, limits_match, predicted_limit
 from .oracle import SweepConfig, render_report, run_sweep, VIOLATION
 from .toeplitz import SpecFormatError, ToeplitzSpec
-from .walksets import walksets_at
+from .walksets import DEFAULT_SUM_LENGTH_BOUND, walksets_at
 
 USAGE_ERROR = 2
 CAP_ERROR = 3
@@ -34,9 +34,12 @@ CAP_ERROR = 3
 def _write(text: str, out_path: Optional[str]) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SpecFormatError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def _parse_spec(text: str, *, need_both: bool) -> ToeplitzSpec:
@@ -48,6 +51,8 @@ def _parse_spec(text: str, *, need_both: bool) -> ToeplitzSpec:
 
 def _cmd_analyze(args) -> int:
     spec = _parse_spec(args.spec, need_both=True)
+    if args.max_power is not None and args.max_power < 1:
+        raise SpecFormatError(f"max power {args.max_power} is not positive")
     report = analyze(spec, args.max_power)
     pred = predicted_limit(spec)
     if report.limit_matrix is not None and pred is not None:
@@ -92,8 +97,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_walksets(args) -> int:
     spec = _parse_spec(args.spec, need_both=True)
-    if args.i < 1:
-        raise SpecFormatError("walk length must be positive")
+    if not 1 <= args.i <= DEFAULT_SUM_LENGTH_BOUND:
+        raise SpecFormatError(
+            f"walk length {args.i} outside [1, {DEFAULT_SUM_LENGTH_BOUND}]"
+        )
     sets = walksets_at(spec, args.i)
     if args.json:
         payload = {

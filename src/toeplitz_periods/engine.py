@@ -1,12 +1,15 @@
 """Period and competition analysis of Boolean Toeplitz matrices.
 
-Ground truth throughout is direct power iteration: the m-th Boolean
-power sequence of any matrix repeats, and the first repeat pins down
-the least transient (index) and least period.  On top of that sit the
-competition sequence B_m = A^m (A^T)^m, the congruence-class limit it
+Ground truth throughout is direct iteration of a fixed map: the powers
+A^m are the orbit of X -> X A and the competition sequence
+B_m = A^m (A^T)^m is the orbit of X -> A X A^T, so for both the first
+repeat found by ``PowerSequence`` pins down the least transient (index)
+and least period.  On top of that sit the congruence-class limit B
 converges to in the walk-ensured case, an exact decision procedure for
-the walk-ensured property itself, and appliers for the structural
-rules that transfer a known period to larger matrices.
+the walk-ensured property, and appliers for the structural rules that
+transfer a known period to larger matrices.  ``analyze`` is the one
+path that assembles all of it into a ``PeriodReport``; the rules are
+tried first and the exact decision settles what they leave open.
 """
 
 from __future__ import annotations
@@ -81,50 +84,6 @@ class CompetitionResult:
     limit: Optional[BoolMatrix]
 
 
-def _divisors(x: int) -> list[int]:
-    return [k for k in range(1, x + 1) if x % k == 0]
-
-
-def _competition(a: BoolMatrix, powers: PowerSequence, max_power: Optional[int]):
-    """Competition analysis given the power sequence of a.
-
-    B_m is a function of A^m alone, so it inherits eventual
-    periodicity from the power cycle (index al, period pl): the least
-    period of B divides pl and its transient is at most al.  A raw
-    first-repeat scan of B values would not do: B is not driven by a
-    fixed multiplication, so an accidental early repeat need not
-    continue.  Instead B_1..B_{al+pl-1} are computed and the minimal
-    period and transient are read off inside that window.
-    """
-    al, pl = powers.cycle(max_power)
-    at = a.transpose()
-    left = _row_selectors(a)
-    step_right = _right_multiplier(at)
-
-    b: list[Optional[BoolMatrix]] = [None] * (al + pl)
-    b[1] = a @ at
-    for m in range(2, al + pl):
-        prev = b[m - 1]
-        mid = BoolMatrix(
-            _or_rows(prev.rows, cols) for cols in left
-        )
-        b[m] = step_right(mid)
-
-    def fold(i: int) -> int:
-        return i if i < al + pl else al + (i - al) % pl
-
-    period = next(
-        k
-        for k in _divisors(pl)
-        if all(b[m] == b[fold(m + k)] for m in range(al, al + pl))
-    )
-    index = al
-    while index > 1 and b[index - 1] == b[fold(index - 1 + period)]:
-        index -= 1
-    limit = b[index] if period == 1 else None
-    return CompetitionResult(index=index, period=period, limit=limit)
-
-
 def _or_rows(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
     acc = 0
     for c in cols:
@@ -138,12 +97,28 @@ def competition_analysis(
     *,
     powers: Optional[PowerSequence] = None,
 ) -> CompetitionResult:
-    """Least q and p with B_m = B_(m+p) for all m >= q, B_m = A^m (A^T)^m."""
+    """Least q and p with B_m = B_(m+p) for all m >= q, B_m = A^m (A^T)^m.
+
+    B_(m+1) = A B_m A^T, so B is the orbit of a fixed map and its first
+    repeat gives q and p.  B_m is a function of A^m, so that orbit
+    closes no later than step index + period of A's power cycle, which
+    bounds the scan.  The limit is B_q when p is 1.
+    """
     if powers is None:
         powers = PowerSequence(a)
     elif powers.base != a:
         raise ValueError("power sequence belongs to a different matrix")
-    return _competition(a, powers, max_power)
+    al, pl = powers.cycle(max_power)
+    at = a.transpose()
+    left = _row_selectors(a)
+    right = _right_multiplier(at)
+    orbit = PowerSequence(
+        a @ at,
+        lambda x: right(BoolMatrix(_or_rows(x.rows, cols) for cols in left)),
+    )
+    index, period = orbit.cycle(al + pl)
+    limit = orbit.power(index) if period == 1 else None
+    return CompetitionResult(index=index, period=period, limit=limit)
 
 
 def predicted_limit(spec: ToeplitzSpec) -> Optional[BoolMatrix]:
@@ -180,14 +155,13 @@ def limits_match(
     )
 
 
-def _decide(
+def decide_walk_ensured_exact(
     spec: ToeplitzSpec,
-    prof: GcdProfile,
-    powers: PowerSequence,
-    al: int,
-    pl: int,
+    max_power: Optional[int] = None,
+    *,
+    powers: Optional[PowerSequence] = None,
 ) -> tuple[bool, Optional[int]]:
-    """Exact walk-ensured decision over one congruence-vs-realized window.
+    """Decide the walk-ensured property; on True also return a threshold M.
 
     Congruence sets repeat in the length with period d+/d, realized
     sets with period pl from al on; agreement on every length in
@@ -195,6 +169,10 @@ def _decide(
     all lengths from al on, and al itself serves as the threshold
     witness.
     """
+    prof = gcd_profile(spec)
+    if powers is None:
+        powers = PowerSequence(from_toeplitz(spec))
+    al, pl = powers.cycle(max_power)
     span = lcm(pl, prof.d_plus // prof.d)
     for i in range(al, al + span):
         if p_set(spec, i) != r_set(powers.power(i)):
@@ -202,18 +180,17 @@ def _decide(
     return True, al
 
 
-def decide_walk_ensured_exact(
-    spec: ToeplitzSpec,
-    max_power: Optional[int] = None,
-    *,
-    powers: Optional[PowerSequence] = None,
-) -> tuple[bool, Optional[int]]:
-    """Decide the walk-ensured property; on True also return a threshold M."""
-    prof = gcd_profile(spec)
-    if powers is None:
-        powers = PowerSequence(from_toeplitz(spec))
-    al, pl = powers.cycle(max_power)
-    return _decide(spec, prof, powers, al, pl)
+def _settled_certificate(
+    spec: ToeplitzSpec, max_power: Optional[int], powers: Optional[PowerSequence]
+) -> Certificate:
+    """The first sufficient rule that applies, else the exact decision; never UNKNOWN."""
+    cert = certify_walk_ensured(spec)
+    if cert.verdict is not Verdict.UNKNOWN:
+        return cert
+    ok, threshold = decide_walk_ensured_exact(spec, max_power, powers=powers)
+    if ok:
+        return Certificate(Verdict.PROVEN_BY_EXACT_DECISION, Rule.EXACT_DECISION, threshold)
+    return Certificate(Verdict.NOT_WALK_ENSURED, Rule.EXACT_DECISION)
 
 
 def period_via_theorem(
@@ -225,24 +202,11 @@ def period_via_theorem(
     decision settles it.  None when the descriptor is not walk-ensured
     (the formula is not claimed there).
     """
+    cert = _settled_certificate(spec, max_power, None)
+    if not cert.walk_ensured:
+        return None
     prof = gcd_profile(spec)
-    cert = certify_walk_ensured(spec)
-    if cert.verdict is Verdict.UNKNOWN:
-        ok, threshold = decide_walk_ensured_exact(spec, max_power)
-        if not ok:
-            return None
-        cert = Certificate(
-            Verdict.PROVEN_BY_EXACT_DECISION, Rule.EXACT_DECISION, threshold
-        )
     return prof.d_plus // prof.d, cert
-
-
-def _require_walk_ensured(spec: ToeplitzSpec, max_power: Optional[int]) -> None:
-    cert = certify_walk_ensured(spec)
-    if cert.verdict is Verdict.UNKNOWN:
-        ok, _ = decide_walk_ensured_exact(spec, max_power)
-        if not ok:
-            raise ValueError(f"{spec} is not walk-ensured")
 
 
 def superset_same_period(
@@ -260,12 +224,12 @@ def superset_same_period(
         raise ValueError("order mismatch")
     if not (set(spec.S) <= set(spec_star.S) and set(spec.T) <= set(spec_star.T)):
         raise ValueError("offset sets do not extend the base")
-    _require_walk_ensured(spec, max_power)
-    prof = gcd_profile(spec)
-    prof_star = gcd_profile(spec_star)
-    if prof_star.d_plus != prof.d_plus:
+    claim = period_via_theorem(spec, max_power)
+    if claim is None:
+        raise ValueError(f"{spec} is not walk-ensured")
+    if gcd_profile(spec_star).d_plus != gcd_profile(spec).d_plus:
         return None
-    return prof.d_plus // prof.d
+    return claim[0]
 
 
 def sink_source_same_period(
@@ -286,7 +250,8 @@ def sink_source_same_period(
         raise ValueError("order mismatch")
     if not a.dominated_by(b):
         raise ValueError("base matrix is not dominated by the extension")
-    _require_walk_ensured(spec, max_power)
+    if period_via_theorem(spec, max_power) is None:
+        raise ValueError(f"{spec} is not walk-ensured")
     prof = gcd_profile(spec)
     added = Digraph(b.and_not(a))
     if not has_source_or_sink(contract(added, prof.d)):
@@ -324,28 +289,30 @@ class PeriodReport:
         return bool(self.certificate.walk_ensured)
 
 
-def analyze(spec: ToeplitzSpec, max_power: Optional[int] = None) -> PeriodReport:
-    """Full analysis: period data, competition data, walk-ensured status."""
-    prof = gcd_profile(spec)
-    powers = PowerSequence(from_toeplitz(spec))
-    al, pl = powers.cycle(max_power)
-    comp = _competition(powers.base, powers, max_power)
-    cert = certify_walk_ensured(spec)
-    if cert.verdict is Verdict.UNKNOWN:
-        ok, threshold = _decide(spec, prof, powers, al, pl)
-        if ok:
-            cert = Certificate(
-                Verdict.PROVEN_BY_EXACT_DECISION, Rule.EXACT_DECISION, threshold
-            )
-        else:
-            cert = Certificate(Verdict.NOT_WALK_ENSURED, Rule.EXACT_DECISION)
+def analyze(
+    spec: ToeplitzSpec,
+    max_power: Optional[int] = None,
+    *,
+    powers: Optional[PowerSequence] = None,
+) -> PeriodReport:
+    """Full analysis: period data, competition data, walk-ensured status.
+
+    powers, when given, must be the power sequence of spec's matrix
+    (ValueError otherwise); a caller that reads further powers passes
+    it so that the cycle is found once.
+    """
+    a = from_toeplitz(spec)
+    if powers is None:
+        powers = PowerSequence(a)
+    comp = competition_analysis(a, max_power, powers=powers)
+    index, period = powers.cycle(max_power)
     return PeriodReport(
         spec=spec,
-        profile=prof,
-        matrix_index=al,
-        matrix_period=pl,
+        profile=gcd_profile(spec),
+        matrix_index=index,
+        matrix_period=period,
         competition_index=comp.index,
         competition_period=comp.period,
         limit_matrix=comp.limit,
-        certificate=cert,
+        certificate=_settled_certificate(spec, max_power, powers),
     )

@@ -21,27 +21,21 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Callable, Iterator, Optional
 
-from .boolmat import (
-    BoolMatrix,
-    CapExceededError,
-    PowerSequence,
-    from_toeplitz,
-)
+from .boolmat import CapExceededError, PowerSequence, from_toeplitz
 from .digraph import Digraph, contract, cycle_decomposition, walk_exists
 from .engine import (
+    PeriodReport,
     TheoremViolationError,
-    competition_analysis,
+    analyze,
     decide_walk_ensured_exact,
     limits_match,
     predicted_limit,
     sink_source_same_period,
 )
 from .toeplitz import (
-    Certificate,
-    GcdProfile,
+    Rule,
     ToeplitzSpec,
     Verdict,
-    certify_walk_ensured,
     gcd_after_extension,
     gcd_profile,
     tail_extension_applicable,
@@ -101,6 +95,8 @@ class SweepConfig:
             raise ValueError("exhaustive mode is limited to orders up to 8")
         if self.mode == "random" and self.samples < 1:
             raise ValueError("random mode needs a positive sample count")
+        if self.max_power is not None and self.max_power < 1:
+            raise ValueError(f"max power {self.max_power} is not positive")
         if self.checks is not None:
             object.__setattr__(self, "checks", frozenset(self.checks))
             unknown = self.checks - set(ALL_CHECK_NAMES)
@@ -138,25 +134,6 @@ def enumerate_specs(n: int) -> Iterator[ToeplitzSpec]:
             yield ToeplitzSpec(n, s, _offsets(tmask))
 
 
-@dataclass
-class SpecAnalysis:
-    """Cached ground-truth data for one descriptor."""
-
-    profile: GcdProfile
-    index: int
-    period: int
-    comp_index: int
-    comp_period: int
-    comp_limit: Optional[BoolMatrix]
-    exact_ok: bool
-    exact_threshold: Optional[int]
-    certificate: Certificate
-
-    @property
-    def formula_period(self) -> int:
-        return self.profile.d_plus // self.profile.d
-
-
 class _Sweep:
     """Shared caches for one sweep run."""
 
@@ -176,28 +153,25 @@ class _Sweep:
                 n, _offsets(rng.randrange(1, full)), _offsets(rng.randrange(1, full))
             )
 
-    def analyze_spec(self, spec: ToeplitzSpec) -> tuple[PowerSequence, SpecAnalysis]:
-        prof = gcd_profile(spec)
+    def analyze_spec(self, spec: ToeplitzSpec) -> tuple[PowerSequence, PeriodReport]:
+        """The engine's report, with the exact decision cached for the checks.
+
+        The checks read the exact decision, never the certificate, so
+        that certificate-soundness compares two independent verdicts:
+        after a rule hit the decision runs here; after a miss the
+        report's certificate already is that decision.
+        """
         powers = PowerSequence(from_toeplitz(spec))
-        al, pl = powers.cycle(self.config.max_power)
-        comp = competition_analysis(powers.base, self.config.max_power, powers=powers)
-        exact_ok, threshold = decide_walk_ensured_exact(
-            spec, self.config.max_power, powers=powers
-        )
-        cert = certify_walk_ensured(spec)
-        self._cycles[spec] = (al, pl)
-        self._exact[spec] = (exact_ok, threshold)
-        return powers, SpecAnalysis(
-            profile=prof,
-            index=al,
-            period=pl,
-            comp_index=comp.index,
-            comp_period=comp.period,
-            comp_limit=comp.limit,
-            exact_ok=exact_ok,
-            exact_threshold=threshold,
-            certificate=cert,
-        )
+        report = analyze(spec, self.config.max_power, powers=powers)
+        cert = report.certificate
+        self._cycles[spec] = (report.matrix_index, report.matrix_period)
+        if cert.rule is Rule.EXACT_DECISION:
+            self._exact[spec] = (report.walk_ensured, cert.witness)
+        else:
+            self._exact[spec] = decide_walk_ensured_exact(
+                spec, self.config.max_power, powers=powers
+            )
+        return powers, report
 
     def cycle_of(self, spec: ToeplitzSpec) -> tuple[int, int]:
         if spec not in self._cycles:
@@ -222,24 +196,25 @@ def _fmt(values) -> str:
 def _check_period_formula(sw, spec, powers, an) -> list[Finding]:
     """Walk-ensured descriptors have matrix period d+/d."""
     out = []
-    if an.exact_ok:
-        if an.period != an.formula_period:
+    formula = an.profile.d_plus // an.profile.d
+    if sw.exact_of(spec)[0]:
+        if an.matrix_period != formula:
             out.append(
                 Finding(
                     "period-formula",
                     str(spec),
-                    f"period {an.formula_period} = d+/d",
-                    f"period {an.period}",
+                    f"period {formula} = d+/d",
+                    f"period {an.matrix_period}",
                     VIOLATION,
                 )
             )
-    elif an.period != an.formula_period:
+    elif an.matrix_period != formula:
         out.append(
             Finding(
                 "period-formula",
                 str(spec),
-                f"no claim (not walk-ensured); d+/d = {an.formula_period}",
-                f"period {an.period}",
+                f"no claim (not walk-ensured); d+/d = {formula}",
+                f"period {an.matrix_period}",
                 OBSERVATION,
             )
         )
@@ -249,21 +224,21 @@ def _check_period_formula(sw, spec, powers, an) -> list[Finding]:
 def _check_competition_limit(sw, spec, powers, an) -> list[Finding]:
     """Walk-ensured with d+ <= n: competition period 1 and the congruence limit."""
     out = []
-    if not an.exact_ok:
+    if not sw.exact_of(spec)[0]:
         return out
     if an.profile.d_plus <= spec.n:
         pred = predicted_limit(spec)
-        if an.comp_period != 1:
+        if an.competition_period != 1:
             out.append(
                 Finding(
                     "competition-limit",
                     str(spec),
                     "competition period 1",
-                    f"competition period {an.comp_period}",
+                    f"competition period {an.competition_period}",
                     VIOLATION,
                 )
             )
-        elif not limits_match(an.comp_limit, pred):
+        elif not limits_match(an.limit_matrix, pred):
             out.append(
                 Finding(
                     "competition-limit",
@@ -279,7 +254,7 @@ def _check_competition_limit(sw, spec, powers, an) -> list[Finding]:
                 "competition-limit",
                 str(spec),
                 "no claim (d+ exceeds the order)",
-                f"competition period {an.comp_period}",
+                f"competition period {an.competition_period}",
                 OBSERVATION,
             )
         )
@@ -288,14 +263,14 @@ def _check_competition_limit(sw, spec, powers, an) -> list[Finding]:
 
 def _check_competition_divisibility(sw, spec, powers, an) -> list[Finding]:
     """Record specs whose competition period does not divide the matrix period."""
-    if an.period % an.comp_period == 0:
+    if an.matrix_period % an.competition_period == 0:
         return []
     return [
         Finding(
             "competition-divisibility",
             str(spec),
-            f"no claim; matrix period {an.period}",
-            f"competition period {an.comp_period} does not divide it",
+            f"no claim; matrix period {an.matrix_period}",
+            f"competition period {an.competition_period} does not divide it",
             OBSERVATION,
         )
     ]
@@ -303,7 +278,7 @@ def _check_competition_divisibility(sw, spec, powers, an) -> list[Finding]:
 
 def _check_certificate_soundness(sw, spec, powers, an) -> list[Finding]:
     """Sufficient rules never certify a descriptor the exact decision rejects."""
-    if an.certificate.verdict is not Verdict.PROVEN_WALK_ENSURED or an.exact_ok:
+    if an.certificate.verdict is not Verdict.PROVEN_WALK_ENSURED or sw.exact_of(spec)[0]:
         return []
     rule = an.certificate.rule.value
     return [
@@ -338,7 +313,7 @@ def _check_containment_chain(sw, spec, powers, an) -> list[Finding]:
 def _check_p_set_laws(sw, spec, powers, an) -> list[Finding]:
     """Periodicity, disjoint window and one-step recurrence of the p-sets."""
     i_max = sw.config.chain_i_max
-    m = an.formula_period
+    m = an.profile.d_plus // an.profile.d
     ps = {i: p_set(spec, i) for i in range(1, i_max + m + 1)}
     s1, t1 = an.profile.s1, an.profile.t1
     win = set(window(spec.n))
@@ -424,10 +399,10 @@ def _check_sum_congruence(sw, spec, powers, an) -> list[Finding]:
 
 def _check_same_residue_walks(sw, spec, powers, an) -> list[Finding]:
     """Walk-ensured: every pair of vertices congruent mod d is joined by a walk."""
-    if not an.exact_ok:
+    if not sw.exact_of(spec)[0]:
         return []
     d = an.profile.d
-    bound = an.index + lcm(an.period, an.formula_period)
+    bound = an.matrix_index + lcm(an.matrix_period, an.profile.d_plus // d)
     for u in range(1, spec.n + 1):
         for v in range(1, spec.n + 1):
             if (u - v) % d != 0:
@@ -457,10 +432,10 @@ def _supersets(mask: int, full: int) -> Iterator[int]:
 
 def _check_superset_period(sw, spec, powers, an) -> list[Finding]:
     """Offset supersets preserving gcd(S + T) keep the period d+/d."""
-    if spec.n > sw.config.superset_n_max or not an.exact_ok:
+    if spec.n > sw.config.superset_n_max or not sw.exact_of(spec)[0]:
         return []
     full = (1 << (spec.n - 1)) - 1
-    formula = an.formula_period
+    formula = an.profile.d_plus // an.profile.d
     for smask in _supersets(_mask(spec.S), full):
         for tmask in _supersets(_mask(spec.T), full):
             star = ToeplitzSpec(spec.n, _offsets(smask), _offsets(tmask))
@@ -482,7 +457,7 @@ def _check_superset_period(sw, spec, powers, an) -> list[Finding]:
 
 def _check_tail_extension(sw, spec, powers, an) -> list[Finding]:
     """Adjoining any offset in (n - d, n) to S leaves the period unchanged."""
-    if not an.exact_ok or an.profile.d < 2:
+    if not sw.exact_of(spec)[0] or an.profile.d < 2:
         return []
     out = []
     for s_star in range(spec.n - an.profile.d + 1, spec.n):
@@ -522,7 +497,7 @@ def _check_tail_extension(sw, spec, powers, an) -> list[Finding]:
 
 def _check_extension_closure(sw, spec, powers, an) -> list[Finding]:
     """Walk-ensured survives adjoining any offset bounded by n - d, either side."""
-    if spec.n > sw.config.extension_n_max or not an.exact_ok:
+    if spec.n > sw.config.extension_n_max or not sw.exact_of(spec)[0]:
         return []
     for s_star in range(1, spec.n - an.profile.d + 1):
         for ext in (

@@ -39,6 +39,10 @@ class ToeplitzSpec:
     T: tuple[int, ...]
 
     def __init__(self, n: int, S: Iterable[int] = (), T: Iterable[int] = ()):
+        S, T = tuple(S), tuple(T)
+        for v in (n, *S, *T):
+            if type(v) is not int:
+                raise TypeError(f"order and offsets must be int, got {v!r}")
         S = tuple(sorted(set(S)))
         T = tuple(sorted(set(T)))
         if n < 2:

@@ -18,7 +18,6 @@ when p_set and r_set agree for every sufficiently long i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Iterator
 
 from .boolmat import BoolMatrix, PowerSequence, from_toeplitz
@@ -128,84 +127,3 @@ def walksets_at(
         q=q_set(spec, i, length_bound=length_bound),
         r=r_set(powers.power(i)),
     )
-
-
-@dataclass(frozen=True)
-class ResidueClassSets:
-    """Stabilized sets for walk lengths i in one residue class mod d+/d.
-
-    p is shared by the whole class at every length.  r_variants lists
-    the distinct realized sets the class still cycles through once the
-    matrix powers have stabilized, in first-seen order; a single
-    variant equal to p is what walk-ensured means on this class.
-    """
-
-    residue: int
-    p: frozenset[int]
-    r_variants: tuple[frozenset[int], ...]
-
-
-@dataclass(frozen=True)
-class StableWalkSets:
-    """Eventual behaviour of the realized displacement sets.
-
-    transient is the first length from which the r-sequence repeats
-    with the stated (minimal) period; classes describe the repeating
-    values against the congruence sets, indexed by i mod (d+/d).
-    """
-
-    transient: int
-    period: int
-    classes: tuple[ResidueClassSets, ...]
-
-    @property
-    def walk_ensured(self) -> bool:
-        return all(
-            len(c.r_variants) == 1 and c.r_variants[0] == c.p for c in self.classes
-        )
-
-
-def _divisors(x: int) -> list[int]:
-    return [k for k in range(1, x + 1) if x % k == 0]
-
-
-def stable_walksets(
-    spec: ToeplitzSpec, max_power: int | None = None
-) -> StableWalkSets:
-    """Describe the eventual r-sets per congruence class of the length.
-
-    Matrix-power cycle detection gives a length a and period p with the
-    powers repeating from a on; r-sets inherit that and the minimal
-    period and true transient of the r-sequence are then found inside
-    the recorded window.
-    """
-    prof = gcd_profile(spec)
-    powers = PowerSequence(from_toeplitz(spec))
-    a, p = powers.cycle(max_power)
-    m = prof.d_plus // prof.d
-    span = lcm(p, m)
-
-    r_at: dict[int, frozenset[int]] = {
-        i: r_set(powers.power(i)) for i in range(1, a + span + p)
-    }
-    period = next(
-        k
-        for k in _divisors(p)
-        if all(r_at[i] == r_at[i + k] for i in range(a, a + p))
-    )
-    transient = a
-    while transient > 1 and r_at[transient - 1] == r_at[transient - 1 + period]:
-        transient -= 1
-
-    classes = []
-    for residue in range(m):
-        rep = residue if residue >= 1 else m
-        p_class = p_set(spec, rep)
-        variants: list[frozenset[int]] = []
-        for i in range(a, a + span):
-            if i % m == residue and r_at[i] not in variants:
-                variants.append(r_at[i])
-        classes.append(
-            ResidueClassSets(residue=residue, p=p_class, r_variants=tuple(variants))
-        )
-    return StableWalkSets(transient=transient, period=period, classes=tuple(classes))

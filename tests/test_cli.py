@@ -230,6 +230,25 @@ def test_out_writes_file(tmp_path, capsys):
     assert payload["n"] == 2 and payload["matrix_period"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walksets", "n=6;S=2,4;T=5", "--i", "100"),
+        ("analyze", "n=4;S=1;T=1", "--out", "{missing}"),
+        ("sweep", "--n", "2..3", "--out", "{missing}"),
+        ("analyze", "n=4;S=1;T=1", "--max-power", "-5"),
+        ("analyze", "n=4;S=1;T=1", "--max-power", "0"),
+        ("sweep", "--n", "2..3", "--max-power", "0"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv):
+    missing = str(tmp_path / "no-such-dir" / "out.txt")
+    code, out, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -102,7 +102,7 @@ def brute_competition(a, length=40, probe=18):
 
 
 def test_competition_matches_brute_force_exhaustive():
-    for n in range(2, 5):
+    for n in range(2, 6):
         for spec in enumerate_specs(n):
             a = from_toeplitz(spec)
             got = competition_analysis(a)
@@ -110,6 +110,17 @@ def test_competition_matches_brute_force_exhaustive():
             if got.period == 1:
                 want = naive_competition_sequence(naive_from_boolmat(a), 30)[-1]
                 assert naive_from_boolmat(got.limit) == want
+
+
+def test_competition_worst_family_matches_brute_force():
+    # index (n-1)^2: the competition orbit closes well before that bound
+    for n in range(6, 10):
+        a = from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
+        got = competition_analysis(a)
+        assert (got.index, got.period) == brute_competition(a, (n - 1) ** 2 + 20), n
+        assert got.index + got.period < (n - 1) ** 2
+        want = naive_competition_sequence(naive_from_boolmat(a), got.index)[-1]
+        assert got.period == 1 and naive_from_boolmat(got.limit) == want
 
 
 def test_competition_frozen_values():

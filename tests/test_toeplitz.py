@@ -46,6 +46,23 @@ def test_spec_validation():
     ToeplitzSpec(2, (1,), (1,))  # smallest legal descriptor
 
 
+@pytest.mark.parametrize(
+    "n, S, T",
+    [
+        (6.0, (2,), (5,)),
+        (6, (2.5,), (5,)),
+        (6, (2,), (5.0,)),
+        (6, (True,), (5,)),
+        (6, (1, True), (5,)),  # a bool equal to an offset already present
+        (True, (1,), (1,)),
+        ("6", (2,), (5,)),
+    ],
+)
+def test_spec_rejects_non_int_order_and_offsets(n, S, T):
+    with pytest.raises(TypeError):
+        ToeplitzSpec(n, S, T)
+
+
 def test_spec_string_round_trip():
     for text in ("n=6;S=2,4;T=5", "n=2;S=1;T=1", "n=5;S=;T=3", "n=9;S=3;T="):
         spec = ToeplitzSpec.from_string(text)

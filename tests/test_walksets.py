@@ -16,7 +16,6 @@ from toeplitz_periods import (
     q_sequence,
     q_set,
     r_set,
-    stable_walksets,
     walksets_at,
     window,
 )
@@ -207,41 +206,6 @@ def test_sum_congruence_1000_random_vectors():
         # equal-length sums from S u (-T) are congruent modulo d+
         assert (sum(u) - sum(v)) % prof.d_plus == 0
         count += 1
-
-
-# --------------------------------------------------------------------------
-# stabilized description
-# --------------------------------------------------------------------------
-
-
-def test_stable_walksets_alternating_parity():
-    st = stable_walksets(ToeplitzSpec(4, (1,), (1,)))
-    assert st.transient == 2 and st.period == 2
-    assert st.walk_ensured is True
-    by_residue = {c.residue: c for c in st.classes}
-    assert by_residue[0].p == frozenset({-2, 0, 2})
-    assert by_residue[1].p == frozenset({-3, -1, 1, 3})
-    for c in st.classes:
-        assert c.r_variants == (c.p,)
-
-
-def test_stable_walksets_negative_case():
-    st = stable_walksets(WORKED)
-    assert st.walk_ensured is False
-    (cls,) = st.classes  # d+/d = 1: a single residue class
-    assert cls.p == frozenset(window(6))
-    assert len(cls.r_variants) == 1
-    assert cls.r_variants[0] < cls.p
-
-
-def test_stable_walksets_period_divides_power_period():
-    for n in range(2, 6):
-        for spec in enumerate_specs(n):
-            st = stable_walksets(spec)
-            _, p = PowerSequence(from_toeplitz(spec)).cycle()
-            assert p % st.period == 0
-            prof = gcd_profile(spec)
-            assert len(st.classes) == prof.d_plus // prof.d
 
 
 def test_walksets_at_shares_powers():
