@@ -44,7 +44,6 @@ from .oracle import (
     Finding,
     SweepConfig,
     enumerate_specs,
-    extension_closure_sweep,
     render_report,
     run_sweep,
 )

@@ -11,7 +11,7 @@ free during cycle detection.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
+from typing import Callable, Iterable, Iterator, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .toeplitz import ToeplitzSpec

@@ -16,30 +16,26 @@ without it).  Exit codes: 0 success (for sweep: no violations),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Optional
+from typing import IO, Optional
 
-from .boolmat import CapExceededError, PowerSequence, from_toeplitz
+from .boolmat import CapExceededError, from_toeplitz
 from .digraph import Digraph, contract, to_dot
 from .engine import analyze, limits_match, predicted_limit
 from .oracle import SweepConfig, render_report, run_sweep, VIOLATION
 from .toeplitz import SpecFormatError, ToeplitzSpec
-from .walksets import DEFAULT_SUM_LENGTH_BOUND, walksets_at
+from .walksets import walksets_at
 
 USAGE_ERROR = 2
 CAP_ERROR = 3
 
 
-def _write(text: str, out_path: Optional[str]) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise SpecFormatError(f"cannot write {out_path}: {exc.strerror}") from None
+def _open_out(path: Optional[str]):
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def _parse_spec(text: str, *, need_both: bool) -> ToeplitzSpec:
@@ -49,7 +45,7 @@ def _parse_spec(text: str, *, need_both: bool) -> ToeplitzSpec:
     return spec
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args, out: IO[str]) -> int:
     spec = _parse_spec(args.spec, need_both=True)
     if args.max_power is not None and args.max_power < 1:
         raise SpecFormatError(f"max power {args.max_power} is not positive")
@@ -75,7 +71,7 @@ def _cmd_analyze(args) -> int:
         "limit_matches_prediction": matches,
     }
     if args.json:
-        _write(json.dumps(payload) + "\n", args.out)
+        out.write(json.dumps(payload) + "\n")
         return 0
     lines = [
         f"spec: {spec}",
@@ -91,16 +87,14 @@ def _cmd_analyze(args) -> int:
         f"limit matches prediction: "
         + ("n/a" if matches is None else str(matches).lower()),
     ]
-    _write("\n".join(lines) + "\n", args.out)
+    out.write("\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_walksets(args) -> int:
+def _cmd_walksets(args, out: IO[str]) -> int:
     spec = _parse_spec(args.spec, need_both=True)
-    if not 1 <= args.i <= DEFAULT_SUM_LENGTH_BOUND:
-        raise SpecFormatError(
-            f"walk length {args.i} outside [1, {DEFAULT_SUM_LENGTH_BOUND}]"
-        )
+    if args.i < 1:
+        raise SpecFormatError(f"walk length {args.i} is not positive")
     sets = walksets_at(spec, args.i)
     if args.json:
         payload = {
@@ -112,7 +106,7 @@ def _cmd_walksets(args) -> int:
             "Q": sorted(sets.q),
             "R": sorted(sets.r),
         }
-        _write(json.dumps(payload) + "\n", args.out)
+        out.write(json.dumps(payload) + "\n")
         return 0
     lines = [
         f"spec: {spec}  i: {args.i}",
@@ -120,16 +114,16 @@ def _cmd_walksets(args) -> int:
         f"Q: {sorted(sets.q)}",
         f"R: {sorted(sets.r)}",
     ]
-    _write("\n".join(lines) + "\n", args.out)
+    out.write("\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_contract(args) -> int:
+def _cmd_contract(args, out: IO[str]) -> int:
     spec = _parse_spec(args.spec, need_both=False)
     g = Digraph(from_toeplitz(spec))
     if not 1 <= args.d <= spec.n:
         raise SpecFormatError(f"modulus {args.d} outside [1, {spec.n}]")
-    _write(to_dot(contract(g, args.d)), args.out)
+    out.write(to_dot(contract(g, args.d)))
     return 0
 
 
@@ -143,7 +137,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise SpecFormatError(f"bad order range {text!r}") from None
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, out: IO[str]) -> int:
     lo, hi = _parse_range(args.n)
     checks = None
     if args.checks is not None:
@@ -161,7 +155,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from None
     findings = run_sweep(config)
-    _write(render_report(findings, config), args.out)
+    out.write(render_report(findings, config))
     return 1 if any(f.severity == VIOLATION for f in findings) else 0
 
 
@@ -209,13 +203,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # --out is opened before the command runs, so a bad path fails fast
+        with _open_out(args.out) as out:
+            return args.fn(args, out)
     except SpecFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_ERROR
+    except OSError as exc:  # only opening, writing or closing the output does I/O
+        target = args.out or "standard output"
+        print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 def entry() -> None:

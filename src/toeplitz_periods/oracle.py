@@ -40,12 +40,22 @@ from .toeplitz import (
     gcd_profile,
     tail_extension_applicable,
 )
-from .walksets import p_set, q_sequence, r_set, window
+from .walksets import p_set, q_sequence, q_set, r_set, window
 
 VIOLATION = "violation"
 OBSERVATION = "observation"
 
 WORKED_EXAMPLE = ToeplitzSpec(6, (2, 4), (5,))
+
+# Scales the costlier checks are vouched for: walk lengths of the
+# containment chain and p-set laws, of the walk-displacement check,
+# random vectors per descriptor, and the largest orders of the superset
+# and extension-closure checks.
+CHAIN_I_MAX = 30
+DISPLACEMENT_I_MAX = 12
+CONGRUENCE_SAMPLES = 20
+SUPERSET_N_MAX = 6
+EXTENSION_N_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -69,8 +79,7 @@ class SweepConfig:
     Exhaustive mode enumerates every nonempty offset pair and is held
     to small orders; random mode draws `samples` descriptor pairs per
     order from the recorded seed.  checks=None means the full
-    registry.  The *_max knobs bound the costlier checks; they default
-    to the scales the checks are vouched for.
+    registry.
     """
 
     n_lo: int
@@ -80,11 +89,6 @@ class SweepConfig:
     seed: int = 0
     checks: Optional[frozenset[str]] = None
     max_power: Optional[int] = None
-    chain_i_max: int = 30
-    displacement_m_max: int = 12
-    congruence_samples: int = 20
-    superset_n_max: int = 6
-    extension_n_max: int = 6
 
     def __post_init__(self):
         if not 2 <= self.n_lo <= self.n_hi <= 16:
@@ -293,8 +297,8 @@ def _check_certificate_soundness(sw, spec, powers, an) -> list[Finding]:
 
 
 def _check_containment_chain(sw, spec, powers, an) -> list[Finding]:
-    """r_set <= q_set <= p_set at every length up to the configured bound."""
-    for i, q in q_sequence(spec, sw.config.chain_i_max):
+    """r_set <= q_set <= p_set at every length up to CHAIN_I_MAX."""
+    for i, q in q_sequence(spec, CHAIN_I_MAX):
         p = p_set(spec, i)
         r = r_set(powers.power(i))
         if not (r <= q <= p):
@@ -312,12 +316,11 @@ def _check_containment_chain(sw, spec, powers, an) -> list[Finding]:
 
 def _check_p_set_laws(sw, spec, powers, an) -> list[Finding]:
     """Periodicity, disjoint window and one-step recurrence of the p-sets."""
-    i_max = sw.config.chain_i_max
     m = an.profile.d_plus // an.profile.d
-    ps = {i: p_set(spec, i) for i in range(1, i_max + m + 1)}
+    ps = {i: p_set(spec, i) for i in range(1, CHAIN_I_MAX + m + 1)}
     s1, t1 = an.profile.s1, an.profile.t1
     win = set(window(spec.n))
-    for i in range(1, i_max + 1):
+    for i in range(1, CHAIN_I_MAX + 1):
         if ps[i] != ps[i + m]:
             return [
                 Finding(
@@ -358,7 +361,7 @@ def _check_p_set_laws(sw, spec, powers, an) -> list[Finding]:
 
 def _check_walk_displacements(sw, spec, powers, an) -> list[Finding]:
     """Every walk displacement is representable as an i-term signed sum."""
-    for i, q in q_sequence(spec, sw.config.displacement_m_max):
+    for i, q in q_sequence(spec, DISPLACEMENT_I_MAX):
         realized = {v - u for u, v in powers.power(i).entries()}
         if not realized <= q:
             return [
@@ -377,7 +380,7 @@ def _check_sum_congruence(sw, spec, powers, an) -> list[Finding]:
     """Signed combinations satisfy sum a*s - sum b*t = (sum a + sum b) s1 mod d+."""
     rng = random.Random(f"{sw.config.seed}:congruence:{spec}")
     prof = an.profile
-    for _ in range(sw.config.congruence_samples):
+    for _ in range(CONGRUENCE_SAMPLES):
         avec = [rng.randint(-10, 10) for _ in spec.S]
         bvec = [rng.randint(-10, 10) for _ in spec.T]
         lhs = sum(a * s for a, s in zip(avec, spec.S)) - sum(
@@ -432,7 +435,7 @@ def _supersets(mask: int, full: int) -> Iterator[int]:
 
 def _check_superset_period(sw, spec, powers, an) -> list[Finding]:
     """Offset supersets preserving gcd(S + T) keep the period d+/d."""
-    if spec.n > sw.config.superset_n_max or not sw.exact_of(spec)[0]:
+    if spec.n > SUPERSET_N_MAX or not sw.exact_of(spec)[0]:
         return []
     full = (1 << (spec.n - 1)) - 1
     formula = an.profile.d_plus // an.profile.d
@@ -497,7 +500,7 @@ def _check_tail_extension(sw, spec, powers, an) -> list[Finding]:
 
 def _check_extension_closure(sw, spec, powers, an) -> list[Finding]:
     """Walk-ensured survives adjoining any offset bounded by n - d, either side."""
-    if spec.n > sw.config.extension_n_max or not sw.exact_of(spec)[0]:
+    if spec.n > EXTENSION_N_MAX or not sw.exact_of(spec)[0]:
         return []
     for s_star in range(1, spec.n - an.profile.d + 1):
         for ext in (
@@ -663,7 +666,7 @@ def check_worked_example() -> list[Finding]:
     powers = PowerSequence(from_toeplitz(spec))
     hits = [
         ("p-set", p_set(spec, 2), frozenset(range(-5, 6))),
-        ("q-set", next(q for i, q in q_sequence(spec, 2) if i == 2), frozenset({-3, -1, 4})),
+        ("q-set", q_set(spec, 2), frozenset({-3, -1, 4})),
         ("r-set", r_set(powers.power(2)), frozenset({4})),
     ]
     out = []
@@ -728,22 +731,6 @@ def run_sweep(config: SweepConfig) -> list[Finding]:
             for _, fn in per_spec:
                 findings.extend(fn(sweep, spec, powers, an))
     return findings
-
-
-def extension_closure_sweep(
-    n_max: int, max_power: Optional[int] = None
-) -> list[Finding]:
-    """Extension-closure check alone, exhaustively up to order n_max <= 7."""
-    if n_max > 7:
-        raise ValueError("extension closure sweep is vouched for up to order 7")
-    config = SweepConfig(
-        n_lo=2,
-        n_hi=n_max,
-        checks=frozenset({"extension-closure"}),
-        max_power=max_power,
-        extension_n_max=n_max,
-    )
-    return run_sweep(config)
 
 
 def render_report(findings: list[Finding], config: SweepConfig) -> str:

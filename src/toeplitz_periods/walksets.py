@@ -13,6 +13,15 @@ growing strength:
 
 r_set <= q_set <= p_set always; a descriptor is walk-ensured exactly
 when p_set and r_set agree for every sufficiently long i.
+
+Q and R are computed as window masks of 2n-1 bits, bit l + n - 1
+standing for displacement l.  The Q recurrence never needs bits outside
+the window: the terms of any i-term sum that ends in I_n can be
+reordered to step up while the running sum is <= 0 and down while it is
+> 0, and once one kind of term runs out the sum moves monotonically to
+its end value.  Every offset is at most n - 1, so every partial sum of
+that order stays in I_n, and the shift-OR step may drop the bits outside
+the window after each term without losing a reachable end value.
 """
 
 from __future__ import annotations
@@ -23,12 +32,20 @@ from typing import Iterator
 from .boolmat import BoolMatrix, PowerSequence, from_toeplitz
 from .toeplitz import ToeplitzSpec, gcd_profile
 
-DEFAULT_SUM_LENGTH_BOUND = 64
-
 
 def window(n: int) -> range:
     """The displacement window I_n = [-(n-1), n-1]."""
     return range(-(n - 1), n)
+
+
+def _mask_to_set(mask: int, n: int) -> frozenset[int]:
+    """The displacements whose bits are set in a window mask of order n."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - n)
+        mask ^= low
+    return frozenset(out)
 
 
 def p_set(spec: ToeplitzSpec, i: int) -> frozenset[int]:
@@ -36,70 +53,61 @@ def p_set(spec: ToeplitzSpec, i: int) -> frozenset[int]:
     if i < 1:
         raise ValueError("walk length must be positive")
     prof = gcd_profile(spec)
-    target = (i * prof.s1) % prof.d_plus
-    return frozenset(l for l in window(spec.n) if l % prof.d_plus == target)
+    n = spec.n
+    first = (i * prof.s1 + n - 1) % prof.d_plus - (n - 1)
+    return frozenset(range(first, n, prof.d_plus))
 
 
-def _q_mask_steps(spec: ToeplitzSpec, i_max: int):
-    """Yield (i, mask) for i = 1..i_max; bit (x + i_max*maxT) holds sum x.
+def _q_masks(spec: ToeplitzSpec, i_max: int) -> Iterator[int]:
+    """Yield the window mask of the i-term sums for i = 1..i_max.
 
-    The mask covers the full unclamped range [-i*maxT, i*maxS]; one
-    shift-OR per offset advances the whole set, so the cost per step is
-    |S| + |T| big-integer operations.
+    One shift-OR per offset advances the whole set, so a step costs
+    |S| + |T| big-integer operations on at most 2n - 1 bits.
     """
-    shift = i_max * (spec.T[-1] if spec.T else 0)
-    mask = 1 << shift
-    for i in range(1, i_max + 1):
+    n = spec.n
+    full = (1 << (2 * n - 1)) - 1
+    mask = 1 << (n - 1)
+    for _ in range(i_max):
         nxt = 0
         for s in spec.S:
             nxt |= mask << s
         for t in spec.T:
             nxt |= mask >> t
-        mask = nxt
-        yield i, mask, shift
+        mask = nxt & full
+        yield mask
 
 
-def q_set(
-    spec: ToeplitzSpec, i: int, *, length_bound: int = DEFAULT_SUM_LENGTH_BOUND
-) -> frozenset[int]:
-    """Sums of exactly i terms from S u (-T) that land inside I_n.
-
-    Intermediate sums may leave the window; only the final value is
-    clamped.  Lengths above length_bound are refused loudly rather than
-    silently truncated.
-    """
+def q_set(spec: ToeplitzSpec, i: int) -> frozenset[int]:
+    """Sums of exactly i terms from S u (-T) that land inside I_n."""
     if i < 1:
         raise ValueError("walk length must be positive")
-    if i > length_bound:
-        raise ValueError(f"sum length {i} above bound {length_bound}")
-    for _, mask, shift in _q_mask_steps(spec, i):
+    for mask in _q_masks(spec, i):
         pass
-    return frozenset(
-        x for x in window(spec.n) if x + shift >= 0 and (mask >> (x + shift)) & 1
-    )
+    return _mask_to_set(mask, spec.n)
 
 
 def q_sequence(
     spec: ToeplitzSpec, i_max: int
 ) -> "Iterator[tuple[int, frozenset[int]]]":
     """Yield (i, q_set(spec, i)) for i = 1..i_max sharing one DP run."""
-    for i, mask, shift in _q_mask_steps(spec, i_max):
-        yield i, frozenset(
-            x for x in window(spec.n) if x + shift >= 0 and (mask >> (x + shift)) & 1
-        )
+    for i, mask in enumerate(_q_masks(spec, i_max), start=1):
+        yield i, _mask_to_set(mask, spec.n)
 
 
 def r_set(power: BoolMatrix) -> frozenset[int]:
-    """Displacements whose entire diagonal of the given power is ones."""
+    """Displacements whose entire diagonal of the given power is ones.
+
+    Row u, shifted left by n-1-u, puts entry (u, v) on the bit of its
+    displacement; bits the row does not cover are forced to one, so
+    the AND over all rows keeps exactly the full diagonals.
+    """
     n = power.n
-    rows = power.rows
-    out = []
-    for l in window(n):
-        lo = max(1, 1 - l)
-        hi = min(n, n - l)
-        if all((rows[u - 1] >> (u + l - 1)) & 1 for u in range(lo, hi + 1)):
-            out.append(l)
-    return frozenset(out)
+    acc = (1 << (2 * n - 1)) - 1
+    row_span = (1 << n) - 1
+    for u, row in enumerate(power.rows):
+        shift = n - 1 - u
+        acc &= (row << shift) | ~(row_span << shift)
+    return _mask_to_set(acc, n)
 
 
 @dataclass(frozen=True)
@@ -113,17 +121,8 @@ class WalkSets:
 
 
 def walksets_at(
-    spec: ToeplitzSpec,
-    i: int,
-    powers: PowerSequence | None = None,
-    *,
-    length_bound: int = DEFAULT_SUM_LENGTH_BOUND,
+    spec: ToeplitzSpec, i: int, powers: PowerSequence | None = None
 ) -> WalkSets:
     if powers is None:
         powers = PowerSequence(from_toeplitz(spec))
-    return WalkSets(
-        i=i,
-        p=p_set(spec, i),
-        q=q_set(spec, i, length_bound=length_bound),
-        r=r_set(powers.power(i)),
-    )
+    return WalkSets(i=i, p=p_set(spec, i), q=q_set(spec, i), r=r_set(powers.power(i)))

@@ -104,6 +104,18 @@ def random_boolmat(rng: random.Random, n: int, density: float = 0.5) -> BoolMatr
     return BoolMatrix.from_entries(n, entries)
 
 
+def naive_q_set(n: int, S, T, i: int) -> frozenset[int]:
+    """Sums of exactly i terms from S u (-T) that end in [-(n-1), n-1].
+
+    A plain set DP over every i-term sum; intermediate sums are never
+    clamped, so it does not rely on the window argument of q_set.
+    """
+    sums = {0}
+    for _ in range(i):
+        sums = {x + s for x in sums for s in S} | {x - t for x in sums for t in T}
+    return frozenset(x for x in sums if -(n - 1) <= x <= n - 1)
+
+
 # --------------------------------------------------------------------------
 # acceptance summary: one pass/fail line per criterion
 # --------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Bit-packed matrix arithmetic against naive tuple-based references."""
 
-import random
-
 import pytest
 
 from toeplitz_periods import (
@@ -18,7 +16,6 @@ from toeplitz_periods.boolmat import _right_multiplier, _row_selectors
 from conftest import (
     naive_from_boolmat,
     naive_multiply,
-    naive_to_boolmat,
     naive_toeplitz,
     naive_transpose,
     random_boolmat,

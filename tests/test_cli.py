@@ -6,6 +6,8 @@ import pytest
 
 from toeplitz_periods.cli import main
 
+from conftest import naive_q_set
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -143,6 +145,12 @@ def test_walksets_rejects_nonpositive_length(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_walksets_accepts_long_walks(capsys):
+    code, out, err = run_cli(capsys, "walksets", "n=6;S=2,4;T=5", "--i", "100", "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["Q"] == sorted(naive_q_set(6, (2, 4), (5,), 100))
+
+
 # --------------------------------------------------------------------------
 # contract
 # --------------------------------------------------------------------------
@@ -233,7 +241,7 @@ def test_out_writes_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("walksets", "n=6;S=2,4;T=5", "--i", "100"),
+        ("walksets", "n=6;S=2,4;T=5", "--i", "0"),
         ("analyze", "n=4;S=1;T=1", "--out", "{missing}"),
         ("sweep", "--n", "2..3", "--out", "{missing}"),
         ("analyze", "n=4;S=1;T=1", "--max-power", "-5"),
@@ -247,6 +255,19 @@ def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    from toeplitz_periods import cli as cli_module
+
+    def fail_run_sweep(config):
+        raise AssertionError("the sweep ran before --out was opened")
+
+    monkeypatch.setattr(cli_module, "run_sweep", fail_run_sweep)
+    missing = str(tmp_path / "no-such-dir" / "x")
+    code, out, err = run_cli(capsys, "sweep", "--n", "2..3", "--out", missing)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_2():

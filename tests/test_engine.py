@@ -5,10 +5,8 @@ import pytest
 from toeplitz_periods import (
     BoolMatrix,
     CapExceededError,
-    Certificate,
     PowerSequence,
     Rule,
-    TheoremViolationError,
     ToeplitzSpec,
     Verdict,
     analyze,

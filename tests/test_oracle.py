@@ -8,7 +8,6 @@ from toeplitz_periods import (
     SweepConfig,
     ToeplitzSpec,
     enumerate_specs,
-    extension_closure_sweep,
     render_report,
     run_sweep,
 )
@@ -123,12 +122,6 @@ def test_random_sweep_reproducible():
 def test_sweep_respects_check_selection():
     findings = run_sweep(SweepConfig(2, 4, checks=frozenset({"gcd-update"})))
     assert findings == []  # the gcd update rule never misses at these orders
-
-
-def test_extension_closure_sweep():
-    assert extension_closure_sweep(4) == []
-    with pytest.raises(ValueError):
-        extension_closure_sweep(8)
 
 
 # --------------------------------------------------------------------------

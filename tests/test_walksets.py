@@ -2,11 +2,13 @@
 
 import itertools
 import random
-from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toeplitz_periods import (
+    BoolMatrix,
     PowerSequence,
     ToeplitzSpec,
     enumerate_specs,
@@ -19,6 +21,9 @@ from toeplitz_periods import (
     walksets_at,
     window,
 )
+from toeplitz_periods.walksets import _q_masks
+
+from conftest import naive_q_set
 
 WORKED = ToeplitzSpec(6, (2, 4), (5,))
 
@@ -133,11 +138,10 @@ def test_q_sequence_matches_q_set():
 def test_q_set_bounds():
     with pytest.raises(ValueError):
         q_set(WORKED, 0)
-    with pytest.raises(ValueError):
-        q_set(WORKED, 65)
-    assert q_set(WORKED, 65, length_bound=70) is not None
-    with pytest.raises(ValueError):
-        q_set(WORKED, 5, length_bound=4)
+
+
+def test_q_set_long_walks_match_unclamped_twin():
+    assert q_set(WORKED, 200) == naive_q_set(6, WORKED.S, WORKED.T, 200)
 
 
 # --------------------------------------------------------------------------
@@ -162,8 +166,6 @@ def test_r_set_matches_brute_force():
 
 
 def test_r_set_of_extremes():
-    from toeplitz_periods import BoolMatrix
-
     assert r_set(BoolMatrix.ones(4)) == frozenset(window(4))
     assert r_set(BoolMatrix.zeros(4)) == frozenset()
     assert r_set(BoolMatrix.identity(4)) == frozenset({0})
@@ -212,3 +214,62 @@ def test_walksets_at_shares_powers():
     powers = PowerSequence(from_toeplitz(WORKED))
     ws = walksets_at(WORKED, 3, powers)
     assert ws == walksets_at(WORKED, 3)
+
+
+# --------------------------------------------------------------------------
+# properties on random descriptors, n <= 24 and 1 <= i <= 80
+# --------------------------------------------------------------------------
+
+# derandomized and without an example database: the same examples on
+# every run, and no files written
+PROPERTY = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+
+lengths = st.integers(1, 80)
+
+
+@st.composite
+def descriptors(draw):
+    n = draw(st.integers(2, 24))
+    offsets = st.sets(st.integers(1, n - 1), min_size=1)
+    return ToeplitzSpec(n, draw(offsets), draw(offsets))
+
+
+@st.composite
+def matrices(draw):
+    """Random entries over some full diagonals, minus a few holes."""
+    n = draw(st.integers(2, 24))
+    cells = st.tuples(st.integers(1, n), st.integers(1, n))
+    diagonals = draw(st.sets(st.integers(-(n - 1), n - 1)))
+    entries = {(u, u + l) for l in diagonals for u in range(1, n + 1) if 1 <= u + l <= n}
+    entries |= set(draw(st.lists(cells, max_size=n * n)))
+    entries -= set(draw(st.lists(cells, max_size=3)))
+    return BoolMatrix.from_entries(n, entries)
+
+
+@PROPERTY
+@given(descriptors(), lengths)
+def test_q_set_equals_unclamped_twin(spec, i):
+    assert q_set(spec, i) == naive_q_set(spec.n, spec.S, spec.T, i)
+    assert all(m.bit_length() <= 2 * spec.n - 1 for m in _q_masks(spec, i))
+
+
+@PROPERTY
+@given(matrices())
+def test_r_set_equals_brute_force_on_random_matrices(a):
+    assert r_set(a) == brute_r(a)
+
+
+@PROPERTY
+@given(descriptors(), lengths)
+def test_p_set_equals_congruence_filter(spec, i):
+    prof = gcd_profile(spec)
+    assert p_set(spec, i) == frozenset(
+        l for l in window(spec.n) if (l - i * prof.s1) % prof.d_plus == 0
+    )
+
+
+@PROPERTY
+@given(descriptors(), lengths)
+def test_containment_chain_on_random_descriptors(spec, i):
+    r = r_set(PowerSequence(from_toeplitz(spec)).power(i))
+    assert r <= q_set(spec, i) <= p_set(spec, i)
