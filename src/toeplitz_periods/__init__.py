@@ -8,69 +8,21 @@ competition sequence A^m (A^T)^m, decides the walk-ensured property
 walks), certifies it through cheap sufficient rules where possible,
 and cross-validates every formula it uses against brute force on
 small instances.
+
+The top level exports the thirteen names the README uses; everything
+else is imported from its submodule.
 """
 
-from .boolmat import (
-    BoolMatrix,
-    CapExceededError,
-    PowerSequence,
-    default_power_cap,
-    from_toeplitz,
-)
-from .digraph import (
-    Digraph,
-    contract,
-    cycle_decomposition,
-    has_source_or_sink,
-    to_dot,
-    walk_exists,
-)
+from .boolmat import BoolMatrix, CapExceededError, PowerSequence, from_toeplitz
 from .engine import (
-    CompetitionResult,
-    PeriodReport,
     TheoremViolationError,
     analyze,
     competition_analysis,
     decide_walk_ensured_exact,
-    limits_match,
-    matrix_period,
-    period_via_theorem,
-    predicted_limit,
     sink_source_same_period,
     superset_same_period,
 )
-from .oracle import (
-    ALL_CHECK_NAMES,
-    Finding,
-    SweepConfig,
-    enumerate_specs,
-    render_report,
-    run_sweep,
-)
-from .toeplitz import (
-    Certificate,
-    GcdProfile,
-    Rule,
-    SpecFormatError,
-    ToeplitzSpec,
-    Verdict,
-    certify_walk_ensured,
-    check_coprime_pair,
-    check_main1,
-    check_star,
-    extension_chain,
-    gcd_after_extension,
-    gcd_profile,
-    tail_extension_applicable,
-)
-from .walksets import (
-    WalkSets,
-    p_set,
-    q_sequence,
-    q_set,
-    r_set,
-    walksets_at,
-    window,
-)
+from .toeplitz import ToeplitzSpec, certify_walk_ensured
+from .walksets import walksets_at
 
 __version__ = "0.1.0"

@@ -223,19 +223,6 @@ def _right_multiplier(m: BoolMatrix) -> Callable[[BoolMatrix], BoolMatrix]:
     return apply
 
 
-def _row_selectors(m: BoolMatrix) -> list[tuple[int, ...]]:
-    """Per row of m, the 0-indexed columns holding a 1."""
-    sel = []
-    for r in m.rows:
-        cols = []
-        while r:
-            low = r & -r
-            cols.append(low.bit_length() - 1)
-            r ^= low
-        sel.append(tuple(cols))
-    return sel
-
-
 class PowerSequence:
     """Memoized orbit base, step(base), step(step(base)), ... of one map.
 
@@ -291,14 +278,19 @@ class PowerSequence:
     def power(self, m: int) -> BoolMatrix:
         if m < 0:
             raise ValueError("negative power")
+        while self._cycle is None and m >= len(self._pows):
+            self._advance()
         if self._cycle is not None:
             a, p = self._cycle
             if m >= a:
                 m = a + (m - a) % p
-        while m >= len(self._pows):
-            if self._cycle is not None:
-                a, p = self._cycle
-                m = a + (m - a) % p if m >= a else m
-                continue
-            self._advance()
         return self._pows[m]
+
+
+def _powers_of(a: BoolMatrix, powers: PowerSequence | None) -> PowerSequence:
+    """powers, checked to be the power sequence of a, or a new one when None."""
+    if powers is None:
+        return PowerSequence(a)
+    if powers.base != a:
+        raise ValueError("power sequence belongs to a different matrix")
+    return powers

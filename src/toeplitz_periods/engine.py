@@ -20,10 +20,9 @@ from typing import Optional
 
 from .boolmat import (
     BoolMatrix,
-    CapExceededError,
     PowerSequence,
+    _powers_of,
     _right_multiplier,
-    _row_selectors,
     from_toeplitz,
 )
 from .digraph import Digraph, contract, has_source_or_sink
@@ -37,23 +36,6 @@ from .toeplitz import (
     gcd_profile,
 )
 from .walksets import p_set, r_set
-
-__all__ = [
-    "CapExceededError",
-    "TheoremViolationError",
-    "CompetitionResult",
-    "PeriodReport",
-    "matrix_period",
-    "competition_analysis",
-    "predicted_limit",
-    "limits_match",
-    "decide_walk_ensured_exact",
-    "period_via_theorem",
-    "superset_same_period",
-    "sink_source_same_period",
-    "analyze",
-]
-
 
 class TheoremViolationError(RuntimeError):
     """A rule application contradicted the brute-force ground truth."""
@@ -84,13 +66,6 @@ class CompetitionResult:
     limit: Optional[BoolMatrix]
 
 
-def _or_rows(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-    acc = 0
-    for c in cols:
-        acc |= rows[c]
-    return acc
-
-
 def competition_analysis(
     a: BoolMatrix,
     max_power: Optional[int] = None,
@@ -104,18 +79,11 @@ def competition_analysis(
     closes no later than step index + period of A's power cycle, which
     bounds the scan.  The limit is B_q when p is 1.
     """
-    if powers is None:
-        powers = PowerSequence(a)
-    elif powers.base != a:
-        raise ValueError("power sequence belongs to a different matrix")
+    powers = _powers_of(a, powers)
     al, pl = powers.cycle(max_power)
     at = a.transpose()
-    left = _row_selectors(a)
     right = _right_multiplier(at)
-    orbit = PowerSequence(
-        a @ at,
-        lambda x: right(BoolMatrix(_or_rows(x.rows, cols) for cols in left)),
-    )
+    orbit = PowerSequence(a @ at, lambda x: right(a @ x))
     index, period = orbit.cycle(al + pl)
     limit = orbit.power(index) if period == 1 else None
     return CompetitionResult(index=index, period=period, limit=limit)
@@ -141,18 +109,9 @@ def predicted_limit(spec: ToeplitzSpec) -> Optional[BoolMatrix]:
     return BoolMatrix(rows)
 
 
-def limits_match(
-    actual: BoolMatrix, predicted: BoolMatrix, *, ignore_diagonal: bool = False
-) -> bool:
-    """Bit-exact comparison; optionally mask the diagonal off both sides."""
-    if actual.n != predicted.n:
-        return False
-    if not ignore_diagonal:
-        return actual == predicted
-    return all(
-        x & ~(1 << i) == y & ~(1 << i)
-        for i, (x, y) in enumerate(zip(actual.rows, predicted.rows))
-    )
+def limits_match(actual: BoolMatrix, predicted: BoolMatrix) -> bool:
+    """Bit-exact comparison; matrices of different orders never match."""
+    return actual == predicted
 
 
 def decide_walk_ensured_exact(
@@ -167,11 +126,11 @@ def decide_walk_ensured_exact(
     sets with period pl from al on; agreement on every length in
     [al, al + lcm(pl, d+/d)) is therefore equivalent to agreement on
     all lengths from al on, and al itself serves as the threshold
-    witness.
+    witness.  powers, when given, must be the power sequence of spec's
+    matrix (ValueError otherwise).
     """
     prof = gcd_profile(spec)
-    if powers is None:
-        powers = PowerSequence(from_toeplitz(spec))
+    powers = _powers_of(from_toeplitz(spec), powers)
     al, pl = powers.cycle(max_power)
     span = lcm(pl, prof.d_plus // prof.d)
     for i in range(al, al + span):
@@ -302,8 +261,7 @@ def analyze(
     it so that the cycle is found once.
     """
     a = from_toeplitz(spec)
-    if powers is None:
-        powers = PowerSequence(a)
+    powers = _powers_of(a, powers)
     comp = competition_analysis(a, max_power, powers=powers)
     index, period = powers.cycle(max_power)
     return PeriodReport(

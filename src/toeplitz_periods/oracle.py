@@ -531,7 +531,7 @@ def _check_gcd_update(sw, spec, powers, an) -> list[Finding]:
             gcd(*(s + t for s in s_ext.S for t in s_ext.T)),
         )
         for ref in spec.S:
-            got = gcd_after_extension(prof, s_star, ref)
+            got = gcd_after_extension(prof.d, prof.d_plus, s_star, ref)
             if got != expected_s:
                 return [
                     Finding(
@@ -548,7 +548,7 @@ def _check_gcd_update(sw, spec, powers, an) -> list[Finding]:
             gcd(*(s + t for s in t_ext.S for t in t_ext.T)),
         )
         for ref in spec.T:
-            got = gcd_after_extension(prof, s_star, ref)
+            got = gcd_after_extension(prof.d, prof.d_plus, s_star, ref)
             if got != expected_t:
                 return [
                     Finding(

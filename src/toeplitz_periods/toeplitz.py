@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 
@@ -31,7 +32,9 @@ class ToeplitzSpec:
 
     S holds the upward offsets (superdiagonals), T the downward ones.
     Either set may be empty at this level; operations that need gcd
-    data require both nonempty and say so.
+    data require both nonempty and say so.  The gcd profile is worked
+    out on first use and kept on the instance; it is not a field, so
+    ==, hash and repr see only (n, S, T).
     """
 
     n: int
@@ -96,6 +99,19 @@ class ToeplitzSpec:
     def __str__(self) -> str:
         return self.to_string()
 
+    @cached_property
+    def _gcd_profile(self) -> "GcdProfile":
+        if not self.S or not self.T:
+            raise ValueError("gcd profile needs both offset sets nonempty")
+        return GcdProfile(
+            d=math.gcd(*self.S, *self.T),
+            d_plus=math.gcd(*(s + t for s in self.S for t in self.T)),
+            s1=self.S[0],
+            t1=self.T[0],
+            s_max=self.S[-1],
+            t_max=self.T[-1],
+        )
+
 
 @dataclass(frozen=True)
 class GcdProfile:
@@ -115,19 +131,11 @@ class GcdProfile:
 
 
 def gcd_profile(spec: ToeplitzSpec) -> GcdProfile:
-    """d = gcd(S u T), d+ = gcd of all pairwise sums s + t, and extremes."""
-    if not spec.S or not spec.T:
-        raise ValueError("gcd profile needs both offset sets nonempty")
-    d = math.gcd(*spec.S, *spec.T)
-    d_plus = math.gcd(*(s + t for s in spec.S for t in spec.T))
-    return GcdProfile(
-        d=d,
-        d_plus=d_plus,
-        s1=spec.S[0],
-        t1=spec.T[0],
-        s_max=spec.S[-1],
-        t_max=spec.T[-1],
-    )
+    """d = gcd(S u T), d+ = gcd of all pairwise sums s + t, and extremes.
+
+    Derived once per spec instance; later calls return the same object.
+    """
+    return spec._gcd_profile
 
 
 class Verdict(enum.Enum):
@@ -204,21 +212,15 @@ def check_main1(spec: ToeplitzSpec) -> bool:
     return max(prof.s_max, prof.t_max) <= spec.n - math.gcd(prof.s1, prof.t1)
 
 
-def _gcd_update(d: int, d_plus: int, s_star: int, s_ref: int) -> tuple[int, int]:
-    # gcd(S* u T) = gcd(d, s* - s) and gcd(S* + T) = gcd(d+, s* - s) for
-    # s a member of the side being extended; gcd(x, 0) = x covers s* = s.
-    return math.gcd(d, s_star - s_ref), math.gcd(d_plus, s_star - s_ref)
-
-
-def gcd_after_extension(
-    profile: GcdProfile, s_star: int, s_ref: int
-) -> tuple[int, int]:
+def gcd_after_extension(d: int, d_plus: int, s_star: int, s_ref: int) -> tuple[int, int]:
     """(new d, new d+) after adjoining offset s_star to the side of s_ref.
 
+    gcd(S* u T) = gcd(d, s* - s) and gcd(S* + T) = gcd(d+, s* - s) for s
+    a member of the side being extended; gcd(x, 0) = x covers s* = s.
     s_ref must already belong to the extended side; the result does not
     depend on which member is used, a fact the oracle re-checks.
     """
-    return _gcd_update(profile.d, profile.d_plus, s_star, s_ref)
+    return math.gcd(d, s_star - s_ref), math.gcd(d_plus, s_star - s_ref)
 
 
 def extension_chain(spec: ToeplitzSpec) -> Optional[tuple]:
@@ -247,7 +249,7 @@ def extension_chain(spec: ToeplitzSpec) -> Optional[tuple]:
                 for value, side in pending:
                     if value <= spec.n - d:
                         ref = s0 if side == "S" else t0
-                        d, d_plus = _gcd_update(d, d_plus, value, ref)
+                        d, d_plus = gcd_after_extension(d, d_plus, value, ref)
                         steps.append((side, value))
                         added = True
                     else:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .boolmat import BoolMatrix, PowerSequence, from_toeplitz
+from .boolmat import BoolMatrix, PowerSequence, _powers_of, from_toeplitz
 from .toeplitz import ToeplitzSpec, gcd_profile
 
 
@@ -123,6 +123,5 @@ class WalkSets:
 def walksets_at(
     spec: ToeplitzSpec, i: int, powers: PowerSequence | None = None
 ) -> WalkSets:
-    if powers is None:
-        powers = PowerSequence(from_toeplitz(spec))
+    powers = _powers_of(from_toeplitz(spec), powers)
     return WalkSets(i=i, p=p_set(spec, i), q=q_set(spec, i), r=r_set(powers.power(i)))

@@ -15,29 +15,27 @@ import pytest
 
 from toeplitz_periods import (
     BoolMatrix,
-    Digraph,
     PowerSequence,
     ToeplitzSpec,
-    Verdict,
     analyze,
     certify_walk_ensured,
-    check_coprime_pair,
-    check_star,
     competition_analysis,
-    contract,
-    cycle_decomposition,
     decide_walk_ensured_exact,
-    enumerate_specs,
     from_toeplitz,
-    gcd_profile,
-    p_set,
-    predicted_limit,
-    q_sequence,
-    r_set,
     sink_source_same_period,
-    tail_extension_applicable,
     walksets_at,
 )
+from toeplitz_periods.digraph import Digraph, contract, cycle_decomposition
+from toeplitz_periods.engine import predicted_limit
+from toeplitz_periods.oracle import enumerate_specs
+from toeplitz_periods.toeplitz import (
+    Verdict,
+    check_coprime_pair,
+    check_star,
+    gcd_profile,
+    tail_extension_applicable,
+)
+from toeplitz_periods.walksets import p_set, q_sequence, r_set
 
 WORKED = ToeplitzSpec(6, (2, 4), (5,))
 

@@ -7,11 +7,10 @@ from toeplitz_periods import (
     CapExceededError,
     PowerSequence,
     ToeplitzSpec,
-    default_power_cap,
-    enumerate_specs,
     from_toeplitz,
 )
-from toeplitz_periods.boolmat import _right_multiplier, _row_selectors
+from toeplitz_periods.boolmat import _right_multiplier, default_power_cap
+from toeplitz_periods.oracle import enumerate_specs
 
 from conftest import (
     naive_from_boolmat,
@@ -180,11 +179,6 @@ def test_right_multiplier_agrees_with_matmul(n, rng):
     for _ in range(5):
         x = random_boolmat(rng, n)
         assert apply_m(x) == x @ m
-
-
-def test_row_selectors_list_one_columns():
-    m = BoolMatrix.from_entries(3, [(1, 1), (1, 3), (3, 2)])
-    assert _row_selectors(m) == [(0, 2), (), (1,)]
 
 
 # --------------------------------------------------------------------------

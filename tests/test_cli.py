@@ -211,7 +211,7 @@ def test_sweep_usage_errors(capsys):
 
 def test_sweep_violation_exit_code(capsys, monkeypatch):
     # force a violation through a stub so the exit path is exercised
-    from toeplitz_periods import Finding
+    from toeplitz_periods.oracle import Finding
     from toeplitz_periods import cli as cli_module
 
     def fake_run_sweep(config):

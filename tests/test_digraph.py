@@ -4,19 +4,16 @@ import math
 
 import pytest
 
-from toeplitz_periods import (
-    BoolMatrix,
+from toeplitz_periods import BoolMatrix, PowerSequence, ToeplitzSpec, from_toeplitz
+from toeplitz_periods.digraph import (
     Digraph,
-    PowerSequence,
-    ToeplitzSpec,
     contract,
     cycle_decomposition,
-    enumerate_specs,
-    from_toeplitz,
     has_source_or_sink,
     to_dot,
     walk_exists,
 )
+from toeplitz_periods.oracle import enumerate_specs
 
 
 def digraph_of(spec: ToeplitzSpec) -> Digraph:

@@ -6,24 +6,24 @@ from toeplitz_periods import (
     BoolMatrix,
     CapExceededError,
     PowerSequence,
-    Rule,
     ToeplitzSpec,
-    Verdict,
     analyze,
     competition_analysis,
     decide_walk_ensured_exact,
-    enumerate_specs,
     from_toeplitz,
-    gcd_profile,
-    limits_match,
-    matrix_period,
-    p_set,
-    period_via_theorem,
-    predicted_limit,
-    r_set,
     sink_source_same_period,
     superset_same_period,
+    walksets_at,
 )
+from toeplitz_periods.engine import (
+    limits_match,
+    matrix_period,
+    period_via_theorem,
+    predicted_limit,
+)
+from toeplitz_periods.oracle import enumerate_specs
+from toeplitz_periods.toeplitz import Rule, Verdict, gcd_profile
+from toeplitz_periods.walksets import p_set, r_set
 
 from conftest import (
     naive_competition_sequence,
@@ -139,10 +139,17 @@ def test_competition_of_zero_matrix():
 
 
 def test_competition_rejects_foreign_powers():
-    a = from_toeplitz(ToeplitzSpec(3, (1,), (1,)))
+    spec = ToeplitzSpec(3, (1,), (1,))
+    a = from_toeplitz(spec)
     other = PowerSequence(from_toeplitz(ToeplitzSpec(3, (2,), (1,))))
-    with pytest.raises(ValueError):
-        competition_analysis(a, powers=other)
+    for call in (
+        lambda: competition_analysis(a, powers=other),
+        lambda: analyze(spec, powers=other),
+        lambda: decide_walk_ensured_exact(spec, powers=other),
+        lambda: walksets_at(spec, 3, other),
+    ):
+        with pytest.raises(ValueError, match="different matrix"):
+            call()
     shared = PowerSequence(a)
     assert competition_analysis(a, powers=shared) == competition_analysis(a)
 
@@ -174,7 +181,6 @@ def test_limits_match_diagonal_toggle():
     a = BoolMatrix.identity(3)
     b = BoolMatrix.zeros(3)
     assert not limits_match(a, b)
-    assert limits_match(a, b, ignore_diagonal=True)
     assert not limits_match(a, BoolMatrix.zeros(4))
 
 

@@ -11,7 +11,8 @@ import contextlib
 import io
 from pathlib import Path
 
-from toeplitz_periods import cli, enumerate_specs
+from toeplitz_periods import cli
+from toeplitz_periods.oracle import enumerate_specs
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

@@ -1,0 +1,87 @@
+"""Source hygiene: no unused imports, and the package exports what the README names."""
+
+import ast
+import types
+from pathlib import Path
+
+import toeplitz_periods
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "toeplitz_periods").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py")
+)
+
+TOP_LEVEL = {
+    "BoolMatrix",
+    "PowerSequence",
+    "ToeplitzSpec",
+    "from_toeplitz",
+    "competition_analysis",
+    "analyze",
+    "walksets_at",
+    "certify_walk_ensured",
+    "decide_walk_ensured_exact",
+    "superset_same_period",
+    "sink_source_same_period",
+    "TheoremViolationError",
+    "CapExceededError",
+}
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import in the file -> line of the import."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            ann = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            ann = node.returns
+        else:
+            continue
+        if ann is not None:
+            yield ann
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the file, including inside quoted annotations."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in _annotations(tree):
+        for const in ast.walk(ann):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                parsed = ast.parse(const.value, mode="eval")
+                used |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return used
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue  # its imports are the package's exports, checked below
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used(tree)
+        for name, line in _imported(tree).items():
+            if name not in used:
+                unused.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    assert unused == []
+
+
+def test_package_exports_exactly_the_readme_names():
+    public = {
+        name
+        for name, value in vars(toeplitz_periods).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == TOP_LEVEL
+    assert isinstance(toeplitz_periods.__version__, str)

@@ -2,11 +2,11 @@
 
 import pytest
 
-from toeplitz_periods import (
+from toeplitz_periods import ToeplitzSpec
+from toeplitz_periods.oracle import (
     ALL_CHECK_NAMES,
     Finding,
     SweepConfig,
-    ToeplitzSpec,
     enumerate_specs,
     render_report,
     run_sweep,

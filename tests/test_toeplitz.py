@@ -1,21 +1,24 @@
 """Descriptor parsing, gcd quantities, and walk-ensured certificates."""
 
+import dataclasses
 import math
 
 import pytest
 
 from toeplitz_periods import (
+    ToeplitzSpec,
+    certify_walk_ensured,
+    decide_walk_ensured_exact,
+)
+from toeplitz_periods.oracle import enumerate_specs
+from toeplitz_periods.toeplitz import (
     Certificate,
     Rule,
     SpecFormatError,
-    ToeplitzSpec,
     Verdict,
-    certify_walk_ensured,
     check_coprime_pair,
     check_main1,
     check_star,
-    decide_walk_ensured_exact,
-    enumerate_specs,
     extension_chain,
     gcd_after_extension,
     gcd_profile,
@@ -125,6 +128,27 @@ def test_gcd_profile_needs_both_sides():
         gcd_profile(ToeplitzSpec(5, (), (1,)))
 
 
+def test_gcd_profile_derived_once_per_spec():
+    spec = ToeplitzSpec(8, (2, 4), (2,))
+    assert gcd_profile(spec) is gcd_profile(spec)
+
+
+def test_gcd_profile_leaves_spec_identity_alone():
+    derived = ToeplitzSpec(8, (2, 4), (2,))
+    gcd_profile(derived)
+    fresh = ToeplitzSpec(8, (2, 4), (2,))
+    assert derived == fresh and hash(derived) == hash(fresh)
+    assert repr(derived) == repr(fresh) and str(derived) == str(fresh)
+    assert [f.name for f in dataclasses.fields(ToeplitzSpec)] == ["n", "S", "T"]
+
+
+def test_gcd_profile_of_one_sided_spec_raises_every_time():
+    spec = ToeplitzSpec(5, (2,), ())
+    for _ in range(2):
+        with pytest.raises(ValueError, match="both offset sets nonempty"):
+            gcd_profile(spec)
+
+
 def test_gcd_identities_exhaustive():
     # d divides d+, and d = gcd(d+, s1) for every descriptor
     for n in range(2, 7):
@@ -173,15 +197,15 @@ def test_check_main1_examples():
 def test_gcd_after_extension_example():
     # adjoining 5 to S = {2, 4} with T = {2} makes both gcds collapse to 1
     prof = gcd_profile(ToeplitzSpec(8, (2, 4), (2,)))
-    assert gcd_after_extension(prof, 5, 2) == (1, 1)
+    assert gcd_after_extension(prof.d, prof.d_plus, 5, 2) == (1, 1)
     # re-adjoining an existing member changes nothing
-    assert gcd_after_extension(prof, 2, 2) == (prof.d, prof.d_plus)
+    assert gcd_after_extension(prof.d, prof.d_plus, 2, 2) == (prof.d, prof.d_plus)
 
 
 def test_gcd_after_extension_reference_independent():
     prof = gcd_profile(ToeplitzSpec(9, (2, 6), (4, 8)))
     for s_star in range(1, 9):
-        results = {gcd_after_extension(prof, s_star, ref) for ref in (2, 6)}
+        results = {gcd_after_extension(prof.d, prof.d_plus, s_star, ref) for ref in (2, 6)}
         assert len(results) == 1
 
 
@@ -190,7 +214,7 @@ def test_gcd_after_extension_matches_recomputation():
         for spec in enumerate_specs(n):
             prof = gcd_profile(spec)
             for s_star in range(1, n):
-                via_update = gcd_after_extension(prof, s_star, spec.S[0])
+                via_update = gcd_after_extension(prof.d, prof.d_plus, s_star, spec.S[0])
                 bigger = ToeplitzSpec(n, spec.S + (s_star,), spec.T)
                 fresh = gcd_profile(bigger)
                 assert via_update == (fresh.d, fresh.d_plus)

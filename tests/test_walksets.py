@@ -11,17 +11,12 @@ from toeplitz_periods import (
     BoolMatrix,
     PowerSequence,
     ToeplitzSpec,
-    enumerate_specs,
     from_toeplitz,
-    gcd_profile,
-    p_set,
-    q_sequence,
-    q_set,
-    r_set,
     walksets_at,
-    window,
 )
-from toeplitz_periods.walksets import _q_masks
+from toeplitz_periods.oracle import enumerate_specs
+from toeplitz_periods.toeplitz import gcd_profile
+from toeplitz_periods.walksets import _q_masks, p_set, q_sequence, q_set, r_set, window
 
 from conftest import naive_q_set
 
