@@ -10,7 +10,8 @@ Subcommands:
 Descriptors are written "n=6;S=2,4;T=5" (whitespace ignored; an empty
 side is written "T=" and is accepted where the subcommand can work
 without it).  Exit codes: 0 success (for sweep: no violations),
-1 violations found, 2 usage or parse error, 3 computation cap exceeded.
+1 violations found, 2 usage or parse error, 3 computation cap exceeded
+(by analyze, or anywhere in a sweep).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import IO, Optional
 
 from .boolmat import CapExceededError, from_toeplitz
 from .digraph import Digraph, contract, to_dot
-from .engine import analyze, limits_match, predicted_limit
+from .engine import analyze, predicted_limit
 from .oracle import SweepConfig, render_report, run_sweep, VIOLATION
 from .toeplitz import SpecFormatError, ToeplitzSpec
 from .walksets import walksets_at
@@ -52,7 +53,7 @@ def _cmd_analyze(args, out: IO[str]) -> int:
     report = analyze(spec, args.max_power)
     pred = predicted_limit(spec)
     if report.limit_matrix is not None and pred is not None:
-        matches: Optional[bool] = limits_match(report.limit_matrix, pred)
+        matches: Optional[bool] = report.limit_matrix == pred
     else:
         matches = None
     cert = report.certificate

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .boolmat import BoolMatrix, PowerSequence
+from .boolmat import BoolMatrix
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,6 @@ def cycle_decomposition(g: Digraph) -> Optional[list[list[int]]]:
             v = succ[v]
         cycles.append(cycle)
     return cycles
-
-
-def walk_exists(powers: PowerSequence, u: int, v: int, length: int) -> bool:
-    """Is there a (u, v)-walk of exactly this length?  Length 0 means u = v."""
-    if length < 0:
-        raise ValueError("negative walk length")
-    return bool(powers.power(length).get(u, v))
 
 
 def to_dot(g: Digraph) -> str:

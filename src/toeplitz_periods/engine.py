@@ -109,11 +109,6 @@ def predicted_limit(spec: ToeplitzSpec) -> Optional[BoolMatrix]:
     return BoolMatrix(rows)
 
 
-def limits_match(actual: BoolMatrix, predicted: BoolMatrix) -> bool:
-    """Bit-exact comparison; matrices of different orders never match."""
-    return actual == predicted
-
-
 def decide_walk_ensured_exact(
     spec: ToeplitzSpec,
     max_power: Optional[int] = None,

@@ -18,17 +18,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 from typing import Callable, Iterator, Optional
 
-from .boolmat import CapExceededError, PowerSequence, from_toeplitz
-from .digraph import Digraph, contract, cycle_decomposition, walk_exists
+from .boolmat import PowerSequence, from_toeplitz
+from .digraph import Digraph, contract, cycle_decomposition
 from .engine import (
     PeriodReport,
     TheoremViolationError,
     analyze,
     decide_walk_ensured_exact,
-    limits_match,
+    matrix_period,
     predicted_limit,
     sink_source_same_period,
 )
@@ -139,23 +141,35 @@ def enumerate_specs(n: int) -> Iterator[ToeplitzSpec]:
 
 
 class _Sweep:
-    """Shared caches for one sweep run."""
+    """Shared caches for one sweep run, freed with it.
+
+    Every descriptor the sweep visits comes from one table keyed by
+    (n, S-mask, T-mask), so a descriptor met again as a superset or an
+    extension of another is the same instance, with the same cached
+    gcd profile and the same cycle and exact-decision entries.
+    """
 
     def __init__(self, config: SweepConfig):
         self.config = config
+        self._specs: dict[tuple[int, int, int], ToeplitzSpec] = {}
         self._cycles: dict[ToeplitzSpec, tuple[int, int]] = {}
         self._exact: dict[ToeplitzSpec, tuple[bool, Optional[int]]] = {}
 
+    def spec(self, n: int, smask: int, tmask: int) -> ToeplitzSpec:
+        key = (n, smask, tmask)
+        if key not in self._specs:
+            self._specs[key] = ToeplitzSpec(n, _offsets(smask), _offsets(tmask))
+        return self._specs[key]
+
     def specs(self, n: int) -> Iterator[ToeplitzSpec]:
         if self.config.mode == "exhaustive":
-            yield from enumerate_specs(n)
+            for spec in enumerate_specs(n):
+                yield self._specs.setdefault((n, _mask(spec.S), _mask(spec.T)), spec)
             return
         rng = random.Random(f"{self.config.seed}:{n}")
         full = 1 << (n - 1)
         for _ in range(self.config.samples):
-            yield ToeplitzSpec(
-                n, _offsets(rng.randrange(1, full)), _offsets(rng.randrange(1, full))
-            )
+            yield self.spec(n, rng.randrange(1, full), rng.randrange(1, full))
 
     def analyze_spec(self, spec: ToeplitzSpec) -> tuple[PowerSequence, PeriodReport]:
         """The engine's report, with the exact decision cached for the checks.
@@ -179,9 +193,7 @@ class _Sweep:
 
     def cycle_of(self, spec: ToeplitzSpec) -> tuple[int, int]:
         if spec not in self._cycles:
-            self._cycles[spec] = PowerSequence(from_toeplitz(spec)).cycle(
-                self.config.max_power
-            )
+            self._cycles[spec] = matrix_period(from_toeplitz(spec), self.config.max_power)
         return self._cycles[spec]
 
     def exact_of(self, spec: ToeplitzSpec) -> tuple[bool, Optional[int]]:
@@ -195,126 +207,68 @@ def _fmt(values) -> str:
 
 
 # ---------------------------------------------------------------- checks
+#
+# A check returns (spec, expected, actual, severity) tuples; run_sweep
+# turns them into findings under the registry name of the check.
+
+Result = tuple[ToeplitzSpec, str, str, str]
 
 
-def _check_period_formula(sw, spec, powers, an) -> list[Finding]:
+def _check_period_formula(sw, spec, powers, an) -> list[Result]:
     """Walk-ensured descriptors have matrix period d+/d."""
-    out = []
     formula = an.profile.d_plus // an.profile.d
+    if an.matrix_period == formula:
+        return []
+    actual = f"period {an.matrix_period}"
     if sw.exact_of(spec)[0]:
-        if an.matrix_period != formula:
-            out.append(
-                Finding(
-                    "period-formula",
-                    str(spec),
-                    f"period {formula} = d+/d",
-                    f"period {an.matrix_period}",
-                    VIOLATION,
-                )
-            )
-    elif an.matrix_period != formula:
-        out.append(
-            Finding(
-                "period-formula",
-                str(spec),
-                f"no claim (not walk-ensured); d+/d = {formula}",
-                f"period {an.matrix_period}",
-                OBSERVATION,
-            )
-        )
-    return out
+        return [(spec, f"period {formula} = d+/d", actual, VIOLATION)]
+    return [(spec, f"no claim (not walk-ensured); d+/d = {formula}", actual, OBSERVATION)]
 
 
-def _check_competition_limit(sw, spec, powers, an) -> list[Finding]:
+def _check_competition_limit(sw, spec, powers, an) -> list[Result]:
     """Walk-ensured with d+ <= n: competition period 1 and the congruence limit."""
-    out = []
     if not sw.exact_of(spec)[0]:
-        return out
-    if an.profile.d_plus <= spec.n:
-        pred = predicted_limit(spec)
-        if an.competition_period != 1:
-            out.append(
-                Finding(
-                    "competition-limit",
-                    str(spec),
-                    "competition period 1",
-                    f"competition period {an.competition_period}",
-                    VIOLATION,
-                )
-            )
-        elif not limits_match(an.limit_matrix, pred):
-            out.append(
-                Finding(
-                    "competition-limit",
-                    str(spec),
-                    "limit equals the congruence-class matrix",
-                    "limit differs",
-                    VIOLATION,
-                )
-            )
-    else:
-        out.append(
-            Finding(
-                "competition-limit",
-                str(spec),
-                "no claim (d+ exceeds the order)",
-                f"competition period {an.competition_period}",
-                OBSERVATION,
-            )
-        )
-    return out
+        return []
+    actual = f"competition period {an.competition_period}"
+    if an.profile.d_plus > spec.n:
+        return [(spec, "no claim (d+ exceeds the order)", actual, OBSERVATION)]
+    if an.competition_period != 1:
+        return [(spec, "competition period 1", actual, VIOLATION)]
+    if an.limit_matrix != predicted_limit(spec):
+        want = "limit equals the congruence-class matrix"
+        return [(spec, want, "limit differs", VIOLATION)]
+    return []
 
 
-def _check_competition_divisibility(sw, spec, powers, an) -> list[Finding]:
+def _check_competition_divisibility(sw, spec, powers, an) -> list[Result]:
     """Record specs whose competition period does not divide the matrix period."""
     if an.matrix_period % an.competition_period == 0:
         return []
-    return [
-        Finding(
-            "competition-divisibility",
-            str(spec),
-            f"no claim; matrix period {an.matrix_period}",
-            f"competition period {an.competition_period} does not divide it",
-            OBSERVATION,
-        )
-    ]
+    want = f"no claim; matrix period {an.matrix_period}"
+    got = f"competition period {an.competition_period} does not divide it"
+    return [(spec, want, got, OBSERVATION)]
 
 
-def _check_certificate_soundness(sw, spec, powers, an) -> list[Finding]:
+def _check_certificate_soundness(sw, spec, powers, an) -> list[Result]:
     """Sufficient rules never certify a descriptor the exact decision rejects."""
     if an.certificate.verdict is not Verdict.PROVEN_WALK_ENSURED or sw.exact_of(spec)[0]:
         return []
-    rule = an.certificate.rule.value
-    return [
-        Finding(
-            "certificate-soundness",
-            str(spec),
-            f"walk-ensured (certified by {rule})",
-            "exact decision: not walk-ensured",
-            VIOLATION,
-        )
-    ]
+    want = f"walk-ensured (certified by {an.certificate.rule.value})"
+    return [(spec, want, "exact decision: not walk-ensured", VIOLATION)]
 
 
-def _check_containment_chain(sw, spec, powers, an) -> list[Finding]:
+def _check_containment_chain(sw, spec, powers, an) -> list[Result]:
     """r_set <= q_set <= p_set at every length up to CHAIN_I_MAX."""
     for i, q in q_sequence(spec, CHAIN_I_MAX):
         p = p_set(spec, i)
         r = r_set(powers.power(i))
         if not (r <= q <= p):
-            return [
-                Finding(
-                    "containment-chain",
-                    str(spec),
-                    f"i={i}: r <= q <= p",
-                    f"r={_fmt(r)} q={_fmt(q)} p={_fmt(p)}",
-                    VIOLATION,
-                )
-            ]
+            got = f"r={_fmt(r)} q={_fmt(q)} p={_fmt(p)}"
+            return [(spec, f"i={i}: r <= q <= p", got, VIOLATION)]
     return []
 
 
-def _check_p_set_laws(sw, spec, powers, an) -> list[Finding]:
+def _check_p_set_laws(sw, spec, powers, an) -> list[Result]:
     """Periodicity, disjoint window and one-step recurrence of the p-sets."""
     m = an.profile.d_plus // an.profile.d
     ps = {i: p_set(spec, i) for i in range(1, CHAIN_I_MAX + m + 1)}
@@ -322,61 +276,33 @@ def _check_p_set_laws(sw, spec, powers, an) -> list[Finding]:
     win = set(window(spec.n))
     for i in range(1, CHAIN_I_MAX + 1):
         if ps[i] != ps[i + m]:
-            return [
-                Finding(
-                    "p-set-laws",
-                    str(spec),
-                    f"i={i}: p-set repeats with period d+/d = {m}",
-                    f"{_fmt(ps[i])} vs {_fmt(ps[i + m])}",
-                    VIOLATION,
-                )
-            ]
+            got = f"{_fmt(ps[i])} vs {_fmt(ps[i + m])}"
+            return [(spec, f"i={i}: p-set repeats with period d+/d = {m}", got, VIOLATION)]
         group = [ps[i + k] for k in range(m)]
         if sum(len(g) for g in group) != len(set().union(*group)):
-            return [
-                Finding(
-                    "p-set-laws",
-                    str(spec),
-                    f"i={i}: {m} consecutive p-sets pairwise disjoint",
-                    "overlap",
-                    VIOLATION,
-                )
-            ]
+            want = f"i={i}: {m} consecutive p-sets pairwise disjoint"
+            return [(spec, want, "overlap", VIOLATION)]
         if i >= 2:
             rec = frozenset(
                 l for l in win if (l - s1 in ps[i - 1]) or (l + t1 in ps[i - 1])
             )
             if rec != ps[i]:
-                return [
-                    Finding(
-                        "p-set-laws",
-                        str(spec),
-                        f"i={i}: recurrence from p-set at i-1",
-                        f"{_fmt(rec)} vs {_fmt(ps[i])}",
-                        VIOLATION,
-                    )
-                ]
+                got = f"{_fmt(rec)} vs {_fmt(ps[i])}"
+                return [(spec, f"i={i}: recurrence from p-set at i-1", got, VIOLATION)]
     return []
 
 
-def _check_walk_displacements(sw, spec, powers, an) -> list[Finding]:
+def _check_walk_displacements(sw, spec, powers, an) -> list[Result]:
     """Every walk displacement is representable as an i-term signed sum."""
     for i, q in q_sequence(spec, DISPLACEMENT_I_MAX):
         realized = {v - u for u, v in powers.power(i).entries()}
         if not realized <= q:
-            return [
-                Finding(
-                    "walk-displacements",
-                    str(spec),
-                    f"i={i}: walk displacements within q-set {_fmt(q)}",
-                    _fmt(realized),
-                    VIOLATION,
-                )
-            ]
+            want = f"i={i}: walk displacements within q-set {_fmt(q)}"
+            return [(spec, want, _fmt(realized), VIOLATION)]
     return []
 
 
-def _check_sum_congruence(sw, spec, powers, an) -> list[Finding]:
+def _check_sum_congruence(sw, spec, powers, an) -> list[Result]:
     """Signed combinations satisfy sum a*s - sum b*t = (sum a + sum b) s1 mod d+."""
     rng = random.Random(f"{sw.config.seed}:congruence:{spec}")
     prof = an.profile
@@ -388,38 +314,22 @@ def _check_sum_congruence(sw, spec, powers, an) -> list[Finding]:
         )
         rhs = (sum(avec) + sum(bvec)) * prof.s1
         if (lhs - rhs) % prof.d_plus != 0:
-            return [
-                Finding(
-                    "sum-congruence",
-                    str(spec),
-                    f"combination congruent mod d+ = {prof.d_plus}",
-                    f"a={avec} b={bvec} difference {lhs - rhs}",
-                    VIOLATION,
-                )
-            ]
+            want = f"combination congruent mod d+ = {prof.d_plus}"
+            return [(spec, want, f"a={avec} b={bvec} difference {lhs - rhs}", VIOLATION)]
     return []
 
 
-def _check_same_residue_walks(sw, spec, powers, an) -> list[Finding]:
+def _check_same_residue_walks(sw, spec, powers, an) -> list[Result]:
     """Walk-ensured: every pair of vertices congruent mod d is joined by a walk."""
     if not sw.exact_of(spec)[0]:
         return []
     d = an.profile.d
     bound = an.matrix_index + lcm(an.matrix_period, an.profile.d_plus // d)
+    reach = reduce(or_, map(powers.power, range(1, bound + 1)))
     for u in range(1, spec.n + 1):
         for v in range(1, spec.n + 1):
-            if (u - v) % d != 0:
-                continue
-            if not any(walk_exists(powers, u, v, l) for l in range(1, bound + 1)):
-                return [
-                    Finding(
-                        "same-residue-walks",
-                        str(spec),
-                        f"some ({u},{v})-walk of length <= {bound}",
-                        "none",
-                        VIOLATION,
-                    )
-                ]
+            if (u - v) % d == 0 and not reach.get(u, v):
+                return [(spec, f"some ({u},{v})-walk of length <= {bound}", "none", VIOLATION)]
     return []
 
 
@@ -433,7 +343,7 @@ def _supersets(mask: int, full: int) -> Iterator[int]:
         sub = (sub - 1) & extra
 
 
-def _check_superset_period(sw, spec, powers, an) -> list[Finding]:
+def _check_superset_period(sw, spec, powers, an) -> list[Result]:
     """Offset supersets preserving gcd(S + T) keep the period d+/d."""
     if spec.n > SUPERSET_N_MAX or not sw.exact_of(spec)[0]:
         return []
@@ -441,39 +351,25 @@ def _check_superset_period(sw, spec, powers, an) -> list[Finding]:
     formula = an.profile.d_plus // an.profile.d
     for smask in _supersets(_mask(spec.S), full):
         for tmask in _supersets(_mask(spec.T), full):
-            star = ToeplitzSpec(spec.n, _offsets(smask), _offsets(tmask))
+            star = sw.spec(spec.n, smask, tmask)
             if gcd_profile(star).d_plus != an.profile.d_plus:
                 continue
             _, star_period = sw.cycle_of(star)
             if star_period != formula:
-                return [
-                    Finding(
-                        "superset-period",
-                        str(spec),
-                        f"superset {star} keeps period {formula}",
-                        f"period {star_period}",
-                        VIOLATION,
-                    )
-                ]
+                want = f"superset {star} keeps period {formula}"
+                return [(spec, want, f"period {star_period}", VIOLATION)]
     return []
 
 
-def _check_tail_extension(sw, spec, powers, an) -> list[Finding]:
+def _check_tail_extension(sw, spec, powers, an) -> list[Result]:
     """Adjoining any offset in (n - d, n) to S leaves the period unchanged."""
     if not sw.exact_of(spec)[0] or an.profile.d < 2:
         return []
     out = []
     for s_star in range(spec.n - an.profile.d + 1, spec.n):
         if not tail_extension_applicable(spec, s_star):
-            out.append(
-                Finding(
-                    "tail-extension",
-                    str(spec),
-                    f"s*={s_star} inside the tail window",
-                    "predicate disagrees",
-                    VIOLATION,
-                )
-            )
+            want = f"s*={s_star} inside the tail window"
+            out.append((spec, want, "predicate disagrees", VIOLATION))
             continue
         ext = ToeplitzSpec(spec.n, spec.S + (s_star,), spec.T)
         try:
@@ -481,88 +377,45 @@ def _check_tail_extension(sw, spec, powers, an) -> list[Finding]:
                 spec, from_toeplitz(ext), sw.config.max_power
             )
         except TheoremViolationError as exc:
-            out.append(
-                Finding("tail-extension", str(spec), "period preserved", str(exc), VIOLATION)
-            )
+            out.append((spec, "period preserved", str(exc), VIOLATION))
             continue
         if transferred is None:
-            out.append(
-                Finding(
-                    "tail-extension",
-                    str(spec),
-                    f"s*={s_star}: contraction of added arcs has a source or sink",
-                    "neither",
-                    VIOLATION,
-                )
-            )
+            want = f"s*={s_star}: contraction of added arcs has a source or sink"
+            out.append((spec, want, "neither", VIOLATION))
     return out
 
 
-def _check_extension_closure(sw, spec, powers, an) -> list[Finding]:
+def _check_extension_closure(sw, spec, powers, an) -> list[Result]:
     """Walk-ensured survives adjoining any offset bounded by n - d, either side."""
     if spec.n > EXTENSION_N_MAX or not sw.exact_of(spec)[0]:
         return []
+    smask, tmask = _mask(spec.S), _mask(spec.T)
     for s_star in range(1, spec.n - an.profile.d + 1):
-        for ext in (
-            ToeplitzSpec(spec.n, spec.S + (s_star,), spec.T),
-            ToeplitzSpec(spec.n, spec.S, spec.T + (s_star,)),
-        ):
-            ok, _ = sw.exact_of(ext)
-            if not ok:
-                return [
-                    Finding(
-                        "extension-closure",
-                        str(spec),
-                        f"extension {ext} stays walk-ensured (s*={s_star})",
-                        "exact decision: not walk-ensured",
-                        VIOLATION,
-                    )
-                ]
+        bit = 1 << (s_star - 1)
+        for ext in (sw.spec(spec.n, smask | bit, tmask), sw.spec(spec.n, smask, tmask | bit)):
+            if not sw.exact_of(ext)[0]:
+                want = f"extension {ext} stays walk-ensured (s*={s_star})"
+                return [(spec, want, "exact decision: not walk-ensured", VIOLATION)]
     return []
 
 
-def _check_gcd_update(sw, spec, powers, an) -> list[Finding]:
+def _check_gcd_update(sw, spec, powers, an) -> list[Result]:
     """Incremental gcd update agrees with recomputation, whatever the reference."""
     prof = an.profile
     for s_star in range(1, spec.n):
-        s_ext = ToeplitzSpec(spec.n, spec.S + (s_star,), spec.T)
-        expected_s = (
-            gcd(*s_ext.S, *s_ext.T),
-            gcd(*(s + t for s in s_ext.S for t in s_ext.T)),
-        )
-        for ref in spec.S:
-            got = gcd_after_extension(prof.d, prof.d_plus, s_star, ref)
-            if got != expected_s:
-                return [
-                    Finding(
-                        "gcd-update",
-                        str(spec),
-                        f"s*={s_star} ref={ref}: {expected_s}",
-                        f"{got}",
-                        VIOLATION,
-                    )
-                ]
-        t_ext = ToeplitzSpec(spec.n, spec.S, spec.T + (s_star,))
-        expected_t = (
-            gcd(*t_ext.S, *t_ext.T),
-            gcd(*(s + t for s in t_ext.S for t in t_ext.T)),
-        )
-        for ref in spec.T:
-            got = gcd_after_extension(prof.d, prof.d_plus, s_star, ref)
-            if got != expected_t:
-                return [
-                    Finding(
-                        "gcd-update",
-                        str(spec),
-                        f"t*={s_star} ref={ref}: {expected_t}",
-                        f"{got}",
-                        VIOLATION,
-                    )
-                ]
+        for label, S, T, refs in (
+            ("s*", spec.S + (s_star,), spec.T, spec.S),
+            ("t*", spec.S, spec.T + (s_star,), spec.T),
+        ):
+            want = (gcd(*S, *T), gcd(*(s + t for s in S for t in T)))
+            for ref in refs:
+                got = gcd_after_extension(prof.d, prof.d_plus, s_star, ref)
+                if got != want:
+                    return [(spec, f"{label}={s_star} ref={ref}: {want}", f"{got}", VIOLATION)]
     return []
 
 
-PER_SPEC_CHECKS: list[tuple[str, Callable]] = [
+PER_SPEC_CHECKS: list[tuple[str, Callable[..., list[Result]]]] = [
     ("period-formula", _check_period_formula),
     ("competition-limit", _check_competition_limit),
     ("competition-divisibility", _check_competition_divisibility),
@@ -582,85 +435,72 @@ PER_SPEC_CHECKS: list[tuple[str, Callable]] = [
 # ------------------------------------------------------------ per-order
 
 
-def check_contraction_identity(n: int) -> list[Finding]:
+def _contractions(n: int) -> Iterator[tuple[int, int, Digraph]]:
+    """(d, s, D(T_n<s;>) contracted mod d) for 2 <= d < n, s <= n - d, d not dividing s."""
+    for d in range(2, n):
+        for s in range(1, n - d + 1):
+            if s % d:
+                yield d, s, contract(Digraph(from_toeplitz(ToeplitzSpec(n, (s,), ()))), d)
+
+
+def check_contraction_identity(n: int) -> list[Result]:
     """Contraction of a one-offset digraph mod d is itself Toeplitz.
 
     For d not dividing s and s <= n - d, contracting the digraph of
     T_n<s;> mod d gives exactly the digraph of T_d<r; d-r>, r = s mod d.
     """
-    out = []
-    for d in range(2, n):
-        for s in range(1, n - d + 1):
-            r = s % d
-            if r == 0:
-                continue
-            g = Digraph(from_toeplitz(ToeplitzSpec(n, (s,), ())))
-            got = contract(g, d)
-            want = Digraph(from_toeplitz(ToeplitzSpec(d, (r,), (d - r,))))
-            if got != want:
-                out.append(
-                    Finding(
-                        "contraction-identity",
-                        f"n={n};S={s};T=",
-                        f"contraction mod {d} equals the order-{d} two-offset digraph",
-                        "differs",
-                        VIOLATION,
-                    )
-                )
-    return out
+    return [
+        (
+            ToeplitzSpec(n, (s,), ()),
+            f"contraction mod {d} equals the order-{d} two-offset digraph",
+            "differs",
+            VIOLATION,
+        )
+        for d, s, got in _contractions(n)
+        if got != Digraph(from_toeplitz(ToeplitzSpec(d, (s % d,), (d - s % d,))))
+    ]
 
 
-def check_contraction_cycles(n: int) -> list[Finding]:
+def check_contraction_cycles(n: int) -> list[Result]:
     """The contraction above always decomposes into vertex-disjoint cycles."""
-    out = []
-    for d in range(2, n):
-        for s in range(1, n - d + 1):
-            if s % d == 0:
-                continue
-            g = Digraph(from_toeplitz(ToeplitzSpec(n, (s,), ())))
-            if cycle_decomposition(contract(g, d)) is None:
-                out.append(
-                    Finding(
-                        "contraction-cycles",
-                        f"n={n};S={s};T=",
-                        f"contraction mod {d} is a disjoint union of cycles",
-                        "some vertex degree differs from 1",
-                        VIOLATION,
-                    )
-                )
-    return out
+    return [
+        (
+            ToeplitzSpec(n, (s,), ()),
+            f"contraction mod {d} is a disjoint union of cycles",
+            "some vertex degree differs from 1",
+            VIOLATION,
+        )
+        for d, s, got in _contractions(n)
+        if cycle_decomposition(got) is None
+    ]
 
 
-def check_cycle_structure(n: int) -> list[Finding]:
+def check_cycle_structure(n: int) -> list[Result]:
     """D(T_n<s; n-s>) splits into the residue classes mod gcd(n, s) as cycles."""
     out = []
     for s in range(1, n):
         d = gcd(n, s)
-        g = Digraph(from_toeplitz(ToeplitzSpec(n, (s,), (n - s,))))
-        dec = cycle_decomposition(g)
+        spec = ToeplitzSpec(n, (s,), (n - s,))
+        dec = cycle_decomposition(Digraph(from_toeplitz(spec)))
         want = {frozenset(range(i, n + 1, d)) for i in range(1, d + 1)}
         got = None if dec is None else {frozenset(c) for c in dec}
         if got != want:
-            out.append(
-                Finding(
-                    "cycle-structure",
-                    f"n={n};S={s};T={n - s}",
-                    f"cycles are the residue classes mod {d}",
-                    "no decomposition" if dec is None else "different classes",
-                    VIOLATION,
-                )
-            )
+            reason = "no decomposition" if dec is None else "different classes"
+            out.append((spec, f"cycles are the residue classes mod {d}", reason, VIOLATION))
     return out
 
 
-PER_ORDER_CHECKS: list[tuple[str, Callable[[int], list[Finding]]]] = [
+PER_ORDER_CHECKS: list[tuple[str, Callable[[int], list[Result]]]] = [
     ("contraction-identity", check_contraction_identity),
     ("contraction-cycles", check_contraction_cycles),
     ("cycle-structure", check_cycle_structure),
 ]
 
 
-def check_worked_example() -> list[Finding]:
+WORKED_EXAMPLE_CHECK = "worked-example"
+
+
+def check_worked_example() -> list[Result]:
     """Reproduce the pinned length-2 walk-set example exactly."""
     spec = WORKED_EXAMPLE
     powers = PowerSequence(from_toeplitz(spec))
@@ -669,67 +509,48 @@ def check_worked_example() -> list[Finding]:
         ("q-set", q_set(spec, 2), frozenset({-3, -1, 4})),
         ("r-set", r_set(powers.power(2)), frozenset({4})),
     ]
-    out = []
-    for label, got, want in hits:
-        if got != want:
-            out.append(
-                Finding(
-                    "worked-example",
-                    str(spec),
-                    f"{label} at i=2 is {_fmt(want)}",
-                    _fmt(got),
-                    VIOLATION,
-                )
-            )
+    out = [
+        (spec, f"{label} at i=2 is {_fmt(want)}", _fmt(got), VIOLATION)
+        for label, got, want in hits
+        if got != want
+    ]
     if not powers.power(2).get(1, 5):
-        out.append(
-            Finding(
-                "worked-example",
-                str(spec),
-                "square has entry (1,5)",
-                "missing",
-                VIOLATION,
-            )
-        )
+        out.append((spec, "square has entry (1,5)", "missing", VIOLATION))
     return out
 
 
 ALL_CHECK_NAMES: tuple[str, ...] = tuple(
     [name for name, _ in PER_SPEC_CHECKS]
     + [name for name, _ in PER_ORDER_CHECKS]
-    + ["worked-example"]
+    + [WORKED_EXAMPLE_CHECK]
 )
 
 
 def run_sweep(config: SweepConfig) -> list[Finding]:
-    """Run the enabled checks over the configured descriptor space."""
+    """Run the enabled checks over the configured descriptor space.
+
+    A computation cap overrun anywhere in the sweep propagates as
+    CapExceededError.
+    """
     sweep = _Sweep(config)
     findings: list[Finding] = []
-    if config.enabled("worked-example"):
-        findings.extend(check_worked_example())
+
+    def record(name: str, results: list[Result]) -> None:
+        findings.extend(Finding(name, str(spec), *rest) for spec, *rest in results)
+
+    if config.enabled(WORKED_EXAMPLE_CHECK):
+        record(WORKED_EXAMPLE_CHECK, check_worked_example())
     per_order = [(name, fn) for name, fn in PER_ORDER_CHECKS if config.enabled(name)]
     per_spec = [(name, fn) for name, fn in PER_SPEC_CHECKS if config.enabled(name)]
     for n in range(config.n_lo, config.n_hi + 1):
-        for _, fn in per_order:
-            findings.extend(fn(n))
+        for name, fn in per_order:
+            record(name, fn(n))
         if not per_spec:
             continue
         for spec in sweep.specs(n):
-            try:
-                powers, an = sweep.analyze_spec(spec)
-            except CapExceededError as exc:
-                findings.append(
-                    Finding(
-                        "power-cap",
-                        str(spec),
-                        "power cycle within the step cap",
-                        str(exc),
-                        VIOLATION,
-                    )
-                )
-                continue
-            for _, fn in per_spec:
-                findings.extend(fn(sweep, spec, powers, an))
+            powers, an = sweep.analyze_spec(spec)
+            for name, fn in per_spec:
+                record(name, fn(sweep, spec, powers, an))
     return findings
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
-from toeplitz_periods import BoolMatrix
+from toeplitz_periods import BoolMatrix, ToeplitzSpec
 
 # --------------------------------------------------------------------------
 # naive matrix reference implementations (tuple-of-tuples of 0/1)
@@ -114,6 +116,23 @@ def naive_q_set(n: int, S, T, i: int) -> frozenset[int]:
     for _ in range(i):
         sums = {x + s for x in sums for s in S} | {x - t for x in sums for t in T}
     return frozenset(x for x in sums if -(n - 1) <= x <= n - 1)
+
+
+# --------------------------------------------------------------------------
+# hypothesis: settings and descriptor strategy shared by the property tests
+# --------------------------------------------------------------------------
+
+# derandomized and without an example database: the same examples on
+# every run, and no files written
+PROPERTY = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def descriptors(draw, min_n: int = 2):
+    """T_n<S;T> with min_n <= n <= 24 and both offset sets nonempty."""
+    n = draw(st.integers(min_n, 24))
+    offsets = st.sets(st.integers(1, n - 1), min_size=1)
+    return ToeplitzSpec(n, draw(offsets), draw(offsets))
 
 
 # --------------------------------------------------------------------------

@@ -143,6 +143,8 @@ def test_equality_and_hash_semantics():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert a != "not a matrix"
+    # matrices of different orders are never equal, even both all-zero
+    assert BoolMatrix.zeros(3) != BoolMatrix.zeros(4)
     d = {a: 1}
     assert d[b] == 1 and c not in d
 

@@ -113,6 +113,12 @@ def test_analyze_rejects_bad_spec(capsys):
 def test_analyze_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "analyze", "n=8;S=1;T=1", "--max-power", "2")
     assert code == 3 and "error:" in err
+    # a sweep stops at the first overrun, also one inside a check on a
+    # neighbouring descriptor, with the same exit code and one error line
+    for argv in (("--n", "2..4", "--max-power", "2"), ("--n", "2..6", "--max-power", "8")):
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from toeplitz_periods.digraph import (
     cycle_decomposition,
     has_source_or_sink,
     to_dot,
-    walk_exists,
 )
 from toeplitz_periods.oracle import enumerate_specs
 
@@ -158,19 +157,20 @@ def test_cycle_decomposition_order():
 
 
 def test_walk_exists_basics():
+    # a (u, v)-walk of length m exists iff entry (u, v) of A^m is set
     powers = PowerSequence(from_toeplitz(ToeplitzSpec(3, (1,), ())))
-    assert walk_exists(powers, 1, 1, 0) is True
-    assert walk_exists(powers, 1, 2, 0) is False
-    assert walk_exists(powers, 1, 3, 2) is True
-    assert walk_exists(powers, 3, 1, 1) is False
+    assert powers.power(0).get(1, 1) == 1
+    assert powers.power(0).get(1, 2) == 0
+    assert powers.power(2).get(1, 3) == 1
+    assert powers.power(1).get(3, 1) == 0
     with pytest.raises(ValueError):
-        walk_exists(powers, 1, 1, -1)
+        powers.power(-1)
 
 
 def test_worked_example_unreachable_pair():
     # vertex 5 never reaches vertex 2 in the worked 6-by-6 example
     powers = PowerSequence(from_toeplitz(ToeplitzSpec(6, (2, 4), (5,))))
-    assert all(not walk_exists(powers, 5, 2, m) for m in range(1, 25))
+    assert all(not powers.power(m).get(5, 2) for m in range(1, 25))
 
 
 # --------------------------------------------------------------------------
@@ -215,8 +215,8 @@ def test_special_offset_walks_lift_to_contraction():
                     if uses == 0:
                         assert (v - u) % d == 0, (spec, s_star, u, v)
                     else:
-                        assert walk_exists(
-                            lifted_powers, (u - 1) % d + 1, (v - 1) % d + 1, uses
+                        assert lifted_powers.power(uses).get(
+                            (u - 1) % d + 1, (v - 1) % d + 1
                         ), (spec, s_star, u, v, uses)
 
 

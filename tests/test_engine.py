@@ -1,6 +1,7 @@
 """Period engine against naive brute-force oracles."""
 
 import pytest
+from hypothesis import given
 
 from toeplitz_periods import (
     BoolMatrix,
@@ -8,6 +9,7 @@ from toeplitz_periods import (
     PowerSequence,
     ToeplitzSpec,
     analyze,
+    certify_walk_ensured,
     competition_analysis,
     decide_walk_ensured_exact,
     from_toeplitz,
@@ -16,7 +18,6 @@ from toeplitz_periods import (
     walksets_at,
 )
 from toeplitz_periods.engine import (
-    limits_match,
     matrix_period,
     period_via_theorem,
     predicted_limit,
@@ -26,6 +27,8 @@ from toeplitz_periods.toeplitz import Rule, Verdict, gcd_profile
 from toeplitz_periods.walksets import p_set, r_set
 
 from conftest import (
+    PROPERTY,
+    descriptors,
     naive_competition_sequence,
     naive_from_boolmat,
     naive_power_cycle,
@@ -177,13 +180,6 @@ def test_predicted_limit_all_ones_when_dplus_one():
     assert predicted_limit(WORKED) == BoolMatrix.ones(6)
 
 
-def test_limits_match_diagonal_toggle():
-    a = BoolMatrix.identity(3)
-    b = BoolMatrix.zeros(3)
-    assert not limits_match(a, b)
-    assert not limits_match(a, BoolMatrix.zeros(4))
-
-
 # --------------------------------------------------------------------------
 # exact walk-ensured decision
 # --------------------------------------------------------------------------
@@ -239,8 +235,6 @@ def test_period_via_theorem_exact_fallback():
 
 
 def certify_unknown(spec) -> bool:
-    from toeplitz_periods import certify_walk_ensured
-
     return certify_walk_ensured(spec).verdict is Verdict.UNKNOWN
 
 
@@ -362,7 +356,7 @@ def test_analyze_worked_example():
     assert report.certificate.rule is Rule.EXACT_DECISION
     assert report.walk_ensured is False
     # not walk-ensured: the congruence shape (all ones, d+ = 1) fails
-    assert not limits_match(report.limit_matrix, predicted_limit(WORKED))
+    assert report.limit_matrix != predicted_limit(WORKED)
 
 
 def test_analyze_upgrades_unknown_certificates():
@@ -400,3 +394,23 @@ def test_analyze_report_consistency_exhaustive():
 def test_analyze_cap_propagates():
     with pytest.raises(CapExceededError):
         analyze(ToeplitzSpec(8, (1,), (1,)), max_power=2)
+
+
+# --------------------------------------------------------------------------
+# the theorem beyond the exhaustive orders: random descriptors, n = 8..24
+# --------------------------------------------------------------------------
+
+
+@PROPERTY
+@given(descriptors(min_n=8))
+def test_certified_descriptors_obey_the_theorem(spec):
+    if certify_walk_ensured(spec).verdict is not Verdict.PROVEN_WALK_ENSURED:
+        return
+    prof = gcd_profile(spec)
+    report = analyze(spec)
+    assert report.matrix_period == prof.d_plus // prof.d
+    # every rule rests on a pair s + t <= n, so the limit is claimed
+    assert prof.d_plus <= spec.n
+    assert report.competition_period == 1
+    assert report.limit_matrix == predicted_limit(spec)
+    assert decide_walk_ensured_exact(spec)[0] is True

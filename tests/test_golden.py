@@ -1,10 +1,15 @@
-"""Byte-level output contract: `analyze --json` for n = 2..6 and the sweep report.
+"""Byte-level output contract: `analyze --json` for n = 2..6 and the sweep reports.
 
 The golden files were recorded before the analysis pipeline was
 consolidated; any change in them must be deliberate.  When an output
 is meant to change, rewrite the files from the same `cli.main` calls
 in the same order (descriptors in `enumerate_specs` order, one JSON
 line each) and say so in CHANGES.md.
+
+`sweep-n7-period-formula.txt` is the observation table of order 7:
+every descriptor that is not walk-ensured and whose period differs
+from d+/d.  Its body equals that of the full `sweep --n 7..7` report,
+so a change in that set shows up as a diff of this file.
 """
 
 import contextlib
@@ -33,3 +38,9 @@ def test_golden_outputs_are_byte_identical():
         assert got == line, f"analyze --json differs first at {spec}"
     report = (GOLDEN / "sweep-n2-6.txt").read_text(encoding="utf-8")
     assert _cli_stdout("sweep", "--n", "2..6") == report
+
+
+def test_order_7_observation_table_is_byte_identical():
+    table = (GOLDEN / "sweep-n7-period-formula.txt").read_text(encoding="utf-8")
+    assert table.endswith("# findings=75 violations=0 observations=75\n")
+    assert _cli_stdout("sweep", "--n", "7..7", "--checks", "period-formula") == table

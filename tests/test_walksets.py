@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from toeplitz_periods import (
@@ -18,7 +18,7 @@ from toeplitz_periods.oracle import enumerate_specs
 from toeplitz_periods.toeplitz import gcd_profile
 from toeplitz_periods.walksets import _q_masks, p_set, q_sequence, q_set, r_set, window
 
-from conftest import naive_q_set
+from conftest import PROPERTY, descriptors, naive_q_set
 
 WORKED = ToeplitzSpec(6, (2, 4), (5,))
 
@@ -215,18 +215,7 @@ def test_walksets_at_shares_powers():
 # properties on random descriptors, n <= 24 and 1 <= i <= 80
 # --------------------------------------------------------------------------
 
-# derandomized and without an example database: the same examples on
-# every run, and no files written
-PROPERTY = settings(max_examples=40, derandomize=True, database=None, deadline=None)
-
 lengths = st.integers(1, 80)
-
-
-@st.composite
-def descriptors(draw):
-    n = draw(st.integers(2, 24))
-    offsets = st.sets(st.integers(1, n - 1), min_size=1)
-    return ToeplitzSpec(n, draw(offsets), draw(offsets))
 
 
 @st.composite
