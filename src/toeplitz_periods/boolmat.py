@@ -11,6 +11,8 @@ free during cycle detection.
 
 from __future__ import annotations
 
+from functools import cache
+from operator import or_
 from typing import Callable, Iterable, Iterator, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -24,6 +26,26 @@ class CapExceededError(RuntimeError):
 def default_power_cap(n: int) -> int:
     """Step cap for power iteration on a matrix of order n."""
     return (n - 1) ** 2 + 2 + n
+
+
+def _within_cap(n: int, steps: int, max_steps: int | None) -> None:
+    """Raise CapExceededError when index + period = steps passes the cap."""
+    cap = default_power_cap(n) if max_steps is None else max_steps
+    if steps > cap:
+        raise CapExceededError(f"no repeated power of an order-{n} matrix within {cap} steps")
+
+
+@cache
+def _swap_masks(width: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) per round of the blockwise transpose of width-bit rows: for
+    block size b, entry (i, j) with bit b clear in i and set in j trades places
+    with (i + b, j - b), b * (width - 1) bits higher."""
+    out, zero = [], bytes(width // 8)
+    for b in (1 << k for k in reversed(range(width.bit_length() - 1))):
+        row = sum(1 << j for j in range(width) if j & b).to_bytes(width // 8, "little")
+        rows = b"".join(zero if i & b else row for i in range(width))
+        out.append((b * (width - 1), int.from_bytes(rows, "little")))
+    return tuple(out)
 
 
 class BoolMatrix:
@@ -83,7 +105,7 @@ class BoolMatrix:
                 r ^= low
 
     def count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
+        return sum(map(int.bit_count, self.rows))
 
     def __matmul__(self, other: "BoolMatrix") -> "BoolMatrix":
         if self.n != other.n:
@@ -100,14 +122,28 @@ class BoolMatrix:
         return BoolMatrix(out)
 
     def transpose(self) -> "BoolMatrix":
-        cols = [0] * self.n
-        for i, r in enumerate(self.rows):
-            bit = 1 << i
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= bit
-                r ^= low
-        return BoolMatrix(cols)
+        """One step per 1 below order 32; from there log2(w) masked swaps
+        of off-diagonal blocks in the rows packed as w-bit fields."""
+        n = self.n
+        if n < 32:
+            cols = [0] * n
+            for i, r in enumerate(self.rows):
+                bit = 1 << i
+                while r:
+                    low = r & -r
+                    cols[low.bit_length() - 1] |= bit
+                    r ^= low
+            return BoolMatrix(cols)
+        width = 1 << (n - 1).bit_length()
+        nbytes = width // 8
+        data = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)
+        packed = int.from_bytes(data, "little")
+        for shift, mask in _swap_masks(width):
+            t = (packed ^ (packed >> shift)) & mask
+            packed ^= t ^ (t << shift)
+        data = packed.to_bytes(n * nbytes, "little")
+        cut = range(0, len(data), nbytes)
+        return BoolMatrix(int.from_bytes(data[i : i + nbytes], "little") for i in cut)
 
     def power(self, m: int) -> "BoolMatrix":
         """m-th Boolean power by repeated squaring; power(0) is identity."""
@@ -164,78 +200,64 @@ class BoolMatrix:
 
 
 def from_toeplitz(spec: "ToeplitzSpec") -> BoolMatrix:
-    """Adjacency matrix with entry (i, j) = 1 iff j-i in S or i-j in T."""
+    """Adjacency matrix with entry (i, j) = 1 iff j-i in S or i-j in T.
+
+    Row i is (S << i) | (T >> (n-i)), masked to n bits, where S has bit
+    s-1 per offset s and T bit n-1-t per offset t.
+    """
     n = spec.n
-    rows = []
-    for i in range(1, n + 1):
-        r = 0
-        for s in spec.S:
-            if i + s <= n:
-                r |= 1 << (i + s - 1)
-        for t in spec.T:
-            if i - t >= 1:
-                r |= 1 << (i - t - 1)
-        rows.append(r)
-    return BoolMatrix(rows)
+    full = (1 << n) - 1
+    smask = sum(1 << (s - 1) for s in spec.S)
+    tmask = sum(1 << (n - 1 - t) for t in spec.T)
+    return BoolMatrix([((smask << i) & full) | (tmask >> (n - i)) for i in range(1, n + 1)])
 
 
 def _right_multiplier(m: BoolMatrix) -> Callable[[BoolMatrix], BoolMatrix]:
     """Function computing X @ m for the fixed right factor m.
 
     Plain row selection is cheapest at small orders.  From a few dozen
-    rows on, 256-entry OR tables per 8-column chunk pay off because a
-    product then costs n * ceil(n/8) table lookups regardless of
-    density.
+    rows on, 256-entry OR tables per 8 rows of m pay off: a product is
+    then n * ceil(n/8) lookups, one pass over byte c of all X's rows
+    per table, regardless of density.
     """
     if m.n < 32:
         return lambda x: x @ m
-    n = m.n
-    nchunks = (n + 7) // 8
+    nbytes = (m.n + 7) // 8
     tables: list[list[int]] = []
-    for c in range(nchunks):
-        tab = [0] * 256
-        width = min(8, n - 8 * c)
-        for t in range(width):
-            row = m.rows[8 * c + t]
-            step = 1 << t
-            for b in range(step, 2 * step):
-                tab[b] = tab[b - step] | row
-        for t in range(width, 8):
-            step = 1 << t
-            for b in range(step, 2 * step):
-                tab[b] = tab[b - step]
+    for c in range(0, m.n, 8):
+        tab = [0]
+        for row in m.rows[c : c + 8]:
+            tab += [v | row for v in tab]
         tables.append(tab)
 
     def apply(x: BoolMatrix) -> BoolMatrix:
-        out = []
-        for r in x.rows:
-            acc = 0
-            c = 0
-            while r:
-                byte = r & 255
-                if byte:
-                    acc |= tables[c][byte]
-                r >>= 8
-                c += 1
-            out.append(acc)
+        data = b"".join([r.to_bytes(nbytes, "little") for r in x.rows])
+        out = list(map(tables[0].__getitem__, data[0::nbytes]))
+        for c in range(1, nbytes):
+            out = list(map(or_, out, map(tables[c].__getitem__, data[c::nbytes])))
         return BoolMatrix(out)
 
     return apply
 
 
+def _product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
+    """x @ y; row selection costs a step per 1 of x, so y's tables win
+    from a density of about 16/n + 1/16 of x on."""
+    n = x.n
+    if n >= 32 and x.count() > n * (16 + n // 16):
+        return _right_multiplier(y)(x)
+    return x @ y
+
+
 class PowerSequence:
     """Memoized orbit base, step(base), step(step(base)), ... of one map.
 
-    ``power(m)`` returns the m-th term with power(0) the identity; the
-    default step is right multiplication by base, so the terms are the
-    Boolean powers base**m.  Terms are grown one step at a time,
-    recording the first occurrence of each value; once some term
-    repeats an earlier one the orbit has closed its cycle and any
-    exponent beyond is answered by folding into the recorded cycle
-    rather than stepping further.  ``cycle()`` forces detection and
-    returns (index, period): the first repeat term b == term a with
-    a < b gives index a and period b - a, which for an orbit of one
-    fixed map is the least transient and least period.
+    ``power(m)`` is the m-th term, power(0) the identity; the default
+    step is right multiplication by base, giving the Boolean powers.
+    Terms grow one step at a time, each value's first occurrence
+    recorded; the first repeat, term b == term a with a < b, closes the
+    cycle, and for an orbit of one fixed map gives the least index a and
+    period b - a (``cycle()``).  Later exponents fold into the cycle.
     """
 
     def __init__(
@@ -265,13 +287,8 @@ class PowerSequence:
 
     def cycle(self, max_steps: int | None = None) -> tuple[int, int]:
         """(index, period) of the orbit, scanning from term 1 (the base)."""
-        cap = default_power_cap(self._base.n) if max_steps is None else max_steps
         while self._cycle is None:
-            if len(self._pows) > cap:
-                raise CapExceededError(
-                    f"no repeated power of an order-{self._base.n} matrix "
-                    f"within {cap} steps"
-                )
+            _within_cap(self._base.n, len(self._pows), max_steps)
             self._advance()
         return self._cycle
 
@@ -287,10 +304,7 @@ class PowerSequence:
         return self._pows[m]
 
 
-def _powers_of(a: BoolMatrix, powers: PowerSequence | None) -> PowerSequence:
-    """powers, checked to be the power sequence of a, or a new one when None."""
-    if powers is None:
-        return PowerSequence(a)
-    if powers.base != a:
+def _check_powers(a: BoolMatrix, powers: PowerSequence | None) -> None:
+    """Raise ValueError when powers is given and is not the power sequence of a."""
+    if powers is not None and powers.base != a:
         raise ValueError("power sequence belongs to a different matrix")
-    return powers

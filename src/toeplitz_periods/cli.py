@@ -25,7 +25,6 @@ from typing import IO, Optional
 from .boolmat import CapExceededError, from_toeplitz
 from .digraph import Digraph, contract, to_dot
 from .engine import analyze, predicted_limit
-from .oracle import SweepConfig, render_report, run_sweep, VIOLATION
 from .toeplitz import SpecFormatError, ToeplitzSpec
 from .walksets import walksets_at
 
@@ -139,12 +138,15 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_sweep(args, out: IO[str]) -> int:
+    # the sweep oracle is imported here, so the other commands never load it
+    from . import oracle
+
     lo, hi = _parse_range(args.n)
     checks = None
     if args.checks is not None:
         checks = frozenset(name for name in args.checks.split(",") if name)
     try:
-        config = SweepConfig(
+        config = oracle.SweepConfig(
             n_lo=lo,
             n_hi=hi,
             mode=args.mode,
@@ -155,9 +157,9 @@ def _cmd_sweep(args, out: IO[str]) -> int:
         )
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from None
-    findings = run_sweep(config)
-    out.write(render_report(findings, config))
-    return 1 if any(f.severity == VIOLATION for f in findings) else 0
+    findings = oracle.run_sweep(config)
+    out.write(oracle.render_report(findings, config))
+    return 1 if any(f.severity == oracle.VIOLATION for f in findings) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

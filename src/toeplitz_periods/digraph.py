@@ -9,7 +9,9 @@ Residue classes use representatives 1..d, so vertex v lands on class
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterator, Optional
 
 from .boolmat import BoolMatrix
@@ -36,19 +38,10 @@ def contract(g: Digraph, d: int) -> Digraph:
     if not 1 <= d <= n:
         raise ValueError(f"modulus {d} outside [1, {n}]")
     folded = [0] * d
-    for v in range(n):
-        folded[v % d] |= g.matrix.rows[v]
-    col_class = [0] * d
-    for j in range(n):
-        col_class[j % d] |= 1 << j
-    rows = []
-    for i in range(d):
-        r = 0
-        for j in range(d):
-            if folded[i] & col_class[j]:
-                r |= 1 << j
-        rows.append(r)
-    return Digraph(BoolMatrix(rows))
+    for v, row in enumerate(g.matrix.rows):
+        folded[v % d] |= row
+    classes = ({j % d for j in range(n) if row >> j & 1} for row in folded)
+    return Digraph(BoolMatrix(sum(1 << c for c in cs) for cs in classes))
 
 
 def has_source_or_sink(g: Digraph) -> bool:
@@ -65,6 +58,42 @@ def has_source_or_sink(g: Digraph) -> bool:
     return seen != (1 << g.order) - 1
 
 
+def _levels(edges: dict[int, list[int]], root: int) -> dict[int, int]:
+    """BFS level of every vertex that a walk from root reaches."""
+    level, queue = {root: 0}, [root]
+    for u in queue:
+        for v in edges[u]:
+            if v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
+
+
+def power_period(g: Digraph) -> int:
+    """Period of the Boolean powers of g's matrix; 1 when g has no cycle.
+
+    The lcm over strong components of their cyclicity, the gcd of
+    lvl[u] + 1 - lvl[v] over the arcs u -> v inside, lvl being BFS levels
+    from one member (Brualdi & Ryser, Combinatorial Matrix Theory, 3.4);
+    walks between members stay inside, so a BFS over g gives them.
+    """
+    succ, pred = defaultdict(list), defaultdict(list)
+    for u, v in g.arcs():
+        succ[u].append(v)
+        pred[v].append(u)
+    comp, level = {}, {}
+    for root in range(1, g.order + 1):
+        if root not in comp:
+            ahead = _levels(succ, root)
+            for v in ahead.keys() & _levels(pred, root).keys():
+                comp[v], level[v] = root, ahead[v]
+    cyclicity: dict[int, int] = {}
+    for u, v in g.arcs():
+        if comp[u] == comp[v]:
+            cyclicity[comp[u]] = gcd(cyclicity.get(comp[u], 0), level[u] + 1 - level[v])
+    return lcm(*cyclicity.values())
+
+
 def cycle_decomposition(g: Digraph) -> Optional[list[list[int]]]:
     """Vertex-disjoint cycles covering the digraph, if it is one.
 
@@ -72,30 +101,19 @@ def cycle_decomposition(g: Digraph) -> Optional[list[list[int]]]:
     None.  Cycles are listed by smallest member, each starting at its
     smallest vertex.
     """
-    n = g.order
-    succ = [0] * n
-    indeg = [0] * n
-    for u in range(n):
-        r = g.matrix.rows[u]
-        if r.bit_count() != 1:
-            return None
-        v = r.bit_length() - 1
-        succ[u] = v
-        indeg[v] += 1
-    if any(x != 1 for x in indeg):
+    rows = g.matrix.rows
+    if any(r.bit_count() != 1 for r in rows) or len(set(rows)) != len(rows):
         return None
-    seen = [False] * n
+    succ = {u: r.bit_length() for u, r in enumerate(rows, start=1)}
+    seen: set[int] = set()
     cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycle = []
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            cycle.append(v + 1)
-            v = succ[v]
-        cycles.append(cycle)
+    for start in range(1, g.order + 1):
+        if start not in seen:
+            cycle = [start]
+            while succ[cycle[-1]] != start:
+                cycle.append(succ[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(cycle)
     return cycles
 
 

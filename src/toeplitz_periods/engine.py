@@ -1,31 +1,43 @@
 """Period and competition analysis of Boolean Toeplitz matrices.
 
-Ground truth throughout is direct iteration of a fixed map: the powers
-A^m are the orbit of X -> X A and the competition sequence
-B_m = A^m (A^T)^m is the orbit of X -> A X A^T, so for both the first
-repeat found by ``PowerSequence`` pins down the least transient (index)
-and least period.  On top of that sit the congruence-class limit B
-converges to in the walk-ensured case, an exact decision procedure for
-the walk-ensured property, and appliers for the structural rules that
-transfer a known period to larger matrices.  ``analyze`` is the one
-path that assembles all of it into a ``PeriodReport``; the rules are
-tried first and the exact decision settles what they leave open.
+Index and period are found by lifting over the binary powers A^(2^k),
+never by stepping through the powers:
+
+* the period p is the lcm of the cyclicities of A's strong components
+  (``digraph.power_period``), checked least at the index M;
+* A^m = A^(m+p) is monotone in m, so M, the least m where it holds, is
+  found by galloping over A^(2^k) and settling the lower bits from the
+  top down: O(log M) products and matrices held.  Heap and Lynn (1964)
+  bound M by (n-1)^2 + 1; a larger M raises TheoremViolationError;
+* B_m = A^m (A^T)^m steps as B_(m+k) = A^k B_m (A^k)^T, so its period
+  c is the least divisor of p with B_M = B_(M+c), and its index q <= M
+  the least m with B_m = B_(m+c), by the same descent.
+
+A step cap still raises CapExceededError when M + p exceeds it; the
+sweep and the tests hold all this to ``PowerSequence``'s linear scan.
+On top sit the congruence-class limit, an exact decision procedure for
+the walk-ensured property and the rules that transfer a known period;
+``analyze`` assembles a ``PeriodReport``, rules first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, count, repeat
 from math import lcm
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from .boolmat import (
     BoolMatrix,
     PowerSequence,
-    _powers_of,
+    _check_powers,
+    _product,
     _right_multiplier,
+    _within_cap,
     from_toeplitz,
 )
-from .digraph import Digraph, contract, has_source_or_sink
+from .digraph import Digraph, contract, has_source_or_sink, power_period
 from .toeplitz import (
     Certificate,
     GcdProfile,
@@ -37,29 +49,112 @@ from .toeplitz import (
 )
 from .walksets import p_set, r_set
 
+
 class TheoremViolationError(RuntimeError):
     """A rule application contradicted the brute-force ground truth."""
 
 
-def matrix_period(
-    a: BoolMatrix, max_power: Optional[int] = None
-) -> tuple[int, int]:
-    """(index, period): least M and p with A^m = A^(m+p) for all m >= M.
+def _power_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
+    """x y for two powers of one matrix.  They commute, so from order 32
+    on the sparser goes left, where row selection costs a step per 1."""
+    if x.n >= 32 and x.count() > y.count():
+        x, y = y, x
+    return _product(x, y)
 
-    Found by scanning A^1, A^2, ... with a first-occurrence map; the
-    scan is capped (order-dependent default) and overrunning the cap
-    raises rather than returning something unverified.
-    """
-    return PowerSequence(a).cycle(max_power)
+
+def _gram(x: BoolMatrix) -> BoolMatrix:
+    """x x^T: (u, v) = 1 iff rows u and v of x share a column."""
+    return _product(x, x.transpose())
+
+
+def _least_divisor(p: int, holds: Callable[[int], bool]) -> int:
+    """Least divisor e of p with holds(e), where holds(p) is known."""
+    return next((e for e in range(1, p) if p % e == 0 and holds(e)), p)
+
+
+class _Lift:
+    """Index and period of A's powers by lifting, with A^index and A^(2^k) kept."""
+
+    def __init__(self, a: BoolMatrix, max_power: Optional[int]):
+        self.a, self._squares = a, [a]
+        self.period = p = power_period(Digraph(a))
+        a_p = self.power(p)
+        bound = (a.n - 1) ** 2 + 1  # Heap and Lynn (1964): the index is at most this
+        self.index, x, _ = self.least(
+            lambda y: True if _power_product(y, a_p) == y else None, bound, f"A^m = A^(m+{p})"
+        )
+        if _least_divisor(p, lambda e: _power_product(x, self.power(e)) == x) != p:
+            raise TheoremViolationError(f"period {p} of the components is not least")
+        _within_cap(a.n, self.index + p, max_power)
+        self.at_index = x
+
+    def square(self, k: int) -> BoolMatrix:
+        """A^(2^k), made once, when first asked for."""
+        while len(self._squares) <= k:
+            self._squares.append(_power_product(self._squares[-1], self._squares[-1]))
+        return self._squares[k]
+
+    def power(self, e: int) -> BoolMatrix:
+        """A^e for e >= 1."""
+        bits = (k for k in range(e.bit_length()) if e >> k & 1)
+        return reduce(_power_product, map(self.square, bits))
+
+    def walk(self) -> Iterator[BoolMatrix]:
+        """A^index, A^(index+1), ..., each made when asked for."""
+        return accumulate(repeat(self.a), _power_product, initial=self.at_index)
+
+    def least(
+        self, test: Callable[[BoolMatrix], object], bound: int, what: str
+    ) -> tuple[int, BoolMatrix, object]:
+        """(m, A^m, test(A^m)) for the least m >= 1 with test(A^m) not None, where
+        test fails exactly below some m and the caller has proved m <= bound."""
+        failed = TheoremViolationError(f"{what} holds for no m <= {bound}")
+        k = 0
+        while (value := test(self.square(k))) is None:
+            if 1 << k >= bound:
+                raise failed
+            k += 1
+        best = (1 << k, self.square(k), value)
+        if k:
+            m, x = 1 << (k - 1), self.square(k - 1)
+            for j in range(k - 2, -1, -1):
+                y = _power_product(x, self.square(j))
+                if (value := test(y)) is None:
+                    m, x = m + (1 << j), y
+                else:
+                    best = (m + (1 << j), y, value)
+        if best[0] > bound:
+            raise failed
+        return best
+
+    def competition(self) -> "CompetitionResult":
+        """B_m = A^m (A^m)^T, with B_(m+c) = A^c B_m (A^c)^T."""
+        at_index, period = self.at_index, 1
+        if self.period > 1:
+            b_index = _gram(at_index)
+            period = _least_divisor(
+                self.period, lambda e: _gram(_power_product(at_index, self.power(e))) == b_index
+            )
+        step = self.power(period)
+        right = _right_multiplier(step.transpose())
+
+        def test(x: BoolMatrix) -> Optional[BoolMatrix]:
+            b = _gram(x)
+            return b if right(_product(step, b)) == b else None
+
+        index, _, b = self.least(test, self.index, f"B_m = B_(m+{period})")
+        return CompetitionResult(index, period, b if period == 1 else None)
+
+
+def matrix_period(a: BoolMatrix, max_power: Optional[int] = None) -> tuple[int, int]:
+    """(index, period): least M and p with A^m = A^(m+p) for all m >= M."""
+    lift = _Lift(a, max_power)
+    return lift.index, lift.period
 
 
 @dataclass(frozen=True)
 class CompetitionResult:
-    """Transient and period of B_m = A^m (A^T)^m, plus its limit.
-
-    limit is the eventual constant value of the sequence when the
-    period is 1 and None otherwise.
-    """
+    """Transient and period of B_m = A^m (A^T)^m; limit is B_index when the period is 1."""
 
     index: int
     period: int
@@ -72,21 +167,13 @@ def competition_analysis(
     *,
     powers: Optional[PowerSequence] = None,
 ) -> CompetitionResult:
-    """Least q and p with B_m = B_(m+p) for all m >= q, B_m = A^m (A^T)^m.
+    """Least q and c with B_m = B_(m+c) for all m >= q, B_m = A^m (A^T)^m.
 
-    B_(m+1) = A B_m A^T, so B is the orbit of a fixed map and its first
-    repeat gives q and p.  B_m is a function of A^m, so that orbit
-    closes no later than step index + period of A's power cycle, which
-    bounds the scan.  The limit is B_q when p is 1.
+    The limit is B_q when c is 1.  powers, when given, must be the power
+    sequence of a (ValueError otherwise); it is not read.
     """
-    powers = _powers_of(a, powers)
-    al, pl = powers.cycle(max_power)
-    at = a.transpose()
-    right = _right_multiplier(at)
-    orbit = PowerSequence(a @ at, lambda x: right(a @ x))
-    index, period = orbit.cycle(al + pl)
-    limit = orbit.power(index) if period == 1 else None
-    return CompetitionResult(index=index, period=period, limit=limit)
+    _check_powers(a, powers)
+    return _Lift(a, max_power).competition()
 
 
 def predicted_limit(spec: ToeplitzSpec) -> Optional[BoolMatrix]:
@@ -95,18 +182,21 @@ def predicted_limit(spec: ToeplitzSpec) -> Optional[BoolMatrix]:
     This is the claimed competition limit only while d+ <= n; beyond
     that no limit shape is claimed and None is returned.
     """
-    prof = gcd_profile(spec)
-    if prof.d_plus > spec.n:
+    step = gcd_profile(spec).d_plus
+    if step > spec.n:
         return None
-    n = spec.n
-    rows = []
-    for i in range(1, n + 1):
-        r = 0
-        for j in range(1, n + 1):
-            if (j - i) % prof.d_plus == 0:
-                r |= 1 << (j - 1)
-        rows.append(r)
-    return BoolMatrix(rows)
+    return BoolMatrix(sum(1 << j for j in range(i % step, spec.n, step)) for i in range(spec.n))
+
+
+def _decide_exact(
+    spec: ToeplitzSpec, index: int, period: int, powers_from_index: Iterator[BoolMatrix]
+) -> tuple[bool, Optional[int]]:
+    prof = gcd_profile(spec)
+    span = range(index, index + lcm(period, prof.d_plus // prof.d))
+    for i, x in zip(span, powers_from_index):
+        if p_set(spec, i) != r_set(x):
+            return False, None
+    return True, index
 
 
 def decide_walk_ensured_exact(
@@ -118,30 +208,29 @@ def decide_walk_ensured_exact(
     """Decide the walk-ensured property; on True also return a threshold M.
 
     Congruence sets repeat in the length with period d+/d, realized
-    sets with period pl from al on; agreement on every length in
-    [al, al + lcm(pl, d+/d)) is therefore equivalent to agreement on
-    all lengths from al on, and al itself serves as the threshold
-    witness.  powers, when given, must be the power sequence of spec's
-    matrix (ValueError otherwise).
+    sets with period p from the index M on; agreement on every length
+    in [M, M + lcm(p, d+/d)) is therefore agreement on all lengths from
+    M on, and M is the threshold witness.  M, p and A^M A^j are lifted,
+    or read from powers when given, which must then be the power
+    sequence of spec's matrix (ValueError otherwise).
     """
-    prof = gcd_profile(spec)
-    powers = _powers_of(from_toeplitz(spec), powers)
-    al, pl = powers.cycle(max_power)
-    span = lcm(pl, prof.d_plus // prof.d)
-    for i in range(al, al + span):
-        if p_set(spec, i) != r_set(powers.power(i)):
-            return False, None
-    return True, al
+    a = from_toeplitz(spec)
+    if powers is None:
+        lift = _Lift(a, max_power)
+        return _decide_exact(spec, lift.index, lift.period, lift.walk())
+    _check_powers(a, powers)
+    index, period = powers.cycle(max_power)
+    return _decide_exact(spec, index, period, map(powers.power, count(index)))
 
 
 def _settled_certificate(
-    spec: ToeplitzSpec, max_power: Optional[int], powers: Optional[PowerSequence]
+    spec: ToeplitzSpec, decide: Callable[[], tuple[bool, Optional[int]]]
 ) -> Certificate:
-    """The first sufficient rule that applies, else the exact decision; never UNKNOWN."""
+    """The first sufficient rule that applies, else decide(); never UNKNOWN."""
     cert = certify_walk_ensured(spec)
     if cert.verdict is not Verdict.UNKNOWN:
         return cert
-    ok, threshold = decide_walk_ensured_exact(spec, max_power, powers=powers)
+    ok, threshold = decide()
     if ok:
         return Certificate(Verdict.PROVEN_BY_EXACT_DECISION, Rule.EXACT_DECISION, threshold)
     return Certificate(Verdict.NOT_WALK_ENSURED, Rule.EXACT_DECISION)
@@ -156,7 +245,9 @@ def period_via_theorem(
     decision settles it.  None when the descriptor is not walk-ensured
     (the formula is not claimed there).
     """
-    cert = _settled_certificate(spec, max_power, None)
+    cert = _settled_certificate(
+        spec, lambda: decide_walk_ensured_exact(spec, max_power)
+    )
     if not cert.walk_ensured:
         return None
     prof = gcd_profile(spec)
@@ -195,8 +286,8 @@ def sink_source_same_period(
 
     The arcs of b missing from the base matrix are contracted modulo
     d = gcd(S u T); a source or sink there guarantees b keeps the base
-    period.  The conclusion is verified against direct iteration on b
-    and a mismatch raises TheoremViolationError.  None when the
+    period.  The conclusion is verified against the periods of both
+    matrices and a mismatch raises TheoremViolationError.  None when the
     contraction has neither source nor sink (no claim).
     """
     a = from_toeplitz(spec)
@@ -252,20 +343,21 @@ def analyze(
     """Full analysis: period data, competition data, walk-ensured status.
 
     powers, when given, must be the power sequence of spec's matrix
-    (ValueError otherwise); a caller that reads further powers passes
-    it so that the cycle is found once.
+    (ValueError otherwise); it is not read.
     """
     a = from_toeplitz(spec)
-    powers = _powers_of(a, powers)
-    comp = competition_analysis(a, max_power, powers=powers)
-    index, period = powers.cycle(max_power)
+    _check_powers(a, powers)
+    lift = _Lift(a, max_power)
+    comp = lift.competition()
     return PeriodReport(
         spec=spec,
         profile=gcd_profile(spec),
-        matrix_index=index,
-        matrix_period=period,
+        matrix_index=lift.index,
+        matrix_period=lift.period,
         competition_index=comp.index,
         competition_period=comp.period,
         limit_matrix=comp.limit,
-        certificate=_settled_certificate(spec, max_power, powers),
+        certificate=_settled_certificate(
+            spec, lambda: _decide_exact(spec, lift.index, lift.period, lift.walk())
+        ),
     )

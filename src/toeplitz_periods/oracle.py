@@ -30,7 +30,6 @@ from .engine import (
     TheoremViolationError,
     analyze,
     decide_walk_ensured_exact,
-    matrix_period,
     predicted_limit,
     sink_source_same_period,
 )
@@ -114,21 +113,11 @@ class SweepConfig:
 
 
 def _offsets(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1)
 
 
 def _mask(offsets: tuple[int, ...]) -> int:
-    m = 0
-    for v in offsets:
-        m |= 1 << (v - 1)
-    return m
+    return sum(1 << (v - 1) for v in offsets)
 
 
 def enumerate_specs(n: int) -> Iterator[ToeplitzSpec]:
@@ -172,20 +161,22 @@ class _Sweep:
             yield self.spec(n, rng.randrange(1, full), rng.randrange(1, full))
 
     def analyze_spec(self, spec: ToeplitzSpec) -> tuple[PowerSequence, PeriodReport]:
-        """The engine's report, with the exact decision cached for the checks.
+        """The engine's report, held to the scan of A, A^2, ... that the checks read.
 
-        The checks read the exact decision, never the certificate, so
-        that certificate-soundness compares two independent verdicts:
-        after a rule hit the decision runs here; after a miss the
-        report's certificate already is that decision.
+        A lifted index or period off the scan raises TheoremViolationError.
+        The checks read the exact decision, never the certificate, so that
+        certificate-soundness compares two independent verdicts.
         """
         powers = PowerSequence(from_toeplitz(spec))
+        self._cycles[spec] = scanned = powers.cycle(self.config.max_power)
         report = analyze(spec, self.config.max_power, powers=powers)
+        lifted = (report.matrix_index, report.matrix_period)
+        if lifted != scanned:
+            raise TheoremViolationError(f"{spec}: lifted {lifted}, scanned {scanned}")
         cert = report.certificate
-        self._cycles[spec] = (report.matrix_index, report.matrix_period)
         if cert.rule is Rule.EXACT_DECISION:
             self._exact[spec] = (report.walk_ensured, cert.witness)
-        else:
+        elif spec not in self._exact:  # an extension check may have decided it already
             self._exact[spec] = decide_walk_ensured_exact(
                 spec, self.config.max_power, powers=powers
             )
@@ -193,12 +184,14 @@ class _Sweep:
 
     def cycle_of(self, spec: ToeplitzSpec) -> tuple[int, int]:
         if spec not in self._cycles:
-            self._cycles[spec] = matrix_period(from_toeplitz(spec), self.config.max_power)
+            self._cycles[spec] = PowerSequence(from_toeplitz(spec)).cycle(self.config.max_power)
         return self._cycles[spec]
 
     def exact_of(self, spec: ToeplitzSpec) -> tuple[bool, Optional[int]]:
         if spec not in self._exact:
-            self._exact[spec] = decide_walk_ensured_exact(spec, self.config.max_power)
+            self._exact[spec] = decide_walk_ensured_exact(
+                spec, self.config.max_power, powers=PowerSequence(from_toeplitz(spec))
+            )
         return self._exact[spec]
 
 
@@ -306,9 +299,10 @@ def _check_sum_congruence(sw, spec, powers, an) -> list[Result]:
     """Signed combinations satisfy sum a*s - sum b*t = (sum a + sum b) s1 mod d+."""
     rng = random.Random(f"{sw.config.seed}:congruence:{spec}")
     prof = an.profile
-    for _ in range(CONGRUENCE_SAMPLES):
-        avec = [rng.randint(-10, 10) for _ in spec.S]
-        bvec = [rng.randint(-10, 10) for _ in spec.T]
+    k, ks = len(spec.S) + len(spec.T), len(spec.S)
+    draws = rng.choices(range(-10, 11), k=CONGRUENCE_SAMPLES * k)
+    for j in range(0, len(draws), k):
+        avec, bvec = draws[j : j + ks], draws[j + ks : j + k]
         lhs = sum(a * s for a, s in zip(avec, spec.S)) - sum(
             b * t for b, t in zip(bvec, spec.T)
         )
@@ -560,14 +554,9 @@ def render_report(findings: list[Finding], config: SweepConfig) -> str:
         f"# sweep n={config.n_lo}..{config.n_hi} mode={config.mode}"
         f" samples={config.samples} seed={config.seed}"
     ]
-    violations = 0
-    observations = 0
-    for f in findings:
-        lines.append(f.line())
-        if f.severity == VIOLATION:
-            violations += 1
-        else:
-            observations += 1
+    lines += [f.line() for f in findings]
+    violations = sum(f.severity == VIOLATION for f in findings)
+    observations = len(findings) - violations
     lines.append(
         f"# findings={len(findings)} violations={violations} observations={observations}"
     )

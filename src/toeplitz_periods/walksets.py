@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .boolmat import BoolMatrix, PowerSequence, _powers_of, from_toeplitz
+from .boolmat import BoolMatrix, PowerSequence, _check_powers, from_toeplitz
 from .toeplitz import ToeplitzSpec, gcd_profile
 
 
@@ -123,5 +123,7 @@ class WalkSets:
 def walksets_at(
     spec: ToeplitzSpec, i: int, powers: PowerSequence | None = None
 ) -> WalkSets:
-    powers = _powers_of(from_toeplitz(spec), powers)
-    return WalkSets(i=i, p=p_set(spec, i), q=q_set(spec, i), r=r_set(powers.power(i)))
+    a = from_toeplitz(spec)
+    _check_powers(a, powers)
+    power = a.power(i) if powers is None else powers.power(i)
+    return WalkSets(i=i, p=p_set(spec, i), q=q_set(spec, i), r=r_set(power))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from toeplitz_periods import BoolMatrix, ToeplitzSpec
+from toeplitz_periods import BoolMatrix, PowerSequence, ToeplitzSpec
 
 # --------------------------------------------------------------------------
 # naive matrix reference implementations (tuple-of-tuples of 0/1)
@@ -94,6 +94,20 @@ def naive_competition_sequence(
         a_m = naive_multiply(a_m, rows)
         t_m = naive_multiply(t_m, t)
     return out
+
+
+def scanned_competition(a: BoolMatrix) -> tuple[int, int, BoolMatrix | None]:
+    """(index, period, limit) of B_m = A^m (A^T)^m by a linear scan.
+
+    B_(m+1) = A B_m A^T, so B is the orbit of a fixed map and its first
+    repeat gives the least index and period; B_m is a function of A^m,
+    so the orbit closes by step index + period of A.  The limit is B_q
+    when the period is 1.
+    """
+    at = a.transpose()
+    orbit = PowerSequence(a @ at, lambda x: a @ x @ at)
+    index, period = orbit.cycle(sum(PowerSequence(a).cycle()))
+    return index, period, orbit.power(index) if period == 1 else None
 
 
 def random_boolmat(rng: random.Random, n: int, density: float = 0.5) -> BoolMatrix:

@@ -1,6 +1,8 @@
 """Bit-packed matrix arithmetic against naive tuple-based references."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from toeplitz_periods import (
     BoolMatrix,
@@ -9,10 +11,11 @@ from toeplitz_periods import (
     ToeplitzSpec,
     from_toeplitz,
 )
-from toeplitz_periods.boolmat import _right_multiplier, default_power_cap
+from toeplitz_periods.boolmat import _product, _right_multiplier, default_power_cap
 from toeplitz_periods.oracle import enumerate_specs
 
 from conftest import (
+    PROPERTY,
     naive_from_boolmat,
     naive_multiply,
     naive_toeplitz,
@@ -96,6 +99,30 @@ def test_transpose_matches_naive_and_is_involutive(rng):
         assert a.transpose().transpose() == a
 
 
+def _matrix(data, n: int) -> BoolMatrix:
+    return BoolMatrix(data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+
+
+@PROPERTY
+@given(st.data())
+def test_transpose_matches_naive_at_every_width(data):
+    # from order 32 on, transpose swaps blocks of rows packed into one integer
+    a = _matrix(data, data.draw(st.integers(1, 70)))
+    assert naive_from_boolmat(a.transpose()) == naive_transpose(naive_from_boolmat(a))
+
+
+@PROPERTY
+@given(st.data())
+def test_product_kernels_match_naive(data):
+    # row selection, the 8-bit table kernel (from order 32 on) and the
+    # density-based choice between them, on orders around that threshold
+    n = data.draw(st.integers(24, 40))
+    x, y = _matrix(data, n), _matrix(data, n)
+    want = naive_multiply(naive_from_boolmat(x), naive_from_boolmat(y))
+    for got in (x @ y, _right_multiplier(y)(x), _product(x, y)):
+        assert naive_from_boolmat(got) == want
+
+
 def test_transpose_product_law(rng):
     for _ in range(50):
         n = rng.randint(1, 10)
@@ -160,6 +187,18 @@ def test_from_toeplitz_matches_naive_exhaustively():
             assert naive_from_boolmat(from_toeplitz(spec)) == naive_toeplitz(
                 n, set(spec.S), set(spec.T)
             )
+
+
+def test_from_toeplitz_matches_naive_with_empty_sides_exhaustively():
+    # every offset set, empty ones included, up to order 6
+    for n in range(2, 7):
+        sides = [
+            [v for v in range(1, n) if mask >> (v - 1) & 1] for mask in range(1 << (n - 1))
+        ]
+        for S in sides:
+            for T in sides:
+                got = from_toeplitz(ToeplitzSpec(n, S, T))
+                assert naive_from_boolmat(got) == naive_toeplitz(n, set(S), set(T))
 
 
 def test_from_toeplitz_empty_sides():

@@ -217,13 +217,13 @@ def test_sweep_usage_errors(capsys):
 
 def test_sweep_violation_exit_code(capsys, monkeypatch):
     # force a violation through a stub so the exit path is exercised
+    from toeplitz_periods import oracle
     from toeplitz_periods.oracle import Finding
-    from toeplitz_periods import cli as cli_module
 
     def fake_run_sweep(config):
         return [Finding("stub", "n=2;S=1;T=1", "x", "y", "violation")]
 
-    monkeypatch.setattr(cli_module, "run_sweep", fake_run_sweep)
+    monkeypatch.setattr(oracle, "run_sweep", fake_run_sweep)
     code, out, _ = run_cli(capsys, "sweep", "--n", "2..3")
     assert code == 1
     assert "stub\tn=2;S=1;T=1\tx\ty\tviolation" in out
@@ -264,12 +264,12 @@ def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv):
 
 
 def test_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
-    from toeplitz_periods import cli as cli_module
+    from toeplitz_periods import oracle
 
     def fail_run_sweep(config):
         raise AssertionError("the sweep ran before --out was opened")
 
-    monkeypatch.setattr(cli_module, "run_sweep", fail_run_sweep)
+    monkeypatch.setattr(oracle, "run_sweep", fail_run_sweep)
     missing = str(tmp_path / "no-such-dir" / "x")
     code, out, err = run_cli(capsys, "sweep", "--n", "2..3", "--out", missing)
     assert code == 2 and out == ""

@@ -33,6 +33,7 @@ from conftest import (
     naive_from_boolmat,
     naive_power_cycle,
     random_boolmat,
+    scanned_competition,
 )
 
 WORKED = ToeplitzSpec(6, (2, 4), (5,))
@@ -63,6 +64,17 @@ def test_matrix_period_matches_naive_random(rng):
     for _ in range(60):
         a = random_boolmat(rng, rng.randint(2, 6), density=0.3)
         assert matrix_period(a, 200) == naive_power_cycle(naive_from_boolmat(a))
+
+
+def test_matrix_period_of_disjoint_cycles_is_the_lcm():
+    # cycles of lengths 2, 3 and 4 with a path of length 3 draining into
+    # the 4-cycle: period lcm(2, 3, 4) = 12, index 3 (the path's length)
+    arcs = [(1, 2), (2, 1), (3, 4), (4, 5), (5, 3), (6, 7), (7, 8), (8, 9), (9, 6)]
+    arcs += [(10, 11), (11, 12), (12, 6)]
+    a = BoolMatrix.from_entries(12, arcs)
+    assert matrix_period(a) == PowerSequence(a).cycle() == (3, 12)
+    got = competition_analysis(a)
+    assert (got.index, got.period, got.limit) == scanned_competition(a)
 
 
 def test_matrix_period_cap():
@@ -414,3 +426,71 @@ def test_certified_descriptors_obey_the_theorem(spec):
     assert report.competition_period == 1
     assert report.limit_matrix == predicted_limit(spec)
     assert decide_walk_ensured_exact(spec)[0] is True
+
+
+# --------------------------------------------------------------------------
+# lifting against the linear scan, n <= 24
+# --------------------------------------------------------------------------
+
+
+@PROPERTY
+@given(descriptors())
+def test_lifted_analysis_equals_the_linear_scan(spec):
+    a = from_toeplitz(spec)
+    scanned = PowerSequence(a).cycle()
+    comp = competition_analysis(a)
+    assert matrix_period(a) == scanned
+    assert (comp.index, comp.period, comp.limit) == scanned_competition(a)
+    report = analyze(spec)
+    assert (report.matrix_index, report.matrix_period) == scanned
+    assert (report.competition_index, report.competition_period) == (comp.index, comp.period)
+    assert report.limit_matrix == comp.limit
+
+
+@PROPERTY
+@given(descriptors())
+def test_competition_sequence_steps_by_conjugation(spec):
+    # B_(m+1) = A B_m A^T, the identity both the scan and the lifting rest on
+    a = from_toeplitz(spec)
+    at = a.transpose()
+    for m in range(1, 8):
+        b_m = a.power(m) @ at.power(m)
+        assert a @ b_m @ at == a.power(m + 1) @ at.power(m + 1)
+
+
+# --------------------------------------------------------------------------
+# the paper's family and the worst family at large orders
+# --------------------------------------------------------------------------
+
+
+def _paper_family_cases():
+    for n in range(3, 33):
+        for k in range(1, (n - 1) // 2 + 1):
+            yield n, k
+    for n in (64, 128):
+        for k in sorted({1, 2, (n - 1) // 2}):
+            yield n, k
+
+
+def test_paper_family_has_the_claimed_period_and_limit():
+    # T_n<k, n-k; k+1, n-k-1> meets the relaxed coprime-pair condition
+    # but not (*): period d+/d, competition period 1, congruence limit
+    for n, k in _paper_family_cases():
+        spec = ToeplitzSpec(n, (k, n - k), (k + 1, n - k - 1))
+        prof = gcd_profile(spec)
+        report = analyze(spec)
+        assert report.walk_ensured, spec
+        assert report.matrix_period == prof.d_plus // prof.d, spec
+        assert report.competition_period == 1, spec
+        assert report.limit_matrix == predicted_limit(spec), spec
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_worst_family_index_at_large_orders(n):
+    # T_n<1;n-2,n-1> reaches the Heap-Lynn bound: index (n-1)^2, period 1
+    a = from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
+    assert matrix_period(a) == ((n - 1) ** 2, 1)
+    before = a.power((n - 1) ** 2 - 1)
+    at_index = before @ a
+    assert before != at_index
+    assert at_index == at_index @ a

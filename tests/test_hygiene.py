@@ -1,6 +1,10 @@
-"""Source hygiene: no unused imports, and the package exports what the README names."""
+"""Source hygiene: no unused imports, the package exports what the README names,
+and importing the CLI leaves the sweep oracle unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -85,3 +89,13 @@ def test_package_exports_exactly_the_readme_names():
     }
     assert public == TOP_LEVEL
     assert isinstance(toeplitz_periods.__version__, str)
+
+
+def test_cli_import_leaves_the_sweep_oracle_unloaded():
+    # analyze, walksets and contract never compile the oracle; only sweep imports it
+    code = "import sys, toeplitz_periods.cli; print('toeplitz_periods.oracle' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
