@@ -9,9 +9,10 @@ Residue classes use representatives 1..d, so vertex v lands on class
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 from typing import Iterator, Optional
 
 from .boolmat import BoolMatrix
@@ -58,15 +59,21 @@ def has_source_or_sink(g: Digraph) -> bool:
     return seen != (1 << g.order) - 1
 
 
-def _levels(edges: dict[int, list[int]], root: int) -> dict[int, int]:
-    """BFS level of every vertex that a walk from root reaches."""
-    level, queue = {root: 0}, [root]
-    for u in queue:
-        for v in edges[u]:
-            if v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
-    return level
+def _levels(rows: tuple[int, ...], root: int, inside: int) -> tuple[list[int], list[int]]:
+    """BFS from root (0-indexed) along rows within the vertex mask inside:
+    the vertex mask of each level, and the OR of its members' rows."""
+    levels, images, seen, level = [], [], 0, 1 << root
+    while level:
+        seen |= level
+        levels.append(level)
+        image, rest = 0, level
+        while rest:
+            low = rest & -rest
+            image |= rows[low.bit_length() - 1]
+            rest ^= low
+        images.append(image)
+        level = image & inside & ~seen
+    return levels, images
 
 
 def power_period(g: Digraph) -> int:
@@ -74,24 +81,27 @@ def power_period(g: Digraph) -> int:
 
     The lcm over strong components of their cyclicity, the gcd of
     lvl[u] + 1 - lvl[v] over the arcs u -> v inside, lvl being BFS levels
-    from one member (Brualdi & Ryser, Combinatorial Matrix Theory, 3.4);
-    walks between members stay inside, so a BFS over g gives them.
+    from one member (Brualdi & Ryser, Combinatorial Matrix Theory, 3.4).
+    Walks between members stay inside, so a bitmask BFS over the vertices
+    of no component found yet, forward and then backward, finds both.  An
+    arc into a member from a vertex the forward BFS reached starts inside
+    too, so level k has an arc inside into level j <= k + 1 exactly when
+    the OR of level k's rows meets level j within the component.
     """
-    succ, pred = defaultdict(list), defaultdict(list)
-    for u, v in g.arcs():
-        succ[u].append(v)
-        pred[v].append(u)
-    comp, level = {}, {}
-    for root in range(1, g.order + 1):
-        if root not in comp:
-            ahead = _levels(succ, root)
-            for v in ahead.keys() & _levels(pred, root).keys():
-                comp[v], level[v] = root, ahead[v]
-    cyclicity: dict[int, int] = {}
-    for u, v in g.arcs():
-        if comp[u] == comp[v]:
-            cyclicity[comp[u]] = gcd(cyclicity.get(comp[u], 0), level[u] + 1 - level[v])
-    return lcm(*cyclicity.values())
+    rows, cols = g.matrix.rows, g.matrix.transpose().rows
+    period, left = 1, (1 << g.order) - 1
+    while left:
+        root = (left & -left).bit_length() - 1
+        levels, images = _levels(rows, root, left)
+        comp = reduce(or_, _levels(cols, root, reduce(or_, levels))[0])
+        left &= ~comp
+        cyclicity = 0
+        for k, image in enumerate(images):
+            for j in range(min(k + 2, len(levels))):
+                if image & levels[j] & comp:
+                    cyclicity = gcd(cyclicity, k + 1 - j)
+        period = lcm(period, cyclicity or 1)
+    return period
 
 
 def cycle_decomposition(g: Digraph) -> Optional[list[list[int]]]:

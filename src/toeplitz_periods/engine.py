@@ -9,9 +9,11 @@ never by stepping through the powers:
   found by galloping over A^(2^k) and settling the lower bits from the
   top down: O(log M) products and matrices held.  Heap and Lynn (1964)
   bound M by (n-1)^2 + 1; a larger M raises TheoremViolationError;
-* B_m = A^m (A^T)^m steps as B_(m+k) = A^k B_m (A^k)^T, so its period
-  c is the least divisor of p with B_M = B_(M+c), and its index q <= M
-  the least m with B_m = B_(m+c), by the same descent.
+* B_m = A^m (A^T)^m steps by X -> A X A^T and B_(M+p) = B_M, so the
+  walk from B_M until it returns gives the cycle, of size the period c.
+  The map keeps the cycle, so "B_m is on it", the same as B_m = B_(m+c),
+  is monotone in m; its least m is the index q <= M, by the same descent
+  with one gram product and one set lookup per test.
 
 A step cap still raises CapExceededError when M + p exceeds it; the
 sweep and the tests hold all this to ``PowerSequence``'s linear scan.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, islice, repeat, takewhile
 from math import lcm
 from typing import Callable, Iterator, Optional
 
@@ -33,7 +35,6 @@ from .boolmat import (
     PowerSequence,
     _check_powers,
     _product,
-    _right_multiplier,
     _within_cap,
     from_toeplitz,
 )
@@ -47,7 +48,7 @@ from .toeplitz import (
     certify_walk_ensured,
     gcd_profile,
 )
-from .walksets import p_set, r_set
+from .walksets import _comb, _p_mask, _r_mask
 
 
 class TheoremViolationError(RuntimeError):
@@ -67,11 +68,6 @@ def _gram(x: BoolMatrix) -> BoolMatrix:
     return _product(x, x.transpose())
 
 
-def _least_divisor(p: int, holds: Callable[[int], bool]) -> int:
-    """Least divisor e of p with holds(e), where holds(p) is known."""
-    return next((e for e in range(1, p) if p % e == 0 and holds(e)), p)
-
-
 class _Lift:
     """Index and period of A's powers by lifting, with A^index and A^(2^k) kept."""
 
@@ -83,7 +79,7 @@ class _Lift:
         self.index, x, _ = self.least(
             lambda y: True if _power_product(y, a_p) == y else None, bound, f"A^m = A^(m+{p})"
         )
-        if _least_divisor(p, lambda e: _power_product(x, self.power(e)) == x) != p:
+        if any(p % e == 0 and _power_product(x, self.power(e)) == x for e in range(1, p)):
             raise TheoremViolationError(f"period {p} of the components is not least")
         _within_cap(a.n, self.index + p, max_power)
         self.at_index = x
@@ -128,21 +124,13 @@ class _Lift:
         return best
 
     def competition(self) -> "CompetitionResult":
-        """B_m = A^m (A^m)^T, with B_(m+c) = A^c B_m (A^c)^T."""
-        at_index, period = self.at_index, 1
-        if self.period > 1:
-            b_index = _gram(at_index)
-            period = _least_divisor(
-                self.period, lambda e: _gram(_power_product(at_index, self.power(e))) == b_index
-            )
-        step = self.power(period)
-        right = _right_multiplier(step.transpose())
-
-        def test(x: BoolMatrix) -> Optional[BoolMatrix]:
-            b = _gram(x)
-            return b if right(_product(step, b)) == b else None
-
-        index, _, b = self.least(test, self.index, f"B_m = B_(m+{period})")
+        """B_m = A^m (A^m)^T; its cycle is B_M, B_(M+1), ... up to the return to B_M."""
+        grams = map(_gram, self.walk())
+        b_index = next(grams)
+        cycle = {b_index, *takewhile(b_index.__ne__, islice(grams, self.period - 1))}
+        period = len(cycle)
+        on_cycle = lambda x: g if (g := _gram(x)) in cycle else None
+        index, _, b = self.least(on_cycle, self.index, "B_m on the cycle")
         return CompetitionResult(index, period, b if period == 1 else None)
 
 
@@ -182,10 +170,11 @@ def predicted_limit(spec: ToeplitzSpec) -> Optional[BoolMatrix]:
     This is the claimed competition limit only while d+ <= n; beyond
     that no limit shape is claimed and None is returned.
     """
-    step = gcd_profile(spec).d_plus
-    if step > spec.n:
+    step, n = gcd_profile(spec).d_plus, spec.n
+    if step > n:
         return None
-    return BoolMatrix(sum(1 << j for j in range(i % step, spec.n, step)) for i in range(spec.n))
+    comb, full = _comb(step, n), (1 << n) - 1
+    return BoolMatrix((comb << (i % step)) & full for i in range(n))
 
 
 def _decide_exact(
@@ -194,7 +183,7 @@ def _decide_exact(
     prof = gcd_profile(spec)
     span = range(index, index + lcm(period, prof.d_plus // prof.d))
     for i, x in zip(span, powers_from_index):
-        if p_set(spec, i) != r_set(x):
+        if _p_mask(spec, i) != _r_mask(x):
             return False, None
     return True, index
 

@@ -2,10 +2,10 @@
 
 Every claim the library exploits as a formula is re-checked here from
 first principles on small instances: ground truth is always direct
-power iteration and explicit set computation, never the formula under
-test.  A sweep walks descriptors (exhaustively below order 9, seeded
-random sampling above), runs a registry of named checks against each,
-and reports findings.
+power iteration and explicit set computation on window masks, never
+the formula under test.  A sweep walks descriptors (exhaustively below
+order 9, seeded random sampling above), runs a registry of named checks
+against each, and reports findings.
 
 Severities: a "violation" contradicts a claimed identity; an
 "observation" records behaviour in territory where nothing is claimed
@@ -41,7 +41,8 @@ from .toeplitz import (
     gcd_profile,
     tail_extension_applicable,
 )
-from .walksets import p_set, q_sequence, q_set, r_set, window
+from .walksets import _mask_to_set, _p_mask, _q_masks, _r_mask, _realized_mask
+from .walksets import p_set, q_set, r_set
 
 VIOLATION = "violation"
 OBSERVATION = "observation"
@@ -252,46 +253,45 @@ def _check_certificate_soundness(sw, spec, powers, an) -> list[Result]:
 
 def _check_containment_chain(sw, spec, powers, an) -> list[Result]:
     """r_set <= q_set <= p_set at every length up to CHAIN_I_MAX."""
-    for i, q in q_sequence(spec, CHAIN_I_MAX):
-        p = p_set(spec, i)
-        r = r_set(powers.power(i))
-        if not (r <= q <= p):
-            got = f"r={_fmt(r)} q={_fmt(q)} p={_fmt(p)}"
-            return [(spec, f"i={i}: r <= q <= p", got, VIOLATION)]
+    for i, q in enumerate(_q_masks(spec, CHAIN_I_MAX), start=1):
+        p = _p_mask(spec, i)
+        r = _r_mask(powers.power(i))
+        if r & ~q or q & ~p:
+            r, q, p = (_fmt(_mask_to_set(x, spec.n)) for x in (r, q, p))
+            return [(spec, f"i={i}: r <= q <= p", f"r={r} q={q} p={p}", VIOLATION)]
     return []
 
 
 def _check_p_set_laws(sw, spec, powers, an) -> list[Result]:
     """Periodicity, disjoint window and one-step recurrence of the p-sets."""
     m = an.profile.d_plus // an.profile.d
-    ps = {i: p_set(spec, i) for i in range(1, CHAIN_I_MAX + m + 1)}
+    ps = [_p_mask(spec, i) for i in range(CHAIN_I_MAX + m + 1)]  # ps[0] unread
     s1, t1 = an.profile.s1, an.profile.t1
-    win = set(window(spec.n))
+    full = (1 << (2 * spec.n - 1)) - 1
+    fmt = lambda mask: _fmt(_mask_to_set(mask, spec.n))
     for i in range(1, CHAIN_I_MAX + 1):
         if ps[i] != ps[i + m]:
-            got = f"{_fmt(ps[i])} vs {_fmt(ps[i + m])}"
+            got = f"{fmt(ps[i])} vs {fmt(ps[i + m])}"
             return [(spec, f"i={i}: p-set repeats with period d+/d = {m}", got, VIOLATION)]
-        group = [ps[i + k] for k in range(m)]
-        if sum(len(g) for g in group) != len(set().union(*group)):
+        group = ps[i : i + m]
+        if sum(map(int.bit_count, group)) != reduce(or_, group).bit_count():
             want = f"i={i}: {m} consecutive p-sets pairwise disjoint"
             return [(spec, want, "overlap", VIOLATION)]
         if i >= 2:
-            rec = frozenset(
-                l for l in win if (l - s1 in ps[i - 1]) or (l + t1 in ps[i - 1])
-            )
+            rec = ((ps[i - 1] << s1) | (ps[i - 1] >> t1)) & full
             if rec != ps[i]:
-                got = f"{_fmt(rec)} vs {_fmt(ps[i])}"
+                got = f"{fmt(rec)} vs {fmt(ps[i])}"
                 return [(spec, f"i={i}: recurrence from p-set at i-1", got, VIOLATION)]
     return []
 
 
 def _check_walk_displacements(sw, spec, powers, an) -> list[Result]:
     """Every walk displacement is representable as an i-term signed sum."""
-    for i, q in q_sequence(spec, DISPLACEMENT_I_MAX):
-        realized = {v - u for u, v in powers.power(i).entries()}
-        if not realized <= q:
-            want = f"i={i}: walk displacements within q-set {_fmt(q)}"
-            return [(spec, want, _fmt(realized), VIOLATION)]
+    for i, q in enumerate(_q_masks(spec, DISPLACEMENT_I_MAX), start=1):
+        realized = _realized_mask(powers.power(i))
+        if realized & ~q:
+            want = f"i={i}: walk displacements within q-set {_fmt(_mask_to_set(q, spec.n))}"
+            return [(spec, want, _fmt(_mask_to_set(realized, spec.n)), VIOLATION)]
     return []
 
 

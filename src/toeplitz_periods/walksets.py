@@ -14,19 +14,24 @@ growing strength:
 r_set <= q_set <= p_set always; a descriptor is walk-ensured exactly
 when p_set and r_set agree for every sufficiently long i.
 
-Q and R are computed as window masks of 2n-1 bits, bit l + n - 1
-standing for displacement l.  The Q recurrence never needs bits outside
-the window: the terms of any i-term sum that ends in I_n can be
-reordered to step up while the running sum is <= 0 and down while it is
-> 0, and once one kind of term runs out the sum moves monotonically to
-its end value.  Every offset is at most n - 1, so every partial sum of
-that order stays in I_n, and the shift-OR step may drop the bits outside
-the window after each term without losing a reachable end value.
+All three are window masks of 2n-1 bits inside the package, bit
+l + n - 1 standing for displacement l: P a comb of period d+ shifted
+into place, Q a shift-OR recurrence, R an AND over shifted rows.  The
+sweep oracle and the exact decision compare masks; frozensets are made
+at the API edge.  The Q recurrence never needs bits outside the window:
+the terms of any i-term sum that ends in I_n can be reordered to step
+up while the running sum is <= 0 and down while it is > 0, and once one
+kind of term runs out the sum moves monotonically to its end value.
+Every offset is at most n - 1, so every partial sum of that order stays
+in I_n, and the shift-OR step may drop the bits outside the window
+after each term without losing a reachable end value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterator
 
 from .boolmat import BoolMatrix, PowerSequence, _check_powers, from_toeplitz
@@ -48,14 +53,23 @@ def _mask_to_set(mask: int, n: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _comb(step: int, width: int) -> int:
+    """Bits at every multiple of step below width."""
+    return ((1 << (width + step - 1) // step * step) - 1) // ((1 << step) - 1)
+
+
+def _p_mask(spec: ToeplitzSpec, i: int) -> int:
+    """Window mask of p_set(spec, i): the comb of period d+ from i * s1 on."""
+    prof, width = gcd_profile(spec), 2 * spec.n - 1
+    first = (i * prof.s1 + spec.n - 1) % prof.d_plus
+    return (_comb(prof.d_plus, width) << first) & ((1 << width) - 1)
+
+
 def p_set(spec: ToeplitzSpec, i: int) -> frozenset[int]:
     """Displacements congruent to i * min(S) modulo d+, within I_n."""
     if i < 1:
         raise ValueError("walk length must be positive")
-    prof = gcd_profile(spec)
-    n = spec.n
-    first = (i * prof.s1 + n - 1) % prof.d_plus - (n - 1)
-    return frozenset(range(first, n, prof.d_plus))
+    return _mask_to_set(_p_mask(spec, i), spec.n)
 
 
 def _q_masks(spec: ToeplitzSpec, i_max: int) -> Iterator[int]:
@@ -94,8 +108,8 @@ def q_sequence(
         yield i, _mask_to_set(mask, spec.n)
 
 
-def r_set(power: BoolMatrix) -> frozenset[int]:
-    """Displacements whose entire diagonal of the given power is ones.
+def _r_mask(power: BoolMatrix) -> int:
+    """Window mask of the displacements whose entire diagonal is ones.
 
     Row u, shifted left by n-1-u, puts entry (u, v) on the bit of its
     displacement; bits the row does not cover are forced to one, so
@@ -107,7 +121,18 @@ def r_set(power: BoolMatrix) -> frozenset[int]:
     for u, row in enumerate(power.rows):
         shift = n - 1 - u
         acc &= (row << shift) | ~(row_span << shift)
-    return _mask_to_set(acc, n)
+    return acc
+
+
+def _realized_mask(power: BoolMatrix) -> int:
+    """Window mask of the displacements v - u of the entries (u, v) of power:
+    r_set's shifted rows, ORed instead of ANDed."""
+    return reduce(or_, (row << (power.n - 1 - u) for u, row in enumerate(power.rows)), 0)
+
+
+def r_set(power: BoolMatrix) -> frozenset[int]:
+    """Displacements whose entire diagonal of the given power is ones."""
+    return _mask_to_set(_r_mask(power), power.n)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Digraph contraction, cycle structure, and walk lifting."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from toeplitz_periods import BoolMatrix, PowerSequence, ToeplitzSpec, from_toeplitz
 from toeplitz_periods.digraph import (
@@ -10,9 +13,12 @@ from toeplitz_periods.digraph import (
     contract,
     cycle_decomposition,
     has_source_or_sink,
+    power_period,
     to_dot,
 )
 from toeplitz_periods.oracle import enumerate_specs
+
+from conftest import PROPERTY, random_boolmat
 
 
 def digraph_of(spec: ToeplitzSpec) -> Digraph:
@@ -233,3 +239,16 @@ def test_to_dot_golden():
 def test_to_dot_lists_isolated_vertices():
     g = Digraph(BoolMatrix.zeros(2))
     assert to_dot(g) == "digraph {\n  1;\n  2;\n}\n"
+
+
+# --------------------------------------------------------------------------
+# period of the powers from the strong components
+# --------------------------------------------------------------------------
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.integers(1, 24), st.sampled_from([0.8, 1.0, 1.2, 1.5, 3.0]))
+def test_power_period_equals_the_scanned_period(seed, n, degree):
+    # about one arc per vertex leaves several components with cycles of their own
+    a = random_boolmat(random.Random(seed), n, degree / n)
+    assert power_period(Digraph(a)) == PowerSequence(a).cycle()[1]

@@ -192,6 +192,18 @@ def test_predicted_limit_all_ones_when_dplus_one():
     assert predicted_limit(WORKED) == BoolMatrix.ones(6)
 
 
+def test_predicted_limit_matches_the_row_sum_formula_exhaustively():
+    # T_n<1;d-1> has d+ = d for 2 <= d <= n, and T_n<1;1,2> has d+ = 1
+    for n in range(2, 13):
+        specs = [ToeplitzSpec(n, (1,), (d - 1,)) for d in range(2, n + 1)]
+        specs += [ToeplitzSpec(n, (1,), (1, 2))] if n >= 3 else []
+        steps = [gcd_profile(spec).d_plus for spec in specs]
+        assert steps == list(range(2, n + 1)) + ([1] if n >= 3 else [])
+        for spec, step in zip(specs, steps):
+            rows = (sum(1 << j for j in range(i % step, n, step)) for i in range(n))
+            assert predicted_limit(spec) == BoolMatrix(rows), spec
+
+
 # --------------------------------------------------------------------------
 # exact walk-ensured decision
 # --------------------------------------------------------------------------
@@ -445,6 +457,19 @@ def test_lifted_analysis_equals_the_linear_scan(spec):
     assert (report.matrix_index, report.matrix_period) == scanned
     assert (report.competition_index, report.competition_period) == (comp.index, comp.period)
     assert report.limit_matrix == comp.limit
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [("n=6;S=2,3,4;T=5", (3, 3)), ("n=7;S=3,4;T=5", (2, 5))],
+)
+def test_competition_period_above_one_matches_the_scan(text, want):
+    # no descriptor of order 5 or less has competition period above 1
+    a = from_toeplitz(ToeplitzSpec.from_string(text))
+    comp = competition_analysis(a)
+    assert (comp.index, comp.period, comp.limit) == scanned_competition(a) == (*want, None)
+    report = analyze(ToeplitzSpec.from_string(text))
+    assert (report.competition_index, report.competition_period) == want
 
 
 @PROPERTY

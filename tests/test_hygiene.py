@@ -81,6 +81,27 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_every_private_helper_in_src_is_referenced():
+    # a module-level _name function or class needs a reference in src/ outside its own body
+    defined, used = {}, set()
+    for path in SOURCES:
+        if path.parent.name != "toeplitz_periods":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            private = isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (
+                node.name.startswith("_") and not node.name.startswith("__")
+            )
+            if private:
+                defined[node.name] = f"{path.relative_to(ROOT)}:{node.lineno}"
+                names.discard(node.name)
+            used |= names
+    assert sorted(where for name, where in defined.items() if name not in used) == []
+
+
 def test_package_exports_exactly_the_readme_names():
     public = {
         name

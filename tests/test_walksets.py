@@ -16,7 +16,18 @@ from toeplitz_periods import (
 )
 from toeplitz_periods.oracle import enumerate_specs
 from toeplitz_periods.toeplitz import gcd_profile
-from toeplitz_periods.walksets import _q_masks, p_set, q_sequence, q_set, r_set, window
+from toeplitz_periods.walksets import (
+    _mask_to_set,
+    _p_mask,
+    _q_masks,
+    _r_mask,
+    _realized_mask,
+    p_set,
+    q_sequence,
+    q_set,
+    r_set,
+    window,
+)
 
 from conftest import PROPERTY, descriptors, naive_q_set
 
@@ -257,3 +268,22 @@ def test_p_set_equals_congruence_filter(spec, i):
 def test_containment_chain_on_random_descriptors(spec, i):
     r = r_set(PowerSequence(from_toeplitz(spec)).power(i))
     assert r <= q_set(spec, i) <= p_set(spec, i)
+
+
+@PROPERTY
+@given(descriptors(), lengths)
+def test_window_masks_equal_their_set_twins(spec, i):
+    power = PowerSequence(from_toeplitz(spec)).power(i)
+    prof = gcd_profile(spec)
+    congruent = {l for l in window(spec.n) if (l - i * prof.s1) % prof.d_plus == 0}
+    assert _mask_to_set(_p_mask(spec, i), spec.n) == congruent
+    assert _mask_to_set(_r_mask(power), spec.n) == brute_r(power)
+    realized = {v - u for u, v in power.entries()}
+    assert _mask_to_set(_realized_mask(power), spec.n) == realized
+
+
+@PROPERTY
+@given(matrices())
+def test_r_and_realized_masks_on_random_matrices(a):
+    assert _mask_to_set(_r_mask(a), a.n) == brute_r(a)
+    assert _mask_to_set(_realized_mask(a), a.n) == {v - u for u, v in a.entries()}
