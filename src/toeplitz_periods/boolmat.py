@@ -61,10 +61,8 @@ class BoolMatrix:
     def __init__(self, rows: Iterable[int]):
         rows = tuple(rows)
         n = len(rows)
-        mask = (1 << n) - 1
-        for r in rows:
-            if r < 0 or r & ~mask:
-                raise ValueError("row value has bits outside column range")
+        if rows and (min(rows) < 0 or max(rows) >> n):
+            raise ValueError("row value has bits outside column range")
         self.n = n
         self.rows = rows
         self._hash = None

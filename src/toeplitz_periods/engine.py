@@ -5,15 +5,20 @@ never by stepping through the powers:
 
 * the period p is the lcm of the cyclicities of A's strong components
   (``digraph.power_period``), checked least at the index M;
-* A^m = A^(m+p) is monotone in m, so M, the least m where it holds, is
-  found by galloping over A^(2^k) and settling the lower bits from the
-  top down: O(log M) products and matrices held.  Heap and Lynn (1964)
+* a test on A^m that fails exactly below some m, known to fail at lo
+  and to pass at hi, is settled by one descent over (lo, hi], one test
+  per bit of hi - lo - 1 from the top (``_Lift.least``);
+* A^m = A^(m+p) is such a test, so M, the least m where it holds, is
+  found by galloping over A^(2^k) to the bracket (2^(k-1), 2^k] and
+  descending: O(log M) products and matrices held.  Heap and Lynn (1964)
   bound M by (n-1)^2 + 1; a larger M raises TheoremViolationError;
 * B_m = A^m (A^T)^m steps by X -> A X A^T and B_(M+p) = B_M, so the
   walk from B_M until it returns gives the cycle, of size the period c.
   The map keeps the cycle, so "B_m is on it", the same as B_m = B_(m+c),
-  is monotone in m; its least m is the index q <= M, by the same descent
-  with one gram product and one set lookup per test.
+  is monotone in m; B_M is on it, so the index q is found by the descent
+  over (0, M], at most ceil(log2 M) grams and set lookups.  A gram x x^T
+  is all ones without a product when the two lightest rows of x hold
+  more than n ones between them (pigeonhole).
 
 A step cap still raises CapExceededError when M + p exceeds it; the
 sweep and the tests hold all this to ``PowerSequence``'s linear scan.
@@ -64,7 +69,11 @@ def _power_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
 
 
 def _gram(x: BoolMatrix) -> BoolMatrix:
-    """x x^T: (u, v) = 1 iff rows u and v of x share a column."""
+    """x x^T: (u, v) = 1 iff rows u and v of x share a column.  Two rows with
+    more than n ones between them share one, so when the two lightest rows
+    do, every pair does and x x^T is all ones, diagonal included."""
+    if sum(sorted(map(int.bit_count, x.rows))[:2]) > x.n:
+        return BoolMatrix.ones(x.n)
     return _product(x, x.transpose())
 
 
@@ -76,9 +85,17 @@ class _Lift:
         self.period = p = power_period(Digraph(a))
         a_p = self.power(p)
         bound = (a.n - 1) ** 2 + 1  # Heap and Lynn (1964): the index is at most this
-        self.index, x, _ = self.least(
-            lambda y: True if _power_product(y, a_p) == y else None, bound, f"A^m = A^(m+{p})"
-        )
+        test = lambda y: True if _power_product(y, a_p) == y else None
+        failed = TheoremViolationError(f"A^m = A^(m+{p}) holds for no m <= {bound}")
+        k = 0  # gallop to the bracket (2^(k-1), 2^k] of the index
+        while (value := test(self.square(k))) is None:
+            if 1 << k >= bound:
+                raise failed
+            k += 1
+        lo = (1 << (k - 1), self.square(k - 1)) if k else (0, None)
+        self.index, x, _ = self.least(test, lo, (1 << k, self.square(k), value))
+        if self.index > bound:
+            raise failed
         if any(p % e == 0 and _power_product(x, self.power(e)) == x for e in range(1, p)):
             raise TheoremViolationError(f"period {p} of the components is not least")
         _within_cap(a.n, self.index + p, max_power)
@@ -100,27 +117,25 @@ class _Lift:
         return accumulate(repeat(self.a), _power_product, initial=self.at_index)
 
     def least(
-        self, test: Callable[[BoolMatrix], object], bound: int, what: str
+        self,
+        test: Callable[[BoolMatrix], object],
+        lo: tuple[int, Optional[BoolMatrix]],
+        hi: tuple[int, BoolMatrix, object],
     ) -> tuple[int, BoolMatrix, object]:
-        """(m, A^m, test(A^m)) for the least m >= 1 with test(A^m) not None, where
-        test fails exactly below some m and the caller has proved m <= bound."""
-        failed = TheoremViolationError(f"{what} holds for no m <= {bound}")
-        k = 0
-        while (value := test(self.square(k))) is None:
-            if 1 << k >= bound:
-                raise failed
-            k += 1
-        best = (1 << k, self.square(k), value)
-        if k:
-            m, x = 1 << (k - 1), self.square(k - 1)
-            for j in range(k - 2, -1, -1):
-                y = _power_product(x, self.square(j))
-                if (value := test(y)) is None:
-                    m, x = m + (1 << j), y
-                else:
-                    best = (m + (1 << j), y, value)
-        if best[0] > bound:
-            raise failed
+        """(m, A^m, test(A^m)) for the least m in (lo, hi] with test(A^m) not None,
+        where test fails exactly below some m, fails at lo = (m, A^m) (A^0 is None)
+        and passes at hi = (m, A^m, value).  One test per bit of hi - lo - 1, from
+        the top: the failing m goes up by 2^j whenever the test fails there."""
+        m, x = lo
+        best = hi
+        for j in reversed(range((hi[0] - m - 1).bit_length())):
+            if m + (1 << j) >= hi[0]:
+                continue
+            y = self.square(j) if x is None else _power_product(x, self.square(j))
+            if (value := test(y)) is None:
+                m, x = m + (1 << j), y
+            else:
+                best = (m + (1 << j), y, value)
         return best
 
     def competition(self) -> "CompetitionResult":
@@ -130,7 +145,7 @@ class _Lift:
         cycle = {b_index, *takewhile(b_index.__ne__, islice(grams, self.period - 1))}
         period = len(cycle)
         on_cycle = lambda x: g if (g := _gram(x)) in cycle else None
-        index, _, b = self.least(on_cycle, self.index, "B_m on the cycle")
+        index, _, b = self.least(on_cycle, (0, None), (self.index, self.at_index, b_index))
         return CompetitionResult(index, period, b if period == 1 else None)
 
 

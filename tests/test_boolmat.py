@@ -45,6 +45,15 @@ def test_row_validation_rejects_stray_bits():
         BoolMatrix([-1, 0])
 
 
+def test_row_validation_checks_every_row():
+    with pytest.raises(ValueError, match="bits outside column range"):
+        BoolMatrix([1, 2, 1 << 3])  # only the last row has bit n set
+    with pytest.raises(ValueError, match="bits outside column range"):
+        BoolMatrix([1, -2, 4])  # a middle row is negative
+    assert BoolMatrix([7, 1 << 2, 0]).rows == (7, 4, 0)
+    assert BoolMatrix([]).n == 0
+
+
 def test_from_entries_and_get_bounds():
     a = BoolMatrix.from_entries(3, [(1, 2), (3, 3), (1, 2)])
     assert a.get(1, 2) == 1 and a.get(2, 1) == 0 and a.get(3, 3) == 1

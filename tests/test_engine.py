@@ -1,7 +1,10 @@
 """Period engine against naive brute-force oracles."""
 
+import random
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from toeplitz_periods import (
     BoolMatrix,
@@ -17,7 +20,10 @@ from toeplitz_periods import (
     superset_same_period,
     walksets_at,
 )
+from toeplitz_periods import engine
 from toeplitz_periods.engine import (
+    _gram,
+    _Lift,
     matrix_period,
     period_via_theorem,
     predicted_limit,
@@ -31,7 +37,9 @@ from conftest import (
     descriptors,
     naive_competition_sequence,
     naive_from_boolmat,
+    naive_multiply,
     naive_power_cycle,
+    naive_transpose,
     random_boolmat,
     scanned_competition,
 )
@@ -167,6 +175,111 @@ def test_competition_rejects_foreign_powers():
             call()
     shared = PowerSequence(a)
     assert competition_analysis(a, powers=shared) == competition_analysis(a)
+
+
+# --------------------------------------------------------------------------
+# the descent over (lo, hi] and the gram shortcut it tests with
+# --------------------------------------------------------------------------
+
+
+def test_descent_finds_every_threshold_within_one_test_per_bit():
+    # N^m of the order-70 shift matrix has 70 - m ones, so "count <= 70 - t"
+    # fails exactly below m = t; lo is 0 or the bracket the index gallop
+    # leaves, the largest power of two below t
+    lift = _Lift(BoolMatrix([1 << (i + 1) for i in range(69)] + [0]), None)
+    power = {m: lift.power(m) for m in range(1, 65)}
+    for hi in range(1, 65):
+        for t in range(1, hi + 1):
+            for lo in {0, 1 << (t - 1).bit_length() >> 1}:
+                tests = []
+
+                def test(y):
+                    tests.append(y)
+                    return ones if (ones := y.count()) <= 70 - t else None
+
+                got = lift.least(test, (lo, power.get(lo)), (hi, power[hi], "hi"))
+                assert got == (t, power[t], "hi" if t == hi else 70 - t), (lo, t, hi)
+                assert len(tests) <= (hi - lo - 1).bit_length(), (lo, t, hi)
+
+
+def test_competition_search_makes_one_gram_per_bit_of_the_index(monkeypatch):
+    # a count, not a time: the search tests B_m only inside (0, M]
+    grams = []
+    monkeypatch.setattr(engine, "_gram", lambda x: grams.append(x) or _gram(x))
+    n = 128
+    comp = competition_analysis(from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1))))
+    index = (n - 1) ** 2
+    assert (comp.index, comp.period) == (8064, 1)
+    assert len(grams) <= (index - 1).bit_length() + comp.period == 15
+
+
+def test_lifted_competition_equals_the_scan_above_order_32():
+    # the table kernel and the blockwise transpose take over at order 32
+    rng, checked = random.Random(20261018), 0
+    while checked < 6:
+        n = rng.randint(32, 64)
+        side = lambda: rng.sample(range(1, n), rng.randint(1, 3))
+        a = from_toeplitz(ToeplitzSpec(n, side(), side()))
+        if matrix_period(a)[0] > 300:
+            continue
+        comp = competition_analysis(a)
+        assert (comp.index, comp.period, comp.limit) == scanned_competition(a)
+        checked += 1
+
+
+def _naive_gram(x):
+    rows = naive_from_boolmat(x)
+    return naive_multiply(rows, naive_transpose(rows))
+
+
+@st.composite
+def gram_inputs(draw):
+    """Order <= 24, some rows planted with about n/2 ones, where the two
+    lightest rows hold about n ones between them."""
+    n = draw(st.integers(1, 24))
+    near_half = st.integers(max(n // 2 - 1, 0), min(n // 2 + 1, n)).flatmap(
+        lambda k: st.sets(st.integers(0, n - 1), min_size=k, max_size=k)
+    )
+    planted = near_half.map(lambda cols: sum(1 << c for c in cols))
+    row = st.one_of(st.integers(0, (1 << n) - 1), planted)
+    return BoolMatrix(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@PROPERTY
+@given(gram_inputs())
+def test_gram_matches_the_naive_product(x):
+    assert naive_from_boolmat(_gram(x)) == _naive_gram(x)
+
+
+def test_gram_matches_its_definition_above_order_32():
+    # (u, v) = 1 iff rows u and v share a column; rows of k ones for k near
+    # n/2 meet the pigeonhole rule from k = n/2 + 1 on
+    rng = random.Random(20261018)
+    shortcut = 0
+    for n in (32, 48, 64, 96):
+        samples = [random_boolmat(rng, n, density) for density in (0.05, 0.4)]
+        for k in (n // 2 - 1, n // 2, n // 2 + 1):
+            planted = (sum(1 << c for c in rng.sample(range(n), k)) for _ in range(n))
+            samples.append(BoolMatrix(planted))
+        for x in samples:
+            want = BoolMatrix([sum(1 << v for v, r in enumerate(x.rows) if r & u) for u in x.rows])
+            assert _gram(x) == want, (n, x)
+            shortcut += want == BoolMatrix.ones(n)
+    assert shortcut >= 4
+
+
+def test_gram_shortcut_needs_more_than_n_ones():
+    # two complementary rows hold exactly n ones and share no column
+    for n in (6, 40):
+        low = (1 << (n // 2)) - 1
+        full = (1 << n) - 1
+        x = BoolMatrix([low, full ^ low] + [full] * (n - 2))
+        g = _gram(x)
+        assert g.get(1, 2) == g.get(2, 1) == 0
+        assert g.count() == n * n - 2
+        assert naive_from_boolmat(g) == _naive_gram(x)
+    assert _gram(BoolMatrix([1])) == BoolMatrix([1])
+    assert _gram(BoolMatrix([0])) == BoolMatrix([0])
 
 
 # --------------------------------------------------------------------------

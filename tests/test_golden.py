@@ -1,4 +1,4 @@
-"""Byte-level output contract: `analyze --json` for n = 2..6 and the sweep reports.
+"""Byte-level output contract: `analyze --json` and the sweep reports.
 
 The golden files were recorded before the analysis pipeline was
 consolidated; any change in them must be deliberate.  When an output
@@ -10,13 +10,19 @@ line each) and say so in CHANGES.md.
 every descriptor that is not walk-ensured and whose period differs
 from d+/d.  Its body equals that of the full `sweep --n 7..7` report,
 so a change in that set shows up as a diff of this file.
+
+`analyze-large.jsonl` pins `analyze --json` above order 32, where the
+products switch to the table kernel and the transpose to blockwise
+swaps: the worst-index family `T_n<1;n-2,n-1>`, the paper's family
+`T_n<k, n-k; k+1, n-k-1>` and a seeded random draw (`_large_specs`).
 """
 
 import contextlib
 import io
+import random
 from pathlib import Path
 
-from toeplitz_periods import cli
+from toeplitz_periods import ToeplitzSpec, cli
 from toeplitz_periods.oracle import enumerate_specs
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -44,3 +50,29 @@ def test_order_7_observation_table_is_byte_identical():
     table = (GOLDEN / "sweep-n7-period-formula.txt").read_text(encoding="utf-8")
     assert table.endswith("# findings=75 violations=0 observations=75\n")
     assert _cli_stdout("sweep", "--n", "7..7", "--checks", "period-formula") == table
+
+
+def _large_specs() -> list[str]:
+    """Descriptors of `analyze-large.jsonl`, in file order."""
+    worst = [ToeplitzSpec(n, (1,), (n - 2, n - 1)) for n in (48, 64, 80, 128, 256)]
+    paper = [
+        ToeplitzSpec(n, (k, n - k), (k + 1, n - k - 1))
+        for n in (64, 128)
+        for k in sorted({1, 2, (n - 1) // 2})
+    ]
+    rng = random.Random(20261018)
+    drawn = []
+    for _ in range(20):
+        n = rng.randint(32, 160)
+        S = rng.sample(range(1, n), rng.randint(1, 3))
+        T = rng.sample(range(1, n), rng.randint(1, 3))
+        drawn.append(ToeplitzSpec(n, S, T))
+    return [str(spec) for spec in worst + paper + drawn]
+
+
+def test_analyze_above_order_32_is_byte_identical():
+    want = (GOLDEN / "analyze-large.jsonl").read_text(encoding="utf-8").splitlines(True)
+    specs = _large_specs()
+    assert len(want) == len(specs) == 31
+    for spec, line in zip(specs, want):
+        assert _cli_stdout("analyze", spec, "--json") == line, spec
