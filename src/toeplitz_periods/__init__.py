@@ -9,11 +9,11 @@ walks), certifies it through cheap sufficient rules where possible,
 and cross-validates every formula it uses against brute force on
 small instances.
 
-The top level exports the thirteen names the README uses; everything
+The top level exports the twelve names the README uses; everything
 else is imported from its submodule.
 """
 
-from .boolmat import BoolMatrix, CapExceededError, PowerSequence, from_toeplitz
+from .boolmat import BoolMatrix, PowerSequence, from_toeplitz
 from .engine import (
     TheoremViolationError,
     analyze,

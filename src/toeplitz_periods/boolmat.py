@@ -19,22 +19,6 @@ if TYPE_CHECKING:
     from .toeplitz import ToeplitzSpec
 
 
-class CapExceededError(RuntimeError):
-    """Power iteration ran past its step cap without closing a cycle."""
-
-
-def default_power_cap(n: int) -> int:
-    """Step cap for power iteration on a matrix of order n."""
-    return (n - 1) ** 2 + 2 + n
-
-
-def _within_cap(n: int, steps: int, max_steps: int | None) -> None:
-    """Raise CapExceededError when index + period = steps passes the cap."""
-    cap = default_power_cap(n) if max_steps is None else max_steps
-    if steps > cap:
-        raise CapExceededError(f"no repeated power of an order-{n} matrix within {cap} steps")
-
-
 @cache
 def _swap_masks(width: int) -> tuple[tuple[int, int], ...]:
     """(shift, mask) per round of the blockwise transpose of width-bit rows: for
@@ -238,33 +222,29 @@ def _right_multiplier(m: BoolMatrix) -> Callable[[BoolMatrix], BoolMatrix]:
     return apply
 
 
-def _product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
-    """x @ y; row selection costs a step per 1 of x, so y's tables win
-    from a density of about 16/n + 1/16 of x on."""
+def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatrix:
+    """x @ y, ones = x.count() when the caller has it; row selection costs a
+    step per 1 of x, so y's tables win from a density of about 16/n + 1/16 on."""
     n = x.n
-    if n >= 32 and x.count() > n * (16 + n // 16):
+    if n >= 32 and (x.count() if ones is None else ones) > n * (16 + n // 16):
         return _right_multiplier(y)(x)
     return x @ y
 
 
 class PowerSequence:
-    """Memoized orbit base, step(base), step(step(base)), ... of one map.
+    """Memoized Boolean powers base, base^2, base^3, ... of one matrix.
 
-    ``power(m)`` is the m-th term, power(0) the identity; the default
-    step is right multiplication by base, giving the Boolean powers.
-    Terms grow one step at a time, each value's first occurrence
-    recorded; the first repeat, term b == term a with a < b, closes the
-    cycle, and for an orbit of one fixed map gives the least index a and
-    period b - a (``cycle()``).  Later exponents fold into the cycle.
+    ``power(m)`` is base^m, power(0) the identity.  Powers grow one
+    right multiplication by base at a time, each value's first
+    occurrence recorded; the first repeat, power b == power a with
+    a < b, closes the cycle and gives the least index a and period
+    b - a (``cycle()``).  A finite matrix has finitely many powers, so
+    the scan always ends.  Later exponents fold into the cycle.
     """
 
-    def __init__(
-        self,
-        base: BoolMatrix,
-        step: Callable[[BoolMatrix], BoolMatrix] | None = None,
-    ):
+    def __init__(self, base: BoolMatrix):
         self._base = base
-        self._step = _right_multiplier(base) if step is None else step
+        self._step = _right_multiplier(base)
         self._pows: list[BoolMatrix] = [BoolMatrix.identity(base.n), base]
         self._first: dict[BoolMatrix, int] = {base: 1}
         self._cycle: tuple[int, int] | None = None
@@ -284,9 +264,9 @@ class PowerSequence:
         self._pows.append(nxt)
 
     def cycle(self, max_steps: int | None = None) -> tuple[int, int]:
-        """(index, period) of the orbit, scanning from term 1 (the base)."""
+        """(index, period), scanning from power 1; max_steps is accepted and
+        not read, because perfbench/tracing.py still passes it."""
         while self._cycle is None:
-            _within_cap(self._base.n, len(self._pows), max_steps)
             self._advance()
         return self._cycle
 

@@ -10,8 +10,7 @@ Subcommands:
 Descriptors are written "n=6;S=2,4;T=5" (whitespace ignored; an empty
 side is written "T=" and is accepted where the subcommand can work
 without it).  Exit codes: 0 success (for sweep: no violations),
-1 violations found, 2 usage or parse error, 3 computation cap exceeded
-(by analyze, or anywhere in a sweep).
+1 violations found, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -22,14 +21,13 @@ import json
 import sys
 from typing import IO, Optional
 
-from .boolmat import CapExceededError, from_toeplitz
+from .boolmat import from_toeplitz
 from .digraph import Digraph, contract, to_dot
 from .engine import analyze, predicted_limit
 from .toeplitz import SpecFormatError, ToeplitzSpec
 from .walksets import walksets_at
 
 USAGE_ERROR = 2
-CAP_ERROR = 3
 
 
 def _open_out(path: Optional[str]):
@@ -47,9 +45,7 @@ def _parse_spec(text: str, *, need_both: bool) -> ToeplitzSpec:
 
 def _cmd_analyze(args, out: IO[str]) -> int:
     spec = _parse_spec(args.spec, need_both=True)
-    if args.max_power is not None and args.max_power < 1:
-        raise SpecFormatError(f"max power {args.max_power} is not positive")
-    report = analyze(spec, args.max_power)
+    report = analyze(spec)
     pred = predicted_limit(spec)
     if report.limit_matrix is not None and pred is not None:
         matches: Optional[bool] = report.limit_matrix == pred
@@ -153,7 +149,6 @@ def _cmd_sweep(args, out: IO[str]) -> int:
             samples=args.samples,
             seed=args.seed,
             checks=checks,
-            max_power=args.max_power,
         )
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from None
@@ -172,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analyze one descriptor")
     p.add_argument("spec", help='descriptor, e.g. "n=6;S=2,4;T=5"')
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--max-power", type=int, default=None, help="override the step cap")
     p.add_argument("--out", default=None, help="write output to this file")
     p.set_defaults(fn=_cmd_analyze)
 
@@ -195,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=0, help="samples per order (random)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checks", default=None, help="comma-separated check names")
-    p.add_argument("--max-power", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_sweep)
 
@@ -212,9 +205,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SpecFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CAP_ERROR
     except OSError as exc:  # only opening, writing or closing the output does I/O
         target = args.out or "standard output"
         print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)

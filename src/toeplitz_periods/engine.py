@@ -20,7 +20,7 @@ never by stepping through the powers:
   is all ones without a product when the two lightest rows of x hold
   more than n ones between them (pigeonhole).
 
-A step cap still raises CapExceededError when M + p exceeds it; the
+Heap-Lynn is the only bound on the search, and it is asserted; the
 sweep and the tests hold all this to ``PowerSequence``'s linear scan.
 On top sit the congruence-class limit, an exact decision procedure for
 the walk-ensured property and the rules that transfer a known period;
@@ -40,7 +40,6 @@ from .boolmat import (
     PowerSequence,
     _check_powers,
     _product,
-    _within_cap,
     from_toeplitz,
 )
 from .digraph import Digraph, contract, has_source_or_sink, power_period
@@ -63,24 +62,26 @@ class TheoremViolationError(RuntimeError):
 def _power_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
     """x y for two powers of one matrix.  They commute, so from order 32
     on the sparser goes left, where row selection costs a step per 1."""
-    if x.n >= 32 and x.count() > y.count():
-        x, y = y, x
-    return _product(x, y)
+    if x.n < 32:
+        return _product(x, y)
+    x_ones, y_ones = x.count(), y.count()
+    return _product(y, x, y_ones) if x_ones > y_ones else _product(x, y, x_ones)
 
 
 def _gram(x: BoolMatrix) -> BoolMatrix:
     """x x^T: (u, v) = 1 iff rows u and v of x share a column.  Two rows with
     more than n ones between them share one, so when the two lightest rows
     do, every pair does and x x^T is all ones, diagonal included."""
-    if sum(sorted(map(int.bit_count, x.rows))[:2]) > x.n:
+    row_ones = sorted(map(int.bit_count, x.rows))
+    if sum(row_ones[:2]) > x.n:
         return BoolMatrix.ones(x.n)
-    return _product(x, x.transpose())
+    return _product(x, x.transpose(), sum(row_ones))
 
 
 class _Lift:
     """Index and period of A's powers by lifting, with A^index and A^(2^k) kept."""
 
-    def __init__(self, a: BoolMatrix, max_power: Optional[int]):
+    def __init__(self, a: BoolMatrix):
         self.a, self._squares = a, [a]
         self.period = p = power_period(Digraph(a))
         a_p = self.power(p)
@@ -98,7 +99,6 @@ class _Lift:
             raise failed
         if any(p % e == 0 and _power_product(x, self.power(e)) == x for e in range(1, p)):
             raise TheoremViolationError(f"period {p} of the components is not least")
-        _within_cap(a.n, self.index + p, max_power)
         self.at_index = x
 
     def square(self, k: int) -> BoolMatrix:
@@ -149,9 +149,9 @@ class _Lift:
         return CompetitionResult(index, period, b if period == 1 else None)
 
 
-def matrix_period(a: BoolMatrix, max_power: Optional[int] = None) -> tuple[int, int]:
+def matrix_period(a: BoolMatrix) -> tuple[int, int]:
     """(index, period): least M and p with A^m = A^(m+p) for all m >= M."""
-    lift = _Lift(a, max_power)
+    lift = _Lift(a)
     return lift.index, lift.period
 
 
@@ -173,10 +173,11 @@ def competition_analysis(
     """Least q and c with B_m = B_(m+c) for all m >= q, B_m = A^m (A^T)^m.
 
     The limit is B_q when c is 1.  powers, when given, must be the power
-    sequence of a (ValueError otherwise); it is not read.
+    sequence of a (ValueError otherwise); it is not read.  max_power is
+    accepted and not read, because perfbench/tracing.py still passes it.
     """
     _check_powers(a, powers)
-    return _Lift(a, max_power).competition()
+    return _Lift(a).competition()
 
 
 def predicted_limit(spec: ToeplitzSpec) -> Optional[BoolMatrix]:
@@ -216,14 +217,15 @@ def decide_walk_ensured_exact(
     in [M, M + lcm(p, d+/d)) is therefore agreement on all lengths from
     M on, and M is the threshold witness.  M, p and A^M A^j are lifted,
     or read from powers when given, which must then be the power
-    sequence of spec's matrix (ValueError otherwise).
+    sequence of spec's matrix (ValueError otherwise).  max_power is
+    accepted and not read, because perfbench/tracing.py still passes it.
     """
     a = from_toeplitz(spec)
     if powers is None:
-        lift = _Lift(a, max_power)
+        lift = _Lift(a)
         return _decide_exact(spec, lift.index, lift.period, lift.walk())
     _check_powers(a, powers)
-    index, period = powers.cycle(max_power)
+    index, period = powers.cycle()
     return _decide_exact(spec, index, period, map(powers.power, count(index)))
 
 
@@ -240,29 +242,21 @@ def _settled_certificate(
     return Certificate(Verdict.NOT_WALK_ENSURED, Rule.EXACT_DECISION)
 
 
-def period_via_theorem(
-    spec: ToeplitzSpec, max_power: Optional[int] = None
-) -> Optional[tuple[int, Certificate]]:
+def period_via_theorem(spec: ToeplitzSpec) -> Optional[tuple[int, Certificate]]:
     """Period d+/d with a certificate, for walk-ensured descriptors.
 
     Sufficient rules are tried first; if they abstain the exact
     decision settles it.  None when the descriptor is not walk-ensured
     (the formula is not claimed there).
     """
-    cert = _settled_certificate(
-        spec, lambda: decide_walk_ensured_exact(spec, max_power)
-    )
+    cert = _settled_certificate(spec, lambda: decide_walk_ensured_exact(spec))
     if not cert.walk_ensured:
         return None
     prof = gcd_profile(spec)
     return prof.d_plus // prof.d, cert
 
 
-def superset_same_period(
-    spec: ToeplitzSpec,
-    spec_star: ToeplitzSpec,
-    max_power: Optional[int] = None,
-) -> Optional[int]:
+def superset_same_period(spec: ToeplitzSpec, spec_star: ToeplitzSpec) -> Optional[int]:
     """Transfer the period to an offset superset with the same gcd(S + T).
 
     Requires the base walk-ensured and S <= S*, T <= T* at equal order;
@@ -273,7 +267,7 @@ def superset_same_period(
         raise ValueError("order mismatch")
     if not (set(spec.S) <= set(spec_star.S) and set(spec.T) <= set(spec_star.T)):
         raise ValueError("offset sets do not extend the base")
-    claim = period_via_theorem(spec, max_power)
+    claim = period_via_theorem(spec)
     if claim is None:
         raise ValueError(f"{spec} is not walk-ensured")
     if gcd_profile(spec_star).d_plus != gcd_profile(spec).d_plus:
@@ -281,11 +275,7 @@ def superset_same_period(
     return claim[0]
 
 
-def sink_source_same_period(
-    spec: ToeplitzSpec,
-    b: BoolMatrix,
-    max_power: Optional[int] = None,
-) -> Optional[int]:
+def sink_source_same_period(spec: ToeplitzSpec, b: BoolMatrix) -> Optional[int]:
     """Period transfer to any entrywise-larger matrix via the added arcs.
 
     The arcs of b missing from the base matrix are contracted modulo
@@ -299,14 +289,14 @@ def sink_source_same_period(
         raise ValueError("order mismatch")
     if not a.dominated_by(b):
         raise ValueError("base matrix is not dominated by the extension")
-    if period_via_theorem(spec, max_power) is None:
+    if period_via_theorem(spec) is None:
         raise ValueError(f"{spec} is not walk-ensured")
     prof = gcd_profile(spec)
     added = Digraph(b.and_not(a))
     if not has_source_or_sink(contract(added, prof.d)):
         return None
-    _, base_period = matrix_period(a, max_power)
-    _, ext_period = matrix_period(b, max_power)
+    _, base_period = matrix_period(a)
+    _, ext_period = matrix_period(b)
     if ext_period != base_period:
         raise TheoremViolationError(
             f"extension of {spec} changed the period: "
@@ -338,20 +328,9 @@ class PeriodReport:
         return bool(self.certificate.walk_ensured)
 
 
-def analyze(
-    spec: ToeplitzSpec,
-    max_power: Optional[int] = None,
-    *,
-    powers: Optional[PowerSequence] = None,
-) -> PeriodReport:
-    """Full analysis: period data, competition data, walk-ensured status.
-
-    powers, when given, must be the power sequence of spec's matrix
-    (ValueError otherwise); it is not read.
-    """
-    a = from_toeplitz(spec)
-    _check_powers(a, powers)
-    lift = _Lift(a, max_power)
+def analyze(spec: ToeplitzSpec) -> PeriodReport:
+    """Full analysis: period data, competition data, walk-ensured status."""
+    lift = _Lift(from_toeplitz(spec))
     comp = lift.competition()
     return PeriodReport(
         spec=spec,

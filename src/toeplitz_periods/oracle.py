@@ -90,7 +90,6 @@ class SweepConfig:
     samples: int = 0
     seed: int = 0
     checks: Optional[frozenset[str]] = None
-    max_power: Optional[int] = None
 
     def __post_init__(self):
         if not 2 <= self.n_lo <= self.n_hi <= 16:
@@ -101,8 +100,6 @@ class SweepConfig:
             raise ValueError("exhaustive mode is limited to orders up to 8")
         if self.mode == "random" and self.samples < 1:
             raise ValueError("random mode needs a positive sample count")
-        if self.max_power is not None and self.max_power < 1:
-            raise ValueError(f"max power {self.max_power} is not positive")
         if self.checks is not None:
             object.__setattr__(self, "checks", frozenset(self.checks))
             unknown = self.checks - set(ALL_CHECK_NAMES)
@@ -169,8 +166,8 @@ class _Sweep:
         certificate-soundness compares two independent verdicts.
         """
         powers = PowerSequence(from_toeplitz(spec))
-        self._cycles[spec] = scanned = powers.cycle(self.config.max_power)
-        report = analyze(spec, self.config.max_power, powers=powers)
+        self._cycles[spec] = scanned = powers.cycle()
+        report = analyze(spec)
         lifted = (report.matrix_index, report.matrix_period)
         if lifted != scanned:
             raise TheoremViolationError(f"{spec}: lifted {lifted}, scanned {scanned}")
@@ -178,20 +175,18 @@ class _Sweep:
         if cert.rule is Rule.EXACT_DECISION:
             self._exact[spec] = (report.walk_ensured, cert.witness)
         elif spec not in self._exact:  # an extension check may have decided it already
-            self._exact[spec] = decide_walk_ensured_exact(
-                spec, self.config.max_power, powers=powers
-            )
+            self._exact[spec] = decide_walk_ensured_exact(spec, powers=powers)
         return powers, report
 
     def cycle_of(self, spec: ToeplitzSpec) -> tuple[int, int]:
         if spec not in self._cycles:
-            self._cycles[spec] = PowerSequence(from_toeplitz(spec)).cycle(self.config.max_power)
+            self._cycles[spec] = PowerSequence(from_toeplitz(spec)).cycle()
         return self._cycles[spec]
 
     def exact_of(self, spec: ToeplitzSpec) -> tuple[bool, Optional[int]]:
         if spec not in self._exact:
             self._exact[spec] = decide_walk_ensured_exact(
-                spec, self.config.max_power, powers=PowerSequence(from_toeplitz(spec))
+                spec, powers=PowerSequence(from_toeplitz(spec))
             )
         return self._exact[spec]
 
@@ -367,9 +362,7 @@ def _check_tail_extension(sw, spec, powers, an) -> list[Result]:
             continue
         ext = ToeplitzSpec(spec.n, spec.S + (s_star,), spec.T)
         try:
-            transferred = sink_source_same_period(
-                spec, from_toeplitz(ext), sw.config.max_power
-            )
+            transferred = sink_source_same_period(spec, from_toeplitz(ext))
         except TheoremViolationError as exc:
             out.append((spec, "period preserved", str(exc), VIOLATION))
             continue
@@ -523,8 +516,9 @@ ALL_CHECK_NAMES: tuple[str, ...] = tuple(
 def run_sweep(config: SweepConfig) -> list[Finding]:
     """Run the enabled checks over the configured descriptor space.
 
-    A computation cap overrun anywhere in the sweep propagates as
-    CapExceededError.
+    Every scan ends, because a finite matrix has finitely many powers,
+    so no descriptor is refused; a lifted index or period off the scan
+    raises TheoremViolationError.
     """
     sweep = _Sweep(config)
     findings: list[Finding] = []

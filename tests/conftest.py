@@ -101,13 +101,19 @@ def scanned_competition(a: BoolMatrix) -> tuple[int, int, BoolMatrix | None]:
 
     B_(m+1) = A B_m A^T, so B is the orbit of a fixed map and its first
     repeat gives the least index and period; B_m is a function of A^m,
-    so the orbit closes by step index + period of A.  The limit is B_q
-    when the period is 1.
+    so the orbit closes by step index + period of A, which is asserted.
+    The limit is B_q when the period is 1.
     """
     at = a.transpose()
-    orbit = PowerSequence(a @ at, lambda x: a @ x @ at)
-    index, period = orbit.cycle(sum(PowerSequence(a).cycle()))
-    return index, period, orbit.power(index) if period == 1 else None
+    first: dict[BoolMatrix, int] = {}
+    b = a @ at
+    while b not in first:
+        first[b] = len(first) + 1
+        b = a @ b @ at
+    index, closed = first[b], len(first) + 1
+    assert closed <= sum(PowerSequence(a).cycle()), "B closed after index + period of A"
+    period = closed - index
+    return index, period, b if period == 1 else None
 
 
 def random_boolmat(rng: random.Random, n: int, density: float = 0.5) -> BoolMatrix:

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from toeplitz_periods import (
     BoolMatrix,
-    CapExceededError,
     PowerSequence,
     ToeplitzSpec,
     from_toeplitz,
 )
-from toeplitz_periods.boolmat import _product, _right_multiplier, default_power_cap
+from toeplitz_periods.boolmat import _product, _right_multiplier
 from toeplitz_periods.oracle import enumerate_specs
 
 from conftest import (
@@ -232,7 +231,7 @@ def test_right_multiplier_agrees_with_matmul(n, rng):
 
 
 # --------------------------------------------------------------------------
-# power sequence: memoized powers, cycle detection, cap
+# power sequence: memoized powers, cycle detection
 # --------------------------------------------------------------------------
 
 
@@ -257,16 +256,4 @@ def test_power_sequence_folds_large_exponents():
     assert len(ps._pows) == steps_after_cycle
     with pytest.raises(ValueError):
         ps.power(-1)
-
-
-def test_power_sequence_cap():
-    a = from_toeplitz(ToeplitzSpec(6, (1,), (1,)))
-    with pytest.raises(CapExceededError):
-        PowerSequence(a).cycle(max_steps=2)
-    # the default cap is generous enough for every Toeplitz spec used here
-    assert PowerSequence(a).cycle() == (4, 2)
-
-
-def test_default_power_cap_formula():
-    assert default_power_cap(4) == 15
-    assert default_power_cap(8) == 59
+    assert PowerSequence(from_toeplitz(ToeplitzSpec(6, (1,), (1,)))).cycle() == (4, 2)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from toeplitz_periods import (
     BoolMatrix,
-    CapExceededError,
     PowerSequence,
+    TheoremViolationError,
     ToeplitzSpec,
     analyze,
     certify_walk_ensured,
@@ -71,7 +71,7 @@ def test_matrix_period_matches_naive_exhaustive():
 def test_matrix_period_matches_naive_random(rng):
     for _ in range(60):
         a = random_boolmat(rng, rng.randint(2, 6), density=0.3)
-        assert matrix_period(a, 200) == naive_power_cycle(naive_from_boolmat(a))
+        assert matrix_period(a) == naive_power_cycle(naive_from_boolmat(a))
 
 
 def test_matrix_period_of_disjoint_cycles_is_the_lcm():
@@ -85,10 +85,19 @@ def test_matrix_period_of_disjoint_cycles_is_the_lcm():
     assert (got.index, got.period, got.limit) == scanned_competition(a)
 
 
-def test_matrix_period_cap():
-    a = from_toeplitz(ToeplitzSpec(6, (1,), (1,)))
-    with pytest.raises(CapExceededError):
-        matrix_period(a, 3)
+@pytest.mark.parametrize(
+    "text, wrong_period, message",
+    [
+        ("n=2;S=1;T=1", 1, r"A\^m = A\^\(m\+1\) holds for no m <= 2"),
+        ("n=5;S=1;T=1,2", 2, "period 2 of the components is not least"),
+    ],
+)
+def test_lift_asserts_heap_lynn_and_the_least_period(monkeypatch, text, wrong_period, message):
+    # Heap-Lynn, index <= (n-1)^2 + 1, is the one bound on the index search;
+    # a wrong period from the components breaks it or the minimality check
+    monkeypatch.setattr(engine, "power_period", lambda g: wrong_period)
+    with pytest.raises(TheoremViolationError, match=message):
+        matrix_period(from_toeplitz(ToeplitzSpec.from_string(text)))
 
 
 def test_powers_constant_from_index_on():
@@ -167,7 +176,6 @@ def test_competition_rejects_foreign_powers():
     other = PowerSequence(from_toeplitz(ToeplitzSpec(3, (2,), (1,))))
     for call in (
         lambda: competition_analysis(a, powers=other),
-        lambda: analyze(spec, powers=other),
         lambda: decide_walk_ensured_exact(spec, powers=other),
         lambda: walksets_at(spec, 3, other),
     ):
@@ -186,7 +194,7 @@ def test_descent_finds_every_threshold_within_one_test_per_bit():
     # N^m of the order-70 shift matrix has 70 - m ones, so "count <= 70 - t"
     # fails exactly below m = t; lo is 0 or the bracket the index gallop
     # leaves, the largest power of two below t
-    lift = _Lift(BoolMatrix([1 << (i + 1) for i in range(69)] + [0]), None)
+    lift = _Lift(BoolMatrix([1 << (i + 1) for i in range(69)] + [0]))
     power = {m: lift.power(m) for m in range(1, 65)}
     for hi in range(1, 65):
         for t in range(1, hi + 1):
@@ -526,11 +534,6 @@ def test_analyze_report_consistency_exhaustive():
             if report.walk_ensured:
                 prof = gcd_profile(spec)
                 assert report.matrix_period == prof.d_plus // prof.d
-
-
-def test_analyze_cap_propagates():
-    with pytest.raises(CapExceededError):
-        analyze(ToeplitzSpec(8, (1,), (1,)), max_power=2)
 
 
 # --------------------------------------------------------------------------
