@@ -141,9 +141,6 @@ class BoolMatrix:
                 sq = sq @ sq
         return result
 
-    def __pow__(self, m: int) -> "BoolMatrix":
-        return self.power(m)
-
     def __or__(self, other: "BoolMatrix") -> "BoolMatrix":
         if self.n != other.n:
             raise ValueError("order mismatch")

@@ -22,7 +22,7 @@ import sys
 from typing import IO, Optional
 
 from .boolmat import from_toeplitz
-from .digraph import Digraph, contract, to_dot
+from .digraph import contract, to_dot
 from .engine import analyze, predicted_limit
 from .toeplitz import SpecFormatError, ToeplitzSpec
 from .walksets import walksets_at
@@ -116,10 +116,9 @@ def _cmd_walksets(args, out: IO[str]) -> int:
 
 def _cmd_contract(args, out: IO[str]) -> int:
     spec = _parse_spec(args.spec, need_both=False)
-    g = Digraph(from_toeplitz(spec))
     if not 1 <= args.d <= spec.n:
         raise SpecFormatError(f"modulus {args.d} outside [1, {spec.n}]")
-    out.write(to_dot(contract(g, args.d)))
+    out.write(to_dot(contract(from_toeplitz(spec), args.d)))
     return 0
 
 

@@ -1,62 +1,47 @@
-"""Digraphs over bit-packed adjacency matrices.
+"""Directed graphs, each given by its bit-packed adjacency matrix.
 
-Vertices are 1..n; an arc (u, v) is a 1 at row u, column v.  The main
-operation is contraction modulo d: vertices collapse onto their
-residue classes and an arc joins two classes when any member arc does.
-Residue classes use representatives 1..d, so vertex v lands on class
-((v - 1) mod d) + 1.
+Every function here takes the adjacency BoolMatrix, and contract
+returns one.  Vertices are 1..n; an arc (u, v) is a 1 at row u,
+column v.  The main operation is contraction modulo d: vertices
+collapse onto their residue classes and an arc joins two classes when
+any member arc does.  Residue classes use representatives 1..d, so
+vertex v lands on class ((v - 1) mod d) + 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Iterator, Optional
+from typing import Optional
 
 from .boolmat import BoolMatrix
 
 
-@dataclass(frozen=True)
-class Digraph:
-    matrix: BoolMatrix
-
-    @property
-    def order(self) -> int:
-        return self.matrix.n
-
-    def arcs(self) -> Iterator[tuple[int, int]]:
-        return self.matrix.entries()
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return bool(self.matrix.get(u, v))
-
-
-def contract(g: Digraph, d: int) -> Digraph:
+def contract(m: BoolMatrix, d: int) -> BoolMatrix:
     """Quotient by residue classes mod d; arcs are OR-folded blockwise."""
-    n = g.order
+    n = m.n
     if not 1 <= d <= n:
         raise ValueError(f"modulus {d} outside [1, {n}]")
     folded = [0] * d
-    for v, row in enumerate(g.matrix.rows):
+    for v, row in enumerate(m.rows):
         folded[v % d] |= row
     classes = ({j % d for j in range(n) if row >> j & 1} for row in folded)
-    return Digraph(BoolMatrix(sum(1 << c for c in cs) for cs in classes))
+    return BoolMatrix(sum(1 << c for c in cs) for cs in classes)
 
 
-def has_source_or_sink(g: Digraph) -> bool:
+def has_source_or_sink(m: BoolMatrix) -> bool:
     """True iff some vertex has no incoming arcs or no outgoing arcs.
 
     Loops count in both degrees; an isolated vertex is both a source
     and a sink.
     """
-    if any(r == 0 for r in g.matrix.rows):
+    if any(r == 0 for r in m.rows):
         return True
     seen = 0
-    for r in g.matrix.rows:
+    for r in m.rows:
         seen |= r
-    return seen != (1 << g.order) - 1
+    return seen != (1 << m.n) - 1
 
 
 def _levels(rows: tuple[int, ...], root: int, inside: int) -> tuple[list[int], list[int]]:
@@ -76,8 +61,8 @@ def _levels(rows: tuple[int, ...], root: int, inside: int) -> tuple[list[int], l
     return levels, images
 
 
-def power_period(g: Digraph) -> int:
-    """Period of the Boolean powers of g's matrix; 1 when g has no cycle.
+def power_period(m: BoolMatrix) -> int:
+    """Period of the Boolean powers of m; 1 when its digraph has no cycle.
 
     The lcm over strong components of their cyclicity, the gcd of
     lvl[u] + 1 - lvl[v] over the arcs u -> v inside, lvl being BFS levels
@@ -88,8 +73,8 @@ def power_period(g: Digraph) -> int:
     too, so level k has an arc inside into level j <= k + 1 exactly when
     the OR of level k's rows meets level j within the component.
     """
-    rows, cols = g.matrix.rows, g.matrix.transpose().rows
-    period, left = 1, (1 << g.order) - 1
+    rows, cols = m.rows, m.transpose().rows
+    period, left = 1, (1 << m.n) - 1
     while left:
         root = (left & -left).bit_length() - 1
         levels, images = _levels(rows, root, left)
@@ -104,20 +89,20 @@ def power_period(g: Digraph) -> int:
     return period
 
 
-def cycle_decomposition(g: Digraph) -> Optional[list[list[int]]]:
+def cycle_decomposition(m: BoolMatrix) -> Optional[list[list[int]]]:
     """Vertex-disjoint cycles covering the digraph, if it is one.
 
     Requires in-degree and out-degree exactly 1 everywhere; otherwise
     None.  Cycles are listed by smallest member, each starting at its
     smallest vertex.
     """
-    rows = g.matrix.rows
+    rows = m.rows
     if any(r.bit_count() != 1 for r in rows) or len(set(rows)) != len(rows):
         return None
     succ = {u: r.bit_length() for u, r in enumerate(rows, start=1)}
     seen: set[int] = set()
     cycles = []
-    for start in range(1, g.order + 1):
+    for start in range(1, m.n + 1):
         if start not in seen:
             cycle = [start]
             while succ[cycle[-1]] != start:
@@ -127,12 +112,12 @@ def cycle_decomposition(g: Digraph) -> Optional[list[list[int]]]:
     return cycles
 
 
-def to_dot(g: Digraph) -> str:
+def to_dot(m: BoolMatrix) -> str:
     """DOT text: every vertex declared, then one line per arc "u -> v;"."""
     lines = ["digraph {"]
-    for v in range(1, g.order + 1):
+    for v in range(1, m.n + 1):
         lines.append(f"  {v};")
-    for u, v in g.arcs():
+    for u, v in m.entries():
         lines.append(f"  {u} -> {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -42,7 +42,7 @@ from .boolmat import (
     _product,
     from_toeplitz,
 )
-from .digraph import Digraph, contract, has_source_or_sink, power_period
+from .digraph import contract, has_source_or_sink, power_period
 from .toeplitz import (
     Certificate,
     GcdProfile,
@@ -83,7 +83,7 @@ class _Lift:
 
     def __init__(self, a: BoolMatrix):
         self.a, self._squares = a, [a]
-        self.period = p = power_period(Digraph(a))
+        self.period = p = power_period(a)
         a_p = self.power(p)
         bound = (a.n - 1) ** 2 + 1  # Heap and Lynn (1964): the index is at most this
         test = lambda y: True if _power_product(y, a_p) == y else None
@@ -292,8 +292,7 @@ def sink_source_same_period(spec: ToeplitzSpec, b: BoolMatrix) -> Optional[int]:
     if period_via_theorem(spec) is None:
         raise ValueError(f"{spec} is not walk-ensured")
     prof = gcd_profile(spec)
-    added = Digraph(b.and_not(a))
-    if not has_source_or_sink(contract(added, prof.d)):
+    if not has_source_or_sink(contract(b.and_not(a), prof.d)):
         return None
     _, base_period = matrix_period(a)
     _, ext_period = matrix_period(b)

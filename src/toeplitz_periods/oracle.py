@@ -23,8 +23,8 @@ from math import gcd, lcm
 from operator import or_
 from typing import Callable, Iterator, Optional
 
-from .boolmat import PowerSequence, from_toeplitz
-from .digraph import Digraph, contract, cycle_decomposition
+from .boolmat import BoolMatrix, PowerSequence, from_toeplitz
+from .digraph import contract, cycle_decomposition
 from .engine import (
     PeriodReport,
     TheoremViolationError,
@@ -422,12 +422,12 @@ PER_SPEC_CHECKS: list[tuple[str, Callable[..., list[Result]]]] = [
 # ------------------------------------------------------------ per-order
 
 
-def _contractions(n: int) -> Iterator[tuple[int, int, Digraph]]:
+def _contractions(n: int) -> Iterator[tuple[int, int, BoolMatrix]]:
     """(d, s, D(T_n<s;>) contracted mod d) for 2 <= d < n, s <= n - d, d not dividing s."""
     for d in range(2, n):
         for s in range(1, n - d + 1):
             if s % d:
-                yield d, s, contract(Digraph(from_toeplitz(ToeplitzSpec(n, (s,), ()))), d)
+                yield d, s, contract(from_toeplitz(ToeplitzSpec(n, (s,), ())), d)
 
 
 def check_contraction_identity(n: int) -> list[Result]:
@@ -444,7 +444,7 @@ def check_contraction_identity(n: int) -> list[Result]:
             VIOLATION,
         )
         for d, s, got in _contractions(n)
-        if got != Digraph(from_toeplitz(ToeplitzSpec(d, (s % d,), (d - s % d,))))
+        if got != from_toeplitz(ToeplitzSpec(d, (s % d,), (d - s % d,)))
     ]
 
 
@@ -468,7 +468,7 @@ def check_cycle_structure(n: int) -> list[Result]:
     for s in range(1, n):
         d = gcd(n, s)
         spec = ToeplitzSpec(n, (s,), (n - s,))
-        dec = cycle_decomposition(Digraph(from_toeplitz(spec)))
+        dec = cycle_decomposition(from_toeplitz(spec))
         want = {frozenset(range(i, n + 1, d)) for i in range(1, d + 1)}
         got = None if dec is None else {frozenset(c) for c in dec}
         if got != want:

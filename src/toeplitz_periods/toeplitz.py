@@ -76,8 +76,6 @@ class ToeplitzSpec:
             if not eq or key not in ("n", "S", "T") or key in seen:
                 raise SpecFormatError(f"bad field {part!r} in {text!r}")
             seen[key] = value
-        if set(seen) != {"n", "S", "T"}:
-            raise SpecFormatError(f"need fields n, S and T: {text!r}")
 
         def ints(value: str, label: str) -> list[int]:
             if value == "":

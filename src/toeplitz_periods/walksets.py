@@ -34,7 +34,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterator
 
-from .boolmat import BoolMatrix, PowerSequence, _check_powers, from_toeplitz
+from .boolmat import BoolMatrix, from_toeplitz
 from .toeplitz import ToeplitzSpec, gcd_profile
 
 
@@ -145,10 +145,6 @@ class WalkSets:
     r: frozenset[int]
 
 
-def walksets_at(
-    spec: ToeplitzSpec, i: int, powers: PowerSequence | None = None
-) -> WalkSets:
-    a = from_toeplitz(spec)
-    _check_powers(a, powers)
-    power = a.power(i) if powers is None else powers.power(i)
+def walksets_at(spec: ToeplitzSpec, i: int) -> WalkSets:
+    power = from_toeplitz(spec).power(i)
     return WalkSets(i=i, p=p_set(spec, i), q=q_set(spec, i), r=r_set(power))

@@ -25,7 +25,7 @@ from toeplitz_periods import (
     sink_source_same_period,
     walksets_at,
 )
-from toeplitz_periods.digraph import Digraph, contract, cycle_decomposition
+from toeplitz_periods.digraph import contract, cycle_decomposition
 from toeplitz_periods.engine import predicted_limit
 from toeplitz_periods.oracle import enumerate_specs
 from toeplitz_periods.toeplitz import (
@@ -169,12 +169,12 @@ def test_c06_contraction_and_cycles():
             for s in range(1, n - d + 1):
                 if s % d == 0:
                     continue
-                got = contract(Digraph(from_toeplitz(ToeplitzSpec(n, (s,), ()))), d)
+                got = contract(from_toeplitz(ToeplitzSpec(n, (s,), ())), d)
                 r = s % d
-                want = Digraph(from_toeplitz(ToeplitzSpec(d, (r,), (d - r,))))
+                want = from_toeplitz(ToeplitzSpec(d, (r,), (d - r,)))
                 assert got == want, (n, d, s)
         for s in range(1, n):
-            g = Digraph(from_toeplitz(ToeplitzSpec(n, (s,), (n - s,))))
+            g = from_toeplitz(ToeplitzSpec(n, (s,), (n - s,)))
             cycles = cycle_decomposition(g)
             assert cycles is not None, (n, s)
             dd = math.gcd(n, s)

@@ -94,8 +94,15 @@ def test_multiply_matches_naive_on_1000_random_matrices(rng):
 
 
 def test_multiply_order_mismatch():
-    with pytest.raises(ValueError):
-        BoolMatrix.zeros(2) @ BoolMatrix.zeros(3)
+    two, three = BoolMatrix.zeros(2), BoolMatrix.zeros(3)
+    for call in (
+        lambda: two @ three,
+        lambda: two | three,
+        lambda: two.and_not(three),
+        lambda: two.dominated_by(three),
+    ):
+        with pytest.raises(ValueError, match="order mismatch"):
+            call()
 
 
 def test_transpose_matches_naive_and_is_involutive(rng):
@@ -165,7 +172,6 @@ def test_power_by_squaring_matches_iterated_multiply(rng):
         cur = BoolMatrix.identity(n)
         for m in range(8):
             assert a.power(m) == cur
-            assert a**m == cur
             cur = cur @ a
     with pytest.raises(ValueError):
         BoolMatrix.identity(2).power(-1)

@@ -1,4 +1,4 @@
-"""Digraph contraction, cycle structure, and walk lifting."""
+"""Contraction, sources and sinks, cycle structure and walk lifting of digraphs."""
 
 import math
 import random
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from toeplitz_periods import BoolMatrix, PowerSequence, ToeplitzSpec, from_toeplitz
 from toeplitz_periods.digraph import (
-    Digraph,
     contract,
     cycle_decomposition,
     has_source_or_sink,
@@ -21,22 +20,6 @@ from toeplitz_periods.oracle import enumerate_specs
 from conftest import PROPERTY, random_boolmat
 
 
-def digraph_of(spec: ToeplitzSpec) -> Digraph:
-    return Digraph(from_toeplitz(spec))
-
-
-# --------------------------------------------------------------------------
-# basic accessors
-# --------------------------------------------------------------------------
-
-
-def test_digraph_accessors():
-    g = digraph_of(ToeplitzSpec(3, (1,), ()))
-    assert g.order == 3
-    assert sorted(g.arcs()) == [(1, 2), (2, 3)]
-    assert g.has_arc(1, 2) and not g.has_arc(2, 1)
-
-
 # --------------------------------------------------------------------------
 # contraction
 # --------------------------------------------------------------------------
@@ -45,8 +28,8 @@ def test_digraph_accessors():
 def test_contract_single_offset_identity():
     # contracting the 3-offset digraph on 7 vertices modulo 2 yields the
     # full 2-vertex descriptor with offsets {1} up and {1} down
-    got = contract(digraph_of(ToeplitzSpec(7, (3,), ())), 2)
-    want = digraph_of(ToeplitzSpec(2, (1,), (1,)))
+    got = contract(from_toeplitz(ToeplitzSpec(7, (3,), ())), 2)
+    want = from_toeplitz(ToeplitzSpec(2, (1,), (1,)))
     assert got == want
 
 
@@ -58,20 +41,20 @@ def test_contract_identity_family():
             for s in range(1, n - d + 1):
                 if s % d == 0:
                     continue
-                got = contract(digraph_of(ToeplitzSpec(n, (s,), ())), d)
+                got = contract(from_toeplitz(ToeplitzSpec(n, (s,), ())), d)
                 r = s % d
-                want = digraph_of(ToeplitzSpec(d, (r,), (d - r,)))
+                want = from_toeplitz(ToeplitzSpec(d, (r,), (d - r,)))
                 assert got == want, (n, d, s)
 
 
 def test_contract_multiple_of_modulus_gives_loops():
     # offset divisible by d folds onto loops at every class that has an arc
-    g = contract(digraph_of(ToeplitzSpec(7, (4,), ())), 2)
-    assert sorted(g.arcs()) == [(1, 1), (2, 2)]
+    g = contract(from_toeplitz(ToeplitzSpec(7, (4,), ())), 2)
+    assert sorted(g.entries()) == [(1, 1), (2, 2)]
 
 
 def test_contract_bounds():
-    g = digraph_of(ToeplitzSpec(5, (1,), (1,)))
+    g = from_toeplitz(ToeplitzSpec(5, (1,), (1,)))
     with pytest.raises(ValueError):
         contract(g, 0)
     with pytest.raises(ValueError):
@@ -80,9 +63,9 @@ def test_contract_bounds():
 
 
 def test_contract_to_point():
-    g = digraph_of(ToeplitzSpec(5, (2,), ()))
+    g = from_toeplitz(ToeplitzSpec(5, (2,), ()))
     got = contract(g, 1)
-    assert got.order == 1 and got.has_arc(1, 1)
+    assert got.n == 1 and got.get(1, 1)
 
 
 # --------------------------------------------------------------------------
@@ -92,25 +75,22 @@ def test_contract_to_point():
 
 def test_has_source_or_sink_cases():
     # 2-cycle: neither
-    assert has_source_or_sink(digraph_of(ToeplitzSpec(2, (1,), (1,)))) is False
+    assert has_source_or_sink(from_toeplitz(ToeplitzSpec(2, (1,), (1,)))) is False
     # empty row = sink
-    assert has_source_or_sink(Digraph(BoolMatrix.from_entries(2, [(1, 2)]))) is True
+    assert has_source_or_sink(BoolMatrix.from_entries(2, [(1, 2)])) is True
     # column 1 never hit = source
-    assert (
-        has_source_or_sink(Digraph(BoolMatrix.from_entries(2, [(1, 2), (2, 2)])))
-        is True
-    )
+    assert has_source_or_sink(BoolMatrix.from_entries(2, [(1, 2), (2, 2)])) is True
     # loops on every vertex: neither
-    assert has_source_or_sink(Digraph(BoolMatrix.identity(3))) is False
-    assert has_source_or_sink(Digraph(BoolMatrix.zeros(2))) is True
+    assert has_source_or_sink(BoolMatrix.identity(3)) is False
+    assert has_source_or_sink(BoolMatrix.zeros(2)) is True
 
 
 def test_tail_offset_contraction_has_sink():
     # adding offset 9 to a gcd-4 descriptor on 10 vertices: the added
     # arc (1, 10) folds to (1, 2) mod 4 and classes 3, 4 stay empty
     added = BoolMatrix.from_entries(10, [(1, 10)])
-    g = contract(Digraph(added), 4)
-    assert sorted(g.arcs()) == [(1, 2)]
+    g = contract(added, 4)
+    assert sorted(g.entries()) == [(1, 2)]
     assert has_source_or_sink(g) is True
 
 
@@ -122,7 +102,7 @@ def test_tail_offset_contraction_has_sink():
 def test_cycle_decomposition_two_cycles():
     # offsets {2} up and {4} down on 6 vertices: u -> u+2 wrapping at the
     # corner splits the vertices into the two parity classes
-    g = digraph_of(ToeplitzSpec(6, (2,), (4,)))
+    g = from_toeplitz(ToeplitzSpec(6, (2,), (4,)))
     assert cycle_decomposition(g) == [[1, 3, 5], [2, 4, 6]]
 
 
@@ -131,7 +111,7 @@ def test_cycle_decomposition_wrap_family():
     # residue classes modulo gcd(n, s)
     for n in range(2, 12):
         for s in range(1, n):
-            g = digraph_of(ToeplitzSpec(n, (s,), (n - s,)))
+            g = from_toeplitz(ToeplitzSpec(n, (s,), (n - s,)))
             cycles = cycle_decomposition(g)
             assert cycles is not None, (n, s)
             d = math.gcd(n, s)
@@ -144,16 +124,16 @@ def test_cycle_decomposition_wrap_family():
 
 def test_cycle_decomposition_rejects_non_permutations():
     # out-degree 2 somewhere
-    assert cycle_decomposition(digraph_of(ToeplitzSpec(4, (1,), (1,)))) is None
+    assert cycle_decomposition(from_toeplitz(ToeplitzSpec(4, (1,), (1,)))) is None
     # out-degrees 1 but in-degrees 0 and 2
-    g = Digraph(BoolMatrix.from_entries(2, [(1, 2), (2, 2)]))
+    g = BoolMatrix.from_entries(2, [(1, 2), (2, 2)])
     assert cycle_decomposition(g) is None
     # empty row
-    assert cycle_decomposition(digraph_of(ToeplitzSpec(3, (2,), ()))) is None
+    assert cycle_decomposition(from_toeplitz(ToeplitzSpec(3, (2,), ()))) is None
 
 
 def test_cycle_decomposition_order():
-    g = Digraph(BoolMatrix.from_entries(4, [(1, 3), (3, 1), (2, 4), (4, 2)]))
+    g = BoolMatrix.from_entries(4, [(1, 3), (3, 1), (2, 4), (4, 2)])
     assert cycle_decomposition(g) == [[1, 3], [2, 4]]
 
 
@@ -215,8 +195,8 @@ def test_special_offset_walks_lift_to_contraction():
             for s_star in range(1, n):
                 if s_star in spec.S or s_star % d == 0:
                     continue
-                lifted = contract(digraph_of(ToeplitzSpec(n, (s_star,), ())), d)
-                lifted_powers = PowerSequence(lifted.matrix)
+                lifted = contract(from_toeplitz(ToeplitzSpec(n, (s_star,), ())), d)
+                lifted_powers = PowerSequence(lifted)
                 for u, v, uses in special_arc_walk_profile(spec, s_star, 8):
                     if uses == 0:
                         assert (v - u) % d == 0, (spec, s_star, u, v)
@@ -232,12 +212,12 @@ def test_special_offset_walks_lift_to_contraction():
 
 
 def test_to_dot_golden():
-    g = digraph_of(ToeplitzSpec(2, (1,), (1,)))
+    g = from_toeplitz(ToeplitzSpec(2, (1,), (1,)))
     assert to_dot(g) == "digraph {\n  1;\n  2;\n  1 -> 2;\n  2 -> 1;\n}\n"
 
 
 def test_to_dot_lists_isolated_vertices():
-    g = Digraph(BoolMatrix.zeros(2))
+    g = BoolMatrix.zeros(2)
     assert to_dot(g) == "digraph {\n  1;\n  2;\n}\n"
 
 
@@ -251,4 +231,4 @@ def test_to_dot_lists_isolated_vertices():
 def test_power_period_equals_the_scanned_period(seed, n, degree):
     # about one arc per vertex leaves several components with cycles of their own
     a = random_boolmat(random.Random(seed), n, degree / n)
-    assert power_period(Digraph(a)) == PowerSequence(a).cycle()[1]
+    assert power_period(a) == PowerSequence(a).cycle()[1]

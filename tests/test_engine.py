@@ -18,7 +18,6 @@ from toeplitz_periods import (
     from_toeplitz,
     sink_source_same_period,
     superset_same_period,
-    walksets_at,
 )
 from toeplitz_periods import engine
 from toeplitz_periods.engine import (
@@ -177,7 +176,6 @@ def test_competition_rejects_foreign_powers():
     for call in (
         lambda: competition_analysis(a, powers=other),
         lambda: decide_walk_ensured_exact(spec, powers=other),
-        lambda: walksets_at(spec, 3, other),
     ):
         with pytest.raises(ValueError, match="different matrix"):
             call()

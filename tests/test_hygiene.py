@@ -1,9 +1,10 @@
-"""Source hygiene: no unused imports, no public parameter that nothing reads, the
-package exports what the README names, and importing the CLI leaves the sweep
-oracle unloaded."""
+"""Source hygiene: no unused imports, no public name or parameter that nothing
+reads, the package exports what the README names, and importing the CLI leaves
+the sweep oracle unloaded."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import types
@@ -12,9 +13,8 @@ from pathlib import Path
 import toeplitz_periods
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "toeplitz_periods").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+SRC = sorted((ROOT / "src" / "toeplitz_periods").glob("*.py"))
+SOURCES = SRC + sorted((ROOT / "tests").glob("*.py"))
 
 TOP_LEVEL = {
     "BoolMatrix",
@@ -31,6 +31,9 @@ TOP_LEVEL = {
     "TheoremViolationError",
 }
 
+
+# public, referenced nowhere in the program: the tests build matrices with them
+TEST_CONSTRUCTORS = {"boolmat.BoolMatrix.zeros", "boolmat.BoolMatrix.from_entries"}
 
 # accepted and never read: perfbench/tracing.py still passes them
 UNREAD_HARNESS_SLOTS = {
@@ -138,6 +141,37 @@ def test_every_private_helper_in_src_is_referenced():
                 names.discard(node.name)
             used |= names
     assert sorted(where for name, where in defined.items() if name not in used) == []
+
+
+def _public_definitions(tree: ast.Module, module: str):
+    """(module.[Class.]name, name) for every public module-level function or class
+    and every public method of a module-level class."""
+    public = lambda node: isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (
+        not node.name.startswith("_")
+    )
+    for node in filter(public, tree.body):
+        yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for method in filter(public, node.body):
+                yield f"{module}.{node.name}.{method.name}", method.name
+
+
+def test_every_public_name_in_src_is_used():
+    # referenced in src/ or perfbench/, exported by the package, or named in README
+    defined, used = [], set(vars(toeplitz_periods))
+    for path in SRC + sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path in SRC:
+            defined += _public_definitions(tree, path.stem)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                used |= {alias.name for alias in n.names}
+    used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    assert {where for where, name in defined if name not in used} == TEST_CONSTRUCTORS
 
 
 def test_package_exports_exactly_the_readme_names():

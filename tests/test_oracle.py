@@ -1,8 +1,10 @@
 """The sweeping cross-validator: enumeration, determinism, reporting."""
 
+import dataclasses
+
 import pytest
 
-from toeplitz_periods import ToeplitzSpec
+from toeplitz_periods import TheoremViolationError, ToeplitzSpec, oracle
 from toeplitz_periods.oracle import (
     ALL_CHECK_NAMES,
     Finding,
@@ -122,6 +124,19 @@ def test_random_sweep_reproducible():
 def test_sweep_respects_check_selection():
     findings = run_sweep(SweepConfig(2, 4, checks=frozenset({"gcd-update"})))
     assert findings == []  # the gcd update rule never misses at these orders
+
+
+def test_sweep_holds_the_lifted_index_to_the_scan(monkeypatch):
+    real = oracle.analyze
+
+    def off_by_one(spec):
+        report = real(spec)
+        return dataclasses.replace(report, matrix_index=report.matrix_index + 1)
+
+    monkeypatch.setattr(oracle, "analyze", off_by_one)
+    with pytest.raises(TheoremViolationError) as err:
+        run_sweep(SweepConfig(3, 3))
+    assert str(err.value) == "n=3;S=1;T=1: lifted (2, 2), scanned (1, 2)"
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,16 @@ and that list must not be empty.
 
 import pytest
 
-from toeplitz_periods import BoolMatrix, PowerSequence, ToeplitzSpec, analyze, from_toeplitz
-from toeplitz_periods import oracle
+from toeplitz_periods import (
+    BoolMatrix,
+    PowerSequence,
+    TheoremViolationError,
+    ToeplitzSpec,
+    analyze,
+    from_toeplitz,
+    sink_source_same_period,
+)
+from toeplitz_periods import engine, oracle
 from toeplitz_periods.oracle import (
     CHAIN_I_MAX,
     DISPLACEMENT_I_MAX,
@@ -18,6 +26,7 @@ from toeplitz_periods.oracle import (
     SweepConfig,
     _check_containment_chain,
     _check_p_set_laws,
+    _check_tail_extension,
     _check_walk_displacements,
     _fmt,
     _Sweep,
@@ -183,3 +192,22 @@ def test_the_checks_and_their_twins_pass_unplanted_input(spec):
     assert twin_p_set_laws(spec, an, p_set_of(_p_mask)) == []
     assert _check_walk_displacements(sw, spec, powers, an) == []
     assert twin_walk_displacements(spec, powers, q_sets) == []
+
+
+def test_tail_extension_reports_a_period_the_recheck_rejects(monkeypatch):
+    # T_7<2;2> extended by s* = 6: the added arcs contract to a source or
+    # sink, so sink_source_same_period re-checks both periods
+    base, ext = ToeplitzSpec(7, (2,), (2,)), from_toeplitz(ToeplitzSpec(7, (2, 6), (2,)))
+    real = engine.matrix_period
+
+    def one_more_on_ext(a):
+        index, period = real(a)
+        return index, period + (a == ext)
+
+    monkeypatch.setattr(engine, "matrix_period", one_more_on_ext)
+    changed = "extension of n=7;S=2;T=2 changed the period: 2 -> 3"
+    with pytest.raises(TheoremViolationError, match=changed):
+        sink_source_same_period(base, ext)
+    powers, an = PowerSequence(from_toeplitz(base)), analyze(base)
+    got = _check_tail_extension(sweep_of(base), base, powers, an)
+    assert got == [(base, "period preserved", changed, VIOLATION)]

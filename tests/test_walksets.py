@@ -216,12 +216,6 @@ def test_sum_congruence_1000_random_vectors():
         count += 1
 
 
-def test_walksets_at_shares_powers():
-    powers = PowerSequence(from_toeplitz(WORKED))
-    ws = walksets_at(WORKED, 3, powers)
-    assert ws == walksets_at(WORKED, 3)
-
-
 # --------------------------------------------------------------------------
 # properties on random descriptors, n <= 24 and 1 <= i <= 80
 # --------------------------------------------------------------------------
