@@ -11,7 +11,7 @@ free during cycle detection.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from operator import or_
 from typing import Callable, Iterable, Iterator, TYPE_CHECKING
 
@@ -117,15 +117,11 @@ class BoolMatrix:
                     r ^= low
             return BoolMatrix(cols)
         width = 1 << (n - 1).bit_length()
-        nbytes = width // 8
-        data = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)
-        packed = int.from_bytes(data, "little")
+        packed = _pack(self.rows, width // 8)
         for shift, mask in _swap_masks(width):
             t = (packed ^ (packed >> shift)) & mask
             packed ^= t ^ (t << shift)
-        data = packed.to_bytes(n * nbytes, "little")
-        cut = range(0, len(data), nbytes)
-        return BoolMatrix(int.from_bytes(data[i : i + nbytes], "little") for i in cut)
+        return _unpack(packed, n, width // 8)
 
     def power(self, m: int) -> "BoolMatrix":
         """m-th Boolean power by repeated squaring; power(0) is identity."""
@@ -184,11 +180,91 @@ def from_toeplitz(spec: "ToeplitzSpec") -> BoolMatrix:
     Row i is (S << i) | (T >> (n-i)), masked to n bits, where S has bit
     s-1 per offset s and T bit n-1-t per offset t.
     """
-    n = spec.n
+    return BoolMatrix(_toeplitz_rows(spec.n, spec.S, spec.T))
+
+
+def _toeplitz_rows(n: int, S: Iterable[int], T: Iterable[int]) -> list[int]:
     full = (1 << n) - 1
-    smask = sum(1 << (s - 1) for s in spec.S)
-    tmask = sum(1 << (n - 1 - t) for t in spec.T)
-    return BoolMatrix([((smask << i) & full) | (tmask >> (n - i)) for i in range(1, n + 1)])
+    smask = sum(1 << (s - 1) for s in S)
+    tmask = sum(1 << (n - 1 - t) for t in T)
+    return [((smask << i) & full) | (tmask >> (n - i)) for i in range(1, n + 1)]
+
+
+Offsets = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _toeplitz_offsets(a: BoolMatrix) -> Offsets | None:
+    """(S, T) with a = T_n<S;T>, read from row 1 and column 1 and checked
+    against every row; None when a is not Toeplitz, has no offsets or has a
+    diagonal entry."""
+    rows = a.rows
+    S = tuple(s for s in range(1, a.n) if rows[0] >> s & 1)
+    T = tuple(t for t in range(1, a.n) if rows[t] & 1)
+    if not (S or T) or _toeplitz_rows(a.n, S, T) != list(rows):
+        return None
+    return S, T
+
+
+# The shift kernel: rows packed into one integer as fields of whole bytes,
+# at least n + max(S u T) bits wide, so that a row shifted by an offset
+# spills only into guard bits, which a mask clears after every step.
+
+
+def _pack(rows: Iterable[int], nbytes: int) -> int:
+    return int.from_bytes(b"".join([r.to_bytes(nbytes, "little") for r in rows]), "little")
+
+
+def _unpack(packed: int, n: int, nbytes: int) -> BoolMatrix:
+    data = packed.to_bytes(n * nbytes, "little")
+    cut = range(0, len(data), nbytes)
+    return BoolMatrix(int.from_bytes(data[i : i + nbytes], "little") for i in cut)
+
+
+@lru_cache(maxsize=1)
+def _field_mask(n: int, nbytes: int) -> int:
+    """The low n bits of each of n fields of nbytes bytes.  Every step of one
+    analysis shares one layout, so one mask is kept, not one per order seen."""
+    return int.from_bytes(((1 << n) - 1).to_bytes(nbytes, "little") * n, "little")
+
+
+def _shift_or(packed: int, left: Iterable[int], right: Iterable[int]) -> int:
+    out = 0
+    for s in left:
+        out |= packed << s
+    for t in right:
+        out |= packed >> t
+    return out
+
+
+def _shift_steps(
+    x: BoolMatrix, offsets: Offsets, e: int, step: Callable[[int, int], int]
+) -> BoolMatrix:
+    """e applications of step(packed, field width) to x's packed rows, each masked."""
+    nbytes = (x.n + max(offsets[0] + offsets[1]) + 7) // 8
+    mask, packed = _field_mask(x.n, nbytes), _pack(x.rows, nbytes)
+    for _ in range(e):
+        packed = step(packed, 8 * nbytes) & mask
+    return _unpack(packed, x.n, nbytes)
+
+
+def _times_toeplitz(x: BoolMatrix, offsets: Offsets, e: int) -> BoolMatrix:
+    """x A^e for A = T_n<S;T>, offsets = (S, T).  Row i of x A is
+    OR_s (x_i << s) | OR_t (x_i >> t), masked to n bits: |S| + |T| shifts
+    of all rows at once per step."""
+    S, T = offsets
+    return _shift_steps(x, offsets, e, lambda packed, w: _shift_or(packed, S, T))
+
+
+def _conjugate_toeplitz(x: BoolMatrix, offsets: Offsets, e: int) -> BoolMatrix:
+    """A^e x (A^T)^e for A = T_n<S;T>, offsets = (S, T): e steps of
+    X -> A X A^T.  A^T = T_n<T;S>, so X A^T swaps the row shifts of x A;
+    row i of A X is OR_s X_(i+s) | OR_t X_(i-t), shifts by whole fields."""
+    S, T = offsets
+
+    def step(packed: int, w: int) -> int:
+        return _shift_or(_shift_or(packed, T, S), [t * w for t in T], [s * w for s in S])
+
+    return _shift_steps(x, offsets, e, step)
 
 
 def _right_multiplier(m: BoolMatrix) -> Callable[[BoolMatrix], BoolMatrix]:

@@ -18,7 +18,14 @@ never by stepping through the powers:
   is monotone in m; B_M is on it, so the index q is found by the descent
   over (0, M], at most ceil(log2 M) grams and set lookups.  A gram x x^T
   is all ones without a product when the two lightest rows of x hold
-  more than n ones between them (pigeonhole).
+  more than n ones between them (pigeonhole);
+* from order 32 on (below it, row selection on a few rows costs less
+  than packing), a Toeplitz A = T_n<S;T> steps by its offsets: x -> x A
+  is |S| + |T| shifts of the packed rows and B -> A B A^T twice that.
+  The cycle of B is walked by the map, and the descent for q moves B_m
+  by 2^j steps of it, instead of a product and a gram, on every level
+  with 2^j * 2(|S| + |T|) <= n shifts.  Since 2^j halves from level to
+  level, these are the last levels, and A^m is dropped on reaching them.
 
 Heap-Lynn is the only bound on the search, and it is asserted; the
 sweep and the tests hold all this to ``PowerSequence``'s linear scan.
@@ -33,13 +40,16 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, count, islice, repeat, takewhile
 from math import lcm
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, TypeVar
 
 from .boolmat import (
     BoolMatrix,
     PowerSequence,
     _check_powers,
+    _conjugate_toeplitz,
     _product,
+    _times_toeplitz,
+    _toeplitz_offsets,
     from_toeplitz,
 )
 from .digraph import contract, has_source_or_sink, power_period
@@ -53,6 +63,9 @@ from .toeplitz import (
     gcd_profile,
 )
 from .walksets import _comb, _p_mask, _r_mask
+
+
+_State = TypeVar("_State")
 
 
 class TheoremViolationError(RuntimeError):
@@ -79,14 +92,15 @@ def _gram(x: BoolMatrix) -> BoolMatrix:
 
 
 class _Lift:
-    """Index and period of A's powers by lifting, with A^index and A^(2^k) kept."""
+    """Index and period of A's powers by lifting, with A^index and A^(2^k) kept;
+    _offsets are (S, T) when A = T_n<S;T> has order 32 or more, else None."""
 
     def __init__(self, a: BoolMatrix):
-        self.a, self._squares = a, [a]
+        self.a, self._squares, self._powers = a, [a], {}
+        self._offsets = _toeplitz_offsets(a) if a.n >= 32 else None
         self.period = p = power_period(a)
-        a_p = self.power(p)
         bound = (a.n - 1) ** 2 + 1  # Heap and Lynn (1964): the index is at most this
-        test = lambda y: True if _power_product(y, a_p) == y else None
+        test = lambda y: True if self.times(y, p) == y else None
         failed = TheoremViolationError(f"A^m = A^(m+{p}) holds for no m <= {bound}")
         k = 0  # gallop to the bracket (2^(k-1), 2^k] of the index
         while (value := test(self.square(k))) is None:
@@ -97,7 +111,7 @@ class _Lift:
         self.index, x, _ = self.least(test, lo, (1 << k, self.square(k), value))
         if self.index > bound:
             raise failed
-        if any(p % e == 0 and _power_product(x, self.power(e)) == x for e in range(1, p)):
+        if any(p % e == 0 and self.times(x, e) == x for e in range(1, p)):
             raise TheoremViolationError(f"period {p} of the components is not least")
         self.at_index = x
 
@@ -108,30 +122,45 @@ class _Lift:
         return self._squares[k]
 
     def power(self, e: int) -> BoolMatrix:
-        """A^e for e >= 1."""
-        bits = (k for k in range(e.bit_length()) if e >> k & 1)
-        return reduce(_power_product, map(self.square, bits))
+        """A^e for e >= 1, made once, when first asked for."""
+        if e not in self._powers:
+            bits = (k for k in range(e.bit_length()) if e >> k & 1)
+            self._powers[e] = reduce(_power_product, map(self.square, bits))
+        return self._powers[e]
+
+    def times(self, x: BoolMatrix, e: int) -> BoolMatrix:
+        """x A^e; x A by shifts when A has offsets."""
+        if e == 1 and self._offsets:
+            return _times_toeplitz(x, self._offsets, 1)
+        return _power_product(x, self.power(e))
+
+    def advance(self, x: Optional[BoolMatrix], j: int) -> BoolMatrix:
+        """A^(m+2^j) from x = A^m, where None stands for A^0."""
+        return self.square(j) if x is None else self.times(x, 1 << j)
 
     def walk(self) -> Iterator[BoolMatrix]:
         """A^index, A^(index+1), ..., each made when asked for."""
-        return accumulate(repeat(self.a), _power_product, initial=self.at_index)
+        return accumulate(repeat(1), self.times, initial=self.at_index)
 
     def least(
         self,
-        test: Callable[[BoolMatrix], object],
-        lo: tuple[int, Optional[BoolMatrix]],
-        hi: tuple[int, BoolMatrix, object],
-    ) -> tuple[int, BoolMatrix, object]:
-        """(m, A^m, test(A^m)) for the least m in (lo, hi] with test(A^m) not None,
-        where test fails exactly below some m, fails at lo = (m, A^m) (A^0 is None)
-        and passes at hi = (m, A^m, value).  One test per bit of hi - lo - 1, from
-        the top: the failing m goes up by 2^j whenever the test fails there."""
+        test: Callable[[_State], object],
+        lo: tuple[int, Optional[_State]],
+        hi: tuple[int, _State, object],
+        advance: Optional[Callable[[Optional[_State], int], _State]] = None,
+    ) -> tuple[int, _State, object]:
+        """(m, x_m, test(x_m)) for the least m in (lo, hi] with test(x_m) not None,
+        where test fails exactly below some m, fails at lo = (m, x_m) and passes at
+        hi = (m, x_m, value).  x_m is A^m (A^0 is None) and advance(x_m, j) is
+        x_(m+2^j), ``self.advance`` unless given.  One test per bit of hi - lo - 1,
+        from the top: the failing m goes up by 2^j whenever the test fails there."""
+        advance = advance or self.advance
         m, x = lo
         best = hi
         for j in reversed(range((hi[0] - m - 1).bit_length())):
             if m + (1 << j) >= hi[0]:
                 continue
-            y = self.square(j) if x is None else _power_product(x, self.square(j))
+            y = advance(x, j)
             if (value := test(y)) is None:
                 m, x = m + (1 << j), y
             else:
@@ -139,14 +168,36 @@ class _Lift:
         return best
 
     def competition(self) -> "CompetitionResult":
-        """B_m = A^m (A^m)^T; its cycle is B_M, B_(M+1), ... up to the return to B_M."""
-        grams = map(_gram, self.walk())
-        b_index = next(grams)
-        cycle = {b_index, *takewhile(b_index.__ne__, islice(grams, self.period - 1))}
+        """B_m = A^m (A^m)^T; its cycle is B_M, B_(M+1), ... up to the return to B_M,
+        walked by B -> A B A^T when A has offsets."""
+        if self._offsets is None:
+            orbit = map(_gram, self.walk())
+        else:
+            orbit = accumulate(repeat(1), self.conjugate, initial=_gram(self.at_index))
+        b_index = next(orbit)
+        cycle = {b_index, *takewhile(b_index.__ne__, islice(orbit, self.period - 1))}
         period = len(cycle)
-        on_cycle = lambda x: g if (g := _gram(x)) in cycle else None
-        index, _, b = self.least(on_cycle, (0, None), (self.index, self.at_index, b_index))
+        shifts = 2 * sum(map(len, self._offsets or ()))
+
+        def advance(state: tuple, j: int) -> tuple:
+            """(A^m, B_m) -> (A^(m+2^j), B_(m+2^j)): 2^j steps of the map when
+            they take at most n shifts, else a product and a gram.  A^m is
+            dropped on the shifted levels, which, as 2^j falls, are the last."""
+            x, b = state
+            if self._offsets and shifts << j <= self.a.n:
+                return None, self.conjugate(b, 1 << j)
+            y = self.advance(x, j)
+            return y, _gram(y)
+
+        on_cycle = lambda state: state[1] if state[1] in cycle else None
+        lo = (0, (None, BoolMatrix.identity(self.a.n)))
+        hi = (self.index, (self.at_index, b_index), b_index)
+        index, _, b = self.least(on_cycle, lo, hi, advance)
         return CompetitionResult(index, period, b if period == 1 else None)
+
+    def conjugate(self, b: BoolMatrix, e: int) -> BoolMatrix:
+        """A^e b (A^T)^e by shifts; A has offsets."""
+        return _conjugate_toeplitz(b, self._offsets, e)
 
 
 def matrix_period(a: BoolMatrix) -> tuple[int, int]:

@@ -1,7 +1,7 @@
 """Bit-packed matrix arithmetic against naive tuple-based references."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from toeplitz_periods import (
@@ -10,7 +10,13 @@ from toeplitz_periods import (
     ToeplitzSpec,
     from_toeplitz,
 )
-from toeplitz_periods.boolmat import _product, _right_multiplier
+from toeplitz_periods.boolmat import (
+    _conjugate_toeplitz,
+    _product,
+    _right_multiplier,
+    _times_toeplitz,
+    _toeplitz_offsets,
+)
 from toeplitz_periods.oracle import enumerate_specs
 
 from conftest import (
@@ -234,6 +240,62 @@ def test_right_multiplier_agrees_with_matmul(n, rng):
     for _ in range(5):
         x = random_boolmat(rng, n)
         assert apply_m(x) == x @ m
+
+
+# --------------------------------------------------------------------------
+# shift kernel for a Toeplitz factor, against the row-selection product
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def shift_cases(draw):
+    """(T_n<S;T>, x, e, stray) with 2 <= n <= 70, up to three offsets a side and
+    at most one side empty, n - 1 (the widest guard) drawn often, a random x,
+    0 <= e <= 3 steps, and a 0-indexed entry off the one-entry corner diagonals."""
+    n = draw(st.integers(2, 70))
+    offset = st.one_of(st.just(n - 1), st.integers(1, n - 1))
+    S = draw(st.sets(offset, max_size=3))
+    T = draw(st.sets(offset, min_size=0 if S else 1, max_size=3))
+    x = BoolMatrix(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    stray = draw(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda ij: abs(ij[0] - ij[1]) < n - 1
+        )
+    )
+    return ToeplitzSpec(n, S, T), x, draw(st.integers(0, 3)), stray
+
+
+def _case(n, S, T, e, stray=(0, 0)):
+    return ToeplitzSpec(n, S, T), BoolMatrix.ones(n), e, stray
+
+
+@PROPERTY
+@given(shift_cases())
+@example(_case(2, (1,), (), 3))  # order 2, one side empty, offset n - 1
+@example(_case(2, (), (1,), 2, (1, 1)))
+@example(_case(70, (69,), (3,), 3, (5, 6)))  # order not a multiple of 8, widest guard
+@example(_case(40, (24,), (1, 2), 3, (0, 1)))  # n + max(S u T) fills whole bytes
+@example(_case(33, (), (4, 32), 1, (32, 28)))
+def test_shift_steps_match_the_products(case):
+    spec, x, e, (i, j) = case
+    a = from_toeplitz(spec)
+    offsets = _toeplitz_offsets(a)
+    assert offsets == (spec.S, spec.T)
+    assert _times_toeplitz(x, offsets, e) == x @ a.power(e)
+    assert _conjugate_toeplitz(x, offsets, e) == a.power(e) @ x @ a.transpose().power(e)
+    # one flipped entry breaks a diagonal of two or more entries
+    stray = BoolMatrix(r ^ (1 << j) if row == i else r for row, r in enumerate(a.rows))
+    assert _toeplitz_offsets(stray) is None
+
+
+def test_offsets_need_a_toeplitz_matrix_with_offsets_and_no_diagonal():
+    for n in (1, 2, 5, 40):
+        assert _toeplitz_offsets(BoolMatrix.zeros(n)) is None
+        assert _toeplitz_offsets(BoolMatrix.identity(n)) is None
+    assert _toeplitz_offsets(BoolMatrix.ones(3)) is None
+    assert _toeplitz_offsets(BoolMatrix([2, 4, 0])) == ((1,), ())
+    # the corner (1, n) is a diagonal of one entry: setting it adds offset n - 1
+    assert _toeplitz_offsets(BoolMatrix([2 | 4, 4, 0])) == ((1, 2), ())
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from toeplitz_periods import (
     superset_same_period,
 )
 from toeplitz_periods import engine
+from toeplitz_periods.boolmat import _toeplitz_offsets
 from toeplitz_periods.engine import (
     _gram,
     _Lift,
@@ -209,14 +210,18 @@ def test_descent_finds_every_threshold_within_one_test_per_bit():
 
 
 def test_competition_search_makes_one_gram_per_bit_of_the_index(monkeypatch):
-    # a count, not a time: the search tests B_m only inside (0, M]
+    # a count, not a time: the search tests B_m only inside (0, M], with one
+    # gram for B_M and one per level of the descent whose 2^j steps of
+    # B -> A B A^T would take more than n shifts, 2 * 2^j * 3 > 128; the
+    # five levels below step B_m by the map
     grams = []
     monkeypatch.setattr(engine, "_gram", lambda x: grams.append(x) or _gram(x))
     n = 128
     comp = competition_analysis(from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1))))
     index = (n - 1) ** 2
     assert (comp.index, comp.period) == (8064, 1)
-    assert len(grams) <= (index - 1).bit_length() + comp.period == 15
+    levels = range((index - 1).bit_length())
+    assert len(grams) == 1 + sum(6 << j > n for j in levels) == 10
 
 
 def test_lifted_competition_equals_the_scan_above_order_32():
@@ -575,7 +580,16 @@ def test_lifted_analysis_equals_the_linear_scan(spec):
 
 @pytest.mark.parametrize(
     "text, want",
-    [("n=6;S=2,3,4;T=5", (3, 3)), ("n=7;S=3,4;T=5", (2, 5))],
+    [
+        ("n=6;S=2,3,4;T=5", (3, 3)),
+        ("n=7;S=3,4;T=5", (2, 5)),
+        # copies of order-6..8 descriptors, on the shift path from order 32 on;
+        # the last has matrix period 4 and competition period 2
+        ("n=48;S=16,24,32;T=40", (3, 3)),
+        ("n=35;S=15,20;T=25", (2, 5)),
+        ("n=32;S=8,12;T=28", (4, 4)),
+        ("n=32;S=24;T=16,20,28", (2, 2)),
+    ],
 )
 def test_competition_period_above_one_matches_the_scan(text, want):
     # no descriptor of order 5 or less has competition period above 1
@@ -584,6 +598,42 @@ def test_competition_period_above_one_matches_the_scan(text, want):
     assert (comp.index, comp.period, comp.limit) == scanned_competition(a) == (*want, None)
     report = analyze(ToeplitzSpec.from_string(text))
     assert (report.competition_index, report.competition_period) == want
+
+
+# every descriptor of order 6..8 with competition period above 1
+PERIODIC_COMPETITION = [
+    "n=6;S=2,3,4;T=5", "n=6;S=5;T=2,3,4", "n=7;S=3,4;T=5", "n=7;S=5;T=3,4",
+    "n=8;S=2,3;T=7", "n=8;S=2,4,5;T=7", "n=8;S=6;T=4,5,7", "n=8;S=2,3,6;T=7",
+    "n=8;S=3,4,6;T=7", "n=8;S=2,5,6;T=7", "n=8;S=3,4,5,6;T=7", "n=8;S=7;T=2,3",
+    "n=8;S=7;T=2,4,5", "n=8;S=7;T=2,3,6", "n=8;S=7;T=3,4,6", "n=8;S=7;T=2,5,6",
+    "n=8;S=7;T=3,4,5,6", "n=8;S=4,5,7;T=6",
+]
+
+
+def test_disjoint_copies_keep_the_period_and_competition_data():
+    # T_kn<kS;kT> is k disjoint copies of T_n<S;T> (one per residue mod k), so
+    # (M, p, q, c) is unchanged; the copies of order 32 and more take the shifts
+    for text in PERIODIC_COMPETITION:
+        spec = ToeplitzSpec.from_string(text)
+        comp = competition_analysis(from_toeplitz(spec))
+        want = (*matrix_period(from_toeplitz(spec)), comp.index, comp.period)
+        assert comp.period > 1, text
+        for k in (4, 5, 8):
+            copies = ToeplitzSpec(k * spec.n, [k * s for s in spec.S], [k * t for t in spec.T])
+            a = from_toeplitz(copies)
+            comp = competition_analysis(a)
+            assert (*matrix_period(a), comp.index, comp.period) == want, (text, k)
+
+
+def test_non_toeplitz_matrices_above_order_32_take_the_products():
+    # no offsets, so every step is a product, held to the scans
+    rng = random.Random(20261018)
+    for density in (0.03, 0.05, 0.08):
+        a = random_boolmat(rng, 40, density)
+        assert _toeplitz_offsets(a) is None
+        comp = competition_analysis(a)
+        assert (comp.index, comp.period, comp.limit) == scanned_competition(a)
+        assert matrix_period(a) == PowerSequence(a).cycle()
 
 
 @PROPERTY
