@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import IO, Optional
@@ -156,7 +157,9 @@ def _cmd_sweep(args, out: IO[str]) -> int:
     return 1 if any(f.severity == oracle.VIOLATION for f in findings) else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once and reused by each main call."""
     parser = argparse.ArgumentParser(
         prog="toeplitz-periods",
         description="Periods and competition structure of Boolean Toeplitz matrices",
@@ -195,8 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # --out is opened before the command runs, so a bad path fails fast
         with _open_out(args.out) as out:

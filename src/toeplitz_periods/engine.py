@@ -28,9 +28,10 @@ never by stepping through the powers:
   level, these are the last levels, and A^m is dropped on reaching them.
 
 Heap-Lynn is the only bound on the search, and it is asserted; the
-sweep and the tests hold all this to ``PowerSequence``'s linear scan.
-On top sit the congruence-class limit, an exact decision procedure for
-the walk-ensured property and the rules that transfer a known period;
+sweep and the tests hold the index, period and exact verdict to
+``PowerSequence``'s linear scan.  On top sit the congruence-class
+limit, an exact decision procedure for the walk-ensured property and
+the rules that transfer a period, each lifting its base at most once;
 ``analyze`` assembles a ``PeriodReport``, rules first.
 """
 
@@ -293,20 +294,6 @@ def _settled_certificate(
     return Certificate(Verdict.NOT_WALK_ENSURED, Rule.EXACT_DECISION)
 
 
-def period_via_theorem(spec: ToeplitzSpec) -> Optional[tuple[int, Certificate]]:
-    """Period d+/d with a certificate, for walk-ensured descriptors.
-
-    Sufficient rules are tried first; if they abstain the exact
-    decision settles it.  None when the descriptor is not walk-ensured
-    (the formula is not claimed there).
-    """
-    cert = _settled_certificate(spec, lambda: decide_walk_ensured_exact(spec))
-    if not cert.walk_ensured:
-        return None
-    prof = gcd_profile(spec)
-    return prof.d_plus // prof.d, cert
-
-
 def superset_same_period(spec: ToeplitzSpec, spec_star: ToeplitzSpec) -> Optional[int]:
     """Transfer the period to an offset superset with the same gcd(S + T).
 
@@ -318,12 +305,12 @@ def superset_same_period(spec: ToeplitzSpec, spec_star: ToeplitzSpec) -> Optiona
         raise ValueError("order mismatch")
     if not (set(spec.S) <= set(spec_star.S) and set(spec.T) <= set(spec_star.T)):
         raise ValueError("offset sets do not extend the base")
-    claim = period_via_theorem(spec)
-    if claim is None:
+    if not _settled_certificate(spec, lambda: decide_walk_ensured_exact(spec)).walk_ensured:
         raise ValueError(f"{spec} is not walk-ensured")
-    if gcd_profile(spec_star).d_plus != gcd_profile(spec).d_plus:
+    prof = gcd_profile(spec)
+    if gcd_profile(spec_star).d_plus != prof.d_plus:
         return None
-    return claim[0]
+    return prof.d_plus // prof.d
 
 
 def sink_source_same_period(spec: ToeplitzSpec, b: BoolMatrix) -> Optional[int]:
@@ -333,24 +320,25 @@ def sink_source_same_period(spec: ToeplitzSpec, b: BoolMatrix) -> Optional[int]:
     d = gcd(S u T); a source or sink there guarantees b keeps the base
     period.  The conclusion is verified against the periods of both
     matrices and a mismatch raises TheoremViolationError.  None when the
-    contraction has neither source nor sink (no claim).
+    contraction has neither source nor sink (no claim).  One lift gives
+    the base's period and, when the rules abstain, its verdict.
     """
     a = from_toeplitz(spec)
     if b.n != a.n:
         raise ValueError("order mismatch")
     if not a.dominated_by(b):
         raise ValueError("base matrix is not dominated by the extension")
-    if period_via_theorem(spec) is None:
+    lift = _Lift(a)
+    decide = lambda: _decide_exact(spec, lift.index, lift.period, lift.walk())
+    if not _settled_certificate(spec, decide).walk_ensured:
         raise ValueError(f"{spec} is not walk-ensured")
-    prof = gcd_profile(spec)
-    if not has_source_or_sink(contract(b.and_not(a), prof.d)):
+    if not has_source_or_sink(contract(b.and_not(a), gcd_profile(spec).d)):
         return None
-    _, base_period = matrix_period(a)
     _, ext_period = matrix_period(b)
-    if ext_period != base_period:
+    if ext_period != lift.period:
         raise TheoremViolationError(
             f"extension of {spec} changed the period: "
-            f"{base_period} -> {ext_period}"
+            f"{lift.period} -> {ext_period}"
         )
     return ext_period
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .boolmat import BoolMatrix, PowerSequence, from_toeplitz
 from .digraph import contract, cycle_decomposition
@@ -127,20 +127,29 @@ def enumerate_specs(n: int) -> Iterator[ToeplitzSpec]:
             yield ToeplitzSpec(n, s, _offsets(tmask))
 
 
+class _Truth(NamedTuple):
+    """A descriptor's ground truth, read from one scan of A, A^2, ...: its index
+    and period, and the exact decision's verdict and threshold on those powers."""
+
+    index: int
+    period: int
+    walk_ensured: bool
+    threshold: Optional[int]
+
+
 class _Sweep:
     """Shared caches for one sweep run, freed with it.
 
     Every descriptor the sweep visits comes from one table keyed by
     (n, S-mask, T-mask), so a descriptor met again as a superset or an
     extension of another is the same instance, with the same cached
-    gcd profile and the same cycle and exact-decision entries.
+    gcd profile and the same ground-truth record, read from one scan.
     """
 
     def __init__(self, config: SweepConfig):
         self.config = config
         self._specs: dict[tuple[int, int, int], ToeplitzSpec] = {}
-        self._cycles: dict[ToeplitzSpec, tuple[int, int]] = {}
-        self._exact: dict[ToeplitzSpec, tuple[bool, Optional[int]]] = {}
+        self._truths: dict[ToeplitzSpec, _Truth] = {}
 
     def spec(self, n: int, smask: int, tmask: int) -> ToeplitzSpec:
         key = (n, smask, tmask)
@@ -158,37 +167,35 @@ class _Sweep:
         for _ in range(self.config.samples):
             yield self.spec(n, rng.randrange(1, full), rng.randrange(1, full))
 
+    def truth(self, spec: ToeplitzSpec, powers: Optional[PowerSequence] = None) -> _Truth:
+        """spec's record, read the first time from powers: the scan analyze_spec
+        makes, or a new one for a superset or extension a check meets first."""
+        if spec not in self._truths:
+            if powers is None:
+                powers = PowerSequence(from_toeplitz(spec))
+            decided = decide_walk_ensured_exact(spec, powers=powers)
+            self._truths[spec] = _Truth(*powers.cycle(), *decided)
+        return self._truths[spec]
+
     def analyze_spec(self, spec: ToeplitzSpec) -> tuple[PowerSequence, PeriodReport]:
         """The engine's report, held to the scan of A, A^2, ... that the checks read.
 
-        A lifted index or period off the scan raises TheoremViolationError.
-        The checks read the exact decision, never the certificate, so that
+        A lifted index or period off the record raises TheoremViolationError,
+        and so does a verdict or threshold of the engine's exact decision.
+        The checks read the record's verdict, never the certificate, so that
         certificate-soundness compares two independent verdicts.
         """
         powers = PowerSequence(from_toeplitz(spec))
-        self._cycles[spec] = scanned = powers.cycle()
+        truth = self.truth(spec, powers)
         report = analyze(spec)
-        lifted = (report.matrix_index, report.matrix_period)
+        lifted, scanned = (report.matrix_index, report.matrix_period), truth[:2]
         if lifted != scanned:
             raise TheoremViolationError(f"{spec}: lifted {lifted}, scanned {scanned}")
         cert = report.certificate
-        if cert.rule is Rule.EXACT_DECISION:
-            self._exact[spec] = (report.walk_ensured, cert.witness)
-        elif spec not in self._exact:  # an extension check may have decided it already
-            self._exact[spec] = decide_walk_ensured_exact(spec, powers=powers)
+        decided, scanned = (report.walk_ensured, cert.witness), truth[2:]
+        if cert.rule is Rule.EXACT_DECISION and decided != scanned:
+            raise TheoremViolationError(f"{spec}: decided {decided}, scanned {scanned}")
         return powers, report
-
-    def cycle_of(self, spec: ToeplitzSpec) -> tuple[int, int]:
-        if spec not in self._cycles:
-            self._cycles[spec] = PowerSequence(from_toeplitz(spec)).cycle()
-        return self._cycles[spec]
-
-    def exact_of(self, spec: ToeplitzSpec) -> tuple[bool, Optional[int]]:
-        if spec not in self._exact:
-            self._exact[spec] = decide_walk_ensured_exact(
-                spec, powers=PowerSequence(from_toeplitz(spec))
-            )
-        return self._exact[spec]
 
 
 def _fmt(values) -> str:
@@ -209,14 +216,14 @@ def _check_period_formula(sw, spec, powers, an) -> list[Result]:
     if an.matrix_period == formula:
         return []
     actual = f"period {an.matrix_period}"
-    if sw.exact_of(spec)[0]:
+    if sw.truth(spec).walk_ensured:
         return [(spec, f"period {formula} = d+/d", actual, VIOLATION)]
     return [(spec, f"no claim (not walk-ensured); d+/d = {formula}", actual, OBSERVATION)]
 
 
 def _check_competition_limit(sw, spec, powers, an) -> list[Result]:
     """Walk-ensured with d+ <= n: competition period 1 and the congruence limit."""
-    if not sw.exact_of(spec)[0]:
+    if not sw.truth(spec).walk_ensured:
         return []
     actual = f"competition period {an.competition_period}"
     if an.profile.d_plus > spec.n:
@@ -240,7 +247,7 @@ def _check_competition_divisibility(sw, spec, powers, an) -> list[Result]:
 
 def _check_certificate_soundness(sw, spec, powers, an) -> list[Result]:
     """Sufficient rules never certify a descriptor the exact decision rejects."""
-    if an.certificate.verdict is not Verdict.PROVEN_WALK_ENSURED or sw.exact_of(spec)[0]:
+    if an.certificate.verdict is not Verdict.PROVEN_WALK_ENSURED or sw.truth(spec).walk_ensured:
         return []
     want = f"walk-ensured (certified by {an.certificate.rule.value})"
     return [(spec, want, "exact decision: not walk-ensured", VIOLATION)]
@@ -310,7 +317,7 @@ def _check_sum_congruence(sw, spec, powers, an) -> list[Result]:
 
 def _check_same_residue_walks(sw, spec, powers, an) -> list[Result]:
     """Walk-ensured: every pair of vertices congruent mod d is joined by a walk."""
-    if not sw.exact_of(spec)[0]:
+    if not sw.truth(spec).walk_ensured:
         return []
     d = an.profile.d
     bound = an.matrix_index + lcm(an.matrix_period, an.profile.d_plus // d)
@@ -334,7 +341,7 @@ def _supersets(mask: int, full: int) -> Iterator[int]:
 
 def _check_superset_period(sw, spec, powers, an) -> list[Result]:
     """Offset supersets preserving gcd(S + T) keep the period d+/d."""
-    if spec.n > SUPERSET_N_MAX or not sw.exact_of(spec)[0]:
+    if spec.n > SUPERSET_N_MAX or not sw.truth(spec).walk_ensured:
         return []
     full = (1 << (spec.n - 1)) - 1
     formula = an.profile.d_plus // an.profile.d
@@ -343,7 +350,7 @@ def _check_superset_period(sw, spec, powers, an) -> list[Result]:
             star = sw.spec(spec.n, smask, tmask)
             if gcd_profile(star).d_plus != an.profile.d_plus:
                 continue
-            _, star_period = sw.cycle_of(star)
+            star_period = sw.truth(star).period
             if star_period != formula:
                 want = f"superset {star} keeps period {formula}"
                 return [(spec, want, f"period {star_period}", VIOLATION)]
@@ -352,7 +359,7 @@ def _check_superset_period(sw, spec, powers, an) -> list[Result]:
 
 def _check_tail_extension(sw, spec, powers, an) -> list[Result]:
     """Adjoining any offset in (n - d, n) to S leaves the period unchanged."""
-    if not sw.exact_of(spec)[0] or an.profile.d < 2:
+    if not sw.truth(spec).walk_ensured or an.profile.d < 2:
         return []
     out = []
     for s_star in range(spec.n - an.profile.d + 1, spec.n):
@@ -374,13 +381,13 @@ def _check_tail_extension(sw, spec, powers, an) -> list[Result]:
 
 def _check_extension_closure(sw, spec, powers, an) -> list[Result]:
     """Walk-ensured survives adjoining any offset bounded by n - d, either side."""
-    if spec.n > EXTENSION_N_MAX or not sw.exact_of(spec)[0]:
+    if spec.n > EXTENSION_N_MAX or not sw.truth(spec).walk_ensured:
         return []
     smask, tmask = _mask(spec.S), _mask(spec.T)
     for s_star in range(1, spec.n - an.profile.d + 1):
         bit = 1 << (s_star - 1)
         for ext in (sw.spec(spec.n, smask | bit, tmask), sw.spec(spec.n, smask, tmask | bit)):
-            if not sw.exact_of(ext)[0]:
+            if not sw.truth(ext).walk_ensured:
                 want = f"extension {ext} stays walk-ensured (s*={s_star})"
                 return [(spec, want, "exact decision: not walk-ensured", VIOLATION)]
     return []

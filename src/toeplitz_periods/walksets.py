@@ -38,11 +38,6 @@ from .boolmat import BoolMatrix, from_toeplitz
 from .toeplitz import ToeplitzSpec, gcd_profile
 
 
-def window(n: int) -> range:
-    """The displacement window I_n = [-(n-1), n-1]."""
-    return range(-(n - 1), n)
-
-
 def _mask_to_set(mask: int, n: int) -> frozenset[int]:
     """The displacements whose bits are set in a window mask of order n."""
     out = []

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, file writing."""
 
+import argparse
 import json
 
 import pytest
@@ -288,3 +289,20 @@ def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["walksets", "n=2;S=1;T=1"])  # --i is required
     assert exc.value.code == 2
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    run_cli(capsys, "analyze", "n=4;S=1;T=1", "--json")  # builds the parser, if not yet built
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, "analyze", "n=6;S=2,4;T=5", "--json")[0] == 0
+    assert run_cli(capsys, "walksets", "n=6;S=2,4;T=5", "--i", "2")[0] == 0
+    assert run_cli(capsys, "contract", "n=7;S=3;T=", "--d", "2")[0] == 0
+    assert run_cli(capsys, "walksets", "n=6;S=2,4;T=5", "--i", "0")[0] == 2
+    assert built == []

@@ -25,11 +25,10 @@ from toeplitz_periods.engine import (
     _gram,
     _Lift,
     matrix_period,
-    period_via_theorem,
     predicted_limit,
 )
 from toeplitz_periods.oracle import enumerate_specs
-from toeplitz_periods.toeplitz import Rule, Verdict, gcd_profile
+from toeplitz_periods.toeplitz import Rule, Verdict, check_star, gcd_profile
 from toeplitz_periods.walksets import p_set, r_set
 
 from conftest import (
@@ -365,20 +364,27 @@ def test_exact_decision_stable_under_longer_window():
 # --------------------------------------------------------------------------
 
 
-def test_period_via_theorem_with_rule():
-    period, cert = period_via_theorem(ToeplitzSpec(4, (1,), (1,)))
-    assert period == 2 and cert.rule is Rule.STAR
-    period, cert = period_via_theorem(ToeplitzSpec(5, (1, 4), (2, 3)))
-    assert period == 1 and cert.rule is Rule.COPRIME_PAIR
+def assert_period_is_d_plus_over_d(report, period):
+    assert report.matrix_period == period == report.profile.d_plus // report.profile.d
 
 
-def test_period_via_theorem_exact_fallback():
+def test_analyze_period_with_rule():
+    report = analyze(ToeplitzSpec(4, (1,), (1,)))
+    assert report.walk_ensured and report.certificate.rule is Rule.STAR
+    assert_period_is_d_plus_over_d(report, 2)
+    report = analyze(ToeplitzSpec(5, (1, 4), (2, 3)))
+    assert report.walk_ensured and report.certificate.rule is Rule.COPRIME_PAIR
+    assert_period_is_d_plus_over_d(report, 1)
+
+
+def test_analyze_period_exact_fallback():
     # certified by no sufficient rule, settled by the decision procedure
     spec = ToeplitzSpec(7, (2,), (2, 6))
     assert certify_unknown(spec)
-    period, cert = period_via_theorem(spec)
-    assert cert.verdict is Verdict.PROVEN_BY_EXACT_DECISION
-    assert period == 2  # d = 2, d+ = 4
+    report = analyze(spec)
+    assert report.certificate.verdict is Verdict.PROVEN_BY_EXACT_DECISION
+    assert report.certificate.rule is Rule.EXACT_DECISION
+    assert_period_is_d_plus_over_d(report, 2)  # d = 2, d+ = 4
     assert matrix_period(from_toeplitz(spec)) == (2, 2)
 
 
@@ -386,8 +392,12 @@ def certify_unknown(spec) -> bool:
     return certify_walk_ensured(spec).verdict is Verdict.UNKNOWN
 
 
-def test_period_via_theorem_declines_negative_case():
-    assert period_via_theorem(WORKED) is None
+def test_analyze_settles_negative_case_exactly():
+    report = analyze(WORKED)
+    assert not report.walk_ensured
+    assert report.certificate.verdict is Verdict.NOT_WALK_ENSURED
+    assert report.certificate.rule is Rule.EXACT_DECISION
+    assert report.matrix_period == 1  # d+/d = 1 too, though nothing is claimed here
 
 
 # --------------------------------------------------------------------------
@@ -653,21 +663,24 @@ def test_competition_sequence_steps_by_conjugation(spec):
 
 
 def _paper_family_cases():
-    for n in range(3, 33):
+    for n in (*range(3, 33), 64, 128):
         for k in range(1, (n - 1) // 2 + 1):
             yield n, k
-    for n in (64, 128):
-        for k in sorted({1, 2, (n - 1) // 2}):
-            yield n, k
+    for k in (1, 2, (256 - 1) // 2):
+        yield 256, k
 
 
 def test_paper_family_has_the_claimed_period_and_limit():
-    # T_n<k, n-k; k+1, n-k-1> meets the relaxed coprime-pair condition
-    # but not (*): period d+/d, competition period 1, congruence limit
+    # T_n<k, n-k; k+1, n-k-1>: period d+/d, competition period 1, congruence
+    # limit.  It meets the relaxed coprime-pair condition but not (*) when
+    # 2k + 2 <= n; at 2k + 1 = n it is T_n<k, k+1; k+1, k>, which meets (*)
     for n, k in _paper_family_cases():
         spec = ToeplitzSpec(n, (k, n - k), (k + 1, n - k - 1))
         prof = gcd_profile(spec)
         report = analyze(spec)
+        star = 2 * k + 1 == n
+        assert check_star(spec) is star, spec
+        assert report.certificate.rule is (Rule.STAR if star else Rule.COPRIME_PAIR), spec
         assert report.walk_ensured, spec
         assert report.matrix_period == prof.d_plus // prof.d, spec
         assert report.competition_period == 1, spec

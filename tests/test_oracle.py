@@ -1,6 +1,7 @@
 """The sweeping cross-validator: enumeration, determinism, reporting."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,7 @@ from toeplitz_periods.oracle import (
     check_cycle_structure,
     check_worked_example,
 )
+from toeplitz_periods.toeplitz import Certificate, Rule, Verdict
 
 
 # --------------------------------------------------------------------------
@@ -137,6 +139,39 @@ def test_sweep_holds_the_lifted_index_to_the_scan(monkeypatch):
     with pytest.raises(TheoremViolationError) as err:
         run_sweep(SweepConfig(3, 3))
     assert str(err.value) == "n=3;S=1;T=1: lifted (2, 2), scanned (1, 2)"
+
+
+def test_sweep_holds_the_exact_verdict_to_the_scan(monkeypatch):
+    # n=3;S=2;T=2 is the one order-3 descriptor no sufficient rule settles
+    real = oracle.analyze
+
+    def flipped(spec):
+        report = real(spec)
+        if spec != ToeplitzSpec(3, (2,), (2,)):
+            return report
+        assert report.certificate.rule is Rule.EXACT_DECISION and not report.walk_ensured
+        cert = Certificate(Verdict.PROVEN_BY_EXACT_DECISION, Rule.EXACT_DECISION, 1)
+        return dataclasses.replace(report, certificate=cert)
+
+    monkeypatch.setattr(oracle, "analyze", flipped)
+    with pytest.raises(TheoremViolationError) as err:
+        run_sweep(SweepConfig(3, 3))
+    assert str(err.value) == "n=3;S=2;T=2: decided (True, 1), scanned (False, None)"
+
+
+def test_sweep_scans_each_matrix_at_most_twice(monkeypatch):
+    # once for its ground-truth record, once more if a check recorded it first
+    scans = Counter()
+
+    class CountedScan(oracle.PowerSequence):
+        def __init__(self, base):
+            scans[base] += 1
+            super().__init__(base)
+
+    monkeypatch.setattr(oracle, "PowerSequence", CountedScan)
+    run_sweep(SweepConfig(2, 5))
+    assert len(scans) == 1 + sum(len(list(enumerate_specs(n))) for n in range(2, 6))
+    assert max(scans.values()) == 2
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from toeplitz_periods.oracle import (
     _fmt,
     _Sweep,
 )
-from toeplitz_periods.walksets import _mask_to_set, _p_mask, _q_masks, window
+from toeplitz_periods.walksets import _mask_to_set, _p_mask, _q_masks
 
 WORKED = ToeplitzSpec(6, (2, 4), (5,))  # q-set {-3,-1,4} and r-set {4} at length 2
 PARITY = ToeplitzSpec(4, (1,), (1,))  # d+ = 2: the p-sets alternate
@@ -47,7 +47,7 @@ def full_diagonals(power: BoolMatrix) -> frozenset[int]:
     n = power.n
     return frozenset(
         l
-        for l in window(n)
+        for l in range(-(n - 1), n)
         if all(power.get(u, u + l) for u in range(1, n + 1) if 1 <= u + l <= n)
     )
 
@@ -76,7 +76,9 @@ def twin_p_set_laws(spec, an, p_of):
             return [(spec, want, "overlap", VIOLATION)]
         if i >= 2:
             rec = frozenset(
-                l for l in window(spec.n) if (l - s1 in ps[i - 1]) or (l + t1 in ps[i - 1])
+                l
+                for l in range(-(spec.n - 1), spec.n)
+                if (l - s1 in ps[i - 1]) or (l + t1 in ps[i - 1])
             )
             if rec != ps[i]:
                 got = f"{_fmt(rec)} vs {_fmt(ps[i])}"

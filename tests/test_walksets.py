@@ -26,7 +26,6 @@ from toeplitz_periods.walksets import (
     q_sequence,
     q_set,
     r_set,
-    window,
 )
 
 from conftest import PROPERTY, descriptors, naive_q_set
@@ -57,13 +56,8 @@ def brute_r(power) -> frozenset:
 
 
 # --------------------------------------------------------------------------
-# window and the worked six-by-six example
+# the worked six-by-six example
 # --------------------------------------------------------------------------
-
-
-def test_window():
-    assert list(window(3)) == [-2, -1, 0, 1, 2]
-    assert list(window(2)) == [-1, 0, 1]
 
 
 def test_worked_example_sets_at_length_two():
@@ -90,7 +84,7 @@ def test_p_set_examples():
     assert p_set(ToeplitzSpec(4, (1,), (1,)), 3) == frozenset({-3, -1, 1, 3})
     assert p_set(ToeplitzSpec(4, (1,), (1,)), 2) == frozenset({-2, 0, 2})
     # d+ = 1 puts every displacement in every class
-    assert p_set(WORKED, 1) == frozenset(window(6))
+    assert p_set(WORKED, 1) == frozenset(range(-5, 6))
 
 
 def test_p_set_laws_exhaustive():
@@ -106,7 +100,7 @@ def test_p_set_laws_exhaustive():
             for i in range(2, m + 3):
                 # one more step shifts the class by s1 (equivalently -t1)
                 assert sets[i] == frozenset(
-                    x for x in window(n) if (x - prof.s1) % prof.d_plus
+                    x for x in range(-(n - 1), n) if (x - prof.s1) % prof.d_plus
                     == (i - 1) * prof.s1 % prof.d_plus
                 )
 
@@ -172,7 +166,7 @@ def test_r_set_matches_brute_force():
 
 
 def test_r_set_of_extremes():
-    assert r_set(BoolMatrix.ones(4)) == frozenset(window(4))
+    assert r_set(BoolMatrix.ones(4)) == frozenset(range(-3, 4))
     assert r_set(BoolMatrix.zeros(4)) == frozenset()
     assert r_set(BoolMatrix.identity(4)) == frozenset({0})
 
@@ -253,7 +247,7 @@ def test_r_set_equals_brute_force_on_random_matrices(a):
 def test_p_set_equals_congruence_filter(spec, i):
     prof = gcd_profile(spec)
     assert p_set(spec, i) == frozenset(
-        l for l in window(spec.n) if (l - i * prof.s1) % prof.d_plus == 0
+        l for l in range(-(spec.n - 1), spec.n) if (l - i * prof.s1) % prof.d_plus == 0
     )
 
 
@@ -269,7 +263,7 @@ def test_containment_chain_on_random_descriptors(spec, i):
 def test_window_masks_equal_their_set_twins(spec, i):
     power = PowerSequence(from_toeplitz(spec)).power(i)
     prof = gcd_profile(spec)
-    congruent = {l for l in window(spec.n) if (l - i * prof.s1) % prof.d_plus == 0}
+    congruent = {l for l in range(-(spec.n - 1), spec.n) if (l - i * prof.s1) % prof.d_plus == 0}
     assert _mask_to_set(_p_mask(spec, i), spec.n) == congruent
     assert _mask_to_set(_r_mask(power), spec.n) == brute_r(power)
     realized = {v - u for u, v in power.entries()}
