@@ -11,7 +11,7 @@ free during cycle detection.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 from operator import or_
 from typing import Callable, Iterable, Iterator, TYPE_CHECKING
 
@@ -205,11 +205,6 @@ def _toeplitz_offsets(a: BoolMatrix) -> Offsets | None:
     return S, T
 
 
-# The shift kernel: rows packed into one integer as fields of whole bytes,
-# at least n + max(S u T) bits wide, so that a row shifted by an offset
-# spills only into guard bits, which a mask clears after every step.
-
-
 def _pack(rows: Iterable[int], nbytes: int) -> int:
     return int.from_bytes(b"".join([r.to_bytes(nbytes, "little") for r in rows]), "little")
 
@@ -218,13 +213,6 @@ def _unpack(packed: int, n: int, nbytes: int) -> BoolMatrix:
     data = packed.to_bytes(n * nbytes, "little")
     cut = range(0, len(data), nbytes)
     return BoolMatrix(int.from_bytes(data[i : i + nbytes], "little") for i in cut)
-
-
-@lru_cache(maxsize=1)
-def _field_mask(n: int, nbytes: int) -> int:
-    """The low n bits of each of n fields of nbytes bytes.  Every step of one
-    analysis shares one layout, so one mask is kept, not one per order seen."""
-    return int.from_bytes(((1 << n) - 1).to_bytes(nbytes, "little") * n, "little")
 
 
 def _shift_or(packed: int, left: Iterable[int], right: Iterable[int]) -> int:
@@ -236,35 +224,55 @@ def _shift_or(packed: int, left: Iterable[int], right: Iterable[int]) -> int:
     return out
 
 
-def _shift_steps(
-    x: BoolMatrix, offsets: Offsets, e: int, step: Callable[[int, int], int]
-) -> BoolMatrix:
-    """e applications of step(packed, field width) to x's packed rows, each masked."""
-    nbytes = (x.n + max(offsets[0] + offsets[1]) + 7) // 8
-    mask, packed = _field_mask(x.n, nbytes), _pack(x.rows, nbytes)
-    for _ in range(e):
-        packed = step(packed, 8 * nbytes) & mask
-    return _unpack(packed, x.n, nbytes)
+class _ShiftKernel:
+    """Matrices of order n held as one integer, for stepping by A = T_n<S;T>.
+
+    The rows are packed as fields of whole bytes, at least n + max(S u T)
+    bits wide, so that a row shifted by an offset spills only into guard
+    bits, which the mask clears after every step.  Row i of x A is
+    OR_s (x_i << s) | OR_t (x_i >> t), so x -> x A is |S| + |T| shifts of
+    all rows at once.  A^T = T_n<T;S>, so X -> X A^T swaps those shifts,
+    and row i of A X is OR_s X_(i+s) | OR_t X_(i-t), shifts by whole
+    fields: X -> A X A^T is twice as many.  Packed integers are equal
+    exactly when the matrices are, so they compare and hash as they are.
+    """
+
+    __slots__ = ("n", "offsets", "_nbytes", "_mask", "_up", "_down")
+
+    def __init__(self, n: int, offsets: Offsets):
+        S, T = self.offsets = offsets
+        self.n = n
+        self._nbytes = nbytes = (n + max(S + T) + 7) // 8
+        self._mask = int.from_bytes(((1 << n) - 1).to_bytes(nbytes, "little") * n, "little")
+        self._up, self._down = [8 * nbytes * t for t in T], [8 * nbytes * s for s in S]
+
+    def pack(self, x: BoolMatrix) -> int:
+        return _pack(x.rows, self._nbytes)
+
+    def unpack(self, packed: int) -> BoolMatrix:
+        return _unpack(packed, self.n, self._nbytes)
+
+    def times(self, packed: int, e: int) -> int:
+        """x A^e for x packed."""
+        S, T = self.offsets
+        for _ in range(e):
+            packed = _shift_or(packed, S, T) & self._mask
+        return packed
+
+    def conjugate(self, packed: int, e: int) -> int:
+        """A^e X (A^T)^e for X packed."""
+        S, T = self.offsets
+        for _ in range(e):
+            packed = _shift_or(_shift_or(packed, T, S), self._up, self._down) & self._mask
+        return packed
 
 
-def _times_toeplitz(x: BoolMatrix, offsets: Offsets, e: int) -> BoolMatrix:
-    """x A^e for A = T_n<S;T>, offsets = (S, T).  Row i of x A is
-    OR_s (x_i << s) | OR_t (x_i >> t), masked to n bits: |S| + |T| shifts
-    of all rows at once per step."""
-    S, T = offsets
-    return _shift_steps(x, offsets, e, lambda packed, w: _shift_or(packed, S, T))
-
-
-def _conjugate_toeplitz(x: BoolMatrix, offsets: Offsets, e: int) -> BoolMatrix:
-    """A^e x (A^T)^e for A = T_n<S;T>, offsets = (S, T): e steps of
-    X -> A X A^T.  A^T = T_n<T;S>, so X A^T swaps the row shifts of x A;
-    row i of A X is OR_s X_(i+s) | OR_t X_(i-t), shifts by whole fields."""
-    S, T = offsets
-
-    def step(packed: int, w: int) -> int:
-        return _shift_or(_shift_or(packed, T, S), [t * w for t in T], [s * w for s in S])
-
-    return _shift_steps(x, offsets, e, step)
+def _shift_kernel(a: BoolMatrix) -> _ShiftKernel | None:
+    """The shift kernel of a = T_n<S;T> from order 32 on; None below it, where
+    row selection on a few rows costs less than packing, or when a has no
+    offsets (see _toeplitz_offsets)."""
+    offsets = _toeplitz_offsets(a) if a.n >= 32 else None
+    return _ShiftKernel(a.n, offsets) if offsets else None
 
 
 def _right_multiplier(m: BoolMatrix) -> Callable[[BoolMatrix], BoolMatrix]:

@@ -10,7 +10,9 @@ Subcommands:
 Descriptors are written "n=6;S=2,4;T=5" (whitespace ignored; an empty
 side is written "T=" and is accepted where the subcommand can work
 without it).  Exit codes: 0 success (for sweep: no violations),
-1 violations found, 2 usage or parse error.
+1 violations found, 2 usage or parse error, 3 an internal check failed
+(a TheoremViolationError: the Heap-Lynn bound, the period's minimality
+or the sweep's lifted-against-scanned check).
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from typing import IO, Optional
 
 from .boolmat import from_toeplitz
 from .digraph import contract, to_dot
-from .engine import analyze, predicted_limit
+from .engine import TheoremViolationError, analyze, predicted_limit
 from .toeplitz import SpecFormatError, ToeplitzSpec
 from .walksets import walksets_at
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _open_out(path: Optional[str]):
@@ -210,6 +213,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         target = args.out or "standard output"
         print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return USAGE_ERROR
+    except TheoremViolationError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def entry() -> None:

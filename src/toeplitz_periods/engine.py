@@ -20,12 +20,15 @@ never by stepping through the powers:
   is all ones without a product when the two lightest rows of x hold
   more than n ones between them (pigeonhole);
 * from order 32 on (below it, row selection on a few rows costs less
-  than packing), a Toeplitz A = T_n<S;T> steps by its offsets: x -> x A
-  is |S| + |T| shifts of the packed rows and B -> A B A^T twice that.
-  The cycle of B is walked by the map, and the descent for q moves B_m
-  by 2^j steps of it, instead of a product and a gram, on every level
-  with 2^j * 2(|S| + |T|) <= n shifts.  Since 2^j halves from level to
-  level, these are the last levels, and A^m is dropped on reaching them.
+  than packing), a Toeplitz A = T_n<S;T> steps by its offsets on its
+  rows packed into one integer (``boolmat._shift_kernel``): x -> x A is
+  |S| + |T| shifts and B -> A B A^T twice that.  A power made by shifts
+  stays packed, since packed integers compare and hash as the matrices
+  do; only a product, a gram, A^M and the walk from it unpack.  The cycle
+  of B is walked by the map, and the descent for q moves B_m by 2^j
+  steps of it, instead of a product and a gram, on every level with
+  2^j * 2(|S| + |T|) <= n shifts.  Since 2^j halves from level to level,
+  these are the last levels, and A^m is dropped on reaching them.
 
 Heap-Lynn is the only bound on the search, and it is asserted; the
 sweep and the tests hold the index, period and exact verdict to
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, count, islice, repeat, takewhile
+from itertools import accumulate, chain, count, islice, repeat, takewhile
 from math import lcm
 from typing import Callable, Iterator, Optional, TypeVar
 
@@ -47,10 +50,8 @@ from .boolmat import (
     BoolMatrix,
     PowerSequence,
     _check_powers,
-    _conjugate_toeplitz,
     _product,
-    _times_toeplitz,
-    _toeplitz_offsets,
+    _shift_kernel,
     from_toeplitz,
 )
 from .digraph import contract, has_source_or_sink, power_period
@@ -93,15 +94,28 @@ def _gram(x: BoolMatrix) -> BoolMatrix:
 
 
 class _Lift:
-    """Index and period of A's powers by lifting, with A^index and A^(2^k) kept;
-    _offsets are (S, T) when A = T_n<S;T> has order 32 or more, else None."""
+    """Index and period of A's powers by lifting, with A^index and A^(2^k) kept.
+
+    shifts is A's shift kernel (boolmat._shift_kernel), None below order 32
+    and for a matrix that is not Toeplitz.  With it, x A and B -> A B A^T
+    step packed rows, and a power stays in the form that made it: an int
+    when shifts made it, a BoolMatrix when a product did.  Rows are unpacked
+    only for a product or a gram and for the powers that leave the lift:
+    at_index and walk().
+    """
 
     def __init__(self, a: BoolMatrix):
         self.a, self._squares, self._powers = a, [a], {}
-        self._offsets = _toeplitz_offsets(a) if a.n >= 32 else None
+        self.shifts = shifts = _shift_kernel(a)
         self.period = p = power_period(a)
         bound = (a.n - 1) ** 2 + 1  # Heap and Lynn (1964): the index is at most this
-        test = lambda y: True if self.times(y, p) == y else None
+        # test(A^m) is A^m in some form when A^m = A^(m+p), else None
+        if shifts is None:
+            test = lambda y: y if self.times(y, p) == y else None
+        elif p == 1:
+            test = lambda y: q if shifts.times(q := self.packed(y), 1) == q else None
+        else:
+            test = lambda y: y if self.times(y := self.rows(y), p) == y else None
         failed = TheoremViolationError(f"A^m = A^(m+{p}) holds for no m <= {bound}")
         k = 0  # gallop to the bracket (2^(k-1), 2^k] of the index
         while (value := test(self.square(k))) is None:
@@ -109,12 +123,46 @@ class _Lift:
                 raise failed
             k += 1
         lo = (1 << (k - 1), self.square(k - 1)) if k else (0, None)
-        self.index, x, _ = self.least(test, lo, (1 << k, self.square(k), value))
+        self.index, x, value = self.least(test, lo, (1 << k, self.square(k), value))
         if self.index > bound:
             raise failed
-        if any(p % e == 0 and self.times(x, e) == x for e in range(1, p)):
+        # A^index as rows and packed, where the descent (x) or the test (value)
+        # made that form; the other one is made when first asked for
+        self._rows_at = self._packed_at = None
+        for form in (x, value):
+            if isinstance(form, BoolMatrix):
+                self._rows_at = form
+            else:
+                self._packed_at = form
+        if any(p % e == 0 and self._returns(e) for e in range(1, p)):
             raise TheoremViolationError(f"period {p} of the components is not least")
-        self.at_index = x
+
+    @property
+    def at_index(self) -> BoolMatrix:
+        """A^index, unpacked at most once."""
+        if self._rows_at is None:
+            self._rows_at = self.shifts.unpack(self._packed_at)
+        return self._rows_at
+
+    def _index_packed(self) -> int:
+        """A^index packed, packed at most once; A has shifts."""
+        if self._packed_at is None:
+            self._packed_at = self.shifts.pack(self._rows_at)
+        return self._packed_at
+
+    def _returns(self, e: int) -> bool:
+        """A^(index+e) = A^index; by a shift when e is 1 and A has shifts."""
+        if e == 1 and self.shifts:
+            return self.shifts.times(q := self._index_packed(), 1) == q
+        return self.times(self.at_index, e) == self.at_index
+
+    def packed(self, x: BoolMatrix | int) -> int:
+        """x packed, for a lift with shifts."""
+        return x if isinstance(x, int) else self.shifts.pack(x)
+
+    def rows(self, x: BoolMatrix | int) -> BoolMatrix:
+        """x as rows, for a lift with shifts."""
+        return x if isinstance(x, BoolMatrix) else self.shifts.unpack(x)
 
     def square(self, k: int) -> BoolMatrix:
         """A^(2^k), made once, when first asked for."""
@@ -129,19 +177,23 @@ class _Lift:
             self._powers[e] = reduce(_power_product, map(self.square, bits))
         return self._powers[e]
 
-    def times(self, x: BoolMatrix, e: int) -> BoolMatrix:
-        """x A^e; x A by shifts when A has offsets."""
-        if e == 1 and self._offsets:
-            return _times_toeplitz(x, self._offsets, 1)
+    def times(self, x: BoolMatrix | int, e: int) -> BoolMatrix | int:
+        """x A^e; packed, by shifts, when e is 1 and A has shifts, else by a
+        product, which takes x as rows."""
+        if e == 1 and self.shifts:
+            return self.shifts.times(self.packed(x), 1)
         return _power_product(x, self.power(e))
 
-    def advance(self, x: Optional[BoolMatrix], j: int) -> BoolMatrix:
+    def advance(self, x: Optional[BoolMatrix | int], j: int) -> BoolMatrix | int:
         """A^(m+2^j) from x = A^m, where None stands for A^0."""
         return self.square(j) if x is None else self.times(x, 1 << j)
 
     def walk(self) -> Iterator[BoolMatrix]:
         """A^index, A^(index+1), ..., each made when asked for."""
-        return accumulate(repeat(1), self.times, initial=self.at_index)
+        if self.shifts is None:
+            return accumulate(repeat(1), self.times, initial=self.at_index)
+        later = accumulate(repeat(1), self.shifts.times, initial=self._index_packed())
+        return chain([self.at_index], map(self.shifts.unpack, islice(later, 1, None)))
 
     def least(
         self,
@@ -170,35 +222,34 @@ class _Lift:
 
     def competition(self) -> "CompetitionResult":
         """B_m = A^m (A^m)^T; its cycle is B_M, B_(M+1), ... up to the return to B_M,
-        walked by B -> A B A^T when A has offsets."""
-        if self._offsets is None:
-            orbit = map(_gram, self.walk())
+        walked by B -> A B A^T, on packed rows when A has shifts."""
+        shifts, n = self.shifts, self.a.n
+        limit = _gram(self.at_index)  # B_M, which on a cycle of one is B_q
+        if shifts is None:
+            b_index, later = limit, map(_gram, islice(self.walk(), 1, None))
         else:
-            orbit = accumulate(repeat(1), self.conjugate, initial=_gram(self.at_index))
-        b_index = next(orbit)
-        cycle = {b_index, *takewhile(b_index.__ne__, islice(orbit, self.period - 1))}
+            b_index = shifts.pack(limit)
+            later = islice(accumulate(repeat(1), shifts.conjugate, initial=b_index), 1, None)
+        cycle = {b_index, *takewhile(b_index.__ne__, islice(later, self.period - 1))}
         period = len(cycle)
-        shifts = 2 * sum(map(len, self._offsets or ()))
+        moves = 2 * sum(map(len, shifts.offsets)) if shifts else 0
 
         def advance(state: tuple, j: int) -> tuple:
             """(A^m, B_m) -> (A^(m+2^j), B_(m+2^j)): 2^j steps of the map when
             they take at most n shifts, else a product and a gram.  A^m is
-            dropped on the shifted levels, which, as 2^j falls, are the last."""
+            dropped on the shifted levels, which, as 2^j falls, are the last.
+            B_0 = I is None until a shifted level steps from it."""
             x, b = state
-            if self._offsets and shifts << j <= self.a.n:
-                return None, self.conjugate(b, 1 << j)
+            if shifts and moves << j <= n:
+                b = shifts.pack(BoolMatrix.identity(n)) if b is None else b
+                return None, shifts.conjugate(b, 1 << j)
             y = self.advance(x, j)
-            return y, _gram(y)
+            return y, _gram(y) if shifts is None else shifts.pack(_gram(self.rows(y)))
 
-        on_cycle = lambda state: state[1] if state[1] in cycle else None
-        lo = (0, (None, BoolMatrix.identity(self.a.n)))
-        hi = (self.index, (self.at_index, b_index), b_index)
-        index, _, b = self.least(on_cycle, lo, hi, advance)
-        return CompetitionResult(index, period, b if period == 1 else None)
-
-    def conjugate(self, b: BoolMatrix, e: int) -> BoolMatrix:
-        """A^e b (A^T)^e by shifts; A has offsets."""
-        return _conjugate_toeplitz(b, self._offsets, e)
+        on_cycle = lambda state: True if state[1] in cycle else None
+        hi = (self.index, (self.at_index, b_index), True)
+        index, _, _ = self.least(on_cycle, (0, (None, None)), hi, advance)
+        return CompetitionResult(index, period, limit if period == 1 else None)
 
 
 def matrix_period(a: BoolMatrix) -> tuple[int, int]:

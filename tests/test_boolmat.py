@@ -11,10 +11,10 @@ from toeplitz_periods import (
     from_toeplitz,
 )
 from toeplitz_periods.boolmat import (
-    _conjugate_toeplitz,
     _product,
     _right_multiplier,
-    _times_toeplitz,
+    _shift_kernel,
+    _ShiftKernel,
     _toeplitz_offsets,
 )
 from toeplitz_periods.oracle import enumerate_specs
@@ -281,11 +281,21 @@ def test_shift_steps_match_the_products(case):
     a = from_toeplitz(spec)
     offsets = _toeplitz_offsets(a)
     assert offsets == (spec.S, spec.T)
-    assert _times_toeplitz(x, offsets, e) == x @ a.power(e)
-    assert _conjugate_toeplitz(x, offsets, e) == a.power(e) @ x @ a.transpose().power(e)
+    kernel = _ShiftKernel(spec.n, offsets)
+    packed = kernel.pack(x)
+    assert kernel.unpack(packed) == x
+    times = x @ a.power(e)
+    assert kernel.unpack(kernel.times(packed, e)) == times
+    assert kernel.unpack(kernel.conjugate(packed, e)) == a.power(e) @ x @ a.transpose().power(e)
+    # packed integers are equal exactly when the matrices are
+    for y in (times, a, BoolMatrix(r ^ 1 if row == i else r for row, r in enumerate(x.rows))):
+        assert (kernel.pack(y) == packed) == (y == x)
+    assert kernel.times(packed, e) == kernel.pack(times)
     # one flipped entry breaks a diagonal of two or more entries
     stray = BoolMatrix(r ^ (1 << j) if row == i else r for row, r in enumerate(a.rows))
     assert _toeplitz_offsets(stray) is None
+    assert _shift_kernel(stray) is None
+    assert (_shift_kernel(a) is None) == (spec.n < 32)
 
 
 def test_offsets_need_a_toeplitz_matrix_with_offsets_and_no_diagonal():

@@ -219,6 +219,21 @@ def test_sweep_violation_exit_code(capsys, monkeypatch):
     assert "stub\tn=2;S=1;T=1\tx\ty\tviolation" in out
 
 
+@pytest.mark.parametrize(
+    "argv", [("analyze", "n=6;S=2,4;T=5"), ("sweep", "--n", "2..3")]
+)
+def test_internal_check_failure_exits_3_with_one_line_error(capsys, monkeypatch, argv):
+    # a wrong period fails a run-time check of the lift: its minimality on
+    # the worked example, Heap-Lynn on the sweep's first descriptor, n = 2
+    from toeplitz_periods import engine
+
+    monkeypatch.setattr(engine, "power_period", lambda a: 7)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal check failed: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # --------------------------------------------------------------------------
 # argparse plumbing
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Period engine against naive brute-force oracles."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,7 @@ from toeplitz_periods import (
     sink_source_same_period,
     superset_same_period,
 )
-from toeplitz_periods import engine
+from toeplitz_periods import boolmat, engine
 from toeplitz_periods.boolmat import _toeplitz_offsets
 from toeplitz_periods.engine import (
     _gram,
@@ -191,7 +192,8 @@ def test_competition_rejects_foreign_powers():
 def test_descent_finds_every_threshold_within_one_test_per_bit():
     # N^m of the order-70 shift matrix has 70 - m ones, so "count <= 70 - t"
     # fails exactly below m = t; lo is 0 or the bracket the index gallop
-    # leaves, the largest power of two below t
+    # leaves, the largest power of two below t; N = T_70<1;> has shifts, so
+    # the step by N on the last level hands back N^m packed, read as rows here
     lift = _Lift(BoolMatrix([1 << (i + 1) for i in range(69)] + [0]))
     power = {m: lift.power(m) for m in range(1, 65)}
     for hi in range(1, 65):
@@ -201,9 +203,10 @@ def test_descent_finds_every_threshold_within_one_test_per_bit():
 
                 def test(y):
                     tests.append(y)
-                    return ones if (ones := y.count()) <= 70 - t else None
+                    return ones if (ones := lift.rows(y).count()) <= 70 - t else None
 
-                got = lift.least(test, (lo, power.get(lo)), (hi, power[hi], "hi"))
+                m, y, value = lift.least(test, (lo, power.get(lo)), (hi, power[hi], "hi"))
+                got = (m, lift.rows(y), value)
                 assert got == (t, power[t], "hi" if t == hi else 70 - t), (lo, t, hi)
                 assert len(tests) <= (hi - lo - 1).bit_length(), (lo, t, hi)
 
@@ -223,6 +226,23 @@ def test_competition_search_makes_one_gram_per_bit_of_the_index(monkeypatch):
     assert len(grams) == 1 + sum(6 << j > n for j in levels) == 10
 
 
+def test_analysis_unpacks_only_for_grams_and_the_index_power(monkeypatch):
+    # T_128<1;126,127> steps by shifts; its powers stay packed except where
+    # rows are read: the transpose in power_period, the transposes of the
+    # eight grams that are not all ones, and A^M, made by a shift on the
+    # last level of the index descent and unpacked once for the gram B_M
+    grams, unpacks = [], []
+    monkeypatch.setattr(engine, "_gram", lambda x: grams.append(x) or _gram(x))
+    unpack = boolmat._unpack
+    monkeypatch.setattr(boolmat, "_unpack", lambda *args: unpacks.append(1) or unpack(*args))
+    n = 128
+    report = analyze(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
+    assert (report.matrix_index, report.competition_index) == ((n - 1) ** 2, 8064)
+    assert report.certificate.rule is Rule.STAR
+    assert len(grams) == 10
+    assert len(unpacks) == 10
+
+
 def test_lifted_competition_equals_the_scan_above_order_32():
     # the table kernel and the blockwise transpose take over at order 32
     rng, checked = random.Random(20261018), 0
@@ -235,6 +255,31 @@ def test_lifted_competition_equals_the_scan_above_order_32():
         comp = competition_analysis(a)
         assert (comp.index, comp.period, comp.limit) == scanned_competition(a)
         checked += 1
+
+
+def test_lifted_walk_and_exact_decision_equal_the_scan_above_order_32():
+    # from order 32 on the walk from A^M steps packed rows and unpacks each
+    # power; it and the verdict read from it are held to the scan.  Every
+    # other draw takes S = 1 and T = 2 mod 3, so that 3 divides the period
+    rng, checked, verdicts, periods = random.Random(20261019), 0, set(), set()
+    while checked < 12:
+        n, mod = rng.randint(32, 64), 3 if checked % 2 else 1
+        side = lambda r: rng.sample(range(r, n, mod), rng.randint(1, 3))
+        spec = ToeplitzSpec(n, side(1), side(2 % mod or 1))
+        a = from_toeplitz(spec)
+        lift = _Lift(a)
+        if lift.shifts is None or lift.index > 300:
+            continue
+        scan = PowerSequence(a)
+        assert (lift.index, lift.period) == scan.cycle()
+        walked = list(islice(lift.walk(), lift.period + 2))
+        assert walked == [scan.power(lift.index + i) for i in range(lift.period + 2)], spec
+        decided = decide_walk_ensured_exact(spec)
+        assert decided == decide_walk_ensured_exact(spec, powers=scan), spec
+        verdicts.add(decided[0])
+        periods.add(lift.period > 1)
+        checked += 1
+    assert verdicts == periods == {True, False}
 
 
 def _naive_gram(x):
@@ -685,6 +730,37 @@ def test_paper_family_has_the_claimed_period_and_limit():
         assert report.matrix_period == prof.d_plus // prof.d, spec
         assert report.competition_period == 1, spec
         assert report.limit_matrix == predicted_limit(spec), spec
+
+
+def _sparse_large_specs():
+    # a fixed seeded sample: 16 orders in 64..255 and 8 at 256, |S|, |T| <= 3
+    rng = random.Random(20261019)
+    for n in [rng.randint(64, 255) for _ in range(16)] + [256] * 8:
+        side = lambda: rng.sample(range(1, n), rng.randint(1, 3))
+        yield ToeplitzSpec(n, side(), side())
+
+
+def test_sparse_descriptors_keep_the_claims_at_large_orders():
+    # the paper's claims for every walk-ensured draw, and (M, p) held to
+    # BoolMatrix.power for every draw: A^M = A^(M+p), A^(M-1) != A^(M-1+p)
+    # when M > 1, and A^M != A^(M+p/r) for each prime r | p
+    for spec in _sparse_large_specs():
+        report = analyze(spec)
+        prof = gcd_profile(spec)
+        if report.walk_ensured:
+            assert report.matrix_period == prof.d_plus // prof.d, spec
+            assert report.competition_period == 1, spec
+            if prof.d_plus <= spec.n:
+                assert report.limit_matrix == predicted_limit(spec), spec
+        a = from_toeplitz(spec)
+        index, period = report.matrix_index, report.matrix_period
+        before = a.power(index - 1)
+        at_index, a_period = before @ a, a.power(period)
+        assert at_index @ a_period == at_index, spec
+        assert index == 1 or before @ a_period != before, spec
+        for r in range(2, period + 1):
+            if period % r == 0 and all(r % q for q in range(2, r)):
+                assert at_index @ a.power(period // r) != at_index, (spec, r)
 
 
 @pytest.mark.parametrize("n", [128, 256])

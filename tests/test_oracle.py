@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from toeplitz_periods import TheoremViolationError, ToeplitzSpec, oracle
+from toeplitz_periods import TheoremViolationError, ToeplitzSpec, boolmat, oracle
 from toeplitz_periods.oracle import (
     ALL_CHECK_NAMES,
     Finding,
@@ -172,6 +172,17 @@ def test_sweep_scans_each_matrix_at_most_twice(monkeypatch):
     run_sweep(SweepConfig(2, 5))
     assert len(scans) == 1 + sum(len(list(enumerate_specs(n))) for n in range(2, 6))
     assert max(scans.values()) == 2
+
+
+def test_sweep_orders_never_pack(monkeypatch):
+    # below order 32 every step is a product and a transpose moves single
+    # bits, so the packed layout is never built
+    packs = []
+    for name in ("_pack", "_unpack"):
+        fn = getattr(boolmat, name)
+        monkeypatch.setattr(boolmat, name, lambda *args, fn=fn: packs.append(args) or fn(*args))
+    run_sweep(SweepConfig(2, 5))
+    assert packs == []
 
 
 # --------------------------------------------------------------------------
