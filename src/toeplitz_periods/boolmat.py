@@ -235,13 +235,16 @@ class _ShiftKernel:
     and row i of A X is OR_s X_(i+s) | OR_t X_(i-t), shifts by whole
     fields: X -> A X A^T is twice as many.  Packed integers are equal
     exactly when the matrices are, so they compare and hash as they are.
+
+    ``cheaper`` is the one rule for steps against a product, and the one
+    place that knows what a shift costs.
     """
 
-    __slots__ = ("n", "offsets", "_nbytes", "_mask", "_up", "_down")
+    __slots__ = ("n", "offsets", "_cost", "_nbytes", "_mask", "_up", "_down")
 
     def __init__(self, n: int, offsets: Offsets):
         S, T = self.offsets = offsets
-        self.n = n
+        self.n, self._cost = n, len(S) + len(T)
         self._nbytes = nbytes = (n + max(S + T) + 7) // 8
         self._mask = int.from_bytes(((1 << n) - 1).to_bytes(nbytes, "little") * n, "little")
         self._up, self._down = [8 * nbytes * t for t in T], [8 * nbytes * s for s in S]
@@ -251,6 +254,18 @@ class _ShiftKernel:
 
     def unpack(self, packed: int) -> BoolMatrix:
         return _unpack(packed, self.n, self._nbytes)
+
+    def cheaper(self, e: int, ones: int | None = None, conjugate: bool = False) -> bool:
+        """Whether e steps of x -> x A, or of X -> A X A^T when conjugate, cost
+        less than the product they stand for, whose sparser factor has ones
+        ones (None: a dense one).  A step is c = |S| + |T| shifts, 2c for
+        A X A^T; a shift costs about n / 8 row selections, and a product
+        about n + ones of them, at most n^2 / 8 (the tables' cost).  So the
+        steps are taken when e c n <= min(8 (n + ones), n^2): e c <= n
+        against a dense factor, fewer steps against a sparse one."""
+        n = self.n
+        product = n * n if ones is None else min(8 * (n + ones), n * n)
+        return (e * self._cost << conjugate) * n <= product
 
     def times(self, packed: int, e: int) -> int:
         """x A^e for x packed."""
@@ -267,12 +282,11 @@ class _ShiftKernel:
         return packed
 
 
-def _shift_kernel(a: BoolMatrix) -> _ShiftKernel | None:
-    """The shift kernel of a = T_n<S;T> from order 32 on; None below it, where
-    row selection on a few rows costs less than packing, or when a has no
-    offsets (see _toeplitz_offsets)."""
-    offsets = _toeplitz_offsets(a) if a.n >= 32 else None
-    return _ShiftKernel(a.n, offsets) if offsets else None
+def _shift_kernel(n: int, offsets: Offsets | None) -> _ShiftKernel | None:
+    """The shift kernel of T_n<S;T> for offsets = (S, T), from order 32 on;
+    None below it, where row selection on a few rows costs less than
+    packing, and when offsets is None or holds no offset."""
+    return _ShiftKernel(n, offsets) if n >= 32 and offsets and any(offsets) else None
 
 
 def _right_multiplier(m: BoolMatrix) -> Callable[[BoolMatrix], BoolMatrix]:

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from operator import or_
 from typing import Optional
 
-from .boolmat import BoolMatrix
+from .boolmat import BoolMatrix, Offsets, _toeplitz_rows
 
 
 def contract(m: BoolMatrix, d: int) -> BoolMatrix:
@@ -61,7 +61,7 @@ def _levels(rows: tuple[int, ...], root: int, inside: int) -> tuple[list[int], l
     return levels, images
 
 
-def power_period(m: BoolMatrix) -> int:
+def power_period(m: BoolMatrix, offsets: Optional[Offsets] = None) -> int:
     """Period of the Boolean powers of m; 1 when its digraph has no cycle.
 
     The lcm over strong components of their cyclicity, the gcd of
@@ -71,9 +71,12 @@ def power_period(m: BoolMatrix) -> int:
     of no component found yet, forward and then backward, finds both.  An
     arc into a member from a vertex the forward BFS reached starts inside
     too, so level k has an arc inside into level j <= k + 1 exactly when
-    the OR of level k's rows meets level j within the component.
+    the OR of level k's rows meets level j within the component.  When
+    offsets = (S, T) says m = T_n<S;T>, its columns are the rows of
+    T_n<T;S>, built without a transpose.
     """
-    rows, cols = m.rows, m.transpose().rows
+    rows = m.rows
+    cols = m.transpose().rows if offsets is None else _toeplitz_rows(m.n, *offsets[::-1])
     period, left = 1, (1 << m.n) - 1
     while left:
         root = (left & -left).bit_length() - 1

@@ -21,14 +21,24 @@ never by stepping through the powers:
   more than n ones between them (pigeonhole);
 * from order 32 on (below it, row selection on a few rows costs less
   than packing), a Toeplitz A = T_n<S;T> steps by its offsets on its
-  rows packed into one integer (``boolmat._shift_kernel``): x -> x A is
-  |S| + |T| shifts and B -> A B A^T twice that.  A power made by shifts
-  stays packed, since packed integers compare and hash as the matrices
-  do; only a product, a gram, A^M and the walk from it unpack.  The cycle
-  of B is walked by the map, and the descent for q moves B_m by 2^j
-  steps of it, instead of a product and a gram, on every level with
-  2^j * 2(|S| + |T|) <= n shifts.  Since 2^j halves from level to level,
-  these are the last levels, and A^m is dropped on reaching them.
+  rows packed into one integer (``boolmat._ShiftKernel``): x -> x A is
+  |S| + |T| shifts and B -> A B A^T twice that.  The offsets come from
+  the caller's ToeplitzSpec when it has one, else from A's rows, and
+  also give A's columns to ``power_period``.  One cost rule,
+  ``_ShiftKernel.cheaper``, takes e steps of a map of c shifts instead
+  of the product they stand for when e c n <= min(8 (n + ones), n^2),
+  ones being those of the product's sparser factor: e c <= n against a
+  dense one, fewer steps against a sparse one.  So x A^e, priced by the
+  ones of A^e, is steps wherever the rule takes them: in the period
+  test, the minimality check, the walk from A^M and on the low levels
+  of the index descent.  B_m moves by 2^j steps of its map, against a
+  gram, on every level of the descent for q with 2^j * 2(|S| + |T|) <= n,
+  and the cycle of B_M by single steps; since 2^j halves from level to
+  level, these are the last levels, and A^m is dropped on reaching them.
+  A power made by shifts stays packed, since packed integers compare and
+  hash as the matrices do; only a product, a gram, A^M and the powers
+  the walk yields unpack.  The squares A^(2^k) stay products (see
+  ``_Lift.square``).
 
 Heap-Lynn is the only bound on the search, and it is asserted; the
 sweep and the tests hold the index, period and exact verdict to
@@ -48,10 +58,12 @@ from typing import Callable, Iterator, Optional, TypeVar
 
 from .boolmat import (
     BoolMatrix,
+    Offsets,
     PowerSequence,
     _check_powers,
     _product,
     _shift_kernel,
+    _toeplitz_offsets,
     from_toeplitz,
 )
 from .digraph import contract, has_source_or_sink, power_period
@@ -96,26 +108,25 @@ def _gram(x: BoolMatrix) -> BoolMatrix:
 class _Lift:
     """Index and period of A's powers by lifting, with A^index and A^(2^k) kept.
 
+    offsets = (S, T) with A = T_n<S;T>, when the caller holds them; they are
+    read from A otherwise, and are None for a matrix that is not Toeplitz.
     shifts is A's shift kernel (boolmat._shift_kernel), None below order 32
-    and for a matrix that is not Toeplitz.  With it, x A and B -> A B A^T
-    step packed rows, and a power stays in the form that made it: an int
-    when shifts made it, a BoolMatrix when a product did.  Rows are unpacked
-    only for a product or a gram and for the powers that leave the lift:
-    at_index and walk().
+    and without offsets.  With it, x A^e is e steps of shifts on packed rows
+    wherever the kernel's cost rule takes them (``times``), and a power stays
+    in the form that made it: an int when shifts made it, a BoolMatrix when a
+    product did.  Rows are unpacked only for a product or a gram and for the
+    powers that leave the lift: at_index and walk().
     """
 
-    def __init__(self, a: BoolMatrix):
-        self.a, self._squares, self._powers = a, [a], {}
-        self.shifts = shifts = _shift_kernel(a)
-        self.period = p = power_period(a)
+    def __init__(self, a: BoolMatrix, offsets: Optional[Offsets] = None):
+        if offsets is None:
+            offsets = _toeplitz_offsets(a)
+        self.a, self._squares, self._powers, self._ones = a, [a], {}, {}
+        self.shifts = _shift_kernel(a.n, offsets)
+        self.period = p = power_period(a, offsets)
         bound = (a.n - 1) ** 2 + 1  # Heap and Lynn (1964): the index is at most this
-        # test(A^m) is A^m in some form when A^m = A^(m+p), else None
-        if shifts is None:
-            test = lambda y: y if self.times(y, p) == y else None
-        elif p == 1:
-            test = lambda y: q if shifts.times(q := self.packed(y), 1) == q else None
-        else:
-            test = lambda y: y if self.times(y := self.rows(y), p) == y else None
+        # test(A^m) is A^m, in the form the step by A^p reads, when A^m = A^(m+p)
+        test = lambda y: y if self.times(y := self.form(y, p), p) == y else None
         failed = TheoremViolationError(f"A^m = A^(m+{p}) holds for no m <= {bound}")
         k = 0  # gallop to the bracket (2^(k-1), 2^k] of the index
         while (value := test(self.square(k))) is None:
@@ -144,28 +155,47 @@ class _Lift:
             self._rows_at = self.shifts.unpack(self._packed_at)
         return self._rows_at
 
-    def _index_packed(self) -> int:
-        """A^index packed, packed at most once; A has shifts."""
+    def _index_form(self, e: int) -> BoolMatrix | int:
+        """A^index in the form times(., e) reads; each form made at most once."""
+        if not self._steps(e):
+            return self.at_index
         if self._packed_at is None:
             self._packed_at = self.shifts.pack(self._rows_at)
         return self._packed_at
 
     def _returns(self, e: int) -> bool:
-        """A^(index+e) = A^index; by a shift when e is 1 and A has shifts."""
-        if e == 1 and self.shifts:
-            return self.shifts.times(q := self._index_packed(), 1) == q
-        return self.times(self.at_index, e) == self.at_index
+        """A^(index+e) = A^index."""
+        x = self._index_form(e)
+        return self.times(x, e) == x
 
-    def packed(self, x: BoolMatrix | int) -> int:
-        """x packed, for a lift with shifts."""
+    def _steps(self, e: int) -> bool:
+        """Whether x A^e is e steps of shifts: A has shifts and they cost less
+        than the product by A^e (_ShiftKernel.cheaper), whose ones are
+        counted once per e."""
+        if self.shifts is None:
+            return False
+        if e not in self._ones:
+            self._ones[e] = self.power(e).count()
+        return self.shifts.cheaper(e, self._ones[e])
+
+    def form(self, x: BoolMatrix | int, e: int) -> BoolMatrix | int:
+        """x in the form times(x, e) reads: packed for shifts, else rows."""
+        if not self._steps(e):
+            return self.rows(x)
         return x if isinstance(x, int) else self.shifts.pack(x)
 
     def rows(self, x: BoolMatrix | int) -> BoolMatrix:
-        """x as rows, for a lift with shifts."""
+        """x as rows."""
         return x if isinstance(x, BoolMatrix) else self.shifts.unpack(x)
 
     def square(self, k: int) -> BoolMatrix:
-        """A^(2^k), made once, when first asked for."""
+        """A^(2^k), made once, when first asked for, by a product.
+
+        Making them by shifts too cut the products of an analyze-random pass
+        by more than half in a prototype, but that waits for the benchmark to
+        stop keeping every answer (ROADMAP item 1): a faster run completes
+        more passes, keeps more answers and so reads as a rise in peak memory
+        beyond the benchmark's bound."""
         while len(self._squares) <= k:
             self._squares.append(_power_product(self._squares[-1], self._squares[-1]))
         return self._squares[k]
@@ -178,11 +208,10 @@ class _Lift:
         return self._powers[e]
 
     def times(self, x: BoolMatrix | int, e: int) -> BoolMatrix | int:
-        """x A^e; packed, by shifts, when e is 1 and A has shifts, else by a
-        product, which takes x as rows."""
-        if e == 1 and self.shifts:
-            return self.shifts.times(self.packed(x), 1)
-        return _power_product(x, self.power(e))
+        """x A^e for a power x of A: e steps of shifts on x packed where
+        ``_steps`` takes them, else a product on x as rows."""
+        x = self.form(x, e)
+        return self.shifts.times(x, e) if isinstance(x, int) else _power_product(x, self.power(e))
 
     def advance(self, x: Optional[BoolMatrix | int], j: int) -> BoolMatrix | int:
         """A^(m+2^j) from x = A^m, where None stands for A^0."""
@@ -190,10 +219,8 @@ class _Lift:
 
     def walk(self) -> Iterator[BoolMatrix]:
         """A^index, A^(index+1), ..., each made when asked for."""
-        if self.shifts is None:
-            return accumulate(repeat(1), self.times, initial=self.at_index)
-        later = accumulate(repeat(1), self.shifts.times, initial=self._index_packed())
-        return chain([self.at_index], map(self.shifts.unpack, islice(later, 1, None)))
+        later = accumulate(repeat(1), self.times, initial=self._index_form(1))
+        return chain([self.at_index], map(self.rows, islice(later, 1, None)))
 
     def least(
         self,
@@ -222,8 +249,10 @@ class _Lift:
 
     def competition(self) -> "CompetitionResult":
         """B_m = A^m (A^m)^T; its cycle is B_M, B_(M+1), ... up to the return to B_M,
-        walked by B -> A B A^T, on packed rows when A has shifts."""
-        shifts, n = self.shifts, self.a.n
+        walked by B -> A B A^T on packed rows where the cost rule takes one step
+        of it, else as the grams of walk()."""
+        shifts = self.shifts if self.shifts and self.shifts.cheaper(1, conjugate=True) else None
+        n = self.a.n
         limit = _gram(self.at_index)  # B_M, which on a cycle of one is B_q
         if shifts is None:
             b_index, later = limit, map(_gram, islice(self.walk(), 1, None))
@@ -232,19 +261,19 @@ class _Lift:
             later = islice(accumulate(repeat(1), shifts.conjugate, initial=b_index), 1, None)
         cycle = {b_index, *takewhile(b_index.__ne__, islice(later, self.period - 1))}
         period = len(cycle)
-        moves = 2 * sum(map(len, shifts.offsets)) if shifts else 0
 
         def advance(state: tuple, j: int) -> tuple:
-            """(A^m, B_m) -> (A^(m+2^j), B_(m+2^j)): 2^j steps of the map when
-            they take at most n shifts, else a product and a gram.  A^m is
-            dropped on the shifted levels, which, as 2^j falls, are the last.
-            B_0 = I is None until a shifted level steps from it."""
+            """(A^m, B_m) -> (A^(m+2^j), B_(m+2^j)): 2^j steps of the map where
+            the kernel's cost rule takes them, else A^(m+2^j) and a gram.  A^m
+            is dropped on the shifted levels, which, as 2^j falls, are the
+            last.  B_0 = I is None until a shifted level steps from it."""
             x, b = state
-            if shifts and moves << j <= n:
+            if shifts and shifts.cheaper(1 << j, conjugate=True):
                 b = shifts.pack(BoolMatrix.identity(n)) if b is None else b
                 return None, shifts.conjugate(b, 1 << j)
             y = self.advance(x, j)
-            return y, _gram(y) if shifts is None else shifts.pack(_gram(self.rows(y)))
+            b = _gram(self.rows(y))
+            return y, shifts.pack(b) if shifts else b
 
         on_cycle = lambda state: True if state[1] in cycle else None
         hi = (self.index, (self.at_index, b_index), True)
@@ -325,7 +354,7 @@ def decide_walk_ensured_exact(
     """
     a = from_toeplitz(spec)
     if powers is None:
-        lift = _Lift(a)
+        lift = _Lift(a, (spec.S, spec.T))
         return _decide_exact(spec, lift.index, lift.period, lift.walk())
     _check_powers(a, powers)
     index, period = powers.cycle()
@@ -379,7 +408,7 @@ def sink_source_same_period(spec: ToeplitzSpec, b: BoolMatrix) -> Optional[int]:
         raise ValueError("order mismatch")
     if not a.dominated_by(b):
         raise ValueError("base matrix is not dominated by the extension")
-    lift = _Lift(a)
+    lift = _Lift(a, (spec.S, spec.T))
     decide = lambda: _decide_exact(spec, lift.index, lift.period, lift.walk())
     if not _settled_certificate(spec, decide).walk_ensured:
         raise ValueError(f"{spec} is not walk-ensured")
@@ -419,7 +448,7 @@ class PeriodReport:
 
 def analyze(spec: ToeplitzSpec) -> PeriodReport:
     """Full analysis: period data, competition data, walk-ensured status."""
-    lift = _Lift(from_toeplitz(spec))
+    lift = _Lift(from_toeplitz(spec), (spec.S, spec.T))
     comp = lift.competition()
     return PeriodReport(
         spec=spec,

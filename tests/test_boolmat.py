@@ -294,8 +294,17 @@ def test_shift_steps_match_the_products(case):
     # one flipped entry breaks a diagonal of two or more entries
     stray = BoolMatrix(r ^ (1 << j) if row == i else r for row, r in enumerate(a.rows))
     assert _toeplitz_offsets(stray) is None
-    assert _shift_kernel(stray) is None
-    assert (_shift_kernel(a) is None) == (spec.n < 32)
+    assert _shift_kernel(spec.n, _toeplitz_offsets(stray)) is None
+    assert (_shift_kernel(spec.n, offsets) is None) == (spec.n < 32)
+
+
+def test_cost_rule_takes_at_most_n_shifts_and_fewer_against_a_sparse_factor():
+    # c = 2 at n = 32: e c n <= min(8 (n + ones), n^2)
+    kernel = _ShiftKernel(32, ((1,), (2,)))
+    assert kernel.cheaper(16) and not kernel.cheaper(17)
+    assert kernel.cheaper(8, conjugate=True) and not kernel.cheaper(9, conjugate=True)
+    assert kernel.cheaper(8, 32) and not kernel.cheaper(8, 31)
+    assert kernel.cheaper(16, 96) and not kernel.cheaper(17, 10**6)
 
 
 def test_offsets_need_a_toeplitz_matrix_with_offsets_and_no_diagonal():
@@ -303,6 +312,7 @@ def test_offsets_need_a_toeplitz_matrix_with_offsets_and_no_diagonal():
         assert _toeplitz_offsets(BoolMatrix.zeros(n)) is None
         assert _toeplitz_offsets(BoolMatrix.identity(n)) is None
     assert _toeplitz_offsets(BoolMatrix.ones(3)) is None
+    assert _shift_kernel(40, ((), ())) is None
     assert _toeplitz_offsets(BoolMatrix([2, 4, 0])) == ((1,), ())
     # the corner (1, n) is a diagonal of one entry: setting it adds offset n - 1
     assert _toeplitz_offsets(BoolMatrix([2 | 4, 4, 0])) == ((1, 2), ())

@@ -227,7 +227,7 @@ def test_internal_check_failure_exits_3_with_one_line_error(capsys, monkeypatch,
     # the worked example, Heap-Lynn on the sweep's first descriptor, n = 2
     from toeplitz_periods import engine
 
-    monkeypatch.setattr(engine, "power_period", lambda a: 7)
+    monkeypatch.setattr(engine, "power_period", lambda *_: 7)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("error: internal check failed: ") and err.count("\n") == 1

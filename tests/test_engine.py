@@ -4,7 +4,7 @@ import random
 from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from toeplitz_periods import (
@@ -95,7 +95,7 @@ def test_matrix_period_of_disjoint_cycles_is_the_lcm():
 def test_lift_asserts_heap_lynn_and_the_least_period(monkeypatch, text, wrong_period, message):
     # Heap-Lynn, index <= (n-1)^2 + 1, is the one bound on the index search;
     # a wrong period from the components breaks it or the minimality check
-    monkeypatch.setattr(engine, "power_period", lambda g: wrong_period)
+    monkeypatch.setattr(engine, "power_period", lambda *_: wrong_period)
     with pytest.raises(TheoremViolationError, match=message):
         matrix_period(from_toeplitz(ToeplitzSpec.from_string(text)))
 
@@ -228,9 +228,9 @@ def test_competition_search_makes_one_gram_per_bit_of_the_index(monkeypatch):
 
 def test_analysis_unpacks_only_for_grams_and_the_index_power(monkeypatch):
     # T_128<1;126,127> steps by shifts; its powers stay packed except where
-    # rows are read: the transpose in power_period, the transposes of the
-    # eight grams that are not all ones, and A^M, made by a shift on the
-    # last level of the index descent and unpacked once for the gram B_M
+    # rows are read: the transposes of the eight grams that are not all
+    # ones, and A^M, made by shifts on the last levels of the index descent
+    # and unpacked once for the gram B_M
     grams, unpacks = [], []
     monkeypatch.setattr(engine, "_gram", lambda x: grams.append(x) or _gram(x))
     unpack = boolmat._unpack
@@ -240,7 +240,7 @@ def test_analysis_unpacks_only_for_grams_and_the_index_power(monkeypatch):
     assert (report.matrix_index, report.competition_index) == ((n - 1) ** 2, 8064)
     assert report.certificate.rule is Rule.STAR
     assert len(grams) == 10
-    assert len(unpacks) == 10
+    assert len(unpacks) == 9
 
 
 def test_lifted_competition_equals_the_scan_above_order_32():
@@ -280,6 +280,98 @@ def test_lifted_walk_and_exact_decision_equal_the_scan_above_order_32():
         periods.add(lift.period > 1)
         checked += 1
     assert verdicts == periods == {True, False}
+
+
+@st.composite
+def cost_rule_cases(draw):
+    """(T_n<S;T>, e, x, packed) with n in {32, 33, 64, 127, 160}, up to three
+    offsets a side, 1 <= e <= n // (|S| + |T|) + 2, so that e steps of
+    |S| + |T| shifts fall on both sides of n, and x a power of A ("power", m),
+    handed to the lift packed or not, or a random matrix ("random", seed,
+    density)."""
+    n = draw(st.sampled_from((32, 33, 64, 127, 160)))
+    S = draw(st.sets(st.integers(1, n - 1), max_size=3))
+    T = draw(st.sets(st.integers(1, n - 1), min_size=0 if S else 1, max_size=3))
+    e = draw(st.integers(1, n // (len(S) + len(T)) + 2))
+    power = st.tuples(st.just("power"), st.integers(0, 2 * n))
+    matrix = st.tuples(st.just("random"), st.integers(0, 2**32), st.sampled_from((0.03, 0.3)))
+    return ToeplitzSpec(n, S, T), e, draw(st.one_of(power, matrix)), draw(st.booleans())
+
+
+@PROPERTY
+@given(cost_rule_cases())
+@example((ToeplitzSpec(33, (1,), (2, 32)), 11, ("power", 5), True))  # e c = n
+@example((ToeplitzSpec(32, (1,), (30, 31)), 11, ("random", 7, 0.03), False))  # e c = n + 1
+@example((ToeplitzSpec(64, (1,), (7, 62, 63)), 16, ("random", 1, 0.3), True))  # e c = n
+@example((ToeplitzSpec(64, (1, 9), (5, 62, 63)), 13, ("power", 70), True))  # e c = n + 1
+@example((ToeplitzSpec(127, (1, 2), (125, 126)), 32, ("random", 3, 0.03), True))  # e c = n + 1
+@example((ToeplitzSpec(160, (3, 50, 77), (5, 90)), 32, ("power", 40), False))  # e c = n
+@example((ToeplitzSpec(160, (1,), (158, 159)), 8, ("power", 9000), True))  # sparse A^e
+def test_steps_and_products_agree_on_both_sides_of_the_cost_rule(case):
+    # x A^e is e steps of c = |S| + |T| shifts where the kernel's rule takes
+    # them, at most n shifts and fewer when A^e is sparse, else a product;
+    # either way it and "A^(M+e) = A^M" match the powers.  The lift's product
+    # may put A^e first, which only a power x allows, so a random x is held
+    # to the steps alone
+    spec, e, x, packed = case
+    a = from_toeplitz(spec)
+    lift = _Lift(a)
+    power = a.power(e)
+    assert lift.shifts.cheaper(e) == (e * (len(spec.S) + len(spec.T)) <= spec.n)
+    if x[0] == "power":
+        x = a.power(x[1])
+        got = lift.times(lift.shifts.pack(x) if packed else x, e)
+        assert isinstance(got, int) == lift.shifts.cheaper(e, power.count())
+        assert lift.rows(got) == x @ power
+    else:
+        x = random_boolmat(random.Random(x[1]), spec.n, x[2])
+        assert lift.rows(lift.shifts.times(lift.shifts.pack(x), e)) == x @ power
+    at_index = a.power(lift.index)
+    assert lift._returns(e) == (at_index @ power == at_index)
+
+
+def test_dense_offsets_take_products_where_shifts_cost_more():
+    # from |S| + |T| > n / 2 on, one step of B -> A B A^T costs more than n
+    # shifts, and from |S| + |T| > n on one step of x -> x A does too; the
+    # lift then multiplies, and every number is held to the scans
+    rng = random.Random(20261020)
+    for n, size in ((32, 9), (33, 17), (40, 21)):
+        spec = ToeplitzSpec(n, rng.sample(range(1, n), size), rng.sample(range(1, n), size))
+        a = from_toeplitz(spec)
+        lift = _Lift(a, (spec.S, spec.T))
+        assert lift.shifts.cheaper(1) == (2 * size <= n)
+        assert not lift.shifts.cheaper(1, conjugate=True)
+        scan = PowerSequence(a)
+        assert (lift.index, lift.period) == scan.cycle()
+        comp = lift.competition()
+        assert (comp.index, comp.period, comp.limit) == scanned_competition(a)
+        walked = list(islice(lift.walk(), lift.period + 2))
+        assert walked == [scan.power(lift.index + i) for i in range(lift.period + 2)]
+
+
+@pytest.mark.parametrize(
+    "text, products, grams, unpacks",
+    [
+        ("n=128;S=1;T=126,127", 39, 10, 9),
+        ("n=96;S=64,70,82;T=5", 20, 5, 6),  # period 3
+        ("n=160;S=10,36;T=16", 7, 1, 2),  # period 13
+    ],
+)
+def test_analysis_counts_products_grams_and_unpacks(monkeypatch, text, products, grams, unpacks):
+    # a count, not a time: x A^e steps by shifts on the levels of the index
+    # descent, in the period test and in the minimality check wherever the
+    # kernel's rule takes e steps; the squares and the higher levels multiply
+    counts = {"_product": 0, "_gram": 0, "_unpack": 0}
+    for module, name in ((engine, "_product"), (engine, "_gram"), (boolmat, "_unpack")):
+        fn = getattr(module, name)
+
+        def counted(*args, fn=fn, name=name):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    analyze(ToeplitzSpec.from_string(text))
+    assert counts == {"_product": products, "_gram": grams, "_unpack": unpacks}
 
 
 def _naive_gram(x):
@@ -443,6 +535,21 @@ def test_analyze_settles_negative_case_exactly():
     assert report.certificate.verdict is Verdict.NOT_WALK_ENSURED
     assert report.certificate.rule is Rule.EXACT_DECISION
     assert report.matrix_period == 1  # d+/d = 1 too, though nothing is claimed here
+
+
+def test_a_positive_exact_verdict_above_order_64():
+    # d = 16 and no rule applies yet, so the exact decision settles it on the
+    # shift path; every number is held to the scan
+    spec = ToeplitzSpec.from_string("n=122;S=64,112;T=48,96")
+    a = from_toeplitz(spec)
+    scan = PowerSequence(a)
+    report = analyze(spec)
+    assert (report.matrix_index, report.matrix_period) == scan.cycle() == (37, 1)
+    assert (report.competition_index, report.competition_period) == (19, 1)
+    assert scanned_competition(a) == (19, 1, report.limit_matrix)
+    assert decide_walk_ensured_exact(spec) == decide_walk_ensured_exact(spec, powers=scan)
+    assert decide_walk_ensured_exact(spec) == (True, 37)
+    assert report.walk_ensured
 
 
 # --------------------------------------------------------------------------
