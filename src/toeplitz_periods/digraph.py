@@ -70,24 +70,33 @@ def power_period(m: BoolMatrix, offsets: Optional[Offsets] = None) -> int:
     Walks between members stay inside, so a bitmask BFS over the vertices
     of no component found yet, forward and then backward, finds both.  An
     arc into a member from a vertex the forward BFS reached starts inside
-    too, so level k has an arc inside into level j <= k + 1 exactly when
-    the OR of level k's rows meets level j within the component.  When
-    offsets = (S, T) says m = T_n<S;T>, its columns are the rows of
-    T_n<T;S>, built without a transpose.
+    too, so the set bits of the OR of level k's rows within the component
+    are the heads of the arcs inside that leave level k.  Each vertex's
+    level is recorded once and each such arc read once, until the gcd is
+    1.  When offsets = (S, T) says m = T_n<S;T>, its columns are the rows
+    of T_n<T;S>, built without a transpose.
     """
     rows = m.rows
     cols = m.transpose().rows if offsets is None else _toeplitz_rows(m.n, *offsets[::-1])
-    period, left = 1, (1 << m.n) - 1
+    period, left, level_of = 1, (1 << m.n) - 1, {}
     while left:
         root = (left & -left).bit_length() - 1
         levels, images = _levels(rows, root, left)
         comp = reduce(or_, _levels(cols, root, reduce(or_, levels))[0])
         left &= ~comp
+        for k, level in enumerate(levels):
+            rest = level & comp
+            while rest:
+                low = rest & -rest
+                level_of[low] = k
+                rest ^= low
         cyclicity = 0
         for k, image in enumerate(images):
-            for j in range(min(k + 2, len(levels))):
-                if image & levels[j] & comp:
-                    cyclicity = gcd(cyclicity, k + 1 - j)
+            heads = image & comp
+            while heads and cyclicity != 1:
+                low = heads & -heads
+                cyclicity = gcd(cyclicity, k + 1 - level_of[low])
+                heads ^= low
         period = lcm(period, cyclicity or 1)
     return period
 

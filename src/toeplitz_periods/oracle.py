@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd, lcm
-from operator import or_
+from operator import mul, or_
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .boolmat import BoolMatrix, PowerSequence, from_toeplitz
@@ -41,7 +41,7 @@ from .toeplitz import (
     gcd_profile,
     tail_extension_applicable,
 )
-from .walksets import _mask_to_set, _p_mask, _q_masks, _r_mask, _realized_mask
+from .walksets import _comb, _mask_to_set, _p_mask, _q_masks, _r_mask, _realized_mask
 from .walksets import p_set, q_set, r_set
 
 VIOLATION = "violation"
@@ -56,6 +56,10 @@ WORKED_EXAMPLE = ToeplitzSpec(6, (2, 4), (5,))
 CHAIN_I_MAX = 30
 DISPLACEMENT_I_MAX = 12
 CONGRUENCE_SAMPLES = 20
+# The coefficients sum-congruence draws from; rng.choices reads only the
+# length and items of its population, so this tuple draws what
+# range(-10, 11) draws, and is indexed faster.
+_COEFFICIENTS = tuple(range(-10, 11))
 SUPERSET_N_MAX = 6
 EXTENSION_N_MAX = 6
 
@@ -152,10 +156,10 @@ class _Sweep:
         self._truths: dict[ToeplitzSpec, _Truth] = {}
 
     def spec(self, n: int, smask: int, tmask: int) -> ToeplitzSpec:
-        key = (n, smask, tmask)
-        if key not in self._specs:
-            self._specs[key] = ToeplitzSpec(n, _offsets(smask), _offsets(tmask))
-        return self._specs[key]
+        spec = self._specs.get((n, smask, tmask))
+        if spec is None:
+            spec = self._specs[n, smask, tmask] = ToeplitzSpec(n, _offsets(smask), _offsets(tmask))
+        return spec
 
     def specs(self, n: int) -> Iterator[ToeplitzSpec]:
         if self.config.mode == "exhaustive":
@@ -170,12 +174,13 @@ class _Sweep:
     def truth(self, spec: ToeplitzSpec, powers: Optional[PowerSequence] = None) -> _Truth:
         """spec's record, read the first time from powers: the scan analyze_spec
         makes, or a new one for a superset or extension a check meets first."""
-        if spec not in self._truths:
+        truth = self._truths.get(spec)
+        if truth is None:
             if powers is None:
                 powers = PowerSequence(from_toeplitz(spec))
             decided = decide_walk_ensured_exact(spec, powers=powers)
-            self._truths[spec] = _Truth(*powers.cycle(), *decided)
-        return self._truths[spec]
+            truth = self._truths[spec] = _Truth(*powers.cycle(), *decided)
+        return truth
 
     def analyze_spec(self, spec: ToeplitzSpec) -> tuple[PowerSequence, PeriodReport]:
         """The engine's report, held to the scan of A, A^2, ... that the checks read.
@@ -200,6 +205,23 @@ class _Sweep:
 
 def _fmt(values) -> str:
     return "{" + ",".join(str(v) for v in sorted(values)) + "}"
+
+
+class _PerPower(dict):
+    """mask(x) for each distinct power x a check reads, made on first read.
+
+    Powers repeat from the index on, so one check reads few distinct
+    ones.  The key is the matrix value, never its id(): a power sequence
+    may hand out a new object for a power it has made before.  A check
+    makes its own table, which goes with the call.
+    """
+
+    def __init__(self, mask: Callable[[BoolMatrix], int]):
+        self.mask = mask
+
+    def __missing__(self, x: BoolMatrix) -> int:
+        self[x] = out = self.mask(x)
+        return out
 
 
 # ---------------------------------------------------------------- checks
@@ -255,9 +277,10 @@ def _check_certificate_soundness(sw, spec, powers, an) -> list[Result]:
 
 def _check_containment_chain(sw, spec, powers, an) -> list[Result]:
     """r_set <= q_set <= p_set at every length up to CHAIN_I_MAX."""
+    r_of = _PerPower(_r_mask)
     for i, q in enumerate(_q_masks(spec, CHAIN_I_MAX), start=1):
         p = _p_mask(spec, i)
-        r = _r_mask(powers.power(i))
+        r = r_of[powers.power(i)]
         if r & ~q or q & ~p:
             r, q, p = (_fmt(_mask_to_set(x, spec.n)) for x in (r, q, p))
             return [(spec, f"i={i}: r <= q <= p", f"r={r} q={q} p={p}", VIOLATION)]
@@ -276,7 +299,7 @@ def _check_p_set_laws(sw, spec, powers, an) -> list[Result]:
             got = f"{fmt(ps[i])} vs {fmt(ps[i + m])}"
             return [(spec, f"i={i}: p-set repeats with period d+/d = {m}", got, VIOLATION)]
         group = ps[i : i + m]
-        if sum(map(int.bit_count, group)) != reduce(or_, group).bit_count():
+        if m > 1 and sum(map(int.bit_count, group)) != reduce(or_, group).bit_count():
             want = f"i={i}: {m} consecutive p-sets pairwise disjoint"
             return [(spec, want, "overlap", VIOLATION)]
         if i >= 2:
@@ -289,8 +312,9 @@ def _check_p_set_laws(sw, spec, powers, an) -> list[Result]:
 
 def _check_walk_displacements(sw, spec, powers, an) -> list[Result]:
     """Every walk displacement is representable as an i-term signed sum."""
+    realized_of = _PerPower(_realized_mask)
     for i, q in enumerate(_q_masks(spec, DISPLACEMENT_I_MAX), start=1):
-        realized = _realized_mask(powers.power(i))
+        realized = realized_of[powers.power(i)]
         if realized & ~q:
             want = f"i={i}: walk displacements within q-set {_fmt(_mask_to_set(q, spec.n))}"
             return [(spec, want, _fmt(_mask_to_set(realized, spec.n)), VIOLATION)]
@@ -298,34 +322,43 @@ def _check_walk_displacements(sw, spec, powers, an) -> list[Result]:
 
 
 def _check_sum_congruence(sw, spec, powers, an) -> list[Result]:
-    """Signed combinations satisfy sum a*s - sum b*t = (sum a + sum b) s1 mod d+."""
+    """Signed combinations satisfy sum a*s - sum b*t = (sum a + sum b) s1 mod d+.
+
+    The difference of the two sides is one dot product of the draw (a, b)
+    with the coefficients s - s1 and -(t + s1)."""
     rng = random.Random(f"{sw.config.seed}:congruence:{spec}")
     prof = an.profile
     k, ks = len(spec.S) + len(spec.T), len(spec.S)
-    draws = rng.choices(range(-10, 11), k=CONGRUENCE_SAMPLES * k)
+    coefs = [s - prof.s1 for s in spec.S] + [-(t + prof.s1) for t in spec.T]
+    draws = rng.choices(_COEFFICIENTS, k=CONGRUENCE_SAMPLES * k)
     for j in range(0, len(draws), k):
-        avec, bvec = draws[j : j + ks], draws[j + ks : j + k]
-        lhs = sum(a * s for a, s in zip(avec, spec.S)) - sum(
-            b * t for b, t in zip(bvec, spec.T)
-        )
-        rhs = (sum(avec) + sum(bvec)) * prof.s1
-        if (lhs - rhs) % prof.d_plus != 0:
+        difference = sum(map(mul, coefs, draws[j : j + k]))
+        if difference % prof.d_plus != 0:
+            avec, bvec = draws[j : j + ks], draws[j + ks : j + k]
             want = f"combination congruent mod d+ = {prof.d_plus}"
-            return [(spec, want, f"a={avec} b={bvec} difference {lhs - rhs}", VIOLATION)]
+            return [(spec, want, f"a={avec} b={bvec} difference {difference}", VIOLATION)]
     return []
 
 
 def _check_same_residue_walks(sw, spec, powers, an) -> list[Result]:
-    """Walk-ensured: every pair of vertices congruent mod d is joined by a walk."""
+    """Walk-ensured: every pair of vertices congruent mod d is joined by a walk.
+
+    Row u of the OR of the distinct powers up to the bound must hold the
+    columns v = u mod d, a comb of period d; the first missing (u, v) in
+    row-major order is reported."""
     if not sw.truth(spec).walk_ensured:
         return []
-    d = an.profile.d
+    d, n = an.profile.d, spec.n
     bound = an.matrix_index + lcm(an.matrix_period, an.profile.d_plus // d)
-    reach = reduce(or_, map(powers.power, range(1, bound + 1)))
-    for u in range(1, spec.n + 1):
-        for v in range(1, spec.n + 1):
-            if (u - v) % d == 0 and not reach.get(u, v):
-                return [(spec, f"some ({u},{v})-walk of length <= {bound}", "none", VIOLATION)]
+    reach = [0] * n
+    for x in set(map(powers.power, range(1, bound + 1))):
+        reach = list(map(or_, reach, x.rows))
+    comb, full = _comb(d, n), (1 << n) - 1
+    for u, row in enumerate(reach, start=1):
+        missing = (comb << ((u - 1) % d)) & full & ~row
+        if missing:
+            v = (missing & -missing).bit_length()
+            return [(spec, f"some ({u},{v})-walk of length <= {bound}", "none", VIOLATION)]
     return []
 
 
@@ -343,12 +376,14 @@ def _check_superset_period(sw, spec, powers, an) -> list[Result]:
     """Offset supersets preserving gcd(S + T) keep the period d+/d."""
     if spec.n > SUPERSET_N_MAX or not sw.truth(spec).walk_ensured:
         return []
-    full = (1 << (spec.n - 1)) - 1
-    formula = an.profile.d_plus // an.profile.d
+    n, d_plus = spec.n, an.profile.d_plus
+    full = (1 << (n - 1)) - 1
+    formula = d_plus // an.profile.d
+    tmasks = list(_supersets(_mask(spec.T), full))
     for smask in _supersets(_mask(spec.S), full):
-        for tmask in _supersets(_mask(spec.T), full):
-            star = sw.spec(spec.n, smask, tmask)
-            if gcd_profile(star).d_plus != an.profile.d_plus:
+        for tmask in tmasks:
+            star = sw.spec(n, smask, tmask)
+            if gcd_profile(star).d_plus != d_plus:
                 continue
             star_period = sw.truth(star).period
             if star_period != formula:

@@ -30,7 +30,7 @@ after each term without losing a reachable end value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 from typing import Iterator
 
@@ -48,16 +48,25 @@ def _mask_to_set(mask: int, n: int) -> frozenset[int]:
     return frozenset(out)
 
 
+@cache
 def _comb(step: int, width: int) -> int:
     """Bits at every multiple of step below width."""
     return ((1 << (width + step - 1) // step * step) - 1) // ((1 << step) - 1)
 
 
+@cache
+def _shifted_comb(step: int, width: int, first: int) -> int:
+    """_comb(step, width) moved up by first < step, cut to width bits."""
+    return (_comb(step, width) << first) & ((1 << width) - 1)
+
+
 def _p_mask(spec: ToeplitzSpec, i: int) -> int:
-    """Window mask of p_set(spec, i): the comb of period d+ from i * s1 on."""
-    prof, width = gcd_profile(spec), 2 * spec.n - 1
-    first = (i * prof.s1 + spec.n - 1) % prof.d_plus
-    return (_comb(prof.d_plus, width) << first) & ((1 << width) - 1)
+    """Window mask of p_set(spec, i): the comb of period d+ from i * s1 on.
+
+    Both combs are cached by their arguments, which an order n bounds:
+    the masks of one (d+, n) are d+ shifts of one comb."""
+    prof, n = gcd_profile(spec), spec.n
+    return _shifted_comb(prof.d_plus, 2 * n - 1, (i * prof.s1 + n - 1) % prof.d_plus)
 
 
 def p_set(spec: ToeplitzSpec, i: int) -> frozenset[int]:

@@ -2,9 +2,14 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toeplitz_periods
 from toeplitz_periods.cli import main
 
 from conftest import naive_q_set
@@ -321,3 +326,25 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     assert run_cli(capsys, "contract", "n=7;S=3;T=", "--d", "2")[0] == 0
     assert run_cli(capsys, "walksets", "n=6;S=2,4;T=5", "--i", "0")[0] == 2
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["analyze", "n=6;S=2,4;T=5", "--json"], 0),
+        (["walksets", "n=6;S=2,4;T=5", "--i", "0"], 2),
+        (["frobnicate"], 2),
+    ],
+)
+def test_python_dash_m_runs_the_cli(argv, code):
+    # the package runs as a module with the exit codes of the installed script
+    src = str(Path(toeplitz_periods.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "toeplitz_periods", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert json.loads(done.stdout)["matrix_index"] == 6
+    else:
+        assert "error:" in done.stderr

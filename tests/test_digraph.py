@@ -232,3 +232,22 @@ def test_power_period_equals_the_scanned_period(seed, n, degree):
     # about one arc per vertex leaves several components with cycles of their own
     a = random_boolmat(random.Random(seed), n, degree / n)
     assert power_period(a) == PowerSequence(a).cycle()[1]
+
+
+def test_power_period_matches_the_scan_on_3000_matrices():
+    # every Toeplitz matrix of orders 2..6, read with its offsets and without;
+    # T_n<1;n-2,n-1>, whose BFS runs about n levels deep; seeded random matrices
+    cases = [
+        (from_toeplitz(spec), offsets)
+        for n in range(2, 7)
+        for spec in enumerate_specs(n)
+        for offsets in (None, (spec.S, spec.T))
+    ]
+    deep = [ToeplitzSpec(n, (1,), (n - 2, n - 1)) for n in range(4, 24)]
+    cases += [(from_toeplitz(spec), (spec.S, spec.T)) for spec in deep]
+    rng = random.Random(20261019)
+    while len(cases) < 3000:
+        n = rng.randint(2, 16)
+        cases.append((random_boolmat(rng, n, rng.choice([0.8, 1.0, 1.5, 3.0]) / n), None))
+    for a, offsets in cases:
+        assert power_period(a, offsets) == PowerSequence(a).cycle()[1], (a, offsets)

@@ -1,11 +1,19 @@
 """The mask-native sweep checks against their set formulations on planted faults.
 
 Each twin below is a check written over frozensets: p-sets, q-sets and
-the entries of each power.  A planted fault (a stray entry in one
-power, a flipped bit in one Q mask, bent P masks) must make the check
-and its twin return the same (spec, expected, actual, severity) tuples,
-and that list must not be empty.
+the entries of each power; the twins of same-residue-walks and
+sum-congruence read the reach entry by entry and each draw term by
+term.  A planted fault (a stray entry in one power, a missing walk,
+a flipped bit in one Q mask, bent P masks, a doctored gcd profile) must
+make the check and its twin return the same (spec, expected, actual,
+severity) tuples, and that list must not be empty.
 """
+
+import dataclasses
+import random
+from functools import reduce
+from math import lcm
+from operator import or_
 
 import pytest
 
@@ -21,11 +29,15 @@ from toeplitz_periods import (
 from toeplitz_periods import engine, oracle
 from toeplitz_periods.oracle import (
     CHAIN_I_MAX,
+    CONGRUENCE_SAMPLES,
     DISPLACEMENT_I_MAX,
+    PER_SPEC_CHECKS,
     VIOLATION,
     SweepConfig,
     _check_containment_chain,
     _check_p_set_laws,
+    _check_same_residue_walks,
+    _check_sum_congruence,
     _check_tail_extension,
     _check_walk_displacements,
     _fmt,
@@ -36,6 +48,8 @@ from toeplitz_periods.walksets import _mask_to_set, _p_mask, _q_masks
 WORKED = ToeplitzSpec(6, (2, 4), (5,))  # q-set {-3,-1,4} and r-set {4} at length 2
 PARITY = ToeplitzSpec(4, (1,), (1,))  # d+ = 2: the p-sets alternate
 THIRDS = ToeplitzSpec(4, (1,), (2,))  # d+ = 3, d = 1: three p-sets take turns
+EVENS = ToeplitzSpec(6, (2,), (4,))  # walk-ensured, d = 2
+TRIPLES = ToeplitzSpec(6, (3,), (3,))  # walk-ensured, d = 3
 
 
 # --------------------------------------------------------------------------
@@ -95,6 +109,36 @@ def twin_walk_displacements(spec, powers, q_sets):
     return []
 
 
+def twin_same_residue_walks(sw, spec, powers, an):
+    if not sw.truth(spec).walk_ensured:
+        return []
+    d = an.profile.d
+    bound = an.matrix_index + lcm(an.matrix_period, an.profile.d_plus // d)
+    reach = reduce(or_, map(powers.power, range(1, bound + 1)))
+    for u in range(1, spec.n + 1):
+        for v in range(1, spec.n + 1):
+            if (u - v) % d == 0 and not reach.get(u, v):
+                return [(spec, f"some ({u},{v})-walk of length <= {bound}", "none", VIOLATION)]
+    return []
+
+
+def twin_sum_congruence(sw, spec, an):
+    rng = random.Random(f"{sw.config.seed}:congruence:{spec}")
+    prof = an.profile
+    k, ks = len(spec.S) + len(spec.T), len(spec.S)
+    draws = rng.choices(range(-10, 11), k=CONGRUENCE_SAMPLES * k)
+    for j in range(0, len(draws), k):
+        avec, bvec = draws[j : j + ks], draws[j + ks : j + k]
+        lhs = sum(a * s for a, s in zip(avec, spec.S)) - sum(
+            b * t for b, t in zip(bvec, spec.T)
+        )
+        rhs = (sum(avec) + sum(bvec)) * prof.s1
+        if (lhs - rhs) % prof.d_plus != 0:
+            want = f"combination congruent mod d+ = {prof.d_plus}"
+            return [(spec, want, f"a={avec} b={bvec} difference {lhs - rhs}", VIOLATION)]
+    return []
+
+
 # --------------------------------------------------------------------------
 # planted faults
 # --------------------------------------------------------------------------
@@ -110,6 +154,30 @@ class StrayPowers:
     def power(self, m: int) -> BoolMatrix:
         x = self._powers.power(m)
         return x | self._stray if m == self._i else x
+
+
+class HolePowers:
+    """The powers of spec's matrix with the given entries cleared in every one,
+    each handed out as a new object."""
+
+    def __init__(self, spec: ToeplitzSpec, holes: list[tuple[int, int]]):
+        self._powers = PowerSequence(from_toeplitz(spec))
+        self._keep = [~0] * spec.n
+        for u, v in holes:
+            self._keep[u - 1] &= ~(1 << (v - 1))
+
+    def power(self, m: int) -> BoolMatrix:
+        return BoolMatrix(map(int.__and__, self._powers.power(m).rows, self._keep))
+
+
+class FreshPowers:
+    """The same powers, each handed out as a new object on every call."""
+
+    def __init__(self, powers):
+        self._powers = powers
+
+    def power(self, m: int) -> BoolMatrix:
+        return BoolMatrix(self._powers.power(m).rows)
 
 
 def q_masks_flipping(i: int, l: int):
@@ -184,7 +252,7 @@ def test_walk_displacements_match_their_set_twin_on_planted_faults(
     assert got == twin_walk_displacements(WORKED, powers, as_sets(q_masks)) != []
 
 
-@pytest.mark.parametrize("spec", [WORKED, PARITY, THIRDS])
+@pytest.mark.parametrize("spec", [WORKED, PARITY, THIRDS, EVENS, TRIPLES])
 def test_the_checks_and_their_twins_pass_unplanted_input(spec):
     powers, an, sw = PowerSequence(from_toeplitz(spec)), analyze(spec), sweep_of(spec)
     q_sets = as_sets(_q_masks)
@@ -194,6 +262,10 @@ def test_the_checks_and_their_twins_pass_unplanted_input(spec):
     assert twin_p_set_laws(spec, an, p_set_of(_p_mask)) == []
     assert _check_walk_displacements(sw, spec, powers, an) == []
     assert twin_walk_displacements(spec, powers, q_sets) == []
+    assert _check_same_residue_walks(sw, spec, powers, an) == []
+    assert twin_same_residue_walks(sw, spec, powers, an) == []
+    assert _check_sum_congruence(sw, spec, powers, an) == []
+    assert twin_sum_congruence(sw, spec, an) == []
 
 
 def test_tail_extension_reports_a_period_the_recheck_rejects(monkeypatch):
@@ -213,3 +285,92 @@ def test_tail_extension_reports_a_period_the_recheck_rejects(monkeypatch):
     powers, an = PowerSequence(from_toeplitz(base)), analyze(base)
     got = _check_tail_extension(sweep_of(base), base, powers, an)
     assert got == [(base, "period preserved", changed, VIOLATION)]
+
+
+@pytest.mark.parametrize(
+    "spec, holes",
+    [
+        (TRIPLES, [(4, 1), (5, 2)]),  # row-major order reports (4,1) first
+        (TRIPLES, [(5, 2), (2, 5)]),
+        (TRIPLES, [(1, 1)]),
+        (TRIPLES, [(2, 5), (2, 2)]),  # two in one row: the lower column first
+        (EVENS, [(6, 2), (3, 5)]),
+        (EVENS, [(6, 6)]),
+    ],
+)
+def test_same_residue_walks_match_their_entrywise_twin_on_missing_walks(spec, holes):
+    powers, an, sw = HolePowers(spec, holes), analyze(spec), sweep_of(spec)
+    got = _check_same_residue_walks(sw, spec, powers, an)
+    assert got == twin_same_residue_walks(sw, spec, powers, an) != []
+
+
+@pytest.mark.parametrize(
+    "spec, doctored",
+    [
+        (EVENS, {"s1": 3}),  # d+ = 6 no longer divides s - s1
+        (EVENS, {"d_plus": 4}),
+        (ToeplitzSpec(7, (2, 5), (1, 4)), {"s1": 4}),  # two terms on each side
+        (ToeplitzSpec(7, (2, 5), (1, 4)), {"d_plus": 9}),
+        (ToeplitzSpec(8, (1, 3, 7), (5,)), {"s1": 2}),
+    ],
+)
+def test_sum_congruence_matches_its_termwise_twin_on_doctored_profiles(spec, doctored):
+    an, sw = analyze(spec), sweep_of(spec)
+    bent = dataclasses.replace(an, profile=dataclasses.replace(an.profile, **doctored))
+    got = _check_sum_congruence(sw, spec, None, bent)
+    assert got == twin_sum_congruence(sw, spec, bent) != []
+
+
+# --------------------------------------------------------------------------
+# masks made once per distinct power
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("i", range(1, CHAIN_I_MAX + 1))
+def test_masks_of_a_new_object_per_call_match_the_set_twins(i):
+    # the powers repeat with period 2 from the index on; a stray entry of odd
+    # displacement at an even length, or even at an odd one, leaves the q-set.
+    # Every power is a new object on each call, so a new one may take the
+    # address, and the id(), of one freed a length before
+    spec = PARITY
+    powers = FreshPowers(StrayPowers(spec, i, 1, 4 if i % 2 == 0 else 3))
+    assert powers.power(i) == powers.power(i) and powers.power(i) is not powers.power(i)
+    sw, an = sweep_of(spec), analyze(spec)
+    q_sets = as_sets(_q_masks)
+    got = _check_containment_chain(sw, spec, powers, an)
+    assert got == twin_containment_chain(spec, powers, p_set_of(_p_mask), q_sets)
+    got = _check_walk_displacements(sw, spec, powers, an)
+    assert got == twin_walk_displacements(spec, powers, q_sets)
+    assert got != [] or i > DISPLACEMENT_I_MAX
+
+
+def test_a_shared_sweep_keeps_no_masks_from_one_descriptor_to_the_next():
+    # every check, run on one _Sweep over planted and clean powers of three
+    # descriptors in turn, answers as it does on a new _Sweep
+    shared = _Sweep(SweepConfig(4, 6))
+    runs = [
+        (WORKED, STRAY),
+        (WORKED, PowerSequence(from_toeplitz(WORKED))),
+        (TRIPLES, HolePowers(TRIPLES, [(4, 1)])),
+        (TRIPLES, PowerSequence(from_toeplitz(TRIPLES))),
+        (PARITY, PowerSequence(from_toeplitz(PARITY))),
+        (WORKED, STRAY),
+    ]
+    for spec, powers in runs:
+        an = analyze(spec)
+        for name, check in PER_SPEC_CHECKS:
+            want = check(_Sweep(SweepConfig(4, 6)), spec, powers, an)
+            assert check(shared, spec, powers, an) == want, name
+    clean = PowerSequence(from_toeplitz(WORKED))
+    assert _check_containment_chain(shared, WORKED, clean, analyze(WORKED)) == []
+
+
+def test_patched_mask_functions_are_read_after_a_first_run(monkeypatch):
+    # whatever the masks cache, the checks look up _p_mask and _q_masks each time
+    sw, an, powers = sweep_of(THIRDS), analyze(THIRDS), PowerSequence(from_toeplitz(THIRDS))
+    assert _check_p_set_laws(sw, THIRDS, powers, an) == []
+    assert _check_containment_chain(sw, THIRDS, powers, an) == []
+    monkeypatch.setattr(oracle, "_p_mask", lambda spec, i: _p_mask(spec, 2 * i))
+    assert _check_p_set_laws(sw, THIRDS, powers, an) != []
+    monkeypatch.setattr(oracle, "_q_masks", q_masks_flipping(3, 0))
+    assert _check_walk_displacements(sw, THIRDS, powers, an) != []
