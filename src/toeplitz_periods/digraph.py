@@ -36,12 +36,7 @@ def has_source_or_sink(m: BoolMatrix) -> bool:
     Loops count in both degrees; an isolated vertex is both a source
     and a sink.
     """
-    if any(r == 0 for r in m.rows):
-        return True
-    seen = 0
-    for r in m.rows:
-        seen |= r
-    return seen != (1 << m.n) - 1
+    return 0 in m.rows or reduce(or_, m.rows, 0) != (1 << m.n) - 1
 
 
 def _levels(rows: tuple[int, ...], root: int, inside: int) -> tuple[list[int], list[int]]:

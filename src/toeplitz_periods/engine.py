@@ -51,7 +51,7 @@ the rules that transfer a period, each lifting its base at most once;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, chain, count, islice, repeat, takewhile
 from math import lcm
 from typing import Callable, Iterator, Optional, TypeVar
@@ -125,48 +125,37 @@ class _Lift:
         self.shifts = _shift_kernel(a.n, offsets)
         self.period = p = power_period(a, offsets)
         bound = (a.n - 1) ** 2 + 1  # Heap and Lynn (1964): the index is at most this
-        # test(A^m) is A^m, in the form the step by A^p reads, when A^m = A^(m+p)
-        test = lambda y: y if self.times(y := self.form(y, p), p) == y else None
+        test = lambda y: self.times(y := self.form(y, p), p) == y  # A^m = A^(m+p)
         failed = TheoremViolationError(f"A^m = A^(m+{p}) holds for no m <= {bound}")
         k = 0  # gallop to the bracket (2^(k-1), 2^k] of the index
-        while (value := test(self.square(k))) is None:
+        while not test(self.square(k)):
             if 1 << k >= bound:
                 raise failed
             k += 1
         lo = (1 << (k - 1), self.square(k - 1)) if k else (0, None)
-        self.index, x, value = self.least(test, lo, (1 << k, self.square(k), value))
+        # A^index in the form the descent made it: rows or packed
+        self.index, self._at_index = self.least(test, lo, (1 << k, self.square(k)))
         if self.index > bound:
             raise failed
-        # A^index as rows and packed, where the descent (x) or the test (value)
-        # made that form; the other one is made when first asked for
-        self._rows_at = self._packed_at = None
-        for form in (x, value):
-            if isinstance(form, BoolMatrix):
-                self._rows_at = form
-            else:
-                self._packed_at = form
         if any(p % e == 0 and self._returns(e) for e in range(1, p)):
             raise TheoremViolationError(f"period {p} of the components is not least")
 
-    @property
+    @cached_property
     def at_index(self) -> BoolMatrix:
         """A^index, unpacked at most once."""
-        if self._rows_at is None:
-            self._rows_at = self.shifts.unpack(self._packed_at)
-        return self._rows_at
+        return self.rows(self._at_index)
 
     def _index_form(self, e: int) -> BoolMatrix | int:
-        """A^index in the form times(., e) reads; each form made at most once."""
+        """A^index in the form times(., e) reads; packed once, its rows kept."""
         if not self._steps(e):
             return self.at_index
-        if self._packed_at is None:
-            self._packed_at = self.shifts.pack(self._rows_at)
-        return self._packed_at
+        if not isinstance(self._at_index, int):
+            self._at_index = self.shifts.pack(self.at_index)
+        return self._at_index
 
     def _returns(self, e: int) -> bool:
         """A^(index+e) = A^index."""
-        x = self._index_form(e)
-        return self.times(x, e) == x
+        return self.times(x := self._index_form(e), e) == x
 
     def _steps(self, e: int) -> bool:
         """Whether x A^e is e steps of shifts: A has shifts and they cost less
@@ -224,27 +213,25 @@ class _Lift:
 
     def least(
         self,
-        test: Callable[[_State], object],
+        test: Callable[[_State], bool],
         lo: tuple[int, Optional[_State]],
-        hi: tuple[int, _State, object],
+        hi: tuple[int, _State],
         advance: Optional[Callable[[Optional[_State], int], _State]] = None,
-    ) -> tuple[int, _State, object]:
-        """(m, x_m, test(x_m)) for the least m in (lo, hi] with test(x_m) not None,
-        where test fails exactly below some m, fails at lo = (m, x_m) and passes at
-        hi = (m, x_m, value).  x_m is A^m (A^0 is None) and advance(x_m, j) is
-        x_(m+2^j), ``self.advance`` unless given.  One test per bit of hi - lo - 1,
-        from the top: the failing m goes up by 2^j whenever the test fails there."""
+    ) -> tuple[int, _State]:
+        """(m, x_m) for the least m in (lo, hi] with test(x_m), where test fails
+        exactly below some m, fails at lo = (m, x_m) and holds at hi.  x_m is
+        A^m (A^0 is None) and advance(x_m, j) is x_(m+2^j), ``self.advance``
+        unless given.  One test per bit of hi - lo - 1, from the top: the
+        failing m goes up by 2^j whenever the test fails there."""
         advance = advance or self.advance
-        m, x = lo
-        best = hi
+        (m, x), best = lo, hi
         for j in reversed(range((hi[0] - m - 1).bit_length())):
-            if m + (1 << j) >= hi[0]:
-                continue
-            y = advance(x, j)
-            if (value := test(y)) is None:
-                m, x = m + (1 << j), y
-            else:
-                best = (m + (1 << j), y, value)
+            if m + (1 << j) < hi[0]:
+                y = advance(x, j)
+                if test(y):
+                    best = (m + (1 << j), y)
+                else:
+                    m, x = m + (1 << j), y
         return best
 
     def competition(self) -> "CompetitionResult":
@@ -275,9 +262,9 @@ class _Lift:
             b = _gram(self.rows(y))
             return y, shifts.pack(b) if shifts else b
 
-        on_cycle = lambda state: True if state[1] in cycle else None
-        hi = (self.index, (self.at_index, b_index), True)
-        index, _, _ = self.least(on_cycle, (0, (None, None)), hi, advance)
+        on_cycle = lambda state: state[1] in cycle
+        hi = (self.index, (self.at_index, b_index))
+        index, _ = self.least(on_cycle, (0, (None, None)), hi, advance)
         return CompetitionResult(index, period, limit if period == 1 else None)
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
+from itertools import product
 from math import gcd, lcm
 from operator import mul, or_
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -83,9 +84,9 @@ class SweepConfig:
     """What to sweep and how hard.
 
     Exhaustive mode enumerates every nonempty offset pair and is held
-    to small orders; random mode draws `samples` descriptor pairs per
-    order from the recorded seed.  checks=None means the full
-    registry.
+    to small orders, with samples 0; random mode draws `samples`
+    descriptor pairs per order from the recorded seed.  checks=None
+    means the full registry; an empty set is refused.
     """
 
     n_lo: int
@@ -102,10 +103,14 @@ class SweepConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "exhaustive" and self.n_hi > 8:
             raise ValueError("exhaustive mode is limited to orders up to 8")
+        if self.mode == "exhaustive" and self.samples != 0:
+            raise ValueError("exhaustive mode takes no sample count")
         if self.mode == "random" and self.samples < 1:
             raise ValueError("random mode needs a positive sample count")
         if self.checks is not None:
             object.__setattr__(self, "checks", frozenset(self.checks))
+            if not self.checks:
+                raise ValueError("no check selected")
             unknown = self.checks - set(ALL_CHECK_NAMES)
             if unknown:
                 raise ValueError(f"unknown checks: {sorted(unknown)}")
@@ -124,11 +129,8 @@ def _mask(offsets: tuple[int, ...]) -> int:
 
 def enumerate_specs(n: int) -> Iterator[ToeplitzSpec]:
     """All (2^(n-1) - 1)^2 descriptors with nonempty S and T, S outer."""
-    full = 1 << (n - 1)
-    for smask in range(1, full):
-        s = _offsets(smask)
-        for tmask in range(1, full):
-            yield ToeplitzSpec(n, s, _offsets(tmask))
+    masks = product(range(1, 1 << (n - 1)), repeat=2)
+    return (ToeplitzSpec(n, _offsets(s), _offsets(t)) for s, t in masks)
 
 
 class _Truth(NamedTuple):
@@ -162,14 +164,14 @@ class _Sweep:
         return spec
 
     def specs(self, n: int) -> Iterator[ToeplitzSpec]:
-        if self.config.mode == "exhaustive":
-            for spec in enumerate_specs(n):
-                yield self._specs.setdefault((n, _mask(spec.S), _mask(spec.T)), spec)
-            return
-        rng = random.Random(f"{self.config.seed}:{n}")
         full = 1 << (n - 1)
-        for _ in range(self.config.samples):
-            yield self.spec(n, rng.randrange(1, full), rng.randrange(1, full))
+        if self.config.mode == "exhaustive":
+            pairs = product(range(1, full), repeat=2)
+        else:
+            rng = random.Random(f"{self.config.seed}:{n}")
+            draws = range(self.config.samples)
+            pairs = ((rng.randrange(1, full), rng.randrange(1, full)) for _ in draws)
+        return (self.spec(n, s, t) for s, t in pairs)
 
     def truth(self, spec: ToeplitzSpec, powers: Optional[PowerSequence] = None) -> _Truth:
         """spec's record, read the first time from powers: the scan analyze_spec
@@ -205,23 +207,6 @@ class _Sweep:
 
 def _fmt(values) -> str:
     return "{" + ",".join(str(v) for v in sorted(values)) + "}"
-
-
-class _PerPower(dict):
-    """mask(x) for each distinct power x a check reads, made on first read.
-
-    Powers repeat from the index on, so one check reads few distinct
-    ones.  The key is the matrix value, never its id(): a power sequence
-    may hand out a new object for a power it has made before.  A check
-    makes its own table, which goes with the call.
-    """
-
-    def __init__(self, mask: Callable[[BoolMatrix], int]):
-        self.mask = mask
-
-    def __missing__(self, x: BoolMatrix) -> int:
-        self[x] = out = self.mask(x)
-        return out
 
 
 # ---------------------------------------------------------------- checks
@@ -276,11 +261,13 @@ def _check_certificate_soundness(sw, spec, powers, an) -> list[Result]:
 
 
 def _check_containment_chain(sw, spec, powers, an) -> list[Result]:
-    """r_set <= q_set <= p_set at every length up to CHAIN_I_MAX."""
-    r_of = _PerPower(_r_mask)
+    """r_set <= q_set <= p_set at every length up to CHAIN_I_MAX.  Powers repeat,
+    so R is made once per distinct power, keyed by its value (a power sequence
+    may hand out a new object, and id(), for one it made before)."""
+    r_of = cache(_r_mask)
     for i, q in enumerate(_q_masks(spec, CHAIN_I_MAX), start=1):
         p = _p_mask(spec, i)
-        r = r_of[powers.power(i)]
+        r = r_of(powers.power(i))
         if r & ~q or q & ~p:
             r, q, p = (_fmt(_mask_to_set(x, spec.n)) for x in (r, q, p))
             return [(spec, f"i={i}: r <= q <= p", f"r={r} q={q} p={p}", VIOLATION)]
@@ -311,10 +298,11 @@ def _check_p_set_laws(sw, spec, powers, an) -> list[Result]:
 
 
 def _check_walk_displacements(sw, spec, powers, an) -> list[Result]:
-    """Every walk displacement is representable as an i-term signed sum."""
-    realized_of = _PerPower(_realized_mask)
+    """Every walk displacement is representable as an i-term signed sum; the
+    realized masks are kept per distinct power as containment-chain keeps R."""
+    realized_of = cache(_realized_mask)
     for i, q in enumerate(_q_masks(spec, DISPLACEMENT_I_MAX), start=1):
-        realized = realized_of[powers.power(i)]
+        realized = realized_of(powers.power(i))
         if realized & ~q:
             want = f"i={i}: walk displacements within q-set {_fmt(_mask_to_set(q, spec.n))}"
             return [(spec, want, _fmt(_mask_to_set(realized, spec.n)), VIOLATION)]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Union
@@ -24,6 +25,9 @@ from typing import Iterable, Optional, Union
 
 class SpecFormatError(ValueError):
     """A descriptor string failed to parse."""
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # int() would also take "1_0" and non-ASCII digits
 
 
 @dataclass(frozen=True)
@@ -78,19 +82,15 @@ class ToeplitzSpec:
             seen[key] = value
 
         def ints(value: str, label: str) -> list[int]:
-            if value == "":
-                return []
-            try:
-                return [int(v) for v in value.split(",")]
-            except ValueError:
-                raise SpecFormatError(f"bad {label} list {value!r} in {text!r}") from None
+            items = value.split(",") if value else []
+            if not all(map(_INTEGER.fullmatch, items)):
+                raise SpecFormatError(f"bad {label} list {value!r} in {text!r}")
+            return [int(v) for v in items]
 
+        if not _INTEGER.fullmatch(seen["n"]):
+            raise SpecFormatError(f"bad order {seen['n']!r} in {text!r}")
         try:
-            n = int(seen["n"])
-        except ValueError:
-            raise SpecFormatError(f"bad order {seen['n']!r} in {text!r}") from None
-        try:
-            return cls(n, ints(seen["S"], "S"), ints(seen["T"], "T"))
+            return cls(int(seen["n"]), ints(seen["S"], "S"), ints(seen["T"], "T"))
         except ValueError as exc:
             raise SpecFormatError(str(exc)) from None
 

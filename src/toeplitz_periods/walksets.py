@@ -34,7 +34,7 @@ from functools import cache, reduce
 from operator import or_
 from typing import Iterator
 
-from .boolmat import BoolMatrix, from_toeplitz
+from .boolmat import BoolMatrix, _shift_or, from_toeplitz
 from .toeplitz import ToeplitzSpec, gcd_profile
 
 
@@ -82,16 +82,10 @@ def _q_masks(spec: ToeplitzSpec, i_max: int) -> Iterator[int]:
     One shift-OR per offset advances the whole set, so a step costs
     |S| + |T| big-integer operations on at most 2n - 1 bits.
     """
-    n = spec.n
-    full = (1 << (2 * n - 1)) - 1
-    mask = 1 << (n - 1)
+    full = (1 << (2 * spec.n - 1)) - 1
+    mask = 1 << (spec.n - 1)
     for _ in range(i_max):
-        nxt = 0
-        for s in spec.S:
-            nxt |= mask << s
-        for t in spec.T:
-            nxt |= mask >> t
-        mask = nxt & full
+        mask = _shift_or(mask, spec.S, spec.T) & full
         yield mask
 
 

@@ -260,6 +260,11 @@ def test_out_writes_file(tmp_path, capsys):
         ("walksets", "n=6;S=2,4;T=5", "--i", "0"),
         ("analyze", "n=4;S=1;T=1", "--out", "{missing}"),
         ("sweep", "--n", "2..3", "--out", "{missing}"),
+        ("sweep", "--n", "2..3", "--checks", ","),  # no check to run
+        ("sweep", "--n", "2..3", "--checks", ""),
+        ("sweep", "--n", "2..2", "--samples", "5"),  # exhaustive mode reads no samples
+        ("analyze", "n=\u0666;S=2;T=5"),  # an Arabic-Indic six, which int() takes
+        ("analyze", "n=6;S=1_0;T=5"),
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv):

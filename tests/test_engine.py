@@ -203,11 +203,10 @@ def test_descent_finds_every_threshold_within_one_test_per_bit():
 
                 def test(y):
                     tests.append(y)
-                    return ones if (ones := lift.rows(y).count()) <= 70 - t else None
+                    return lift.rows(y).count() <= 70 - t
 
-                m, y, value = lift.least(test, (lo, power.get(lo)), (hi, power[hi], "hi"))
-                got = (m, lift.rows(y), value)
-                assert got == (t, power[t], "hi" if t == hi else 70 - t), (lo, t, hi)
+                m, y = lift.least(test, (lo, power.get(lo)), (hi, power[hi]))
+                assert (m, lift.rows(y)) == (t, power[t]), (lo, t, hi)
                 assert len(tests) <= (hi - lo - 1).bit_length(), (lo, t, hi)
 
 

@@ -11,6 +11,11 @@ every descriptor that is not walk-ensured and whose period differs
 from d+/d.  Its body equals that of the full `sweep --n 7..7` report,
 so a change in that set shows up as a diff of this file.
 
+The benchmark verifies its sweep runs against its own copy of the
+order 2..6 report, `perfbench/expected/sweep-n2-6.txt`; the two files
+must stay byte-identical, so that a drift shows here and not only as a
+refused benchmark run.
+
 `analyze-large.jsonl` pins `analyze --json` above order 32, where the
 products switch to the table kernel and the transpose to blockwise
 swaps: the worst-index family `T_n<1;n-2,n-1>`, the paper's family
@@ -26,6 +31,7 @@ from toeplitz_periods import ToeplitzSpec, cli
 from toeplitz_periods.oracle import enumerate_specs
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH_EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
 
 
 def _cli_stdout(*argv: str) -> str:
@@ -44,6 +50,11 @@ def test_golden_outputs_are_byte_identical():
         assert got == line, f"analyze --json differs first at {spec}"
     report = (GOLDEN / "sweep-n2-6.txt").read_text(encoding="utf-8")
     assert _cli_stdout("sweep", "--n", "2..6") == report
+
+
+def test_benchmark_sweep_report_is_the_golden_one():
+    golden = (GOLDEN / "sweep-n2-6.txt").read_bytes()
+    assert (BENCH_EXPECTED / "sweep-n2-6.txt").read_bytes() == golden
 
 
 def test_order_7_observation_table_is_byte_identical():

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from toeplitz_periods import TheoremViolationError, ToeplitzSpec, boolmat, oracle
+from toeplitz_periods import BoolMatrix, TheoremViolationError, ToeplitzSpec, boolmat, oracle
 from toeplitz_periods.oracle import (
     ALL_CHECK_NAMES,
     Finding,
@@ -65,6 +65,11 @@ def test_sweep_config_validation():
         SweepConfig(2, 4, mode="sideways")
     with pytest.raises(ValueError):
         SweepConfig(2, 4, checks=frozenset({"no-such-check"}))
+    with pytest.raises(ValueError, match="^no check selected$"):
+        SweepConfig(2, 4, checks=frozenset())
+    for samples in (5, -1):  # exhaustive mode reads no sample count
+        with pytest.raises(ValueError, match="^exhaustive mode takes no sample count$"):
+            SweepConfig(2, 2, samples=samples)
     cfg = SweepConfig(2, 12, mode="random", samples=5)
     assert cfg.enabled("period-formula")
     only = SweepConfig(2, 4, checks=frozenset({"period-formula"}))
@@ -84,6 +89,39 @@ def test_check_registry_names():
 
 def test_worked_example_check_is_clean():
     assert check_worked_example() == []
+
+
+def test_worked_example_reports_a_square_without_entry_1_5(monkeypatch):
+    # the square loses (1,5), and with it the full diagonal of displacement 4;
+    # the sweep runs the one check and no descriptor's
+    class Holed(oracle.PowerSequence):
+        def power(self, m):
+            return super().power(m).and_not(BoolMatrix.from_entries(6, [(1, 5)]))
+
+    monkeypatch.setattr(oracle, "PowerSequence", Holed)
+    monkeypatch.setattr(oracle, "analyze", None)
+    findings = run_sweep(SweepConfig(2, 3, checks=frozenset({"worked-example"})))
+    assert [f.line() for f in findings] == [
+        "worked-example\tn=6;S=2,4;T=5\tr-set at i=2 is {4}\t{}\tviolation",
+        "worked-example\tn=6;S=2,4;T=5\tsquare has entry (1,5)\tmissing\tviolation",
+    ]
+
+
+@pytest.mark.parametrize(
+    "decomposition, reason",
+    [(lambda m: None, "no decomposition"), (lambda m: [[1], [2], [3]], "different classes")],
+)
+def test_cycle_structure_reports_each_descriptor_off_the_residue_classes(
+    monkeypatch, decomposition, reason
+):
+    # a sweep of per-order checks only analyzes no descriptor
+    monkeypatch.setattr(oracle, "cycle_decomposition", decomposition)
+    monkeypatch.setattr(oracle, "analyze", None)
+    findings = run_sweep(SweepConfig(3, 3, checks=frozenset({"cycle-structure"})))
+    assert [f.line() for f in findings] == [
+        f"cycle-structure\t{spec}\tcycles are the residue classes mod 1\t{reason}\tviolation"
+        for spec in ("n=3;S=1;T=2", "n=3;S=2;T=1")
+    ]
 
 
 def test_per_order_checks_are_clean_up_to_12():

@@ -33,6 +33,7 @@ from toeplitz_periods.oracle import (
     DISPLACEMENT_I_MAX,
     PER_SPEC_CHECKS,
     VIOLATION,
+    Finding,
     SweepConfig,
     _check_containment_chain,
     _check_p_set_laws,
@@ -43,6 +44,7 @@ from toeplitz_periods.oracle import (
     _fmt,
     _Sweep,
 )
+from toeplitz_periods.toeplitz import Certificate, Rule, Verdict
 from toeplitz_periods.walksets import _mask_to_set, _p_mask, _q_masks
 
 WORKED = ToeplitzSpec(6, (2, 4), (5,))  # q-set {-3,-1,4} and r-set {4} at length 2
@@ -374,3 +376,120 @@ def test_patched_mask_functions_are_read_after_a_first_run(monkeypatch):
     assert _check_p_set_laws(sw, THIRDS, powers, an) != []
     monkeypatch.setattr(oracle, "_q_masks", q_masks_flipping(3, 0))
     assert _check_walk_displacements(sw, THIRDS, powers, an) != []
+
+
+def test_patched_power_masks_are_read_after_a_first_run(monkeypatch):
+    # each check makes its own memo of _r_mask and _realized_mask when called
+    sw, an, powers = sweep_of(THIRDS), analyze(THIRDS), PowerSequence(from_toeplitz(THIRDS))
+    assert _check_containment_chain(sw, THIRDS, powers, an) == []
+    assert _check_walk_displacements(sw, THIRDS, powers, an) == []
+    window = (1 << (2 * THIRDS.n - 1)) - 1  # every displacement, beyond any q-set
+    monkeypatch.setattr(oracle, "_r_mask", lambda x: window)
+    monkeypatch.setattr(oracle, "_realized_mask", lambda x: window)
+    assert _check_containment_chain(sw, THIRDS, powers, an) != []
+    assert _check_walk_displacements(sw, THIRDS, powers, an) != []
+
+
+# --------------------------------------------------------------------------
+# the finding line of every branch, on a doctored report, truth or helper
+# --------------------------------------------------------------------------
+
+
+UNDECIDED = ToeplitzSpec(3, (2,), (2,))  # not walk-ensured; d+ = 4 exceeds n
+
+
+def finding_lines(name: str, results) -> list[str]:
+    return [Finding(name, str(spec), *rest).line() for spec, *rest in results]
+
+
+def run_check(name: str, spec: ToeplitzSpec, sw=None, **doctored) -> list[str]:
+    """The finding lines of check name on spec's real powers and report,
+    the report's fields replaced by doctored."""
+    check = dict(PER_SPEC_CHECKS)[name]
+    an = dataclasses.replace(analyze(spec), **doctored)
+    powers = PowerSequence(from_toeplitz(spec))
+    return finding_lines(name, check(sw or sweep_of(spec), spec, powers, an))
+
+
+def sweep_with_truth(spec: ToeplitzSpec, of: ToeplitzSpec, **doctored) -> _Sweep:
+    """A sweep for spec whose record of of has the doctored fields."""
+    sw = sweep_of(spec)
+    sw._truths[of] = sw.truth(of)._replace(**doctored)
+    return sw
+
+
+def test_period_formula_reports_a_walk_ensured_period_off_the_formula():
+    assert run_check("period-formula", EVENS, matrix_period=5) == [
+        "period-formula\tn=6;S=2;T=4\tperiod 3 = d+/d\tperiod 5\tviolation"
+    ]
+
+
+def test_competition_limit_reports_each_branch():
+    assert run_check("competition-limit", EVENS, competition_period=2) == [
+        "competition-limit\tn=6;S=2;T=4\tcompetition period 1\tcompetition period 2\tviolation"
+    ]
+    assert run_check("competition-limit", EVENS, limit_matrix=BoolMatrix.ones(6)) == [
+        "competition-limit\tn=6;S=2;T=4\tlimit equals the congruence-class matrix"
+        "\tlimit differs\tviolation"
+    ]
+    sw = sweep_with_truth(UNDECIDED, UNDECIDED, walk_ensured=True)
+    assert run_check("competition-limit", UNDECIDED, sw) == [
+        "competition-limit\tn=3;S=2;T=2\tno claim (d+ exceeds the order)"
+        "\tcompetition period 1\tobservation"
+    ]
+
+
+def test_competition_divisibility_records_a_period_that_does_not_divide():
+    assert run_check("competition-divisibility", EVENS, competition_period=2) == [
+        "competition-divisibility\tn=6;S=2;T=4\tno claim; matrix period 3"
+        "\tcompetition period 2 does not divide it\tobservation"
+    ]
+
+
+def test_certificate_soundness_reports_a_rule_the_exact_decision_rejects():
+    cert = Certificate(Verdict.PROVEN_WALK_ENSURED, Rule.STAR, 1)
+    assert run_check("certificate-soundness", UNDECIDED, certificate=cert) == [
+        "certificate-soundness\tn=3;S=2;T=2\twalk-ensured (certified by Star)"
+        "\texact decision: not walk-ensured\tviolation"
+    ]
+
+
+def test_superset_period_reports_a_superset_off_the_period():
+    # T_6<1;1> has d+ = 2; T_6<1,3;1> keeps it and so must keep period 2
+    base, star = ToeplitzSpec(6, (1,), (1,)), ToeplitzSpec(6, (1, 3), (1,))
+    sw = sweep_with_truth(base, star, period=5)
+    assert run_check("superset-period", base, sw) == [
+        "superset-period\tn=6;S=1;T=1\tsuperset n=6;S=1,3;T=1 keeps period 2"
+        "\tperiod 5\tviolation"
+    ]
+
+
+def test_tail_extension_reports_a_predicate_that_disagrees(monkeypatch):
+    monkeypatch.setattr(oracle, "tail_extension_applicable", lambda spec, s_star: False)
+    assert run_check("tail-extension", EVENS) == [
+        "tail-extension\tn=6;S=2;T=4\ts*=5 inside the tail window\tpredicate disagrees\tviolation"
+    ]
+
+
+def test_tail_extension_reports_a_contraction_without_source_or_sink(monkeypatch):
+    monkeypatch.setattr(oracle, "sink_source_same_period", lambda spec, b: None)
+    assert run_check("tail-extension", EVENS) == [
+        "tail-extension\tn=6;S=2;T=4\ts*=5: contraction of added arcs has a source or sink"
+        "\tneither\tviolation"
+    ]
+
+
+def test_extension_closure_reports_an_extension_that_is_not_walk_ensured():
+    ext = ToeplitzSpec(6, (1, 2), (4,))  # EVENS with s* = 1 on the S side
+    sw = sweep_with_truth(EVENS, ext, walk_ensured=False, threshold=None)
+    assert run_check("extension-closure", EVENS, sw) == [
+        "extension-closure\tn=6;S=2;T=4\textension n=6;S=1,2;T=4 stays walk-ensured (s*=1)"
+        "\texact decision: not walk-ensured\tviolation"
+    ]
+
+
+def test_gcd_update_reports_an_update_off_the_recomputation(monkeypatch):
+    monkeypatch.setattr(oracle, "gcd_after_extension", lambda d, d_plus, s_star, ref: (0, 0))
+    assert run_check("gcd-update", EVENS) == [
+        "gcd-update\tn=6;S=2;T=4\ts*=1 ref=2: (1, 1)\t(0, 0)\tviolation"
+    ]

@@ -97,6 +97,30 @@ def test_spec_string_rejects_malformed(bad):
         ToeplitzSpec.from_string(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n=1_0;S=2;T=5", "bad order '1_0' in 'n=1_0;S=2;T=5'"),
+        ("n=\u0666;S=2;T=5", "bad order '\u0666' in 'n=\u0666;S=2;T=5'"),  # Arabic-Indic six
+        ("n=\uff16;S=2;T=5", "bad order '\uff16' in 'n=\uff16;S=2;T=5'"),  # fullwidth six
+        ("n=6;S=1_0;T=5", "bad S list '1_0' in 'n=6;S=1_0;T=5'"),
+        ("n=6;S=2;T=\u0665", "bad T list '\u0665' in 'n=6;S=2;T=\u0665'"),
+        ("n=6;S=2;T=+-5", "bad T list '+-5' in 'n=6;S=2;T=+-5'"),
+        ("n=-1;S=;T=", "order must be at least 2, got -1"),  # the range check's message
+        ("n=6;S=-1;T=5", "S offset -1 outside [1, 5]"),
+    ],
+)
+def test_spec_string_takes_only_ascii_signed_digits(text, message):
+    # int() alone takes "1_0" as 10 and other scripts' digits as theirs
+    with pytest.raises(SpecFormatError) as exc:
+        ToeplitzSpec.from_string(text)
+    assert str(exc.value) == message
+
+
+def test_spec_string_keeps_a_sign_and_leading_zeros():
+    assert ToeplitzSpec.from_string("n=+06;S=+2,04;T=5") == WORKED
+
+
 def test_spec_format_error_is_value_error():
     assert issubclass(SpecFormatError, ValueError)
 
