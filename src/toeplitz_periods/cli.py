@@ -27,7 +27,7 @@ from typing import IO, Optional
 from .boolmat import from_toeplitz
 from .digraph import contract, to_dot
 from .engine import TheoremViolationError, analyze, predicted_limit
-from .toeplitz import SpecFormatError, ToeplitzSpec
+from .toeplitz import _INTEGER, SpecFormatError, ToeplitzSpec
 from .walksets import walksets_at
 
 USAGE_ERROR = 2
@@ -126,14 +126,19 @@ def _cmd_contract(args, out: IO[str]) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """An option's integer, read by the descriptor grammar (toeplitz._INTEGER)."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    try:
-        if sep:
-            return int(lo), int(hi)
-        return int(text), int(text)
-    except ValueError:
-        raise SpecFormatError(f"bad order range {text!r}") from None
+    bounds = (lo, hi) if sep else (text, text)
+    if not all(map(_INTEGER.fullmatch, bounds)):
+        raise SpecFormatError(f"bad order range {text!r}")
+    return int(bounds[0]), int(bounds[1])
 
 
 def _cmd_sweep(args, out: IO[str]) -> int:
@@ -177,22 +182,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walksets", help="displacement sets at one length")
     p.add_argument("spec")
-    p.add_argument("--i", type=int, required=True, help="walk length")
+    p.add_argument("--i", type=_integer, required=True, help="walk length")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_walksets)
 
     p = sub.add_parser("contract", help="DOT of the digraph contracted mod d")
     p.add_argument("spec", help="descriptor; an empty side is allowed here")
-    p.add_argument("--d", type=int, required=True, help="contraction modulus")
+    p.add_argument("--d", type=_integer, required=True, help="contraction modulus")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_contract)
 
     p = sub.add_parser("sweep", help="cross-validation sweep")
     p.add_argument("--n", required=True, help="order range a..b or a single order")
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p.add_argument("--samples", type=int, default=0, help="samples per order (random)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_integer, default=0, help="samples per order (random)")
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--checks", default=None, help="comma-separated check names")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_sweep)

@@ -76,7 +76,7 @@ from .toeplitz import (
     certify_walk_ensured,
     gcd_profile,
 )
-from .walksets import _comb, _p_mask, _r_mask
+from .walksets import _p_mask, _r_mask, _shifted_comb
 
 
 _State = TypeVar("_State")
@@ -308,8 +308,7 @@ def predicted_limit(spec: ToeplitzSpec) -> Optional[BoolMatrix]:
     step, n = gcd_profile(spec).d_plus, spec.n
     if step > n:
         return None
-    comb, full = _comb(step, n), (1 << n) - 1
-    return BoolMatrix((comb << (i % step)) & full for i in range(n))
+    return BoolMatrix(_shifted_comb(step, n, i % step) for i in range(n))
 
 
 def _decide_exact(
@@ -348,14 +347,15 @@ def decide_walk_ensured_exact(
     return _decide_exact(spec, index, period, map(powers.power, count(index)))
 
 
-def _settled_certificate(
-    spec: ToeplitzSpec, decide: Callable[[], tuple[bool, Optional[int]]]
-) -> Certificate:
-    """The first sufficient rule that applies, else decide(); never UNKNOWN."""
+def _settled_certificate(spec: ToeplitzSpec, lift: Optional[_Lift] = None) -> Certificate:
+    """The first sufficient rule that applies, else the exact decision on lift,
+    the lift of spec's matrix, made here when not given; never UNKNOWN."""
     cert = certify_walk_ensured(spec)
     if cert.verdict is not Verdict.UNKNOWN:
         return cert
-    ok, threshold = decide()
+    if lift is None:
+        lift = _Lift(from_toeplitz(spec), (spec.S, spec.T))
+    ok, threshold = _decide_exact(spec, lift.index, lift.period, lift.walk())
     if ok:
         return Certificate(Verdict.PROVEN_BY_EXACT_DECISION, Rule.EXACT_DECISION, threshold)
     return Certificate(Verdict.NOT_WALK_ENSURED, Rule.EXACT_DECISION)
@@ -372,7 +372,7 @@ def superset_same_period(spec: ToeplitzSpec, spec_star: ToeplitzSpec) -> Optiona
         raise ValueError("order mismatch")
     if not (set(spec.S) <= set(spec_star.S) and set(spec.T) <= set(spec_star.T)):
         raise ValueError("offset sets do not extend the base")
-    if not _settled_certificate(spec, lambda: decide_walk_ensured_exact(spec)).walk_ensured:
+    if not _settled_certificate(spec).walk_ensured:
         raise ValueError(f"{spec} is not walk-ensured")
     prof = gcd_profile(spec)
     if gcd_profile(spec_star).d_plus != prof.d_plus:
@@ -391,13 +391,10 @@ def sink_source_same_period(spec: ToeplitzSpec, b: BoolMatrix) -> Optional[int]:
     the base's period and, when the rules abstain, its verdict.
     """
     a = from_toeplitz(spec)
-    if b.n != a.n:
-        raise ValueError("order mismatch")
     if not a.dominated_by(b):
         raise ValueError("base matrix is not dominated by the extension")
     lift = _Lift(a, (spec.S, spec.T))
-    decide = lambda: _decide_exact(spec, lift.index, lift.period, lift.walk())
-    if not _settled_certificate(spec, decide).walk_ensured:
+    if not _settled_certificate(spec, lift).walk_ensured:
         raise ValueError(f"{spec} is not walk-ensured")
     if not has_source_or_sink(contract(b.and_not(a), gcd_profile(spec).d)):
         return None
@@ -445,7 +442,5 @@ def analyze(spec: ToeplitzSpec) -> PeriodReport:
         competition_index=comp.index,
         competition_period=comp.period,
         limit_matrix=comp.limit,
-        certificate=_settled_certificate(
-            spec, lambda: _decide_exact(spec, lift.index, lift.period, lift.walk())
-        ),
+        certificate=_settled_certificate(spec, lift),
     )

@@ -42,7 +42,7 @@ from .toeplitz import (
     gcd_profile,
     tail_extension_applicable,
 )
-from .walksets import _comb, _mask_to_set, _p_mask, _q_masks, _r_mask, _realized_mask
+from .walksets import _mask_to_set, _p_mask, _q_masks, _r_mask, _realized_mask, _shifted_comb
 from .walksets import p_set, q_set, r_set
 
 VIOLATION = "violation"
@@ -341,9 +341,8 @@ def _check_same_residue_walks(sw, spec, powers, an) -> list[Result]:
     reach = [0] * n
     for x in set(map(powers.power, range(1, bound + 1))):
         reach = list(map(or_, reach, x.rows))
-    comb, full = _comb(d, n), (1 << n) - 1
     for u, row in enumerate(reach, start=1):
-        missing = (comb << ((u - 1) % d)) & full & ~row
+        missing = _shifted_comb(d, n, (u - 1) % d) & ~row
         if missing:
             v = (missing & -missing).bit_length()
             return [(spec, f"some ({u},{v})-walk of length <= {bound}", "none", VIOLATION)]
@@ -390,7 +389,7 @@ def _check_tail_extension(sw, spec, powers, an) -> list[Result]:
             want = f"s*={s_star} inside the tail window"
             out.append((spec, want, "predicate disagrees", VIOLATION))
             continue
-        ext = ToeplitzSpec(spec.n, spec.S + (s_star,), spec.T)
+        ext = sw.spec(spec.n, _mask(spec.S) | 1 << (s_star - 1), _mask(spec.T))
         try:
             transferred = sink_source_same_period(spec, from_toeplitz(ext))
         except TheoremViolationError as exc:
@@ -417,14 +416,16 @@ def _check_extension_closure(sw, spec, powers, an) -> list[Result]:
 
 
 def _check_gcd_update(sw, spec, powers, an) -> list[Result]:
-    """Incremental gcd update agrees with recomputation, whatever the reference."""
+    """Incremental gcd update agrees with the extension's gcd profile, whatever the reference."""
     prof = an.profile
+    smask, tmask = _mask(spec.S), _mask(spec.T)
     for s_star in range(1, spec.n):
-        for label, S, T, refs in (
-            ("s*", spec.S + (s_star,), spec.T, spec.S),
-            ("t*", spec.S, spec.T + (s_star,), spec.T),
+        bit = 1 << (s_star - 1)
+        for label, ext, refs in (
+            ("s*", sw.spec(spec.n, smask | bit, tmask), spec.S),
+            ("t*", sw.spec(spec.n, smask, tmask | bit), spec.T),
         ):
-            want = (gcd(*S, *T), gcd(*(s + t for s in S for t in T)))
+            want = (gcd_profile(ext).d, gcd_profile(ext).d_plus)
             for ref in refs:
                 got = gcd_after_extension(prof.d, prof.d_plus, s_star, ref)
                 if got != want:

@@ -226,10 +226,14 @@ def extension_chain(spec: ToeplitzSpec) -> Optional[tuple]:
 
     A base pair (s, t) with s + t <= n is walk-ensured on its own; any
     offset bounded by n - d may then be adjoined without losing the
-    property, d being the gcd of the offsets collected so far.  Offsets
-    are attempted in ascending value across both sides, re-trying the
-    deferred ones until a pass adds nothing.  Every admissible base
-    pair is tried before giving up.
+    property, d being the gcd of the offsets collected so far.  One pass
+    per base pair adjoins the other offsets in ascending value across
+    both sides and stops at the first one above n - d.  No retry pass
+    could add more: d is a gcd over a growing set, so it never grows and
+    the bound n - d never falls.  Once an offset fails, every later one
+    is at least as large and fails at the same d, and a retry would meet
+    that offset first with d unchanged.  Every admissible base pair is
+    tried before giving up.
     """
     items = sorted([(s, "S") for s in spec.S] + [(t, "T") for t in spec.T])
     for s0 in spec.S:
@@ -238,24 +242,14 @@ def extension_chain(spec: ToeplitzSpec) -> Optional[tuple]:
                 continue
             d, d_plus = math.gcd(s0, t0), s0 + t0
             steps: list[tuple] = [("base", s0, t0)]
-            pending = list(items)
-            pending.remove((s0, "S"))
-            pending.remove((t0, "T"))
-            while pending:
-                kept = []
-                added = False
-                for value, side in pending:
-                    if value <= spec.n - d:
-                        ref = s0 if side == "S" else t0
-                        d, d_plus = gcd_after_extension(d, d_plus, value, ref)
-                        steps.append((side, value))
-                        added = True
-                    else:
-                        kept.append((value, side))
-                pending = kept
-                if not added:
+            rest = (item for item in items if item not in ((s0, "S"), (t0, "T")))
+            for value, side in rest:
+                if value > spec.n - d:
                     break
-            if not pending:
+                ref = s0 if side == "S" else t0
+                d, d_plus = gcd_after_extension(d, d_plus, value, ref)
+                steps.append((side, value))
+            else:
                 return tuple(steps)
     return None
 

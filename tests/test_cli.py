@@ -265,6 +265,9 @@ def test_out_writes_file(tmp_path, capsys):
         ("sweep", "--n", "2..2", "--samples", "5"),  # exhaustive mode reads no samples
         ("analyze", "n=\u0666;S=2;T=5"),  # an Arabic-Indic six, which int() takes
         ("analyze", "n=6;S=1_0;T=5"),
+        ("sweep", "--n", "9..1_0", "--mode", "random", "--samples", "1"),
+        ("sweep", "--n", "\u0663"),  # --n reads the descriptor grammar too
+        ("sweep", "--n", " 3..4"),
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv):
@@ -302,6 +305,25 @@ def test_max_power_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "unrecognized arguments: --max-power 5" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (("walksets", "n=6;S=2,4;T=5"), "--i", "\u0662"),
+        (("walksets", "n=6;S=2,4;T=5"), "--i", "abc"),
+        (("contract", "n=7;S=3;T="), "--d", "\u0662"),
+        (("sweep", "--n", "9..10", "--mode", "random", "--samples", "1"), "--seed", "\u0663"),
+        (("sweep", "--n", "9..10", "--mode", "random"), "--samples", "1_0"),
+    ],
+)
+def test_integer_options_take_only_ascii_signed_digits(capsys, argv, option, value):
+    # the option values read the descriptor grammar: int() would take "1_0" and "\u0662"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {option}: invalid int value: {value!r}" in err and "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_2():

@@ -8,6 +8,7 @@ import pytest
 from toeplitz_periods import BoolMatrix, TheoremViolationError, ToeplitzSpec, boolmat, oracle
 from toeplitz_periods.oracle import (
     ALL_CHECK_NAMES,
+    PER_SPEC_CHECKS,
     Finding,
     SweepConfig,
     enumerate_specs,
@@ -210,6 +211,23 @@ def test_sweep_scans_each_matrix_at_most_twice(monkeypatch):
     run_sweep(SweepConfig(2, 5))
     assert len(scans) == 1 + sum(len(list(enumerate_specs(n))) for n in range(2, 6))
     assert max(scans.values()) == 2
+
+
+def test_sweep_constructs_each_descriptor_once(monkeypatch):
+    # supersets and one-offset extensions come from the sweep's table, so a
+    # descriptor a check meets is the instance the sweep visits
+    visited = sum(len(list(enumerate_specs(n))) for n in range(2, 7))
+    made = Counter()
+
+    class CountedSpec(oracle.ToeplitzSpec):
+        def __init__(self, n, S=(), T=()):
+            super().__init__(n, S, T)
+            made[self.n, self.S, self.T] += 1
+
+    monkeypatch.setattr(oracle, "ToeplitzSpec", CountedSpec)
+    run_sweep(SweepConfig(2, 6, checks=frozenset(name for name, _ in PER_SPEC_CHECKS)))
+    assert len(made) == visited
+    assert max(made.values()) == 1
 
 
 def test_sweep_orders_never_pack(monkeypatch):

@@ -260,6 +260,45 @@ def test_extension_chain_failure():
     assert extension_chain(ToeplitzSpec(9, (3, 8), (6,))) is None
 
 
+def multi_pass_extension_chain(spec):
+    """The chain with retry passes: offsets deferred by one pass are tried
+    again until a pass adds nothing."""
+    items = sorted([(s, "S") for s in spec.S] + [(t, "T") for t in spec.T])
+    for s0 in spec.S:
+        for t0 in spec.T:
+            if s0 + t0 > spec.n:
+                continue
+            d, d_plus = math.gcd(s0, t0), s0 + t0
+            steps = [("base", s0, t0)]
+            pending = list(items)
+            pending.remove((s0, "S"))
+            pending.remove((t0, "T"))
+            while pending:
+                kept = []
+                added = False
+                for value, side in pending:
+                    if value <= spec.n - d:
+                        ref = s0 if side == "S" else t0
+                        d, d_plus = gcd_after_extension(d, d_plus, value, ref)
+                        steps.append((side, value))
+                        added = True
+                    else:
+                        kept.append((value, side))
+                pending = kept
+                if not added:
+                    break
+            if not pending:
+                return tuple(steps)
+    return None
+
+
+def test_one_pass_extension_chain_matches_the_retrying_twin():
+    # d never grows as offsets join, so a retry pass never adds an offset
+    for n in range(2, 9):
+        for spec in enumerate_specs(n):
+            assert extension_chain(spec) == multi_pass_extension_chain(spec), spec
+
+
 def test_star_implies_extension_chain():
     for n in range(2, 8):
         for spec in enumerate_specs(n):
