@@ -137,11 +137,6 @@ class BoolMatrix:
                 sq = sq @ sq
         return result
 
-    def __or__(self, other: "BoolMatrix") -> "BoolMatrix":
-        if self.n != other.n:
-            raise ValueError("order mismatch")
-        return BoolMatrix(a | b for a, b in zip(self.rows, other.rows))
-
     def and_not(self, other: "BoolMatrix") -> "BoolMatrix":
         """Entries present in self but absent in other."""
         if self.n != other.n:
@@ -324,6 +319,16 @@ def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatri
     if n >= 32 and (x.count() if ones is None else ones) > n * (16 + n // 16):
         return _right_multiplier(y)(x)
     return x @ y
+
+
+def _power_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
+    """x y for two powers of one matrix.  They commute, so from order 32
+    on the sparser goes left, where row selection costs a step per 1;
+    below it ``_product`` reads no count, so none is made."""
+    if x.n < 32:
+        return _product(x, y)
+    x_ones, y_ones = x.count(), y.count()
+    return _product(y, x, y_ones) if x_ones > y_ones else _product(x, y, x_ones)
 
 
 class PowerSequence:

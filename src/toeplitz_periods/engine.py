@@ -1,17 +1,21 @@
 """Period and competition analysis of Boolean Toeplitz matrices.
 
-Index and period are found by lifting over the binary powers A^(2^k),
-never by stepping through the powers:
+Every quantity here is read off the powers A^m, and A^(m+e) = A^m A^e, so
+the lift (``_Lift``) keeps each power it makes under its exponent m, and
+its one maker (``_Lift.step``) makes none twice while it is held.  Index
+and period are found by lifting over the binary powers A^(2^k), never by
+stepping through the powers:
 
 * the period p is the lcm of the cyclicities of A's strong components
   (``digraph.power_period``), checked least at the index M;
 * a test on A^m that fails exactly below some m, known to fail at lo
   and to pass at hi, is settled by one descent over (lo, hi], one test
-  per bit of hi - lo - 1 from the top (``_Lift.least``);
+  per bit of hi - lo - 1 from the top (``_Lift.least``, over exponents);
 * A^m = A^(m+p) is such a test, so M, the least m where it holds, is
   found by galloping over A^(2^k) to the bracket (2^(k-1), 2^k] and
-  descending: O(log M) products and matrices held.  Heap and Lynn (1964)
-  bound M by (n-1)^2 + 1; a larger M raises TheoremViolationError;
+  descending: O(log M) products and matrices held, of which the squares
+  and A^M stay.  Heap and Lynn (1964) bound M by (n-1)^2 + 1; a larger
+  M raises TheoremViolationError;
 * B_m = A^m (A^T)^m steps by X -> A X A^T and B_(M+p) = B_M, so the
   walk from B_M until it returns gives the cycle, of size the period c.
   The map keeps the cycle, so "B_m is on it", the same as B_m = B_(m+c),
@@ -28,17 +32,20 @@ never by stepping through the powers:
   ``_ShiftKernel.cheaper``, takes e steps of a map of c shifts instead
   of the product they stand for when e c n <= min(8 (n + ones), n^2),
   ones being those of the product's sparser factor: e c <= n against a
-  dense one, fewer steps against a sparse one.  So x A^e, priced by the
-  ones of A^e, is steps wherever the rule takes them: in the period
-  test, the minimality check, the walk from A^M and on the low levels
-  of the index descent.  B_m moves by 2^j steps of its map, against a
-  gram, on every level of the descent for q with 2^j * 2(|S| + |T|) <= n,
-  and the cycle of B_M by single steps; since 2^j halves from level to
-  level, these are the last levels, and A^m is dropped on reaching them.
-  A power made by shifts stays packed, since packed integers compare and
-  hash as the matrices do; only a product, a gram, A^M and the powers
-  the walk yields unpack.  The squares A^(2^k) stay products (see
-  ``_Lift.square``).
+  dense one, fewer steps against a sparse one.  So A^(m+e), priced by
+  the ones of A^e, is e steps from A^m wherever the rule takes them: in
+  the period test, the minimality check, the walk from A^M and on the
+  low levels of the index descent.  B_m moves by 2^j steps of its map,
+  against a gram, on every level of the descent for q with
+  2^j * 2(|S| + |T|) <= n, and the cycle of B_M by single steps; since
+  2^j halves from level to level, these are the last levels, and no
+  A^m is made on them.
+  The lift holds a power as an int when shifts made it and as a
+  BoolMatrix when a product did, and makes the other form at most once,
+  the first time something reads it: packed integers compare and hash
+  as the matrices do, so only a product, a gram, A^M and the powers the
+  walk yields unpack.  The squares A^(2^k) are products where no shift
+  step made them first (see ``_Lift.power``).
 
 Heap-Lynn is the only bound on the search, and it is asserted; the
 sweep and the tests hold the index, period and exact verdict to
@@ -51,16 +58,16 @@ the rules that transfer a period, each lifting its base at most once;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import accumulate, chain, count, islice, repeat, takewhile
+from itertools import accumulate, count, islice, repeat, takewhile
 from math import lcm
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import Callable, Iterator, Optional
 
 from .boolmat import (
     BoolMatrix,
     Offsets,
     PowerSequence,
     _check_powers,
+    _power_product,
     _product,
     _shift_kernel,
     _toeplitz_offsets,
@@ -79,20 +86,8 @@ from .toeplitz import (
 from .walksets import _p_mask, _r_mask, _shifted_comb
 
 
-_State = TypeVar("_State")
-
-
 class TheoremViolationError(RuntimeError):
     """A rule application contradicted the brute-force ground truth."""
-
-
-def _power_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
-    """x y for two powers of one matrix.  They commute, so from order 32
-    on the sparser goes left, where row selection costs a step per 1."""
-    if x.n < 32:
-        return _product(x, y)
-    x_ones, y_ones = x.count(), y.count()
-    return _product(y, x, y_ones) if x_ones > y_ones else _product(x, y, x_ones)
 
 
 def _gram(x: BoolMatrix) -> BoolMatrix:
@@ -106,132 +101,120 @@ def _gram(x: BoolMatrix) -> BoolMatrix:
 
 
 class _Lift:
-    """Index and period of A's powers by lifting, with A^index and A^(2^k) kept.
+    """Index and period of A's powers by lifting, each power A^m that it makes
+    kept under its exponent m.
 
     offsets = (S, T) with A = T_n<S;T>, when the caller holds them; they are
     read from A otherwise, and are None for a matrix that is not Toeplitz.
     shifts is A's shift kernel (boolmat._shift_kernel), None below order 32
-    and without offsets.  With it, x A^e is e steps of shifts on packed rows
-    wherever the kernel's cost rule takes them (``times``), and a power stays
-    in the form that made it: an int when shifts made it, a BoolMatrix when a
-    product did.  Rows are unpacked only for a product or a gram and for the
-    powers that leave the lift: at_index and walk().
+    and without offsets.  One memo: ``_rows[m]`` holds A^m as a BoolMatrix
+    when a product made it, ``_packed[m]`` as an int when shift steps did, and
+    ``rows(m)`` and ``packed(m)`` make the other form at most once, the first
+    time something reads it.  One maker: ``step(m, e)`` makes A^(m+e) from
+    A^m, by e steps of shifts wherever the kernel's cost rule takes them.
+    The index search then drops every other power it made but the squares
+    A^(2^k) and A^index.
     """
 
     def __init__(self, a: BoolMatrix, offsets: Optional[Offsets] = None):
         if offsets is None:
             offsets = _toeplitz_offsets(a)
-        self.a, self._squares, self._powers, self._ones = a, [a], {}, {}
+        self.a, self._rows, self._packed = a, {1: a}, {}
         self.shifts = _shift_kernel(a.n, offsets)
         self.period = p = power_period(a, offsets)
         bound = (a.n - 1) ** 2 + 1  # Heap and Lynn (1964): the index is at most this
-        test = lambda y: self.times(y := self.form(y, p), p) == y  # A^m = A^(m+p)
+        test = lambda m: self._same(m, self.step(m, p))  # A^m = A^(m+p)
         failed = TheoremViolationError(f"A^m = A^(m+{p}) holds for no m <= {bound}")
         k = 0  # gallop to the bracket (2^(k-1), 2^k] of the index
-        while not test(self.square(k)):
+        while not test(self.power(1 << k)):
             if 1 << k >= bound:
                 raise failed
             k += 1
-        lo = (1 << (k - 1), self.square(k - 1)) if k else (0, None)
-        # A^index in the form the descent made it: rows or packed
-        self.index, self._at_index = self.least(test, lo, (1 << k, self.square(k)))
+        self.index = self.least(test, 1 << k >> 1, 1 << k)
         if self.index > bound:
             raise failed
-        if any(p % e == 0 and self._returns(e) for e in range(1, p)):
+        for held in (self._rows, self._packed):
+            for m in [m for m in held if m & (m - 1) and m != self.index]:
+                del held[m]
+        if any(p % e == 0 and self._same(self.index, self.step(self.index, e)) for e in range(1, p)):
             raise TheoremViolationError(f"period {p} of the components is not least")
 
-    @cached_property
-    def at_index(self) -> BoolMatrix:
-        """A^index, unpacked at most once."""
-        return self.rows(self._at_index)
+    def rows(self, m: int) -> BoolMatrix:
+        """A^m as rows, unpacked at most once."""
+        if m not in self._rows:
+            self._rows[m] = self.shifts.unpack(self._packed[m])
+        return self._rows[m]
 
-    def _index_form(self, e: int) -> BoolMatrix | int:
-        """A^index in the form times(., e) reads; packed once, its rows kept."""
-        if not self._steps(e):
-            return self.at_index
-        if not isinstance(self._at_index, int):
-            self._at_index = self.shifts.pack(self.at_index)
-        return self._at_index
+    def packed(self, m: int) -> int:
+        """A^m packed, at most once."""
+        if m not in self._packed:
+            self._packed[m] = self.shifts.pack(self._rows[m])
+        return self._packed[m]
 
-    def _returns(self, e: int) -> bool:
-        """A^(index+e) = A^index."""
-        return self.times(x := self._index_form(e), e) == x
+    def _same(self, m: int, k: int) -> bool:
+        """A^m = A^k, on a form both are held in, else packed."""
+        for held in (self._packed, self._rows):
+            if m in held and k in held:
+                return held[m] == held[k]
+        return self.packed(m) == self.packed(k)
 
-    def _steps(self, e: int) -> bool:
-        """Whether x A^e is e steps of shifts: A has shifts and they cost less
-        than the product by A^e (_ShiftKernel.cheaper), whose ones are
-        counted once per e."""
-        if self.shifts is None:
-            return False
-        if e not in self._ones:
-            self._ones[e] = self.power(e).count()
-        return self.shifts.cheaper(e, self._ones[e])
+    def power(self, e: int) -> int:
+        """e, once A^e (e >= 1) is held.  A^(2^k) is made as the product of
+        two A^(2^(k-1)), any other A^e by a step from A^(e - 2^k), 2^k the top
+        bit of e: from the squares of its bits, ascending.  Squares by shifts
+        wait for the benchmark to stop keeping every answer (ROADMAP item 1),
+        since a faster run keeps more of them and reads as more memory."""
+        if e not in self._rows and e not in self._packed:
+            top = 1 << (e.bit_length() - 1)
+            if e == top:
+                half = self.rows(self.power(e >> 1))
+                self._rows[e] = _power_product(half, half)
+            else:
+                self.step(self.power(e - top), top)
+        return e
 
-    def form(self, x: BoolMatrix | int, e: int) -> BoolMatrix | int:
-        """x in the form times(x, e) reads: packed for shifts, else rows."""
-        if not self._steps(e):
-            return self.rows(x)
-        return x if isinstance(x, int) else self.shifts.pack(x)
+    def ones(self, e: int) -> int:
+        """The ones of A^e, counted on the packed form when it is held."""
+        self.power(e)
+        return self._packed[e].bit_count() if e in self._packed else self._rows[e].count()
 
-    def rows(self, x: BoolMatrix | int) -> BoolMatrix:
-        """x as rows."""
-        return x if isinstance(x, BoolMatrix) else self.shifts.unpack(x)
-
-    def square(self, k: int) -> BoolMatrix:
-        """A^(2^k), made once, when first asked for, by a product.
-
-        Making them by shifts too cut the products of an analyze-random pass
-        by more than half in a prototype, but that waits for the benchmark to
-        stop keeping every answer (ROADMAP item 1): a faster run completes
-        more passes, keeps more answers and so reads as a rise in peak memory
-        beyond the benchmark's bound."""
-        while len(self._squares) <= k:
-            self._squares.append(_power_product(self._squares[-1], self._squares[-1]))
-        return self._squares[k]
-
-    def power(self, e: int) -> BoolMatrix:
-        """A^e for e >= 1, made once, when first asked for."""
-        if e not in self._powers:
-            bits = (k for k in range(e.bit_length()) if e >> k & 1)
-            self._powers[e] = reduce(_power_product, map(self.square, bits))
-        return self._powers[e]
-
-    def times(self, x: BoolMatrix | int, e: int) -> BoolMatrix | int:
-        """x A^e for a power x of A: e steps of shifts on x packed where
-        ``_steps`` takes them, else a product on x as rows."""
-        x = self.form(x, e)
-        return self.shifts.times(x, e) if isinstance(x, int) else _power_product(x, self.power(e))
-
-    def advance(self, x: Optional[BoolMatrix | int], j: int) -> BoolMatrix | int:
-        """A^(m+2^j) from x = A^m, where None stands for A^0."""
-        return self.square(j) if x is None else self.times(x, 1 << j)
+    def step(self, m: int, e: int) -> int:
+        """m + e, once A^(m+e) is held: made, when it is not, from A^m, which
+        is held (or m = 0 and A^e is), by e steps of shifts on A^m packed
+        where the kernel's cost rule takes them against the ones of A^e,
+        else by the product of A^m and A^e as rows."""
+        if m + e not in self._rows and m + e not in self._packed:
+            if self.shifts and self.shifts.cheaper(e, self.ones(e)):
+                self._packed[m + e] = self.shifts.times(self.packed(m), e)
+            else:
+                self._rows[m + e] = _power_product(self.rows(m), self.rows(self.power(e)))
+        return m + e
 
     def walk(self) -> Iterator[BoolMatrix]:
         """A^index, A^(index+1), ..., each made when asked for."""
-        later = accumulate(repeat(1), self.times, initial=self._index_form(1))
-        return chain([self.at_index], map(self.rows, islice(later, 1, None)))
+        return map(self.rows, accumulate(repeat(1), self.step, initial=self.index))
 
     def least(
         self,
-        test: Callable[[_State], bool],
-        lo: tuple[int, Optional[_State]],
-        hi: tuple[int, _State],
-        advance: Optional[Callable[[Optional[_State], int], _State]] = None,
-    ) -> tuple[int, _State]:
-        """(m, x_m) for the least m in (lo, hi] with test(x_m), where test fails
-        exactly below some m, fails at lo = (m, x_m) and holds at hi.  x_m is
-        A^m (A^0 is None) and advance(x_m, j) is x_(m+2^j), ``self.advance``
-        unless given.  One test per bit of hi - lo - 1, from the top: the
-        failing m goes up by 2^j whenever the test fails there."""
-        advance = advance or self.advance
-        (m, x), best = lo, hi
-        for j in reversed(range((hi[0] - m - 1).bit_length())):
-            if m + (1 << j) < hi[0]:
-                y = advance(x, j)
-                if test(y):
-                    best = (m + (1 << j), y)
+        test: Callable[[int], bool],
+        lo: int,
+        hi: int,
+        advance: Optional[Callable[[int, int], object]] = None,
+    ) -> int:
+        """The least m in (lo, hi] with test(m), where test fails exactly below
+        some m, fails at lo and holds at hi.  advance(m, j) makes what
+        test(m + 2^j) reads, A^(m+2^j) by ``step`` unless given.  One test per
+        bit of hi - lo - 1, from the top: the failing m goes up by 2^j
+        whenever the test fails there."""
+        advance = advance or (lambda m, j: self.step(m, 1 << j))
+        m, best = lo, hi
+        for j in reversed(range((hi - lo - 1).bit_length())):
+            if m + (1 << j) < hi:
+                advance(m, j)
+                if test(m + (1 << j)):
+                    best = m + (1 << j)
                 else:
-                    m, x = m + (1 << j), y
+                    m += 1 << j
         return best
 
     def competition(self) -> "CompetitionResult":
@@ -239,8 +222,7 @@ class _Lift:
         walked by B -> A B A^T on packed rows where the cost rule takes one step
         of it, else as the grams of walk()."""
         shifts = self.shifts if self.shifts and self.shifts.cheaper(1, conjugate=True) else None
-        n = self.a.n
-        limit = _gram(self.at_index)  # B_M, which on a cycle of one is B_q
+        limit = _gram(self.rows(self.index))  # B_M, which on a cycle of one is B_q
         if shifts is None:
             b_index, later = limit, map(_gram, islice(self.walk(), 1, None))
         else:
@@ -248,23 +230,19 @@ class _Lift:
             later = islice(accumulate(repeat(1), shifts.conjugate, initial=b_index), 1, None)
         cycle = {b_index, *takewhile(b_index.__ne__, islice(later, self.period - 1))}
         period = len(cycle)
+        b = {0: shifts.pack(BoolMatrix.identity(self.a.n))} if shifts else {}  # B_m by m
 
-        def advance(state: tuple, j: int) -> tuple:
-            """(A^m, B_m) -> (A^(m+2^j), B_(m+2^j)): 2^j steps of the map where
-            the kernel's cost rule takes them, else A^(m+2^j) and a gram.  A^m
-            is dropped on the shifted levels, which, as 2^j falls, are the
-            last.  B_0 = I is None until a shifted level steps from it."""
-            x, b = state
+        def advance(m: int, j: int) -> None:
+            """B_(m+2^j): 2^j steps of the map from B_m where the kernel's cost
+            rule takes them, else the gram of A^(m+2^j).  The shifted levels
+            are, as 2^j falls, the last, so A^m is not made on them."""
             if shifts and shifts.cheaper(1 << j, conjugate=True):
-                b = shifts.pack(BoolMatrix.identity(n)) if b is None else b
-                return None, shifts.conjugate(b, 1 << j)
-            y = self.advance(x, j)
-            b = _gram(self.rows(y))
-            return y, shifts.pack(b) if shifts else b
+                b[m + (1 << j)] = shifts.conjugate(b[m], 1 << j)
+            else:
+                gram = _gram(self.rows(self.step(m, 1 << j)))
+                b[m + (1 << j)] = shifts.pack(gram) if shifts else gram
 
-        on_cycle = lambda state: state[1] in cycle
-        hi = (self.index, (self.at_index, b_index))
-        index, _ = self.least(on_cycle, (0, (None, None)), hi, advance)
+        index = self.least(lambda m: b[m] in cycle, 0, self.index, advance)
         return CompetitionResult(index, period, limit if period == 1 else None)
 
 

@@ -144,7 +144,8 @@ class _Truth(NamedTuple):
 
 
 class _Sweep:
-    """Shared caches for one sweep run, freed with it.
+    """Shared caches for one sweep run, freed with it (with each draw in
+    random mode).
 
     Every descriptor the sweep visits comes from one table keyed by
     (n, S-mask, T-mask), so a descriptor met again as a superset or an
@@ -164,14 +165,18 @@ class _Sweep:
         return spec
 
     def specs(self, n: int) -> Iterator[ToeplitzSpec]:
+        """The descriptors of order n, or its seeded draws in random mode,
+        where few descriptors meet again, so both tables are emptied before
+        each draw."""
         full = 1 << (n - 1)
         if self.config.mode == "exhaustive":
-            pairs = product(range(1, full), repeat=2)
-        else:
-            rng = random.Random(f"{self.config.seed}:{n}")
-            draws = range(self.config.samples)
-            pairs = ((rng.randrange(1, full), rng.randrange(1, full)) for _ in draws)
-        return (self.spec(n, s, t) for s, t in pairs)
+            yield from (self.spec(n, s, t) for s, t in product(range(1, full), repeat=2))
+            return
+        rng = random.Random(f"{self.config.seed}:{n}")
+        for _ in range(self.config.samples):
+            self._specs.clear()
+            self._truths.clear()
+            yield self.spec(n, rng.randrange(1, full), rng.randrange(1, full))
 
     def truth(self, spec: ToeplitzSpec, powers: Optional[PowerSequence] = None) -> _Truth:
         """spec's record, read the first time from powers: the scan analyze_spec

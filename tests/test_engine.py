@@ -192,22 +192,23 @@ def test_competition_rejects_foreign_powers():
 def test_descent_finds_every_threshold_within_one_test_per_bit():
     # N^m of the order-70 shift matrix has 70 - m ones, so "count <= 70 - t"
     # fails exactly below m = t; lo is 0 or the bracket the index gallop
-    # leaves, the largest power of two below t; N = T_70<1;> has shifts, so
-    # the step by N on the last level hands back N^m packed, read as rows here
-    lift = _Lift(BoolMatrix([1 << (i + 1) for i in range(69)] + [0]))
-    power = {m: lift.power(m) for m in range(1, 65)}
+    # leaves, the largest power of two below t; the descent takes and returns
+    # exponents, and its steps keep each power N^m under m, which N = T_70<1;>
+    # makes packed on the last levels, read as rows here
+    a = BoolMatrix([1 << (i + 1) for i in range(69)] + [0])
+    lift = _Lift(a)
     for hi in range(1, 65):
         for t in range(1, hi + 1):
             for lo in {0, 1 << (t - 1).bit_length() >> 1}:
                 tests = []
 
-                def test(y):
-                    tests.append(y)
-                    return lift.rows(y).count() <= 70 - t
+                def test(m):
+                    tests.append(m)
+                    return lift.rows(m).count() <= 70 - t
 
-                m, y = lift.least(test, (lo, power.get(lo)), (hi, power[hi]))
-                assert (m, lift.rows(y)) == (t, power[t]), (lo, t, hi)
+                assert lift.least(test, lo, hi) == t, (lo, t, hi)
                 assert len(tests) <= (hi - lo - 1).bit_length(), (lo, t, hi)
+    assert all(lift.rows(m) == a.power(m) for m in range(1, 65))
 
 
 def test_competition_search_makes_one_gram_per_bit_of_the_index(monkeypatch):
@@ -228,8 +229,9 @@ def test_competition_search_makes_one_gram_per_bit_of_the_index(monkeypatch):
 def test_analysis_unpacks_only_for_grams_and_the_index_power(monkeypatch):
     # T_128<1;126,127> steps by shifts; its powers stay packed except where
     # rows are read: the transposes of the eight grams that are not all
-    # ones, and A^M, made by shifts on the last levels of the index descent
-    # and unpacked once for the gram B_M
+    # ones; A^M, made by shifts on the last levels of the index descent and
+    # unpacked once for the gram B_M; and A^2, made by a shift step in the
+    # first period test and read as rows once for the square A^4
     grams, unpacks = [], []
     monkeypatch.setattr(engine, "_gram", lambda x: grams.append(x) or _gram(x))
     unpack = boolmat._unpack
@@ -239,7 +241,7 @@ def test_analysis_unpacks_only_for_grams_and_the_index_power(monkeypatch):
     assert (report.matrix_index, report.competition_index) == ((n - 1) ** 2, 8064)
     assert report.certificate.rule is Rule.STAR
     assert len(grams) == 10
-    assert len(unpacks) == 9
+    assert len(unpacks) == 10
 
 
 def test_lifted_competition_equals_the_scan_above_order_32():
@@ -286,13 +288,13 @@ def cost_rule_cases(draw):
     """(T_n<S;T>, e, x, packed) with n in {32, 33, 64, 127, 160}, up to three
     offsets a side, 1 <= e <= n // (|S| + |T|) + 2, so that e steps of
     |S| + |T| shifts fall on both sides of n, and x a power of A ("power", m),
-    handed to the lift packed or not, or a random matrix ("random", seed,
+    held packed by the lift or not, or a random matrix ("random", seed,
     density)."""
     n = draw(st.sampled_from((32, 33, 64, 127, 160)))
     S = draw(st.sets(st.integers(1, n - 1), max_size=3))
     T = draw(st.sets(st.integers(1, n - 1), min_size=0 if S else 1, max_size=3))
     e = draw(st.integers(1, n // (len(S) + len(T)) + 2))
-    power = st.tuples(st.just("power"), st.integers(0, 2 * n))
+    power = st.tuples(st.just("power"), st.integers(1, 2 * n))
     matrix = st.tuples(st.just("random"), st.integers(0, 2**32), st.sampled_from((0.03, 0.3)))
     return ToeplitzSpec(n, S, T), e, draw(st.one_of(power, matrix)), draw(st.booleans())
 
@@ -307,26 +309,31 @@ def cost_rule_cases(draw):
 @example((ToeplitzSpec(160, (3, 50, 77), (5, 90)), 32, ("power", 40), False))  # e c = n
 @example((ToeplitzSpec(160, (1,), (158, 159)), 8, ("power", 9000), True))  # sparse A^e
 def test_steps_and_products_agree_on_both_sides_of_the_cost_rule(case):
-    # x A^e is e steps of c = |S| + |T| shifts where the kernel's rule takes
-    # them, at most n shifts and fewer when A^e is sparse, else a product;
-    # either way it and "A^(M+e) = A^M" match the powers.  The lift's product
-    # may put A^e first, which only a power x allows, so a random x is held
-    # to the steps alone
+    # step(m, e) makes A^(m+e) by e steps of c = |S| + |T| shifts where the
+    # kernel's rule takes them, at most n shifts and fewer when A^e is
+    # sparse, else by a product; either way it and "A^(M+e) = A^M" match the
+    # powers.  The lift's product may put A^e first, which only a power x
+    # allows, so a random x is held to the kernel's steps alone
     spec, e, x, packed = case
     a = from_toeplitz(spec)
     lift = _Lift(a)
     power = a.power(e)
     assert lift.shifts.cheaper(e) == (e * (len(spec.S) + len(spec.T)) <= spec.n)
+    assert lift.ones(e) == power.count()
     if x[0] == "power":
-        x = a.power(x[1])
-        got = lift.times(lift.shifts.pack(x) if packed else x, e)
-        assert isinstance(got, int) == lift.shifts.cheaper(e, power.count())
-        assert lift.rows(got) == x @ power
+        m = lift.power(x[1])
+        if packed:
+            lift.packed(m)
+        made = m + e not in lift._rows and m + e not in lift._packed
+        assert lift.step(m, e) == m + e
+        if made:
+            assert (m + e in lift._packed) == lift.shifts.cheaper(e, power.count())
+        assert lift.rows(m + e) == a.power(m) @ power
     else:
         x = random_boolmat(random.Random(x[1]), spec.n, x[2])
-        assert lift.rows(lift.shifts.times(lift.shifts.pack(x), e)) == x @ power
+        assert lift.shifts.unpack(lift.shifts.times(lift.shifts.pack(x), e)) == x @ power
     at_index = a.power(lift.index)
-    assert lift._returns(e) == (at_index @ power == at_index)
+    assert lift._same(lift.index, lift.step(lift.index, e)) == (at_index @ power == at_index)
 
 
 def test_dense_offsets_take_products_where_shifts_cost_more():
@@ -351,17 +358,27 @@ def test_dense_offsets_take_products_where_shifts_cost_more():
 @pytest.mark.parametrize(
     "text, products, grams, unpacks",
     [
-        ("n=128;S=1;T=126,127", 39, 10, 9),
-        ("n=96;S=64,70,82;T=5", 20, 5, 6),  # period 3
-        ("n=160;S=10,36;T=16", 7, 1, 2),  # period 13
+        ("n=128;S=1;T=126,127", 38, 10, 10),
+        ("n=96;S=64,70,82;T=5", 18, 5, 7),  # period 3
+        ("n=160;S=10,36;T=16", 5, 1, 2),  # period 13
+        ("n=48;S=1;T=46,47", 29, 9, 6),  # the analyze-worst orders
+        ("n=64;S=1;T=62,63", 32, 9, 9),
+        ("n=80;S=1;T=78,79", 33, 10, 7),
     ],
 )
 def test_analysis_counts_products_grams_and_unpacks(monkeypatch, text, products, grams, unpacks):
     # a count, not a time: x A^e steps by shifts on the levels of the index
     # descent, in the period test and in the minimality check wherever the
-    # kernel's rule takes e steps; the squares and the higher levels multiply
+    # kernel's rule takes e steps; the squares and the higher levels multiply,
+    # and a power the lift holds is not made again.  Products are counted in
+    # both modules: boolmat's _power_product for powers, engine's _gram for grams
     counts = {"_product": 0, "_gram": 0, "_unpack": 0}
-    for module, name in ((engine, "_product"), (engine, "_gram"), (boolmat, "_unpack")):
+    for module, name in (
+        (boolmat, "_product"),
+        (engine, "_product"),
+        (engine, "_gram"),
+        (boolmat, "_unpack"),
+    ):
         fn = getattr(module, name)
 
         def counted(*args, fn=fn, name=name):
@@ -371,6 +388,76 @@ def test_analysis_counts_products_grams_and_unpacks(monkeypatch, text, products,
         monkeypatch.setattr(module, name, counted)
     analyze(ToeplitzSpec.from_string(text))
     assert counts == {"_product": products, "_gram": grams, "_unpack": unpacks}
+
+
+class _Memo(dict):
+    """One of a lift's two memos, logging ("made", m) when it takes A^m while
+    neither memo holds it and ("dropped", m) when it lets A^m go."""
+
+    def __init__(self, lift, log, held):
+        super().__init__(held)
+        self._lift, self._log = lift, log
+
+    def __setitem__(self, m, x):
+        if m not in self._lift._rows and m not in self._lift._packed:
+            self._log.append(("made", m))
+        super().__setitem__(m, x)
+
+    def __delitem__(self, m):
+        self._log.append(("dropped", m))
+        super().__delitem__(m)
+
+
+@pytest.mark.parametrize(
+    "text, remade",
+    [
+        ("n=128;S=1;T=126,127", set()),
+        ("n=121;S=83,85;T=46,102,118", set()),  # the first analyze-random draw of seed 1
+        # the walk of the exact decision reads A^(M+1) again after the drop
+        ("n=99;S=6;T=27", {12}),
+        # the competition descent's gram levels read A^(64+32) again: the
+        # competition index q = 65 lies above 2^(k-1) = 64, so its descent
+        # passes where the index descent did
+        ("n=156;S=1,127;T=63,84", {96}),
+    ],
+    ids=lambda value: value if isinstance(value, str) else ",".join(map(str, value)) or "none",
+)
+def test_analysis_makes_each_power_once_but_for_what_the_drop_let_go(monkeypatch, text, remade):
+    # each A^m is made once and kept under m; the one way to make it again is
+    # the drop after the index search, which keeps only the squares and A^M
+    log = []
+
+    def memo_setattr(lift, name, value):
+        if name in ("_rows", "_packed"):
+            value = _Memo(lift, log, value)
+        object.__setattr__(lift, name, value)
+
+    monkeypatch.setattr(_Lift, "__setattr__", memo_setattr)
+    analyze(ToeplitzSpec.from_string(text))
+    made, dropped, again = set(), set(), set()
+    for event, m in log:
+        if event == "dropped":
+            dropped.add(m)
+        elif m in made:
+            assert m in dropped, (text, m)
+            again.add(m)
+        made.add(m)
+    assert again == remade
+
+
+@pytest.mark.parametrize(
+    "text", ["n=128;S=1;T=126,127", "n=96;S=64,70,82;T=5", "n=160;S=10,36;T=16"]
+)
+def test_the_lift_keeps_the_squares_and_the_index_power(text):
+    # after the index search only A^(2^k) for 2^k up to the bracket's top and
+    # A^M stay, and the minimality check adds A^(M+e) for each e | p below p
+    # (for periods 1, 3 and 13 here, e = 1 alone)
+    spec = ToeplitzSpec.from_string(text)
+    lift = _Lift(from_toeplitz(spec), (spec.S, spec.T))
+    index, period = lift.index, lift.period
+    squares = {1 << k for k in range((index - 1).bit_length() + 1)}
+    checked = {index + e for e in range(1, period) if period % e == 0}
+    assert set(lift._rows) | set(lift._packed) == squares | {index} | checked
 
 
 def _naive_gram(x):
@@ -642,7 +729,7 @@ def test_sink_source_random_extensions(rng):
                 for _ in range(rng.randint(1, 4))
             ],
         )
-        b = a | extra
+        b = BoolMatrix(map(int.__or__, a.rows, extra.rows))
         result = sink_source_same_period(base, b)
         if result is not None:
             spoke += 1

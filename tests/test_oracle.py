@@ -241,6 +241,41 @@ def test_sweep_orders_never_pack(monkeypatch):
     assert packs == []
 
 
+class _Kept(dict):
+    """A table that ignores clear(), as the sweep's were before each draw
+    emptied them in random mode."""
+
+    def clear(self):
+        pass
+
+
+def test_random_sweep_holds_one_draw_at_a_time(monkeypatch):
+    # gcd-update meets the 2(n - 1) one-offset extensions of every draw; few
+    # meet again in random mode, so the tables keep at most the draw and its
+    # extensions, and keeping every table entry instead changes no byte
+    sweeps = []
+
+    class Seen(oracle._Sweep):
+        def __init__(self, config):
+            super().__init__(config)
+            sweeps.append(self)
+
+    monkeypatch.setattr(oracle, "_Sweep", Seen)
+    cfg = SweepConfig(9, 10, mode="random", samples=20, seed=1, checks=frozenset({"gcd-update"}))
+    report = render_report(run_sweep(cfg), cfg)
+    assert 0 < len(sweeps[-1]._specs) <= 2 * 10 - 1
+
+    class Kept(oracle._Sweep):
+        def __init__(self, config):
+            super().__init__(config)
+            self._specs, self._truths = _Kept(), _Kept()
+            sweeps.append(self)
+
+    monkeypatch.setattr(oracle, "_Sweep", Kept)
+    assert render_report(run_sweep(cfg), cfg) == report
+    assert len(sweeps[-1]._specs) > 20 * (2 * 9 - 1)
+
+
 # --------------------------------------------------------------------------
 # reporting
 # --------------------------------------------------------------------------

@@ -116,7 +116,8 @@ def twin_same_residue_walks(sw, spec, powers, an):
         return []
     d = an.profile.d
     bound = an.matrix_index + lcm(an.matrix_period, an.profile.d_plus // d)
-    reach = reduce(or_, map(powers.power, range(1, bound + 1)))
+    powers_rows = (powers.power(m).rows for m in range(1, bound + 1))
+    reach = BoolMatrix(reduce(or_, rows) for rows in zip(*powers_rows))
     for u in range(1, spec.n + 1):
         for v in range(1, spec.n + 1):
             if (u - v) % d == 0 and not reach.get(u, v):
@@ -155,7 +156,7 @@ class StrayPowers:
 
     def power(self, m: int) -> BoolMatrix:
         x = self._powers.power(m)
-        return x | self._stray if m == self._i else x
+        return BoolMatrix(map(or_, x.rows, self._stray.rows)) if m == self._i else x
 
 
 class HolePowers:
