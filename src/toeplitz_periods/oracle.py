@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, reduce
-from itertools import product
+from functools import cache, cached_property, reduce
+from itertools import chain, product
 from math import gcd, lcm
-from operator import mul, or_
+from operator import or_
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .boolmat import BoolMatrix, PowerSequence, from_toeplitz
@@ -51,16 +51,10 @@ OBSERVATION = "observation"
 WORKED_EXAMPLE = ToeplitzSpec(6, (2, 4), (5,))
 
 # Scales the costlier checks are vouched for: walk lengths of the
-# containment chain and p-set laws, of the walk-displacement check,
-# random vectors per descriptor, and the largest orders of the superset
-# and extension-closure checks.
+# containment chain and p-set laws, of the walk-displacement check, and
+# the largest orders of the superset and extension-closure checks.
 CHAIN_I_MAX = 30
 DISPLACEMENT_I_MAX = 12
-CONGRUENCE_SAMPLES = 20
-# The coefficients sum-congruence draws from; rng.choices reads only the
-# length and items of its population, so this tuple draws what
-# range(-10, 11) draws, and is indexed faster.
-_COEFFICIENTS = tuple(range(-10, 11))
 SUPERSET_N_MAX = 6
 EXTENSION_N_MAX = 6
 
@@ -143,6 +137,25 @@ class _Truth(NamedTuple):
     threshold: Optional[int]
 
 
+class _WalkMasks:
+    """A descriptor's window masks for the walk-set checks, each list made
+    from the module's _p_mask and _q_masks the first time a check reads it:
+    p[i] is P_i for i = 0 .. CHAIN_I_MAX + d+/d (p[0] unread), and q[i - 1]
+    is Q_i for i = 1 .. CHAIN_I_MAX."""
+
+    def __init__(self, spec: ToeplitzSpec):
+        self.spec = spec
+
+    @cached_property
+    def p(self) -> list[int]:
+        prof = gcd_profile(self.spec)
+        return [_p_mask(self.spec, i) for i in range(CHAIN_I_MAX + prof.d_plus // prof.d + 1)]
+
+    @cached_property
+    def q(self) -> list[int]:
+        return list(_q_masks(self.spec, CHAIN_I_MAX))
+
+
 class _Sweep:
     """Shared caches for one sweep run, freed with it (with each draw in
     random mode).
@@ -157,6 +170,7 @@ class _Sweep:
         self.config = config
         self._specs: dict[tuple[int, int, int], ToeplitzSpec] = {}
         self._truths: dict[ToeplitzSpec, _Truth] = {}
+        self._masks: Optional[_WalkMasks] = None
 
     def spec(self, n: int, smask: int, tmask: int) -> ToeplitzSpec:
         spec = self._specs.get((n, smask, tmask))
@@ -165,12 +179,19 @@ class _Sweep:
         return spec
 
     def specs(self, n: int) -> Iterator[ToeplitzSpec]:
-        """The descriptors of order n, or its seeded draws in random mode,
-        where few descriptors meet again, so both tables are emptied before
-        each draw."""
+        """The descriptors of order n in visit order.
+
+        Exhaustive mode visits them by descending (S-mask, T-mask), the
+        reverse of enumerate_specs.  An offset superset or a one-offset
+        extension of a descriptor has masks that contain its masks, so it
+        comes no later, and every record superset-period and
+        extension-closure read was made from that descriptor's own scan.
+        Random mode yields the seeded draws, where few descriptors meet
+        again, so both tables are emptied before each draw.
+        """
         full = 1 << (n - 1)
         if self.config.mode == "exhaustive":
-            yield from (self.spec(n, s, t) for s, t in product(range(1, full), repeat=2))
+            yield from (self.spec(n, s, t) for s, t in product(range(full - 1, 0, -1), repeat=2))
             return
         rng = random.Random(f"{self.config.seed}:{n}")
         for _ in range(self.config.samples):
@@ -180,7 +201,8 @@ class _Sweep:
 
     def truth(self, spec: ToeplitzSpec, powers: Optional[PowerSequence] = None) -> _Truth:
         """spec's record, read the first time from powers: the scan analyze_spec
-        makes, or a new one for a superset or extension a check meets first."""
+        makes, or a new one for a superset or extension a check meets before
+        its visit, which only random mode does."""
         truth = self._truths.get(spec)
         if truth is None:
             if powers is None:
@@ -188,6 +210,13 @@ class _Sweep:
             decided = decide_walk_ensured_exact(spec, powers=powers)
             truth = self._truths[spec] = _Truth(*powers.cycle(), *decided)
         return truth
+
+    def walk_masks(self, spec: ToeplitzSpec) -> _WalkMasks:
+        """spec's P and Q masks, shared by the checks of one visit: analyze_spec
+        drops them, and a check called on another descriptor makes its own."""
+        if self._masks is None or self._masks.spec is not spec:
+            self._masks = _WalkMasks(spec)
+        return self._masks
 
     def analyze_spec(self, spec: ToeplitzSpec) -> tuple[PowerSequence, PeriodReport]:
         """The engine's report, held to the scan of A, A^2, ... that the checks read.
@@ -197,6 +226,7 @@ class _Sweep:
         The checks read the record's verdict, never the certificate, so that
         certificate-soundness compares two independent verdicts.
         """
+        self._masks = None
         powers = PowerSequence(from_toeplitz(spec))
         truth = self.truth(spec, powers)
         report = analyze(spec)
@@ -269,9 +299,10 @@ def _check_containment_chain(sw, spec, powers, an) -> list[Result]:
     """r_set <= q_set <= p_set at every length up to CHAIN_I_MAX.  Powers repeat,
     so R is made once per distinct power, keyed by its value (a power sequence
     may hand out a new object, and id(), for one it made before)."""
+    masks = sw.walk_masks(spec)
     r_of = cache(_r_mask)
-    for i, q in enumerate(_q_masks(spec, CHAIN_I_MAX), start=1):
-        p = _p_mask(spec, i)
+    for i, q in enumerate(masks.q, start=1):
+        p = masks.p[i]
         r = r_of(powers.power(i))
         if r & ~q or q & ~p:
             r, q, p = (_fmt(_mask_to_set(x, spec.n)) for x in (r, q, p))
@@ -282,7 +313,7 @@ def _check_containment_chain(sw, spec, powers, an) -> list[Result]:
 def _check_p_set_laws(sw, spec, powers, an) -> list[Result]:
     """Periodicity, disjoint window and one-step recurrence of the p-sets."""
     m = an.profile.d_plus // an.profile.d
-    ps = [_p_mask(spec, i) for i in range(CHAIN_I_MAX + m + 1)]  # ps[0] unread
+    ps = sw.walk_masks(spec).p
     s1, t1 = an.profile.s1, an.profile.t1
     full = (1 << (2 * spec.n - 1)) - 1
     fmt = lambda mask: _fmt(_mask_to_set(mask, spec.n))
@@ -306,7 +337,7 @@ def _check_walk_displacements(sw, spec, powers, an) -> list[Result]:
     """Every walk displacement is representable as an i-term signed sum; the
     realized masks are kept per distinct power as containment-chain keeps R."""
     realized_of = cache(_realized_mask)
-    for i, q in enumerate(_q_masks(spec, DISPLACEMENT_I_MAX), start=1):
+    for i, q in enumerate(sw.walk_masks(spec).q[:DISPLACEMENT_I_MAX], start=1):
         realized = realized_of(powers.power(i))
         if realized & ~q:
             want = f"i={i}: walk displacements within q-set {_fmt(_mask_to_set(q, spec.n))}"
@@ -315,19 +346,23 @@ def _check_walk_displacements(sw, spec, powers, an) -> list[Result]:
 
 
 def _check_sum_congruence(sw, spec, powers, an) -> list[Result]:
-    """Signed combinations satisfy sum a*s - sum b*t = (sum a + sum b) s1 mod d+.
+    """Signed combinations satisfy sum a*s - sum b*t = (sum a + sum b) s1 mod d+
+    for every integer draw (a, b).
 
-    The difference of the two sides is one dot product of the draw (a, b)
-    with the coefficients s - s1 and -(t + s1)."""
-    rng = random.Random(f"{sw.config.seed}:congruence:{spec}")
+    The difference of the two sides is the dot product of the draw with the
+    coefficients c = (s - s1 for s in S, -(t + s1) for t in T).  If d+
+    divides every c_j, it divides every integer combination of them, so the
+    identity holds for every draw.  If it does not divide some c_j, the unit
+    draw with 1 at j and 0 elsewhere has difference c_j, so the identity
+    fails there.  Testing the |S| + |T| coefficients is therefore testing
+    every draw; the first coefficient d+ does not divide is reported as its
+    unit draw."""
     prof = an.profile
-    k, ks = len(spec.S) + len(spec.T), len(spec.S)
     coefs = [s - prof.s1 for s in spec.S] + [-(t + prof.s1) for t in spec.T]
-    draws = rng.choices(_COEFFICIENTS, k=CONGRUENCE_SAMPLES * k)
-    for j in range(0, len(draws), k):
-        difference = sum(map(mul, coefs, draws[j : j + k]))
+    for j, difference in enumerate(coefs):
         if difference % prof.d_plus != 0:
-            avec, bvec = draws[j : j + ks], draws[j + ks : j + k]
+            draw = [int(k == j) for k in range(len(coefs))]
+            avec, bvec = draw[: len(spec.S)], draw[len(spec.S) :]
             want = f"combination congruent mod d+ = {prof.d_plus}"
             return [(spec, want, f"a={avec} b={bvec} difference {difference}", VIOLATION)]
     return []
@@ -559,22 +594,27 @@ def run_sweep(config: SweepConfig) -> list[Finding]:
     sweep = _Sweep(config)
     findings: list[Finding] = []
 
-    def record(name: str, results: list[Result]) -> None:
-        findings.extend(Finding(name, str(spec), *rest) for spec, *rest in results)
+    def found(name: str, results: list[Result]) -> list[Finding]:
+        return [Finding(name, str(spec), *rest) for spec, *rest in results]
 
     if config.enabled(WORKED_EXAMPLE_CHECK):
-        record(WORKED_EXAMPLE_CHECK, check_worked_example())
+        findings += found(WORKED_EXAMPLE_CHECK, check_worked_example())
     per_order = [(name, fn) for name, fn in PER_ORDER_CHECKS if config.enabled(name)]
     per_spec = [(name, fn) for name, fn in PER_SPEC_CHECKS if config.enabled(name)]
     for n in range(config.n_lo, config.n_hi + 1):
         for name, fn in per_order:
-            record(name, fn(n))
+            findings += found(name, fn(n))
         if not per_spec:
             continue
+        visits = []  # the findings of each descriptor that has any, in visit order
         for spec in sweep.specs(n):
             powers, an = sweep.analyze_spec(spec)
-            for name, fn in per_spec:
-                record(name, fn(sweep, spec, powers, an))
+            visit = [f for name, fn in per_spec for f in found(name, fn(sweep, spec, powers, an))]
+            if visit:
+                visits.append(visit)
+        if config.mode == "exhaustive":
+            visits.reverse()  # report in enumerate_specs order
+        findings += chain.from_iterable(visits)
     return findings
 
 

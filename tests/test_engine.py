@@ -639,6 +639,41 @@ def test_a_positive_exact_verdict_above_order_64():
 
 
 # --------------------------------------------------------------------------
+# swap symmetry
+# --------------------------------------------------------------------------
+
+
+def j_conjugate(x: BoolMatrix) -> BoolMatrix:
+    """J·x·J, J the exchange matrix: the rows in reverse order, each row's
+    n bits reversed."""
+    return BoolMatrix(int(format(row, f"0{x.n}b")[::-1], 2) for row in reversed(x.rows))
+
+
+def swap_invariants(report):
+    return (
+        report.matrix_index,
+        report.matrix_period,
+        report.competition_index,
+        report.competition_period,
+        report.walk_ensured,
+        report.certificate.rule,
+    )
+
+
+def test_swapping_s_and_t_conjugates_the_analysis_by_j():
+    # A^T = J·A·J = T_n<T;S>, so (T;S) has the index, period, competition
+    # data and verdict of (S;T), settled by the same rule, and B_m of (T;S)
+    # is J·B_m·J, so its limit is the J-conjugate
+    reports = {spec: analyze(spec) for n in range(2, 7) for spec in enumerate_specs(n)}
+    for spec, report in reports.items():
+        a, swapped = from_toeplitz(spec), reports[ToeplitzSpec(spec.n, spec.T, spec.S)]
+        assert from_toeplitz(swapped.spec) == a.transpose() == j_conjugate(a)
+        assert swap_invariants(swapped) == swap_invariants(report), spec
+        limit = report.limit_matrix
+        assert swapped.limit_matrix == (None if limit is None else j_conjugate(limit)), spec
+
+
+# --------------------------------------------------------------------------
 # superset period transfer
 # --------------------------------------------------------------------------
 

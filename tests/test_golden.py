@@ -8,8 +8,11 @@ line each) and say so in CHANGES.md.
 
 `sweep-n7-period-formula.txt` is the observation table of order 7:
 every descriptor that is not walk-ensured and whose period differs
-from d+/d.  Its body equals that of the full `sweep --n 7..7` report,
-so a change in that set shows up as a diff of this file.
+from d+/d.  It equals the full `sweep --n 7..7` report, every check
+enabled, so a change in that set shows up as a diff of this file.
+
+`sweep-random-6-12.txt` pins random mode:
+`sweep --n 6..12 --mode random --samples 40 --seed 3`.
 
 The benchmark verifies its sweep runs against its own copy of the
 order 2..6 report, `perfbench/expected/sweep-n2-6.txt`; the two files
@@ -61,6 +64,14 @@ def test_order_7_observation_table_is_byte_identical():
     table = (GOLDEN / "sweep-n7-period-formula.txt").read_text(encoding="utf-8")
     assert table.endswith("# findings=75 violations=0 observations=75\n")
     assert _cli_stdout("sweep", "--n", "7..7", "--checks", "period-formula") == table
+    assert _cli_stdout("sweep", "--n", "7..7") == table
+
+
+def test_random_sweep_report_is_byte_identical():
+    report = (GOLDEN / "sweep-random-6-12.txt").read_text(encoding="utf-8")
+    assert report.endswith("# findings=8 violations=0 observations=8\n")
+    argv = ("sweep", "--n", "6..12", "--mode", "random", "--samples", "40", "--seed", "3")
+    assert _cli_stdout(*argv) == report
 
 
 def _large_specs() -> list[str]:

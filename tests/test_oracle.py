@@ -23,7 +23,7 @@ from toeplitz_periods.oracle import (
     check_cycle_structure,
     check_worked_example,
 )
-from toeplitz_periods.toeplitz import Certificate, Rule, Verdict
+from toeplitz_periods.toeplitz import Certificate, Rule, Verdict, gcd_profile
 
 
 # --------------------------------------------------------------------------
@@ -177,7 +177,8 @@ def test_sweep_holds_the_lifted_index_to_the_scan(monkeypatch):
     monkeypatch.setattr(oracle, "analyze", off_by_one)
     with pytest.raises(TheoremViolationError) as err:
         run_sweep(SweepConfig(3, 3))
-    assert str(err.value) == "n=3;S=1;T=1: lifted (2, 2), scanned (1, 2)"
+    # the sweep visits the full offset sets first
+    assert str(err.value) == "n=3;S=1,2;T=1,2: lifted (3, 1), scanned (2, 1)"
 
 
 def test_sweep_holds_the_exact_verdict_to_the_scan(monkeypatch):
@@ -198,8 +199,10 @@ def test_sweep_holds_the_exact_verdict_to_the_scan(monkeypatch):
     assert str(err.value) == "n=3;S=2;T=2: decided (True, 1), scanned (False, None)"
 
 
-def test_sweep_scans_each_matrix_at_most_twice(monkeypatch):
-    # once for its ground-truth record, once more if a check recorded it first
+def test_sweep_scans_each_descriptor_once(monkeypatch):
+    # supersets and one-offset extensions are visited first, so every record a
+    # check reads comes from the scan of that descriptor's own visit; the one
+    # more scan is the worked example's
     scans = Counter()
 
     class CountedScan(oracle.PowerSequence):
@@ -209,8 +212,46 @@ def test_sweep_scans_each_matrix_at_most_twice(monkeypatch):
 
     monkeypatch.setattr(oracle, "PowerSequence", CountedScan)
     run_sweep(SweepConfig(2, 5))
-    assert len(scans) == 1 + sum(len(list(enumerate_specs(n))) for n in range(2, 6))
-    assert max(scans.values()) == 2
+    assert sum(scans.values()) == 1 + sum(len(list(enumerate_specs(n))) for n in range(2, 6))
+    assert max(scans.values()) == 1
+
+
+def test_sweep_visits_supersets_first_and_reports_in_enumeration_order():
+    sw = oracle._Sweep(SweepConfig(4, 4))
+    visits = list(sw.specs(4))
+    assert visits == list(reversed(list(enumerate_specs(4))))
+    masks = [(oracle._mask(spec.S), oracle._mask(spec.T)) for spec in visits]
+    for k, (s, t) in enumerate(masks):
+        assert all(s | s2 != s2 or t | t2 != t2 for s2, t2 in masks[k + 1 :])
+    findings = run_sweep(SweepConfig(4, 5, checks=frozenset({"period-formula"})))
+    order = [str(spec) for n in (4, 5) for spec in enumerate_specs(n)]
+    keys = [order.index(f.spec) for f in findings]
+    assert len(keys) > 1 and keys == sorted(keys)
+
+
+def test_sweep_makes_the_walk_masks_once_per_visit(monkeypatch):
+    # containment-chain, p-set-laws and walk-displacements read one table of
+    # P masks for i <= CHAIN_I_MAX + d+/d and Q masks for i <= CHAIN_I_MAX
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(oracle, name)
+
+        def call(spec, i):
+            calls[name, spec] += 1
+            return fn(spec, i)
+
+        return call
+
+    for name in ("_p_mask", "_q_masks"):
+        monkeypatch.setattr(oracle, name, counted(name))
+    run_sweep(SweepConfig(2, 5))
+    specs = [spec for n in range(2, 6) for spec in enumerate_specs(n)]
+    for spec in specs:
+        prof = gcd_profile(spec)
+        assert calls["_p_mask", spec] == oracle.CHAIN_I_MAX + prof.d_plus // prof.d + 1
+        assert calls["_q_masks", spec] == 1
+    assert len(calls) == 2 * len(specs)
 
 
 def test_sweep_constructs_each_descriptor_once(monkeypatch):

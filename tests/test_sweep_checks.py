@@ -6,16 +6,24 @@ sum-congruence read the reach entry by entry and each draw term by
 term.  A planted fault (a stray entry in one power, a missing walk,
 a flipped bit in one Q mask, bent P masks, a doctored gcd profile) must
 make the check and its twin return the same (spec, expected, actual,
-severity) tuples, and that list must not be empty.
+severity) tuples, and that list must not be empty.  Sum-congruence tests
+its generator coefficients, so it reports a unit draw where its sampled
+twin reports a random one: the two must make the same claim, and the
+check's draw must fail the identity term by term.
 """
 
+import ast
 import dataclasses
 import random
+import re
 from functools import reduce
 from math import lcm
 from operator import or_
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from toeplitz_periods import (
     BoolMatrix,
@@ -29,7 +37,6 @@ from toeplitz_periods import (
 from toeplitz_periods import engine, oracle
 from toeplitz_periods.oracle import (
     CHAIN_I_MAX,
-    CONGRUENCE_SAMPLES,
     DISPLACEMENT_I_MAX,
     PER_SPEC_CHECKS,
     VIOLATION,
@@ -44,8 +51,10 @@ from toeplitz_periods.oracle import (
     _fmt,
     _Sweep,
 )
-from toeplitz_periods.toeplitz import Certificate, Rule, Verdict
+from toeplitz_periods.toeplitz import Certificate, Rule, Verdict, gcd_profile
 from toeplitz_periods.walksets import _mask_to_set, _p_mask, _q_masks
+
+from conftest import PROPERTY, descriptors
 
 WORKED = ToeplitzSpec(6, (2, 4), (5,))  # q-set {-3,-1,4} and r-set {4} at length 2
 PARITY = ToeplitzSpec(4, (1,), (1,))  # d+ = 2: the p-sets alternate
@@ -125,20 +134,29 @@ def twin_same_residue_walks(sw, spec, powers, an):
     return []
 
 
+# The sampled twin draws CONGRUENCE_SAMPLES coefficient vectors per
+# descriptor from CONGRUENCE_COEFFICIENTS, seeded by the descriptor.
+CONGRUENCE_SAMPLES = 20
+CONGRUENCE_COEFFICIENTS = range(-10, 11)
+
+
+def termwise_difference(spec, s1, avec, bvec):
+    """sum a*s - sum b*t - (sum a + sum b) s1, term by term."""
+    lhs = sum(a * s for a, s in zip(avec, spec.S)) - sum(b * t for b, t in zip(bvec, spec.T))
+    return lhs - (sum(avec) + sum(bvec)) * s1
+
+
 def twin_sum_congruence(sw, spec, an):
     rng = random.Random(f"{sw.config.seed}:congruence:{spec}")
     prof = an.profile
     k, ks = len(spec.S) + len(spec.T), len(spec.S)
-    draws = rng.choices(range(-10, 11), k=CONGRUENCE_SAMPLES * k)
+    draws = rng.choices(CONGRUENCE_COEFFICIENTS, k=CONGRUENCE_SAMPLES * k)
     for j in range(0, len(draws), k):
         avec, bvec = draws[j : j + ks], draws[j + ks : j + k]
-        lhs = sum(a * s for a, s in zip(avec, spec.S)) - sum(
-            b * t for b, t in zip(bvec, spec.T)
-        )
-        rhs = (sum(avec) + sum(bvec)) * prof.s1
-        if (lhs - rhs) % prof.d_plus != 0:
+        difference = termwise_difference(spec, prof.s1, avec, bvec)
+        if difference % prof.d_plus != 0:
             want = f"combination congruent mod d+ = {prof.d_plus}"
-            return [(spec, want, f"a={avec} b={bvec} difference {lhs - rhs}", VIOLATION)]
+            return [(spec, want, f"a={avec} b={bvec} difference {difference}", VIOLATION)]
     return []
 
 
@@ -318,10 +336,52 @@ def test_same_residue_walks_match_their_entrywise_twin_on_missing_walks(spec, ho
     ],
 )
 def test_sum_congruence_matches_its_termwise_twin_on_doctored_profiles(spec, doctored):
+    # both report the same claim; the check's draw is a unit draw
     an, sw = analyze(spec), sweep_of(spec)
     bent = dataclasses.replace(an, profile=dataclasses.replace(an.profile, **doctored))
     got = _check_sum_congruence(sw, spec, None, bent)
-    assert got == twin_sum_congruence(sw, spec, bent) != []
+    twin = twin_sum_congruence(sw, spec, bent)
+    assert twin != [] and got[0][:2] == twin[0][:2]
+    assert_reports_a_failing_unit_draw(got, spec, bent.profile)
+
+
+def assert_reports_a_failing_unit_draw(results, spec, prof):
+    """results is one sum-congruence finding whose draw has a single 1, and
+    whose difference is the termwise one and not a multiple of d+."""
+    [(got_spec, want, actual, severity)] = results
+    assert (got_spec, want, severity) == (
+        spec,
+        f"combination congruent mod d+ = {prof.d_plus}",
+        VIOLATION,
+    )
+    a, b, difference = re.fullmatch(r"a=(\[.*\]) b=(\[.*\]) difference (-?\d+)", actual).groups()
+    avec, bvec = ast.literal_eval(a), ast.literal_eval(b)
+    assert (len(avec), len(bvec)) == (len(spec.S), len(spec.T))
+    assert sorted(avec + bvec) == [0] * (len(avec) + len(bvec) - 1) + [1]
+    assert int(difference) == termwise_difference(spec, prof.s1, avec, bvec)
+    assert int(difference) % prof.d_plus != 0
+
+
+@PROPERTY
+@given(descriptors(), st.data())
+def test_sum_congruence_reports_wherever_its_termwise_twin_does(spec, data):
+    # on the true profile and on profiles with s1 or d+ redrawn, the check
+    # reports whenever the sampled twin does, and when it is silent no
+    # integer draw of any size fails the identity
+    prof = gcd_profile(spec)
+    s1 = data.draw(st.sampled_from([prof.s1, *range(1, spec.n)]))
+    d_plus = data.draw(st.sampled_from([prof.d_plus, *range(1, 2 * spec.n)]))
+    an = SimpleNamespace(profile=dataclasses.replace(prof, s1=s1, d_plus=d_plus))
+    sw = _Sweep(SweepConfig(2, 2))
+    got = _check_sum_congruence(sw, spec, None, an)
+    if got:
+        assert_reports_a_failing_unit_draw(got, spec, an.profile)
+        return
+    assert twin_sum_congruence(sw, spec, an) == []
+    coefficients = st.integers(-1000, 1000)
+    avec = data.draw(st.lists(coefficients, min_size=len(spec.S), max_size=len(spec.S)))
+    bvec = data.draw(st.lists(coefficients, min_size=len(spec.T), max_size=len(spec.T)))
+    assert termwise_difference(spec, s1, avec, bvec) % d_plus == 0
 
 
 # --------------------------------------------------------------------------
@@ -369,24 +429,33 @@ def test_a_shared_sweep_keeps_no_masks_from_one_descriptor_to_the_next():
 
 
 def test_patched_mask_functions_are_read_after_a_first_run(monkeypatch):
-    # whatever the masks cache, the checks look up _p_mask and _q_masks each time
-    sw, an, powers = sweep_of(THIRDS), analyze(THIRDS), PowerSequence(from_toeplitz(THIRDS))
+    # the checks of one visit share one table of P and Q masks, made from the
+    # module's _p_mask and _q_masks, so a fault planted after a first run is
+    # caught on the next visit
+    sw = sweep_of(THIRDS)
+    powers, an = sw.analyze_spec(THIRDS)
     assert _check_p_set_laws(sw, THIRDS, powers, an) == []
     assert _check_containment_chain(sw, THIRDS, powers, an) == []
     monkeypatch.setattr(oracle, "_p_mask", lambda spec, i: _p_mask(spec, 2 * i))
+    assert _check_p_set_laws(sw, THIRDS, powers, an) == []  # the visit's table
+    powers, an = sw.analyze_spec(THIRDS)
     assert _check_p_set_laws(sw, THIRDS, powers, an) != []
     monkeypatch.setattr(oracle, "_q_masks", q_masks_flipping(3, 0))
+    powers, an = sw.analyze_spec(THIRDS)
     assert _check_walk_displacements(sw, THIRDS, powers, an) != []
 
 
 def test_patched_power_masks_are_read_after_a_first_run(monkeypatch):
-    # each check makes its own memo of _r_mask and _realized_mask when called
-    sw, an, powers = sweep_of(THIRDS), analyze(THIRDS), PowerSequence(from_toeplitz(THIRDS))
+    # each check makes its own memo of _r_mask and _realized_mask when called,
+    # so a fault planted after a first run is caught on the next visit
+    sw = sweep_of(THIRDS)
+    powers, an = sw.analyze_spec(THIRDS)
     assert _check_containment_chain(sw, THIRDS, powers, an) == []
     assert _check_walk_displacements(sw, THIRDS, powers, an) == []
     window = (1 << (2 * THIRDS.n - 1)) - 1  # every displacement, beyond any q-set
     monkeypatch.setattr(oracle, "_r_mask", lambda x: window)
     monkeypatch.setattr(oracle, "_realized_mask", lambda x: window)
+    powers, an = sw.analyze_spec(THIRDS)
     assert _check_containment_chain(sw, THIRDS, powers, an) != []
     assert _check_walk_displacements(sw, THIRDS, powers, an) != []
 
