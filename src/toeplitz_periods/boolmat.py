@@ -11,25 +11,11 @@ free during cycle detection.
 
 from __future__ import annotations
 
-from functools import cache
 from operator import or_
 from typing import Callable, Iterable, Iterator, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .toeplitz import ToeplitzSpec
-
-
-@cache
-def _swap_masks(width: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) per round of the blockwise transpose of width-bit rows: for
-    block size b, entry (i, j) with bit b clear in i and set in j trades places
-    with (i + b, j - b), b * (width - 1) bits higher."""
-    out, zero = [], bytes(width // 8)
-    for b in (1 << k for k in reversed(range(width.bit_length() - 1))):
-        row = sum(1 << j for j in range(width) if j & b).to_bytes(width // 8, "little")
-        rows = b"".join(zero if i & b else row for i in range(width))
-        out.append((b * (width - 1), int.from_bytes(rows, "little")))
-    return tuple(out)
 
 
 class BoolMatrix:
@@ -104,24 +90,15 @@ class BoolMatrix:
         return BoolMatrix(out)
 
     def transpose(self) -> "BoolMatrix":
-        """One step per 1 below order 32; from there log2(w) masked swaps
-        of off-diagonal blocks in the rows packed as w-bit fields."""
-        n = self.n
-        if n < 32:
-            cols = [0] * n
-            for i, r in enumerate(self.rows):
-                bit = 1 << i
-                while r:
-                    low = r & -r
-                    cols[low.bit_length() - 1] |= bit
-                    r ^= low
-            return BoolMatrix(cols)
-        width = 1 << (n - 1).bit_length()
-        packed = _pack(self.rows, width // 8)
-        for shift, mask in _swap_masks(width):
-            t = (packed ^ (packed >> shift)) & mask
-            packed ^= t ^ (t << shift)
-        return _unpack(packed, n, width // 8)
+        """One step per 1; a persymmetric matrix has ``_mirror`` instead."""
+        cols = [0] * self.n
+        for i, r in enumerate(self.rows):
+            bit = 1 << i
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= bit
+                r ^= low
+        return BoolMatrix(cols)
 
     def power(self, m: int) -> "BoolMatrix":
         """m-th Boolean power by repeated squaring; power(0) is identity."""
@@ -169,6 +146,22 @@ class BoolMatrix:
         return f"BoolMatrix(n={self.n}, ones={self.count()})"
 
 
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _mirror(x: BoolMatrix) -> BoolMatrix:
+    """J x J, J the reversal permutation: the rows in reverse order, each read
+    backwards, one table lookup per byte.  It is x^T when x is persymmetric,
+    as every power of a Toeplitz A is: A^T = T_n<T;S> = J A J, so
+    (A^m)^T = (J A J)^m = J A^m J."""
+    nbytes = (x.n + 7) // 8
+    pad = 8 * nbytes - x.n
+    return BoolMatrix([
+        int.from_bytes(r.to_bytes(nbytes, "little").translate(_REVERSED), "big") >> pad
+        for r in reversed(x.rows)
+    ])
+
+
 def from_toeplitz(spec: "ToeplitzSpec") -> BoolMatrix:
     """Adjacency matrix with entry (i, j) = 1 iff j-i in S or i-j in T.
 
@@ -198,16 +191,6 @@ def _toeplitz_offsets(a: BoolMatrix) -> Offsets | None:
     if not (S or T) or _toeplitz_rows(a.n, S, T) != list(rows):
         return None
     return S, T
-
-
-def _pack(rows: Iterable[int], nbytes: int) -> int:
-    return int.from_bytes(b"".join([r.to_bytes(nbytes, "little") for r in rows]), "little")
-
-
-def _unpack(packed: int, n: int, nbytes: int) -> BoolMatrix:
-    data = packed.to_bytes(n * nbytes, "little")
-    cut = range(0, len(data), nbytes)
-    return BoolMatrix(int.from_bytes(data[i : i + nbytes], "little") for i in cut)
 
 
 def _shift_or(packed: int, left: Iterable[int], right: Iterable[int]) -> int:
@@ -245,10 +228,14 @@ class _ShiftKernel:
         self._up, self._down = [8 * nbytes * t for t in T], [8 * nbytes * s for s in S]
 
     def pack(self, x: BoolMatrix) -> int:
-        return _pack(x.rows, self._nbytes)
+        nbytes = self._nbytes
+        return int.from_bytes(b"".join([r.to_bytes(nbytes, "little") for r in x.rows]), "little")
 
     def unpack(self, packed: int) -> BoolMatrix:
-        return _unpack(packed, self.n, self._nbytes)
+        nbytes = self._nbytes
+        data = packed.to_bytes(self.n * nbytes, "little")
+        cut = range(0, len(data), nbytes)
+        return BoolMatrix(int.from_bytes(data[i : i + nbytes], "little") for i in cut)
 
     def cheaper(self, e: int, ones: int | None = None, conjugate: bool = False) -> bool:
         """Whether e steps of x -> x A, or of X -> A X A^T when conjugate, cost

@@ -22,7 +22,9 @@ stepping through the powers:
   is monotone in m; B_M is on it, so the index q is found by the descent
   over (0, M], at most ceil(log2 M) grams and set lookups.  A gram x x^T
   is all ones without a product when the two lightest rows of x hold
-  more than n ones between them (pigeonhole);
+  more than n ones between them (pigeonhole); else x^T, x a power of a
+  Toeplitz A, is J x J, J the reversal, since A^T = J A J
+  (``boolmat._mirror``);
 * from order 32 on (below it, row selection on a few rows costs less
   than packing), a Toeplitz A = T_n<S;T> steps by its offsets on its
   rows packed into one integer (``boolmat._ShiftKernel``): x -> x A is
@@ -67,6 +69,7 @@ from .boolmat import (
     Offsets,
     PowerSequence,
     _check_powers,
+    _mirror,
     _power_product,
     _product,
     _shift_kernel,
@@ -90,14 +93,14 @@ class TheoremViolationError(RuntimeError):
     """A rule application contradicted the brute-force ground truth."""
 
 
-def _gram(x: BoolMatrix) -> BoolMatrix:
-    """x x^T: (u, v) = 1 iff rows u and v of x share a column.  Two rows with
-    more than n ones between them share one, so when the two lightest rows
-    do, every pair does and x x^T is all ones, diagonal included."""
+def _gram(x: BoolMatrix, transpose: Callable[[BoolMatrix], BoolMatrix]) -> BoolMatrix:
+    """x x^T = x transpose(x): (u, v) = 1 iff rows u and v of x share a column.
+    Two rows with more than n ones between them share one, so when the two
+    lightest rows do, every pair does and x x^T is all ones, diagonal included."""
     row_ones = sorted(map(int.bit_count, x.rows))
     if sum(row_ones[:2]) > x.n:
         return BoolMatrix.ones(x.n)
-    return _product(x, x.transpose(), sum(row_ones))
+    return _product(x, transpose(x), sum(row_ones))
 
 
 class _Lift:
@@ -106,20 +109,22 @@ class _Lift:
 
     offsets = (S, T) with A = T_n<S;T>, when the caller holds them; they are
     read from A otherwise, and are None for a matrix that is not Toeplitz.
-    shifts is A's shift kernel (boolmat._shift_kernel), None below order 32
-    and without offsets.  One memo: ``_rows[m]`` holds A^m as a BoolMatrix
-    when a product made it, ``_packed[m]`` as an int when shift steps did, and
-    ``rows(m)`` and ``packed(m)`` make the other form at most once, the first
-    time something reads it.  One maker: ``step(m, e)`` makes A^(m+e) from
-    A^m, by e steps of shifts wherever the kernel's cost rule takes them.
-    The index search then drops every other power it made but the squares
-    A^(2^k) and A^index.
+    The grams transpose A's powers by ``boolmat._mirror`` when A is Toeplitz,
+    else by ``BoolMatrix.transpose``.  shifts is A's shift kernel
+    (boolmat._shift_kernel), None below order 32 and without offsets.  One
+    memo: ``_rows[m]`` holds A^m as a BoolMatrix when a product made it,
+    ``_packed[m]`` as an int when shift steps did, and ``rows(m)`` and
+    ``packed(m)`` make the other form at most once, the first time something
+    reads it.  One maker: ``step(m, e)`` makes A^(m+e) from A^m, by e steps
+    of shifts wherever the kernel's cost rule takes them.  The index search
+    then drops every other power it made but the squares A^(2^k) and A^index.
     """
 
     def __init__(self, a: BoolMatrix, offsets: Optional[Offsets] = None):
         if offsets is None:
             offsets = _toeplitz_offsets(a)
         self.a, self._rows, self._packed = a, {1: a}, {}
+        self.transpose = BoolMatrix.transpose if offsets is None else _mirror
         self.shifts = _shift_kernel(a.n, offsets)
         self.period = p = power_period(a, offsets)
         bound = (a.n - 1) ** 2 + 1  # Heap and Lynn (1964): the index is at most this
@@ -222,9 +227,9 @@ class _Lift:
         walked by B -> A B A^T on packed rows where the cost rule takes one step
         of it, else as the grams of walk()."""
         shifts = self.shifts if self.shifts and self.shifts.cheaper(1, conjugate=True) else None
-        limit = _gram(self.rows(self.index))  # B_M, which on a cycle of one is B_q
+        limit = _gram(self.rows(self.index), self.transpose)  # B_M, B_q on a cycle of one
         if shifts is None:
-            b_index, later = limit, map(_gram, islice(self.walk(), 1, None))
+            b_index, later = limit, map(_gram, islice(self.walk(), 1, None), repeat(self.transpose))
         else:
             b_index = shifts.pack(limit)
             later = islice(accumulate(repeat(1), shifts.conjugate, initial=b_index), 1, None)
@@ -239,7 +244,7 @@ class _Lift:
             if shifts and shifts.cheaper(1 << j, conjugate=True):
                 b[m + (1 << j)] = shifts.conjugate(b[m], 1 << j)
             else:
-                gram = _gram(self.rows(self.step(m, 1 << j)))
+                gram = _gram(self.rows(self.step(m, 1 << j)), self.transpose)
                 b[m + (1 << j)] = shifts.pack(gram) if shifts else gram
 
         index = self.least(lambda m: b[m] in cycle, 0, self.index, advance)

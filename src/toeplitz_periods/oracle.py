@@ -157,8 +157,8 @@ class _WalkMasks:
 
 
 class _Sweep:
-    """Shared caches for one sweep run, freed with it (with each draw in
-    random mode).
+    """Shared caches for one sweep run, freed with each order (with each
+    draw in random mode).
 
     Every descriptor the sweep visits comes from one table keyed by
     (n, S-mask, T-mask), so a descriptor met again as a superset or an
@@ -187,17 +187,21 @@ class _Sweep:
         comes no later, and every record superset-period and
         extension-closure read was made from that descriptor's own scan.
         Random mode yields the seeded draws, where few descriptors meet
-        again, so both tables are emptied before each draw.
+        again.  Both tables are emptied before each batch: the order in
+        exhaustive mode, since supersets and extensions keep n, and each
+        draw in random mode.
         """
         full = 1 << (n - 1)
         if self.config.mode == "exhaustive":
-            yield from (self.spec(n, s, t) for s, t in product(range(full - 1, 0, -1), repeat=2))
-            return
-        rng = random.Random(f"{self.config.seed}:{n}")
-        for _ in range(self.config.samples):
+            batches = [product(range(full - 1, 0, -1), repeat=2)]
+        else:
+            rng = random.Random(f"{self.config.seed}:{n}")
+            pair = lambda: (rng.randrange(1, full), rng.randrange(1, full))
+            batches = ([pair()] for _ in range(self.config.samples))
+        for batch in batches:
             self._specs.clear()
             self._truths.clear()
-            yield self.spec(n, rng.randrange(1, full), rng.randrange(1, full))
+            yield from (self.spec(n, s, t) for s, t in batch)
 
     def truth(self, spec: ToeplitzSpec, powers: Optional[PowerSequence] = None) -> _Truth:
         """spec's record, read the first time from powers: the scan analyze_spec

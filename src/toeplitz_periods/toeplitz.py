@@ -260,6 +260,16 @@ def certify_walk_ensured(spec: ToeplitzSpec) -> Certificate:
     Order: the two-sided sum bound, then a coprime short pair, then the
     minima rule, then the extension chain.  A miss on all four returns
     UNKNOWN; only the engine's exact decision can return a negative.
+
+    The extension chain applies whenever one of the first three does, so
+    the order only picks the rule reported.  extension_chain tries every
+    base pair (s0, t0) with s0 + t0 <= n, and the gcd d of the offsets it
+    collects starts at gcd(s0, t0) and never grows, so the chain from
+    (s0, t0) adjoins every offset when all are at most n - gcd(s0, t0).
+    CoprimePair: its pair has gcd 1, and every offset is at most n - 1.
+    Main1: (s1, t1) is a base pair, and max(s_max, t_max) <= n - gcd(s1, t1).
+    Star: s1 + t1 <= s1 + t_max <= n, and s_max <= n - t1, t_max <= n - s1,
+    both at most n - min(s1, t1) <= n - gcd(s1, t1), so Star implies Main1.
     """
     prof = gcd_profile(spec)
     if check_star(spec):

@@ -90,11 +90,16 @@ def _q_masks(spec: ToeplitzSpec, i_max: int) -> Iterator[int]:
 
 
 def q_set(spec: ToeplitzSpec, i: int) -> frozenset[int]:
-    """Sums of exactly i terms from S u (-T) that land inside I_n."""
+    """Sums of exactly i terms from S u (-T) that land inside I_n.  Q_(j+1)
+    is a function of Q_j, so i folds into the cycle at the first repeat."""
     if i < 1:
         raise ValueError("walk length must be positive")
-    for mask in _q_masks(spec, i):
-        pass
+    first: dict[int, int] = {}  # mask -> the least j with Q_j = mask, in order of j
+    for j, mask in enumerate(_q_masks(spec, i), start=1):
+        a = first.setdefault(mask, j)
+        if a < j:
+            mask = list(first)[a - 1 + (i - a) % (j - a)]
+            break
     return _mask_to_set(mask, spec.n)
 
 

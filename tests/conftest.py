@@ -116,6 +116,12 @@ def scanned_competition(a: BoolMatrix) -> tuple[int, int, BoolMatrix | None]:
     return index, period, b if period == 1 else None
 
 
+def j_conjugate(x: BoolMatrix) -> BoolMatrix:
+    """J·x·J, J the exchange matrix: the rows in reverse order, each row's
+    n bits reversed."""
+    return BoolMatrix(int(format(row, f"0{x.n}b")[::-1], 2) for row in reversed(x.rows))
+
+
 def random_boolmat(rng: random.Random, n: int, density: float = 0.5) -> BoolMatrix:
     entries = [
         (i, j)

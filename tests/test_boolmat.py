@@ -11,6 +11,7 @@ from toeplitz_periods import (
     from_toeplitz,
 )
 from toeplitz_periods.boolmat import (
+    _mirror,
     _product,
     _right_multiplier,
     _shift_kernel,
@@ -21,6 +22,7 @@ from toeplitz_periods.oracle import enumerate_specs
 
 from conftest import (
     PROPERTY,
+    j_conjugate,
     naive_from_boolmat,
     naive_multiply,
     naive_toeplitz,
@@ -126,9 +128,36 @@ def _matrix(data, n: int) -> BoolMatrix:
 @PROPERTY
 @given(st.data())
 def test_transpose_matches_naive_at_every_width(data):
-    # from order 32 on, transpose swaps blocks of rows packed into one integer
     a = _matrix(data, data.draw(st.integers(1, 70)))
     assert naive_from_boolmat(a.transpose()) == naive_transpose(naive_from_boolmat(a))
+
+
+def test_mirror_is_the_j_conjugate_at_every_order(rng):
+    # orders 1..70, most of them not a multiple of 8, so the byte-wise
+    # reversal leaves padding bits to drop
+    for n in range(1, 71):
+        for density in (0.1, 0.5):
+            x = random_boolmat(rng, n, density)
+            assert _mirror(x) == j_conjugate(x), n
+            assert _mirror(_mirror(x)) == x, n
+
+
+def test_mirror_transposes_the_powers_of_toeplitz_matrices(rng):
+    # T_n<S;T>^T = T_n<T;S> = J A J, so every power is persymmetric
+    for _ in range(60):
+        n = rng.randint(2, 70)
+        side = lambda: rng.sample(range(1, n), rng.randint(0, min(3, n - 1)))
+        a = from_toeplitz(ToeplitzSpec(n, side(), side()))
+        for m in (1, 2, 3, rng.randint(4, 3 * n)):
+            x = a.power(m)
+            assert _mirror(x) == x.transpose(), (n, m)
+
+
+def test_mirror_is_not_the_transpose_of_a_matrix_that_is_not_persymmetric():
+    # J x J moves entry (i, j) to (n + 1 - i, n + 1 - j), the transpose to (j, i)
+    x = BoolMatrix.from_entries(3, [(1, 2)])
+    assert _mirror(x) == BoolMatrix.from_entries(3, [(3, 2)])
+    assert x.transpose() == BoolMatrix.from_entries(3, [(2, 1)])
 
 
 @PROPERTY

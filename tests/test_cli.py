@@ -152,6 +152,16 @@ def test_walksets_accepts_long_walks(capsys):
     assert json.loads(out)["Q"] == sorted(naive_q_set(6, (2, 4), (5,), 100))
 
 
+def test_walksets_takes_a_length_of_67_bits(capsys):
+    # Q folds the length into the cycle of its masks, of length 1 from
+    # Q_11 on, and A^i is made by squaring; Q_i holds every displacement
+    # from Q_11 on, as at i = 100
+    i = "99999999999999999999"
+    code, out, err = run_cli(capsys, "walksets", "n=6;S=2,4;T=5", "--i", i, "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["Q"] == sorted(naive_q_set(6, (2, 4), (5,), 100))
+
+
 # --------------------------------------------------------------------------
 # contract
 # --------------------------------------------------------------------------

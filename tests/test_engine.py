@@ -1,6 +1,7 @@
 """Period engine against naive brute-force oracles."""
 
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -21,7 +22,7 @@ from toeplitz_periods import (
     superset_same_period,
 )
 from toeplitz_periods import boolmat, engine
-from toeplitz_periods.boolmat import _toeplitz_offsets
+from toeplitz_periods.boolmat import _mirror, _toeplitz_offsets
 from toeplitz_periods.engine import (
     _gram,
     _Lift,
@@ -35,6 +36,7 @@ from toeplitz_periods.walksets import p_set, r_set
 from conftest import (
     PROPERTY,
     descriptors,
+    j_conjugate,
     naive_competition_sequence,
     naive_from_boolmat,
     naive_multiply,
@@ -217,7 +219,7 @@ def test_competition_search_makes_one_gram_per_bit_of_the_index(monkeypatch):
     # B -> A B A^T would take more than n shifts, 2 * 2^j * 3 > 128; the
     # five levels below step B_m by the map
     grams = []
-    monkeypatch.setattr(engine, "_gram", lambda x: grams.append(x) or _gram(x))
+    monkeypatch.setattr(engine, "_gram", lambda x, t: grams.append(x) or _gram(x, t))
     n = 128
     comp = competition_analysis(from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1))))
     index = (n - 1) ** 2
@@ -228,24 +230,29 @@ def test_competition_search_makes_one_gram_per_bit_of_the_index(monkeypatch):
 
 def test_analysis_unpacks_only_for_grams_and_the_index_power(monkeypatch):
     # T_128<1;126,127> steps by shifts; its powers stay packed except where
-    # rows are read: the transposes of the eight grams that are not all
-    # ones; A^M, made by shifts on the last levels of the index descent and
-    # unpacked once for the gram B_M; and A^2, made by a shift step in the
-    # first period test and read as rows once for the square A^4
-    grams, unpacks = [], []
-    monkeypatch.setattr(engine, "_gram", lambda x: grams.append(x) or _gram(x))
-    unpack = boolmat._unpack
-    monkeypatch.setattr(boolmat, "_unpack", lambda *args: unpacks.append(1) or unpack(*args))
+    # rows are read: A^M, made by shifts on the last levels of the index
+    # descent and unpacked once for the gram B_M; and A^2, made by a shift
+    # step in the first period test and read as rows once for the square
+    # A^4.  The eight grams that are not all ones mirror their rows, and
+    # nothing runs the transpose
+    calls = Counter()
+    for owner, name in (
+        (engine, "_gram"),
+        (boolmat._ShiftKernel, "unpack"),
+        (engine, "_mirror"),
+        (BoolMatrix, "transpose"),
+    ):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
     n = 128
     report = analyze(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
     assert (report.matrix_index, report.competition_index) == ((n - 1) ** 2, 8064)
     assert report.certificate.rule is Rule.STAR
-    assert len(grams) == 10
-    assert len(unpacks) == 10
+    assert calls == {"_gram": 10, "unpack": 2, "_mirror": 8}
 
 
 def test_lifted_competition_equals_the_scan_above_order_32():
-    # the table kernel and the blockwise transpose take over at order 32
+    # the table kernel and the shift kernel take over at order 32
     rng, checked = random.Random(20261018), 0
     while checked < 6:
         n = rng.randint(32, 64)
@@ -356,7 +363,7 @@ def test_dense_offsets_take_products_where_shifts_cost_more():
 
 
 @pytest.mark.parametrize(
-    "text, products, grams, unpacks",
+    "text, products, grams, rebuilt",
     [
         ("n=128;S=1;T=126,127", 38, 10, 10),
         ("n=96;S=64,70,82;T=5", 18, 5, 7),  # period 3
@@ -366,28 +373,34 @@ def test_dense_offsets_take_products_where_shifts_cost_more():
         ("n=80;S=1;T=78,79", 33, 10, 7),
     ],
 )
-def test_analysis_counts_products_grams_and_unpacks(monkeypatch, text, products, grams, unpacks):
+def test_analysis_counts_products_grams_and_unpacks(monkeypatch, text, products, grams, rebuilt):
     # a count, not a time: x A^e steps by shifts on the levels of the index
     # descent, in the period test and in the minimality check wherever the
     # kernel's rule takes e steps; the squares and the higher levels multiply,
     # and a power the lift holds is not made again.  Products are counted in
-    # both modules: boolmat's _power_product for powers, engine's _gram for grams
-    counts = {"_product": 0, "_gram": 0, "_unpack": 0}
-    for module, name in (
-        (boolmat, "_product"),
-        (engine, "_product"),
-        (engine, "_gram"),
-        (boolmat, "_unpack"),
+    # both modules: boolmat's _power_product for powers, engine's _gram for
+    # grams.  rebuilt counts the rows made other than by a product: the
+    # powers unpacked from shift steps and the mirrors, one per gram product
+    counts = {"power": 0, "gram": 0, "_gram": 0, "unpack": 0, "_mirror": 0}
+    for owner, name, key in (
+        (boolmat, "_product", "power"),
+        (engine, "_product", "gram"),
+        (engine, "_gram", "_gram"),
+        (boolmat._ShiftKernel, "unpack", "unpack"),
+        (engine, "_mirror", "_mirror"),
     ):
-        fn = getattr(module, name)
+        fn = getattr(owner, name)
 
-        def counted(*args, fn=fn, name=name):
-            counts[name] += 1
+        def counted(*args, fn=fn, key=key):
+            counts[key] += 1
             return fn(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     analyze(ToeplitzSpec.from_string(text))
-    assert counts == {"_product": products, "_gram": grams, "_unpack": unpacks}
+    assert counts["power"] + counts["gram"] == products
+    assert counts["_gram"] == grams
+    assert counts["_mirror"] == counts["gram"]
+    assert counts["unpack"] + counts["_mirror"] == rebuilt
 
 
 class _Memo(dict):
@@ -481,7 +494,7 @@ def gram_inputs(draw):
 @PROPERTY
 @given(gram_inputs())
 def test_gram_matches_the_naive_product(x):
-    assert naive_from_boolmat(_gram(x)) == _naive_gram(x)
+    assert naive_from_boolmat(_gram(x, BoolMatrix.transpose)) == _naive_gram(x)
 
 
 def test_gram_matches_its_definition_above_order_32():
@@ -496,7 +509,7 @@ def test_gram_matches_its_definition_above_order_32():
             samples.append(BoolMatrix(planted))
         for x in samples:
             want = BoolMatrix([sum(1 << v for v, r in enumerate(x.rows) if r & u) for u in x.rows])
-            assert _gram(x) == want, (n, x)
+            assert _gram(x, BoolMatrix.transpose) == want, (n, x)
             shortcut += want == BoolMatrix.ones(n)
     assert shortcut >= 4
 
@@ -507,12 +520,12 @@ def test_gram_shortcut_needs_more_than_n_ones():
         low = (1 << (n // 2)) - 1
         full = (1 << n) - 1
         x = BoolMatrix([low, full ^ low] + [full] * (n - 2))
-        g = _gram(x)
+        g = _gram(x, BoolMatrix.transpose)
         assert g.get(1, 2) == g.get(2, 1) == 0
         assert g.count() == n * n - 2
         assert naive_from_boolmat(g) == _naive_gram(x)
-    assert _gram(BoolMatrix([1])) == BoolMatrix([1])
-    assert _gram(BoolMatrix([0])) == BoolMatrix([0])
+    assert _gram(BoolMatrix([1]), _mirror) == BoolMatrix([1])
+    assert _gram(BoolMatrix([0]), _mirror) == BoolMatrix([0])
 
 
 # --------------------------------------------------------------------------
@@ -641,12 +654,6 @@ def test_a_positive_exact_verdict_above_order_64():
 # --------------------------------------------------------------------------
 # swap symmetry
 # --------------------------------------------------------------------------
-
-
-def j_conjugate(x: BoolMatrix) -> BoolMatrix:
-    """J·x·J, J the exchange matrix: the rows in reverse order, each row's
-    n bits reversed."""
-    return BoolMatrix(int(format(row, f"0{x.n}b")[::-1], 2) for row in reversed(x.rows))
 
 
 def swap_invariants(report):
@@ -909,11 +916,14 @@ def test_disjoint_copies_keep_the_period_and_competition_data():
 
 
 def test_non_toeplitz_matrices_above_order_32_take_the_products():
-    # no offsets, so every step is a product, held to the scans
+    # no offsets, so every step is a product and the grams take
+    # BoolMatrix.transpose, since a power need not be persymmetric; all
+    # held to the scans
     rng = random.Random(20261018)
     for density in (0.03, 0.05, 0.08):
         a = random_boolmat(rng, 40, density)
         assert _toeplitz_offsets(a) is None
+        assert _Lift(a).transpose is BoolMatrix.transpose
         comp = competition_analysis(a)
         assert (comp.index, comp.period, comp.limit) == scanned_competition(a)
         assert matrix_period(a) == PowerSequence(a).cycle()

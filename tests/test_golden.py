@@ -20,8 +20,8 @@ must stay byte-identical, so that a drift shows here and not only as a
 refused benchmark run.
 
 `analyze-large.jsonl` pins `analyze --json` above order 32, where the
-products switch to the table kernel and the transpose to blockwise
-swaps: the worst-index family `T_n<1;n-2,n-1>`, the paper's family
+products switch to the table kernel and the powers of a Toeplitz matrix
+step by shifts: the worst-index family `T_n<1;n-2,n-1>`, the paper's family
 `T_n<k, n-k; k+1, n-k-1>` and a seeded random draw (`_large_specs`).
 """
 

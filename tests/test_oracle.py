@@ -272,19 +272,24 @@ def test_sweep_constructs_each_descriptor_once(monkeypatch):
 
 
 def test_sweep_orders_never_pack(monkeypatch):
-    # below order 32 every step is a product and a transpose moves single
-    # bits, so the packed layout is never built
-    packs = []
-    for name in ("_pack", "_unpack"):
-        fn = getattr(boolmat, name)
-        monkeypatch.setattr(boolmat, name, lambda *args, fn=fn: packs.append(args) or fn(*args))
+    # below order 32 every step is a product, so the packed layout is never
+    # built, and the grams of Toeplitz powers mirror their rows instead of
+    # running the transpose
+    calls = []
+    for owner, name in (
+        (boolmat._ShiftKernel, "pack"),
+        (boolmat._ShiftKernel, "unpack"),
+        (boolmat.BoolMatrix, "transpose"),
+    ):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, fn=fn: calls.append(fn) or fn(*args))
     run_sweep(SweepConfig(2, 5))
-    assert packs == []
+    assert calls == []
 
 
 class _Kept(dict):
-    """A table that ignores clear(), as the sweep's were before each draw
-    emptied them in random mode."""
+    """A table that ignores clear(), as the sweep's were before they were
+    emptied per draw in random mode and per order in exhaustive mode."""
 
     def clear(self):
         pass
@@ -315,6 +320,34 @@ def test_random_sweep_holds_one_draw_at_a_time(monkeypatch):
     monkeypatch.setattr(oracle, "_Sweep", Kept)
     assert render_report(run_sweep(cfg), cfg) == report
     assert len(sweeps[-1]._specs) > 20 * (2 * 9 - 1)
+
+
+def test_exhaustive_sweep_holds_one_order_at_a_time(monkeypatch):
+    # supersets and extensions keep n, so the tables are emptied when an
+    # order starts and end holding order 6 alone, 31 * 31 descriptors;
+    # keeping every table entry instead changes no byte
+    sweeps = []
+
+    class Seen(oracle._Sweep):
+        def __init__(self, config):
+            super().__init__(config)
+            sweeps.append(self)
+
+    monkeypatch.setattr(oracle, "_Sweep", Seen)
+    cfg = SweepConfig(2, 6)
+    report = render_report(run_sweep(cfg), cfg)
+    assert len(sweeps[-1]._specs) <= 31 * 31
+    assert {spec.n for spec in sweeps[-1]._specs.values()} == {6}
+
+    class Kept(oracle._Sweep):
+        def __init__(self, config):
+            super().__init__(config)
+            self._specs, self._truths = _Kept(), _Kept()
+            sweeps.append(self)
+
+    monkeypatch.setattr(oracle, "_Sweep", Kept)
+    assert render_report(run_sweep(cfg), cfg) == report
+    assert len(sweeps[-1]._specs) > 31 * 31
 
 
 # --------------------------------------------------------------------------

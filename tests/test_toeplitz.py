@@ -306,6 +306,20 @@ def test_star_implies_extension_chain():
                 assert extension_chain(spec) is not None, spec
 
 
+def test_every_earlier_rule_implies_extension_chain():
+    # certify_walk_ensured's docstring proves it: the chain from a coprime
+    # pair keeps d = 1, and the chain from the minima meets Main1's bound,
+    # which Star implies; so the rule order only picks the name reported
+    certified = 0
+    for n in range(2, 8):
+        for spec in enumerate_specs(n):
+            assert check_main1(spec) or not check_star(spec), spec
+            if check_star(spec) or check_coprime_pair(spec) or check_main1(spec):
+                assert extension_chain(spec) is not None, spec
+                certified += 1
+    assert certified > 0
+
+
 # --------------------------------------------------------------------------
 # certificates and rule precedence
 # --------------------------------------------------------------------------

@@ -144,6 +144,17 @@ def test_q_set_long_walks_match_unclamped_twin():
     assert q_set(WORKED, 200) == naive_q_set(6, WORKED.S, WORKED.T, 200)
 
 
+def test_q_set_folds_long_walks_into_the_cycle_of_the_masks():
+    # Q_(i+1) is a function of Q_i, so q_set folds i into the cycle at the
+    # first repeated mask: step 12 in the worked example (Q_12 = Q_11), step
+    # 3 in n=4;S=2;T=2 (Q_3 = Q_1, a cycle of two).  Held to the DP up to 40
+    specs = [spec for n in range(2, 6) for spec in enumerate_specs(n)]
+    for spec in [WORKED, ToeplitzSpec(9, (3, 6), (3,)), *specs]:
+        dp = list(_q_masks(spec, 40))
+        for i in range(1, 41):
+            assert q_set(spec, i) == _mask_to_set(dp[i - 1], spec.n), (spec, i)
+
+
 # --------------------------------------------------------------------------
 # realized sets R
 # --------------------------------------------------------------------------
