@@ -272,15 +272,11 @@ def _shift_kernel(n: int, offsets: Offsets | None) -> _ShiftKernel | None:
 
 
 def _right_multiplier(m: BoolMatrix) -> Callable[[BoolMatrix], BoolMatrix]:
-    """Function computing X @ m for the fixed right factor m.
-
-    Plain row selection is cheapest at small orders.  From a few dozen
-    rows on, 256-entry OR tables per 8 rows of m pay off: a product is
-    then n * ceil(n/8) lookups, one pass over byte c of all X's rows
-    per table, regardless of density.
+    """Function computing X @ m for the fixed right factor m, through
+    256-entry OR tables per 8 rows of m: a product is n * ceil(n/8)
+    lookups, one pass over byte c of all X's rows per table, regardless
+    of density.  ``_dense`` says when they beat row selection.
     """
-    if m.n < 32:
-        return lambda x: x @ m
     nbytes = (m.n + 7) // 8
     tables: list[list[int]] = []
     for c in range(0, m.n, 8):
@@ -299,13 +295,18 @@ def _right_multiplier(m: BoolMatrix) -> Callable[[BoolMatrix], BoolMatrix]:
     return apply
 
 
-def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatrix:
-    """x @ y, ones = x.count() when the caller has it; row selection costs a
-    step per 1 of x, so y's tables win from a density of about 16/n + 1/16 on."""
+def _dense(x: BoolMatrix, ones: int | None = None) -> bool:
+    """Whether the tables of a right factor beat row selection by x, which
+    costs a step per 1 of x: from order 32 on, at a density of about
+    16/n + 1/16.  ones = x.count() when the caller has it."""
     n = x.n
-    if n >= 32 and (x.count() if ones is None else ones) > n * (16 + n // 16):
-        return _right_multiplier(y)(x)
-    return x @ y
+    return n >= 32 and (x.count() if ones is None else ones) > n * (16 + n // 16)
+
+
+def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatrix:
+    """x @ y, through y's tables when x is ``_dense``; ones = x.count() when
+    the caller has it."""
+    return _right_multiplier(y)(x) if _dense(x, ones) else x @ y
 
 
 def _power_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
@@ -322,16 +323,21 @@ class PowerSequence:
     """Memoized Boolean powers base, base^2, base^3, ... of one matrix.
 
     ``power(m)`` is base^m, power(0) the identity.  Powers grow one
-    right multiplication by base at a time, each value's first
-    occurrence recorded; the first repeat, power b == power a with
-    a < b, closes the cycle and gives the least index a and period
-    b - a (``cycle()``).  A finite matrix has finitely many powers, so
-    the scan always ends.  Later exponents fold into the cycle.
+    multiplication by base at a time, each value's first occurrence
+    recorded; the first repeat, power b == power a with a < b, closes
+    the cycle and gives the least index a and period b - a
+    (``cycle()``).  A finite matrix has finitely many powers, so the
+    scan always ends.  Later exponents fold into the cycle.
+
+    Powers of one matrix commute, so base^(m+1) = base base^m exactly:
+    base goes left, where row selection costs one OR per 1 of it rather
+    than per 1 of the denser power, unless base is ``_dense``, when the
+    right factor's fixed tables are cheaper.  The side is chosen once.
     """
 
     def __init__(self, base: BoolMatrix):
         self._base = base
-        self._step = _right_multiplier(base)
+        self._step = _right_multiplier(base) if _dense(base) else base.__matmul__
         self._pows: list[BoolMatrix] = [BoolMatrix.identity(base.n), base]
         self._first: dict[BoolMatrix, int] = {base: 1}
         self._cycle: tuple[int, int] | None = None

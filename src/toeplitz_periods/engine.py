@@ -86,7 +86,7 @@ from .toeplitz import (
     certify_walk_ensured,
     gcd_profile,
 )
-from .walksets import _p_mask, _r_mask, _shifted_comb
+from .walksets import _p_masks, _r_mask, _shifted_comb
 
 
 class TheoremViolationError(RuntimeError):
@@ -298,10 +298,9 @@ def _decide_exact(
     spec: ToeplitzSpec, index: int, period: int, powers_from_index: Iterator[BoolMatrix]
 ) -> tuple[bool, Optional[int]]:
     prof = gcd_profile(spec)
-    span = range(index, index + lcm(period, prof.d_plus // prof.d))
-    for i, x in zip(span, powers_from_index):
-        if _p_mask(spec, i) != _r_mask(x):
-            return False, None
+    congruent = _p_masks(spec, index, index + lcm(period, prof.d_plus // prof.d))
+    if any(p != _r_mask(x) for p, x in zip(congruent, powers_from_index)):
+        return False, None
     return True, index
 
 

@@ -3,7 +3,7 @@
 Every claim the library exploits as a formula is re-checked here from
 first principles on small instances: ground truth is always direct
 power iteration and explicit set computation on window masks, never
-the formula under test.  A sweep walks descriptors (exhaustively below
+the formula under test.  A sweep walks descriptors (exhaustively up to
 order 9, seeded random sampling above), runs a registry of named checks
 against each, and reports findings.
 
@@ -19,18 +19,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import chain, product
+from itertools import chain, count, product
 from math import gcd, lcm
 from operator import or_
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Optional
 
 from .boolmat import BoolMatrix, PowerSequence, from_toeplitz
 from .digraph import contract, cycle_decomposition
 from .engine import (
     PeriodReport,
     TheoremViolationError,
+    _decide_exact,
     analyze,
-    decide_walk_ensured_exact,
     predicted_limit,
     sink_source_same_period,
 )
@@ -42,7 +42,7 @@ from .toeplitz import (
     gcd_profile,
     tail_extension_applicable,
 )
-from .walksets import _mask_to_set, _p_mask, _q_masks, _r_mask, _realized_mask, _shifted_comb
+from .walksets import _mask_to_set, _p_masks, _q_masks, _r_mask, _realized_mask, _shifted_comb
 from .walksets import p_set, q_set, r_set
 
 VIOLATION = "violation"
@@ -91,12 +91,14 @@ class SweepConfig:
     checks: Optional[frozenset[str]] = None
 
     def __post_init__(self):
+        if self.n_lo > self.n_hi:
+            raise ValueError(f"order range {self.n_lo}..{self.n_hi} is empty")
         if not 2 <= self.n_lo <= self.n_hi <= 16:
             raise ValueError(f"order range {self.n_lo}..{self.n_hi} outside [2, 16]")
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "exhaustive" and self.n_hi > 8:
-            raise ValueError("exhaustive mode is limited to orders up to 8")
+        if self.mode == "exhaustive" and self.n_hi > 9:
+            raise ValueError("exhaustive mode is limited to orders up to 9")
         if self.mode == "exhaustive" and self.samples != 0:
             raise ValueError("exhaustive mode takes no sample count")
         if self.mode == "random" and self.samples < 1:
@@ -127,20 +129,50 @@ def enumerate_specs(n: int) -> Iterator[ToeplitzSpec]:
     return (ToeplitzSpec(n, _offsets(s), _offsets(t)) for s, t in masks)
 
 
-class _Truth(NamedTuple):
-    """A descriptor's ground truth, read from one scan of A, A^2, ...: its index
-    and period, and the exact decision's verdict and threshold on those powers."""
+class _Record:
+    """A descriptor the sweep has met, in the table of its order: its spec, d+
+    and d, and once read from one scan of A, A^2, ..., its index and period and
+    the exact decision's verdict and threshold on those powers (index None
+    until then)."""
 
-    index: int
-    period: int
-    walk_ensured: bool
-    threshold: Optional[int]
+    __slots__ = ("spec", "d_plus", "d", "index", "period", "walk_ensured", "threshold")
+
+    def __init__(self, spec: ToeplitzSpec):
+        prof = gcd_profile(spec)
+        self.spec, self.d_plus, self.d, self.index = spec, prof.d_plus, prof.d, None
+
+    def scanned(self, powers: Optional[PowerSequence] = None) -> "_Record":
+        """The record with its ground truth, read the first time from powers:
+        the scan analyze_spec makes, or a new one for a superset or extension
+        a check meets before its visit, which only random mode does.  The
+        exact decision runs on that scan."""
+        if self.index is None:
+            if powers is None:
+                powers = PowerSequence(from_toeplitz(self.spec))
+            self.index, self.period = index, period = powers.cycle()
+            self.walk_ensured, self.threshold = _decide_exact(
+                self.spec, index, period, map(powers.power, count(index))
+            )
+        return self
+
+
+class _Table(dict):
+    """The records of one order by (S-mask, T-mask), each made when first
+    looked up."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __missing__(self, masks: tuple[int, int]) -> _Record:
+        smask, tmask = masks
+        rec = self[masks] = _Record(ToeplitzSpec(self.n, _offsets(smask), _offsets(tmask)))
+        return rec
 
 
 class _WalkMasks:
-    """A descriptor's window masks for the walk-set checks, each list made
-    from the module's _p_mask and _q_masks the first time a check reads it:
-    p[i] is P_i for i = 0 .. CHAIN_I_MAX + d+/d (p[0] unread), and q[i - 1]
+    """A descriptor's window masks for the walk-set checks, each list made by
+    one call of the module's _p_masks or _q_masks the first time a check reads
+    it: p[i] is P_i for i = 0 .. CHAIN_I_MAX + d+/d (p[0] unread), and q[i - 1]
     is Q_i for i = 1 .. CHAIN_I_MAX."""
 
     def __init__(self, spec: ToeplitzSpec):
@@ -149,7 +181,7 @@ class _WalkMasks:
     @cached_property
     def p(self) -> list[int]:
         prof = gcd_profile(self.spec)
-        return [_p_mask(self.spec, i) for i in range(CHAIN_I_MAX + prof.d_plus // prof.d + 1)]
+        return list(_p_masks(self.spec, 0, CHAIN_I_MAX + prof.d_plus // prof.d + 1))
 
     @cached_property
     def q(self) -> list[int]:
@@ -160,23 +192,24 @@ class _Sweep:
     """Shared caches for one sweep run, freed with each order (with each
     draw in random mode).
 
-    Every descriptor the sweep visits comes from one table keyed by
-    (n, S-mask, T-mask), so a descriptor met again as a superset or an
-    extension of another is the same instance, with the same cached
-    gcd profile and the same ground-truth record, read from one scan.
+    One table per order holds a record per descriptor, keyed by its
+    (S-mask, T-mask), so a descriptor met again as a superset or an
+    extension of another is the same instance, with the same d+, d and
+    ground truth, read from one scan, and no check hashes a ToeplitzSpec.
     """
 
     def __init__(self, config: SweepConfig):
         self.config = config
-        self._specs: dict[tuple[int, int, int], ToeplitzSpec] = {}
-        self._truths: dict[ToeplitzSpec, _Truth] = {}
+        self._tables: dict[int, _Table] = {}
+        self._visit: Optional[_Record] = None
         self._masks: Optional[_WalkMasks] = None
 
-    def spec(self, n: int, smask: int, tmask: int) -> ToeplitzSpec:
-        spec = self._specs.get((n, smask, tmask))
-        if spec is None:
-            spec = self._specs[n, smask, tmask] = ToeplitzSpec(n, _offsets(smask), _offsets(tmask))
-        return spec
+    def table(self, n: int) -> _Table:
+        """The table of order n."""
+        table = self._tables.get(n)
+        if table is None:
+            table = self._tables[n] = _Table(n)
+        return table
 
     def specs(self, n: int) -> Iterator[ToeplitzSpec]:
         """The descriptors of order n in visit order.
@@ -187,7 +220,7 @@ class _Sweep:
         comes no later, and every record superset-period and
         extension-closure read was made from that descriptor's own scan.
         Random mode yields the seeded draws, where few descriptors meet
-        again.  Both tables are emptied before each batch: the order in
+        again.  The tables are emptied before each batch: the order in
         exhaustive mode, since supersets and extensions keep n, and each
         draw in random mode.
         """
@@ -199,21 +232,18 @@ class _Sweep:
             pair = lambda: (rng.randrange(1, full), rng.randrange(1, full))
             batches = ([pair()] for _ in range(self.config.samples))
         for batch in batches:
-            self._specs.clear()
-            self._truths.clear()
-            yield from (self.spec(n, s, t) for s, t in batch)
+            self._tables.clear()
+            table = self.table(n)
+            for masks in batch:
+                self._visit = table[masks]
+                yield self._visit.spec
 
-    def truth(self, spec: ToeplitzSpec, powers: Optional[PowerSequence] = None) -> _Truth:
-        """spec's record, read the first time from powers: the scan analyze_spec
-        makes, or a new one for a superset or extension a check meets before
-        its visit, which only random mode does."""
-        truth = self._truths.get(spec)
-        if truth is None:
-            if powers is None:
-                powers = PowerSequence(from_toeplitz(spec))
-            decided = decide_walk_ensured_exact(spec, powers=powers)
-            truth = self._truths[spec] = _Truth(*powers.cycle(), *decided)
-        return truth
+    def truth(self, spec: ToeplitzSpec, powers: Optional[PowerSequence] = None) -> _Record:
+        """spec's record with its ground truth; the visit's record without a lookup."""
+        rec = self._visit
+        if rec is None or rec.spec is not spec:
+            rec = self.table(spec.n)[_mask(spec.S), _mask(spec.T)]
+        return rec.scanned(powers)
 
     def walk_masks(self, spec: ToeplitzSpec) -> _WalkMasks:
         """spec's P and Q masks, shared by the checks of one visit: analyze_spec
@@ -232,13 +262,13 @@ class _Sweep:
         """
         self._masks = None
         powers = PowerSequence(from_toeplitz(spec))
-        truth = self.truth(spec, powers)
+        rec = self.truth(spec, powers)
         report = analyze(spec)
-        lifted, scanned = (report.matrix_index, report.matrix_period), truth[:2]
+        lifted, scanned = (report.matrix_index, report.matrix_period), (rec.index, rec.period)
         if lifted != scanned:
             raise TheoremViolationError(f"{spec}: lifted {lifted}, scanned {scanned}")
         cert = report.certificate
-        decided, scanned = (report.walk_ensured, cert.witness), truth[2:]
+        decided, scanned = (report.walk_ensured, cert.witness), (rec.walk_ensured, rec.threshold)
         if cert.rule is Rule.EXACT_DECISION and decided != scanned:
             raise TheoremViolationError(f"{spec}: decided {decided}, scanned {scanned}")
         return powers, report
@@ -305,9 +335,9 @@ def _check_containment_chain(sw, spec, powers, an) -> list[Result]:
     may hand out a new object, and id(), for one it made before)."""
     masks = sw.walk_masks(spec)
     r_of = cache(_r_mask)
-    for i, q in enumerate(masks.q, start=1):
-        p = masks.p[i]
-        r = r_of(powers.power(i))
+    lengths = zip(masks.q, masks.p[1:], map(powers.power, count(1)))
+    for i, (q, p, x) in enumerate(lengths, start=1):
+        r = r_of(x)
         if r & ~q or q & ~p:
             r, q, p = (_fmt(_mask_to_set(x, spec.n)) for x in (r, q, p))
             return [(spec, f"i={i}: r <= q <= p", f"r={r} q={q} p={p}", VIOLATION)]
@@ -341,8 +371,9 @@ def _check_walk_displacements(sw, spec, powers, an) -> list[Result]:
     """Every walk displacement is representable as an i-term signed sum; the
     realized masks are kept per distinct power as containment-chain keeps R."""
     realized_of = cache(_realized_mask)
-    for i, q in enumerate(sw.walk_masks(spec).q[:DISPLACEMENT_I_MAX], start=1):
-        realized = realized_of(powers.power(i))
+    qs = sw.walk_masks(spec).q[:DISPLACEMENT_I_MAX]
+    for i, (q, x) in enumerate(zip(qs, map(powers.power, count(1))), start=1):
+        realized = realized_of(x)
         if realized & ~q:
             want = f"i={i}: walk displacements within q-set {_fmt(_mask_to_set(q, spec.n))}"
             return [(spec, want, _fmt(_mask_to_set(realized, spec.n)), VIOLATION)]
@@ -410,16 +441,13 @@ def _check_superset_period(sw, spec, powers, an) -> list[Result]:
     n, d_plus = spec.n, an.profile.d_plus
     full = (1 << (n - 1)) - 1
     formula = d_plus // an.profile.d
-    tmasks = list(_supersets(_mask(spec.T), full))
+    table, tmasks = sw.table(n), list(_supersets(_mask(spec.T), full))
     for smask in _supersets(_mask(spec.S), full):
         for tmask in tmasks:
-            star = sw.spec(n, smask, tmask)
-            if gcd_profile(star).d_plus != d_plus:
-                continue
-            star_period = sw.truth(star).period
-            if star_period != formula:
-                want = f"superset {star} keeps period {formula}"
-                return [(spec, want, f"period {star_period}", VIOLATION)]
+            star = table[smask, tmask]
+            if star.d_plus == d_plus and star.scanned().period != formula:
+                want = f"superset {star.spec} keeps period {formula}"
+                return [(spec, want, f"period {star.period}", VIOLATION)]
     return []
 
 
@@ -433,7 +461,7 @@ def _check_tail_extension(sw, spec, powers, an) -> list[Result]:
             want = f"s*={s_star} inside the tail window"
             out.append((spec, want, "predicate disagrees", VIOLATION))
             continue
-        ext = sw.spec(spec.n, _mask(spec.S) | 1 << (s_star - 1), _mask(spec.T))
+        ext = sw.table(spec.n)[_mask(spec.S) | 1 << (s_star - 1), _mask(spec.T)].spec
         try:
             transferred = sink_source_same_period(spec, from_toeplitz(ext))
         except TheoremViolationError as exc:
@@ -449,12 +477,12 @@ def _check_extension_closure(sw, spec, powers, an) -> list[Result]:
     """Walk-ensured survives adjoining any offset bounded by n - d, either side."""
     if spec.n > EXTENSION_N_MAX or not sw.truth(spec).walk_ensured:
         return []
-    smask, tmask = _mask(spec.S), _mask(spec.T)
+    table, smask, tmask = sw.table(spec.n), _mask(spec.S), _mask(spec.T)
     for s_star in range(1, spec.n - an.profile.d + 1):
         bit = 1 << (s_star - 1)
-        for ext in (sw.spec(spec.n, smask | bit, tmask), sw.spec(spec.n, smask, tmask | bit)):
-            if not sw.truth(ext).walk_ensured:
-                want = f"extension {ext} stays walk-ensured (s*={s_star})"
+        for ext in (table[smask | bit, tmask], table[smask, tmask | bit]):
+            if not ext.scanned().walk_ensured:
+                want = f"extension {ext.spec} stays walk-ensured (s*={s_star})"
                 return [(spec, want, "exact decision: not walk-ensured", VIOLATION)]
     return []
 
@@ -462,14 +490,14 @@ def _check_extension_closure(sw, spec, powers, an) -> list[Result]:
 def _check_gcd_update(sw, spec, powers, an) -> list[Result]:
     """Incremental gcd update agrees with the extension's gcd profile, whatever the reference."""
     prof = an.profile
-    smask, tmask = _mask(spec.S), _mask(spec.T)
+    table, smask, tmask = sw.table(spec.n), _mask(spec.S), _mask(spec.T)
     for s_star in range(1, spec.n):
         bit = 1 << (s_star - 1)
         for label, ext, refs in (
-            ("s*", sw.spec(spec.n, smask | bit, tmask), spec.S),
-            ("t*", sw.spec(spec.n, smask, tmask | bit), spec.T),
+            ("s*", table[smask | bit, tmask], spec.S),
+            ("t*", table[smask, tmask | bit], spec.T),
         ):
-            want = (gcd_profile(ext).d, gcd_profile(ext).d_plus)
+            want = (ext.d, ext.d_plus)
             for ref in refs:
                 got = gcd_after_extension(prof.d, prof.d_plus, s_star, ref)
                 if got != want:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
+from itertools import cycle, islice
 from operator import or_
 from typing import Iterator
 
@@ -60,46 +61,58 @@ def _shifted_comb(step: int, width: int, first: int) -> int:
     return (_comb(step, width) << first) & ((1 << width) - 1)
 
 
-def _p_mask(spec: ToeplitzSpec, i: int) -> int:
-    """Window mask of p_set(spec, i): the comb of period d+ from i * s1 on.
-
-    Both combs are cached by their arguments, which an order n bounds:
-    the masks of one (d+, n) are d+ shifts of one comb."""
+def _p_masks(spec: ToeplitzSpec, start: int, stop: int) -> Iterator[int]:
+    """Yield the window mask of p_set(spec, i) for i = start .. stop - 1: the
+    comb of period d+ from i * s1 on, cut from one comb d+ bits wider."""
     prof, n = gcd_profile(spec), spec.n
-    return _shifted_comb(prof.d_plus, 2 * n - 1, (i * prof.s1 + n - 1) % prof.d_plus)
+    step, width = prof.d_plus, 2 * n - 1
+    comb, full = _comb(step, width + step), (1 << width) - 1
+    for i in range(start, stop):
+        yield comb >> (step - (i * prof.s1 + n - 1) % step) & full
 
 
 def p_set(spec: ToeplitzSpec, i: int) -> frozenset[int]:
     """Displacements congruent to i * min(S) modulo d+, within I_n."""
     if i < 1:
         raise ValueError("walk length must be positive")
-    return _mask_to_set(_p_mask(spec, i), spec.n)
+    return _mask_to_set(next(_p_masks(spec, i, i + 1)), spec.n)
+
+
+def _q_fold(spec: ToeplitzSpec, i_max: int) -> tuple[list[int], list[int]]:
+    """(masks, loop): the window masks Q_1 .. Q_k of the i-term sums, made by
+    the shift-OR DP up to i_max or to its first repeat, whichever is first.
+
+    One shift-OR per offset advances the whole set, so a step costs
+    |S| + |T| big-integer operations on at most 2n - 1 bits.  Q_(j+1) is a
+    function of Q_j, so when Q_(k+1) repeats Q_a, the masks from Q_a on are
+    the cycle loop and Q_(k+1+r) = loop[r % len(loop)]; else loop is empty.
+    """
+    full = (1 << (2 * spec.n - 1)) - 1
+    mask, first = 1 << (spec.n - 1), {}  # mask -> the least j with Q_j = mask, in order of j
+    for j in range(1, i_max + 1):
+        mask = _shift_or(mask, spec.S, spec.T) & full
+        a = first.setdefault(mask, j)
+        if a < j:
+            masks = list(first)
+            return masks, masks[a - 1 :]
+    return list(first), []
 
 
 def _q_masks(spec: ToeplitzSpec, i_max: int) -> Iterator[int]:
-    """Yield the window mask of the i-term sums for i = 1..i_max.
-
-    One shift-OR per offset advances the whole set, so a step costs
-    |S| + |T| big-integer operations on at most 2n - 1 bits.
-    """
-    full = (1 << (2 * spec.n - 1)) - 1
-    mask = 1 << (spec.n - 1)
-    for _ in range(i_max):
-        mask = _shift_or(mask, spec.S, spec.T) & full
-        yield mask
+    """Yield the window mask of the i-term sums for i = 1..i_max, the DP's
+    masks up to its first repeat and then its cycle."""
+    masks, loop = _q_fold(spec, i_max)
+    yield from masks
+    yield from islice(cycle(loop), i_max - len(masks))
 
 
 def q_set(spec: ToeplitzSpec, i: int) -> frozenset[int]:
-    """Sums of exactly i terms from S u (-T) that land inside I_n.  Q_(j+1)
-    is a function of Q_j, so i folds into the cycle at the first repeat."""
+    """Sums of exactly i terms from S u (-T) that land inside I_n; i folds
+    into the cycle of the masks at their first repeat."""
     if i < 1:
         raise ValueError("walk length must be positive")
-    first: dict[int, int] = {}  # mask -> the least j with Q_j = mask, in order of j
-    for j, mask in enumerate(_q_masks(spec, i), start=1):
-        a = first.setdefault(mask, j)
-        if a < j:
-            mask = list(first)[a - 1 + (i - a) % (j - a)]
-            break
+    masks, loop = _q_fold(spec, i)
+    mask = masks[i - 1] if i <= len(masks) else loop[(i - len(masks) - 1) % len(loop)]
     return _mask_to_set(mask, spec.n)
 
 

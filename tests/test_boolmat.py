@@ -11,6 +11,7 @@ from toeplitz_periods import (
     from_toeplitz,
 )
 from toeplitz_periods.boolmat import (
+    _dense,
     _mirror,
     _product,
     _right_multiplier,
@@ -373,3 +374,48 @@ def test_power_sequence_folds_large_exponents():
     with pytest.raises(ValueError):
         ps.power(-1)
     assert PowerSequence(from_toeplitz(ToeplitzSpec(6, (1,), (1,)))).cycle() == (4, 2)
+
+
+def scan_matches_squaring(a: BoolMatrix, every: int = 1) -> tuple[int, int]:
+    """Hold the scan of a to BoolMatrix.power at every exponent-th exponent up
+    to index + period, and at index and index + period; return (index, period)."""
+    ps = PowerSequence(a)
+    index, period = ps.cycle()
+    for m in sorted({*range(0, index + period + 1, every), index, index + period}):
+        assert ps.power(m) == a.power(m), m
+    return index, period
+
+
+def test_scan_matches_squaring_on_every_small_descriptor():
+    # the scan steps A^(m+1) = A A^m, row selection by the sparse A
+    for n in range(2, 7):
+        for spec in enumerate_specs(n):
+            scan_matches_squaring(from_toeplitz(spec))
+
+
+def test_scan_matches_squaring_on_the_worst_index_at_order_64():
+    # every exponent: each scanned power is the right-table product of the one
+    # before, so by induction from A^1 it is A^m; BoolMatrix.power at all
+    # 3,970 would take seconds, so it is held to every 64th exponent
+    a = from_toeplitz(ToeplitzSpec(64, (1,), (62, 63)))
+    assert not _dense(a)
+    assert scan_matches_squaring(a, every=64) == (63**2, 1)
+    ps, times_a = PowerSequence(a), _right_multiplier(a)
+    assert ps.power(1) == a
+    for m in range(2, 63**2 + 2):
+        assert ps.power(m) == times_a(ps.power(m - 1)), m
+
+
+@pytest.mark.parametrize(
+    "n, density, upper", [(40, 0.6, False), (64, 0.45, False), (40, 0.97, True), (64, 0.97, True)]
+)
+def test_scan_matches_squaring_on_a_dense_base(n, density, upper, rng):
+    # a dense base that is not Toeplitz keeps the right factor's tables.  A
+    # random one is all ones from its square on; one above the diagonal alone
+    # is nilpotent, so its scan runs through about n powers to the zero matrix
+    a = random_boolmat(rng, n, density)
+    if upper:
+        a = BoolMatrix(row & -(2 << i) for i, row in enumerate(a.rows))
+    assert _dense(a) and _toeplitz_offsets(a) is None
+    index, period = scan_matches_squaring(a)
+    assert (index > n // 2) == upper

@@ -212,8 +212,10 @@ def test_sweep_random_mode(capsys):
 def test_sweep_usage_errors(capsys):
     code, _, err = run_cli(capsys, "sweep", "--n", "20")
     assert code == 2 and "error:" in err
-    code, _, err = run_cli(capsys, "sweep", "--n", "2..9")  # exhaustive cap
-    assert code == 2
+    code, _, err = run_cli(capsys, "sweep", "--n", "2..10")  # exhaustive cap
+    assert code == 2 and "limited to orders up to 9" in err
+    code, _, err = run_cli(capsys, "sweep", "--n", "3..2")
+    assert code == 2 and err == "error: order range 3..2 is empty\n"
     code, _, err = run_cli(capsys, "sweep", "--n", "x..y")
     assert code == 2
     code, _, err = run_cli(capsys, "sweep", "--n", "2..4", "--checks", "nope")

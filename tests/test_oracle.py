@@ -59,7 +59,7 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(2, 17)
     with pytest.raises(ValueError):
-        SweepConfig(2, 9)  # exhaustive beyond 8
+        SweepConfig(2, 10)  # exhaustive beyond 9
     with pytest.raises(ValueError):
         SweepConfig(2, 9, mode="random")  # no samples
     with pytest.raises(ValueError):
@@ -230,28 +230,29 @@ def test_sweep_visits_supersets_first_and_reports_in_enumeration_order():
 
 
 def test_sweep_makes_the_walk_masks_once_per_visit(monkeypatch):
-    # containment-chain, p-set-laws and walk-displacements read one table of
-    # P masks for i <= CHAIN_I_MAX + d+/d and Q masks for i <= CHAIN_I_MAX
+    # containment-chain, p-set-laws and walk-displacements read one list of
+    # P masks for i <= CHAIN_I_MAX + d+/d and one of Q masks for i <= CHAIN_I_MAX,
+    # each made by one call
     calls = Counter()
 
     def counted(name):
         fn = getattr(oracle, name)
 
-        def call(spec, i):
-            calls[name, spec] += 1
-            return fn(spec, i)
+        def call(spec, *args):
+            calls[name, spec, args] += 1
+            return fn(spec, *args)
 
         return call
 
-    for name in ("_p_mask", "_q_masks"):
+    for name in ("_p_masks", "_q_masks"):
         monkeypatch.setattr(oracle, name, counted(name))
     run_sweep(SweepConfig(2, 5))
     specs = [spec for n in range(2, 6) for spec in enumerate_specs(n)]
     for spec in specs:
         prof = gcd_profile(spec)
-        assert calls["_p_mask", spec] == oracle.CHAIN_I_MAX + prof.d_plus // prof.d + 1
-        assert calls["_q_masks", spec] == 1
-    assert len(calls) == 2 * len(specs)
+        assert calls["_p_masks", spec, (0, oracle.CHAIN_I_MAX + prof.d_plus // prof.d + 1)] == 1
+        assert calls["_q_masks", spec, (oracle.CHAIN_I_MAX,)] == 1
+    assert len(calls) == 2 * len(specs) and max(calls.values()) == 1
 
 
 def test_sweep_constructs_each_descriptor_once(monkeypatch):
@@ -288,11 +289,16 @@ def test_sweep_orders_never_pack(monkeypatch):
 
 
 class _Kept(dict):
-    """A table that ignores clear(), as the sweep's were before they were
+    """Tables that ignore clear(), as the sweep's were before they were
     emptied per draw in random mode and per order in exhaustive mode."""
 
     def clear(self):
         pass
+
+
+def records(sweep) -> int:
+    """The records a sweep's tables hold, over every order."""
+    return sum(map(len, sweep._tables.values()))
 
 
 def test_random_sweep_holds_one_draw_at_a_time(monkeypatch):
@@ -309,22 +315,22 @@ def test_random_sweep_holds_one_draw_at_a_time(monkeypatch):
     monkeypatch.setattr(oracle, "_Sweep", Seen)
     cfg = SweepConfig(9, 10, mode="random", samples=20, seed=1, checks=frozenset({"gcd-update"}))
     report = render_report(run_sweep(cfg), cfg)
-    assert 0 < len(sweeps[-1]._specs) <= 2 * 10 - 1
+    assert 0 < records(sweeps[-1]) <= 2 * 10 - 1
 
     class Kept(oracle._Sweep):
         def __init__(self, config):
             super().__init__(config)
-            self._specs, self._truths = _Kept(), _Kept()
+            self._tables = _Kept()
             sweeps.append(self)
 
     monkeypatch.setattr(oracle, "_Sweep", Kept)
     assert render_report(run_sweep(cfg), cfg) == report
-    assert len(sweeps[-1]._specs) > 20 * (2 * 9 - 1)
+    assert records(sweeps[-1]) > 20 * (2 * 9 - 1)
 
 
 def test_exhaustive_sweep_holds_one_order_at_a_time(monkeypatch):
     # supersets and extensions keep n, so the tables are emptied when an
-    # order starts and end holding order 6 alone, 31 * 31 descriptors;
+    # order starts and end holding order 6's alone, 31 * 31 descriptors;
     # keeping every table entry instead changes no byte
     sweeps = []
 
@@ -336,18 +342,18 @@ def test_exhaustive_sweep_holds_one_order_at_a_time(monkeypatch):
     monkeypatch.setattr(oracle, "_Sweep", Seen)
     cfg = SweepConfig(2, 6)
     report = render_report(run_sweep(cfg), cfg)
-    assert len(sweeps[-1]._specs) <= 31 * 31
-    assert {spec.n for spec in sweeps[-1]._specs.values()} == {6}
+    assert records(sweeps[-1]) <= 31 * 31
+    assert set(sweeps[-1]._tables) == {6}
 
     class Kept(oracle._Sweep):
         def __init__(self, config):
             super().__init__(config)
-            self._specs, self._truths = _Kept(), _Kept()
+            self._tables = _Kept()
             sweeps.append(self)
 
     monkeypatch.setattr(oracle, "_Sweep", Kept)
     assert render_report(run_sweep(cfg), cfg) == report
-    assert len(sweeps[-1]._specs) > 31 * 31
+    assert records(sweeps[-1]) > 31 * 31
 
 
 # --------------------------------------------------------------------------

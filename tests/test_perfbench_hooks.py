@@ -1,8 +1,10 @@
 """The program names the traced benchmark run patches or rebuilds.
 
 `perfbench/tracing.py` wraps the sweep's check registries, the ground
-truth `_Sweep.analyze_spec` and `check_worked_example`, and rebuilds
-`engine.analyze` from its public steps.  These tests run those hooks
+truth `_Sweep.analyze_spec` and `check_worked_example`, rebuilds
+`engine.analyze` from its public steps, probes `PowerSequence`, `p_set`
+and `q_sequence` after each call and times one scan on its own
+(`table_step_fallback`).  These tests run those hooks
 against the package, so a reshaped oracle or engine that the traced
 run can no longer follow fails here.  The benchmark's files are only
 imported, with bytecode writing off so that nothing is written next to
@@ -57,3 +59,15 @@ def test_traced_sweep_matches_untraced_and_spans_every_check(tracing):
 def test_split_analyze_equals_engine_analyze(tracing, text):
     spec = ToeplitzSpec.from_string(text)
     assert tracing._split_analyze(tracing.Tracer(), {})(spec) == engine.analyze(spec)
+
+
+def test_probes_and_the_table_step_follow_the_program(tracing):
+    # the traced analyze pass probes each descriptor after its split analyze,
+    # from the powers and profile that left in `last`, and sweep-exhaustive
+    # times the scan of T_48<1;46,47> on its own
+    text, tracer, last = "n=6;S=2,5;T=4,5", tracing.Tracer(), {}
+    tracing._split_analyze(tracer, last)(ToeplitzSpec.from_string(text))
+    tracing._probes(tracer, text, last)
+    names = {span[0] for span in tracer.spans}
+    assert {"walksets.r_set", "walksets.p_set", "walksets.q_sequence"} <= names
+    assert tracing.table_step_fallback(tracer) > 0

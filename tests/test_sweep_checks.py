@@ -52,7 +52,7 @@ from toeplitz_periods.oracle import (
     _Sweep,
 )
 from toeplitz_periods.toeplitz import Certificate, Rule, Verdict, gcd_profile
-from toeplitz_periods.walksets import _mask_to_set, _p_mask, _q_masks
+from toeplitz_periods.walksets import _mask_to_set, _p_masks, _q_masks
 
 from conftest import PROPERTY, descriptors
 
@@ -215,8 +215,25 @@ def as_sets(q_masks):
     return lambda spec, i_max: (_mask_to_set(m, spec.n) for m in q_masks(spec, i_max))
 
 
-def p_set_of(p_mask):
-    return lambda spec, i: _mask_to_set(p_mask(spec, i), spec.n)
+def p_set_of(p_masks):
+    return lambda spec, i: _mask_to_set(next(p_masks(spec, i, i + 1)), spec.n)
+
+
+def p_mask(spec, i):
+    return next(_p_masks(spec, i, i + 1))
+
+
+def p_masks_bent(bend):
+    """_p_masks with each mask P_i replaced by bend(spec, i, P_i)."""
+
+    def p_masks(spec, start, stop):
+        for i, mask in zip(range(start, stop), _p_masks(spec, start, stop)):
+            yield bend(spec, i, mask)
+
+    return p_masks
+
+
+NO_RECURRENCE = p_masks_bent(lambda spec, i, mask: p_mask(spec, 2 * i))
 
 
 def sweep_of(spec: ToeplitzSpec) -> _Sweep:
@@ -232,6 +249,11 @@ STRAY = StrayPowers(WORKED, 2, 1, 6)  # displacement 5, outside the q-set
         (WORKED, STRAY, _q_masks),  # r gains 5, which q lacks
         (WORKED, PowerSequence(from_toeplitz(WORKED)), q_masks_flipping(2, 4)),  # q loses r's 4
         (PARITY, PowerSequence(from_toeplitz(PARITY)), q_masks_flipping(3, 0)),  # q leaves p
+        # past the first repeated Q mask (step 4 in PARITY, 4 in EVENS), where
+        # _q_masks yields its cycle; WORKED's Q_25 is the whole window and its
+        # R_25 empty, so no flip there breaks the chain
+        (PARITY, PowerSequence(from_toeplitz(PARITY)), q_masks_flipping(25, 0)),  # q leaves p
+        (EVENS, PowerSequence(from_toeplitz(EVENS)), q_masks_flipping(25, 2)),  # q loses r's 2
     ],
 )
 def test_containment_chain_matches_its_set_twin_on_planted_faults(
@@ -239,23 +261,24 @@ def test_containment_chain_matches_its_set_twin_on_planted_faults(
 ):
     monkeypatch.setattr(oracle, "_q_masks", q_masks)
     got = _check_containment_chain(sweep_of(spec), spec, powers, analyze(spec))
-    want = twin_containment_chain(spec, powers, p_set_of(_p_mask), as_sets(q_masks))
+    want = twin_containment_chain(spec, powers, p_set_of(_p_masks), as_sets(q_masks))
     assert got == want != []
 
 
 @pytest.mark.parametrize(
-    "spec, p_mask",
+    "spec, bend",
     [
-        (WORKED, lambda spec, i: _p_mask(spec, i) ^ (1 << 3 if i == 5 else 0)),  # not periodic
-        (THIRDS, lambda spec, i: _p_mask(spec, i) | _p_mask(spec, i + 1)),  # overlapping
-        (THIRDS, lambda spec, i: _p_mask(spec, 2 * i)),  # no recurrence
+        (WORKED, lambda spec, i, mask: mask ^ (1 << 3 if i == 5 else 0)),  # not periodic
+        (THIRDS, lambda spec, i, mask: mask | p_mask(spec, i + 1)),  # overlapping
+        (THIRDS, lambda spec, i, mask: p_mask(spec, 2 * i)),  # no recurrence
     ],
 )
-def test_p_set_laws_match_their_set_twin_on_planted_faults(monkeypatch, spec, p_mask):
-    monkeypatch.setattr(oracle, "_p_mask", p_mask)
+def test_p_set_laws_match_their_set_twin_on_planted_faults(monkeypatch, spec, bend):
+    p_masks = p_masks_bent(bend)
+    monkeypatch.setattr(oracle, "_p_masks", p_masks)
     an = analyze(spec)
     got = _check_p_set_laws(sweep_of(spec), spec, None, an)
-    assert got == twin_p_set_laws(spec, an, p_set_of(p_mask)) != []
+    assert got == twin_p_set_laws(spec, an, p_set_of(p_masks)) != []
 
 
 @pytest.mark.parametrize(
@@ -278,9 +301,9 @@ def test_the_checks_and_their_twins_pass_unplanted_input(spec):
     powers, an, sw = PowerSequence(from_toeplitz(spec)), analyze(spec), sweep_of(spec)
     q_sets = as_sets(_q_masks)
     assert _check_containment_chain(sw, spec, powers, an) == []
-    assert twin_containment_chain(spec, powers, p_set_of(_p_mask), q_sets) == []
+    assert twin_containment_chain(spec, powers, p_set_of(_p_masks), q_sets) == []
     assert _check_p_set_laws(sw, spec, powers, an) == []
-    assert twin_p_set_laws(spec, an, p_set_of(_p_mask)) == []
+    assert twin_p_set_laws(spec, an, p_set_of(_p_masks)) == []
     assert _check_walk_displacements(sw, spec, powers, an) == []
     assert twin_walk_displacements(spec, powers, q_sets) == []
     assert _check_same_residue_walks(sw, spec, powers, an) == []
@@ -401,7 +424,7 @@ def test_masks_of_a_new_object_per_call_match_the_set_twins(i):
     sw, an = sweep_of(spec), analyze(spec)
     q_sets = as_sets(_q_masks)
     got = _check_containment_chain(sw, spec, powers, an)
-    assert got == twin_containment_chain(spec, powers, p_set_of(_p_mask), q_sets)
+    assert got == twin_containment_chain(spec, powers, p_set_of(_p_masks), q_sets)
     got = _check_walk_displacements(sw, spec, powers, an)
     assert got == twin_walk_displacements(spec, powers, q_sets)
     assert got != [] or i > DISPLACEMENT_I_MAX
@@ -430,13 +453,13 @@ def test_a_shared_sweep_keeps_no_masks_from_one_descriptor_to_the_next():
 
 def test_patched_mask_functions_are_read_after_a_first_run(monkeypatch):
     # the checks of one visit share one table of P and Q masks, made from the
-    # module's _p_mask and _q_masks, so a fault planted after a first run is
+    # module's _p_masks and _q_masks, so a fault planted after a first run is
     # caught on the next visit
     sw = sweep_of(THIRDS)
     powers, an = sw.analyze_spec(THIRDS)
     assert _check_p_set_laws(sw, THIRDS, powers, an) == []
     assert _check_containment_chain(sw, THIRDS, powers, an) == []
-    monkeypatch.setattr(oracle, "_p_mask", lambda spec, i: _p_mask(spec, 2 * i))
+    monkeypatch.setattr(oracle, "_p_masks", NO_RECURRENCE)
     assert _check_p_set_laws(sw, THIRDS, powers, an) == []  # the visit's table
     powers, an = sw.analyze_spec(THIRDS)
     assert _check_p_set_laws(sw, THIRDS, powers, an) != []
@@ -484,7 +507,9 @@ def run_check(name: str, spec: ToeplitzSpec, sw=None, **doctored) -> list[str]:
 def sweep_with_truth(spec: ToeplitzSpec, of: ToeplitzSpec, **doctored) -> _Sweep:
     """A sweep for spec whose record of of has the doctored fields."""
     sw = sweep_of(spec)
-    sw._truths[of] = sw.truth(of)._replace(**doctored)
+    record = sw.truth(of)
+    for field, value in doctored.items():
+        setattr(record, field, value)
     return sw
 
 

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given
@@ -14,11 +16,12 @@ from toeplitz_periods import (
     from_toeplitz,
     walksets_at,
 )
-from toeplitz_periods.oracle import enumerate_specs
+from toeplitz_periods.oracle import CHAIN_I_MAX, enumerate_specs
 from toeplitz_periods.toeplitz import gcd_profile
 from toeplitz_periods.walksets import (
     _mask_to_set,
-    _p_mask,
+    _p_masks,
+    _q_fold,
     _q_masks,
     _r_mask,
     _realized_mask,
@@ -105,6 +108,21 @@ def test_p_set_laws_exhaustive():
                 )
 
 
+def test_p_masks_equal_the_congruence_definition():
+    # one call makes the masks of a run of lengths from one comb; P_0 is the
+    # class of 0, and a run may start anywhere
+    for spec in SMALL_SPECS:
+        prof = gcd_profile(spec)
+        stop = 2 * CHAIN_I_MAX + prof.d_plus // prof.d + 1
+        for i, mask in enumerate(_p_masks(spec, 0, stop)):
+            congruent = {
+                l for l in range(-(spec.n - 1), spec.n) if (l - i * prof.s1) % prof.d_plus == 0
+            }
+            assert _mask_to_set(mask, spec.n) == congruent, (spec, i)
+        whole = list(_p_masks(spec, 0, stop))
+        assert list(_p_masks(spec, 7, stop)) == whole[7:]
+
+
 def test_p_set_rejects_nonpositive_length():
     with pytest.raises(ValueError):
         p_set(WORKED, 0)
@@ -142,6 +160,40 @@ def test_q_set_bounds():
 
 def test_q_set_long_walks_match_unclamped_twin():
     assert q_set(WORKED, 200) == naive_q_set(6, WORKED.S, WORKED.T, 200)
+
+
+def plain_q_masks(spec: ToeplitzSpec, i_max: int) -> list[int]:
+    """Q_1 .. Q_i_max by the shift-OR DP, every step taken, nothing folded."""
+    full, mask, out = (1 << (2 * spec.n - 1)) - 1, 1 << (spec.n - 1), []
+    for _ in range(i_max):
+        mask = reduce(or_, [mask << s for s in spec.S] + [mask >> t for t in spec.T]) & full
+        out.append(mask)
+    return out
+
+
+SMALL_SPECS = [spec for n in range(2, 7) for spec in enumerate_specs(n)]
+
+
+def test_folded_q_masks_equal_the_plain_dp():
+    # _q_masks stops its DP at the first repeated mask and yields the cycle;
+    # the repeat comes by step 26 on every descriptor here, so the lengths up
+    # to 30 stop the DP before, at and after it
+    for spec in SMALL_SPECS:
+        plain = plain_q_masks(spec, 200)
+        assert len(_q_fold(spec, 200)[0]) < 26
+        for i_max in [*range(1, 31), 200]:
+            assert list(_q_masks(spec, i_max)) == plain[:i_max], (spec, i_max)
+
+
+def test_q_set_far_past_the_fold_equals_the_plain_dp():
+    # the plain masks repeat with some least period p from step 40 on, so
+    # Q_(10^20) is the plain mask at the step of the same residue mod p
+    i = 10**20
+    for spec in SMALL_SPECS:
+        plain = plain_q_masks(spec, 160)
+        p = next(p for p in range(1, 41) if plain[40:160] == plain[40 - p : 160 - p])
+        want = plain[40 + (i - 41) % p]
+        assert q_set(spec, i) == _mask_to_set(want, spec.n), spec
 
 
 def test_q_set_folds_long_walks_into_the_cycle_of_the_masks():
@@ -275,7 +327,7 @@ def test_window_masks_equal_their_set_twins(spec, i):
     power = PowerSequence(from_toeplitz(spec)).power(i)
     prof = gcd_profile(spec)
     congruent = {l for l in range(-(spec.n - 1), spec.n) if (l - i * prof.s1) % prof.d_plus == 0}
-    assert _mask_to_set(_p_mask(spec, i), spec.n) == congruent
+    assert _mask_to_set(next(_p_masks(spec, i, i + 1)), spec.n) == congruent
     assert _mask_to_set(_r_mask(power), spec.n) == brute_r(power)
     realized = {v - u for u, v in power.entries()}
     assert _mask_to_set(_realized_mask(power), spec.n) == realized
