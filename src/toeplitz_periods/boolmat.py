@@ -237,14 +237,21 @@ class _ShiftKernel:
         cut = range(0, len(data), nbytes)
         return BoolMatrix(int.from_bytes(data[i : i + nbytes], "little") for i in cut)
 
+    def first_row(self, packed: int) -> int:
+        """Row 1 of the matrix packed."""
+        return packed & ((1 << 8 * self._nbytes) - 1)
+
     def cheaper(self, e: int, ones: int | None = None, conjugate: bool = False) -> bool:
         """Whether e steps of x -> x A, or of X -> A X A^T when conjugate, cost
         less than the product they stand for, whose sparser factor has ones
         ones (None: a dense one).  A step is c = |S| + |T| shifts, 2c for
-        A X A^T; a shift costs about n / 8 row selections, and a product
-        about n + ones of them, at most n^2 / 8 (the tables' cost).  So the
-        steps are taken when e c n <= min(8 (n + ones), n^2): e c <= n
-        against a dense factor, fewer steps against a sparse one."""
+        A X A^T; a shift costs about n / 8 row selections, and a product about
+        n + ones of them, at most n^2 / 8, the tables' cost: counting a lookup
+        and OR as half a row selection, the 4-row tables ``_product`` takes
+        below order 144 cost n^2 / 8 + 2n, and the 8-row ones n^2 / 16 + 16n,
+        both within 1.5 times n^2 / 8 where they are used.  So the steps are
+        taken when e c n <= min(8 (n + ones), n^2): e c <= n against a dense
+        factor, fewer steps against a sparse one."""
         n = self.n
         product = n * n if ones is None else min(8 * (n + ones), n * n)
         return (e * self._cost << conjugate) * n <= product
@@ -271,25 +278,31 @@ def _shift_kernel(n: int, offsets: Offsets | None) -> _ShiftKernel | None:
     return _ShiftKernel(n, offsets) if n >= 32 and offsets and any(offsets) else None
 
 
-def _right_multiplier(m: BoolMatrix) -> Callable[[BoolMatrix], BoolMatrix]:
-    """Function computing X @ m for the fixed right factor m, through
-    256-entry OR tables per 8 rows of m: a product is n * ceil(n/8)
-    lookups, one pass over byte c of all X's rows per table, regardless
-    of density.  ``_dense`` says when they beat row selection.
+_NIBBLES = tuple(bytes(b >> s & 15 for b in range(256)) for s in (0, 4))
+
+
+def _right_multiplier(m: BoolMatrix, width: int = 8) -> Callable[[BoolMatrix], BoolMatrix]:
+    """Function computing X @ m for the fixed right factor m, through OR tables
+    of 2^width entries per width rows of m, width 4 or 8: a product is
+    n * ceil(n/width) lookups, one pass over field c of all X's rows per
+    table, regardless of density, after 2^width * ceil(n/width) ORs to build
+    the tables.  ``_dense`` says when they beat row selection.
     """
     nbytes = (m.n + 7) // 8
     tables: list[list[int]] = []
-    for c in range(0, m.n, 8):
+    for c in range(0, m.n, width):
         tab = [0]
-        for row in m.rows[c : c + 8]:
+        for row in m.rows[c : c + width]:
             tab += [v | row for v in tab]
         tables.append(tab)
 
     def apply(x: BoolMatrix) -> BoolMatrix:
         data = b"".join([r.to_bytes(nbytes, "little") for r in x.rows])
-        out = list(map(tables[0].__getitem__, data[0::nbytes]))
-        for c in range(1, nbytes):
-            out = list(map(or_, out, map(tables[c].__getitem__, data[c::nbytes])))
+        pieces = [data] if width == 8 else [data.translate(f) for f in _NIBBLES]
+        fields = [piece[c::nbytes] for c in range(nbytes) for piece in pieces]
+        out = list(map(tables[0].__getitem__, fields[0]))
+        for tab, field in zip(tables[1:], fields[1:]):
+            out = list(map(or_, out, map(tab.__getitem__, field)))
         return BoolMatrix(out)
 
     return apply
@@ -298,15 +311,23 @@ def _right_multiplier(m: BoolMatrix) -> Callable[[BoolMatrix], BoolMatrix]:
 def _dense(x: BoolMatrix, ones: int | None = None) -> bool:
     """Whether the tables of a right factor beat row selection by x, which
     costs a step per 1 of x: from order 32 on, at a density of about
-    16/n + 1/16.  ones = x.count() when the caller has it."""
+    16/n + 1/16, derived for 8-row tables (32n ORs to build, n^2 / 8
+    lookups, a lookup and OR costing half a step).  The 4-row tables below
+    order 144 win from a lower density (about 0.2 at n = 64), so there the
+    products between the two keep row selection.  ones = x.count() when the
+    caller has it."""
     n = x.n
     return n >= 32 and (x.count() if ones is None else ones) > n * (16 + n // 16)
 
 
 def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatrix:
-    """x @ y, through y's tables when x is ``_dense``; ones = x.count() when
-    the caller has it."""
-    return _right_multiplier(y)(x) if _dense(x, ones) else x @ y
+    """x @ y, through y's tables when x is ``_dense``: 4-row tables below
+    order 144, where building 8-row ones costs more than the lookups they
+    save (measured on dense random factors), 8-row tables from it on.
+    ones = x.count() when the caller has it."""
+    if not _dense(x, ones):
+        return x @ y
+    return _right_multiplier(y, 4 if x.n < 144 else 8)(x)
 
 
 def _power_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
@@ -332,12 +353,13 @@ class PowerSequence:
     Powers of one matrix commute, so base^(m+1) = base base^m exactly:
     base goes left, where row selection costs one OR per 1 of it rather
     than per 1 of the denser power, unless base is ``_dense``, when the
-    right factor's fixed tables are cheaper.  The side is chosen once.
+    right factor's fixed tables are cheaper; they are 8-row tables, built
+    once for every step.  The side is chosen once.
     """
 
     def __init__(self, base: BoolMatrix):
         self._base = base
-        self._step = _right_multiplier(base) if _dense(base) else base.__matmul__
+        self._step = _right_multiplier(base, 8) if _dense(base) else base.__matmul__
         self._pows: list[BoolMatrix] = [BoolMatrix.identity(base.n), base]
         self._first: dict[BoolMatrix, int] = {base: 1}
         self._cycle: tuple[int, int] | None = None

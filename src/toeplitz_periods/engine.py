@@ -13,18 +13,27 @@ stepping through the powers:
   per bit of hi - lo - 1 from the top (``_Lift.least``, over exponents);
 * A^m = A^(m+p) is such a test, so M, the least m where it holds, is
   found by galloping over A^(2^k) to the bracket (2^(k-1), 2^k] and
-  descending: O(log M) products and matrices held, of which the squares
-  and A^M stay.  Heap and Lynn (1964) bound M by (n-1)^2 + 1; a larger
-  M raises TheoremViolationError;
+  descending: O(log M) products.  When p = 1 the cycle is the one
+  matrix A^top, top = 2^k, and the descent tests A^m = A^top on held
+  powers instead of making A^(m+1): A^m = A^top with m < M would give
+  A^(m+1) = A^(top+1) = A^top = A^m, so m >= M.  From order 32 on each
+  level lets go of what no later level reads, keeping the squares (as
+  rows), A^p, the failing m, the best m and, when p is a power of two,
+  A^(m+p); the squares and A^M stay.  Heap and Lynn (1964) bound M by (n-1)^2 + 1;
+  a larger M raises TheoremViolationError;
 * B_m = A^m (A^T)^m steps by X -> A X A^T and B_(M+p) = B_M, so the
   walk from B_M until it returns gives the cycle, of size the period c.
   The map keeps the cycle, so "B_m is on it", the same as B_m = B_(m+c),
   is monotone in m; B_M is on it, so the index q is found by the descent
-  over (0, M], at most ceil(log2 M) grams and set lookups.  A gram x x^T
-  is all ones without a product when the two lightest rows of x hold
-  more than n ones between them (pigeonhole); else x^T, x a power of a
-  Toeplitz A, is J x J, J the reversal, since A^T = J A J
-  (``boolmat._mirror``);
+  over (0, M], at most ceil(log2 M) grams and set lookups.  B_m on the
+  cycle equals a member, so a level first reads row 1 of the gram of
+  A^m (n ANDs) and fails without the gram when it is row 1 of no
+  member.  A gram x x^T is all ones without a product when the two
+  lightest rows of x hold more than n ones between them (pigeonhole);
+  else x^T, x a power of a Toeplitz A, is J x J, J the reversal, since
+  A^T = J A J (``boolmat._mirror``), and the product goes through OR
+  tables of x^T (``boolmat._product``: 4-row tables below order 144,
+  8-row ones from it on);
 * from order 32 on (below it, row selection on a few rows costs less
   than packing), a Toeplitz A = T_n<S;T> steps by its offsets on its
   rows packed into one integer (``boolmat._ShiftKernel``): x -> x A is
@@ -47,7 +56,9 @@ stepping through the powers:
   the first time something reads it: packed integers compare and hash
   as the matrices do, so only a product, a gram, A^M and the powers the
   walk yields unpack.  The squares A^(2^k) are products where no shift
-  step made them first (see ``_Lift.power``).
+  step made them first (see ``_Lift.power``).  Over T_n<1;n-2,n-1> at
+  n = 48, 64 and 80 that is 8 gram products and 63 packs, and the traced
+  peak of ``analyze`` on T_256<1;254,255> is 0.90 MiB.
 
 Heap-Lynn is the only bound on the search, and it is asserted; the
 sweep and the tests hold the index, period and exact verdict to
@@ -103,6 +114,12 @@ def _gram(x: BoolMatrix, transpose: Callable[[BoolMatrix], BoolMatrix]) -> BoolM
     return _product(x, transpose(x), sum(row_ones))
 
 
+def _gram_row(x: BoolMatrix) -> int:
+    """Row 1 of x x^T, bit v - 1 set iff rows 1 and v of x share a column: n ANDs."""
+    first = x.rows[0]
+    return sum(1 << v for v, r in enumerate(x.rows) if r & first)
+
+
 class _Lift:
     """Index and period of A's powers by lifting, each power A^m that it makes
     kept under its exponent m.
@@ -116,8 +133,10 @@ class _Lift:
     ``_packed[m]`` as an int when shift steps did, and ``rows(m)`` and
     ``packed(m)`` make the other form at most once, the first time something
     reads it.  One maker: ``step(m, e)`` makes A^(m+e) from A^m, by e steps
-    of shifts wherever the kernel's cost rule takes them.  The index search
-    then drops every other power it made but the squares A^(2^k) and A^index.
+    of shifts wherever the kernel's cost rule takes them.  From order 32 on,
+    each level of the index search and of the competition descent lets go of
+    the powers that no later level reads (``_drop``); after the search the
+    squares A^(2^k), as rows, and A^index stay.
     """
 
     def __init__(self, a: BoolMatrix, offsets: Optional[Offsets] = None):
@@ -126,23 +145,49 @@ class _Lift:
         self.a, self._rows, self._packed = a, {1: a}, {}
         self.transpose = BoolMatrix.transpose if offsets is None else _mirror
         self.shifts = _shift_kernel(a.n, offsets)
+        # below order 32 a power is a few small ints, cheaper to hold than to
+        # let go level by level
+        self._drops = a.n >= 32
         self.period = p = power_period(a, offsets)
         bound = (a.n - 1) ** 2 + 1  # Heap and Lynn (1964): the index is at most this
         test = lambda m: self._same(m, self.step(m, p))  # A^m = A^(m+p)
         failed = TheoremViolationError(f"A^m = A^(m+{p}) holds for no m <= {bound}")
+        # what a later level reads besides the squares and A^m itself: A^p, and
+        # A^(m+p) when p is a power of two, which a level makes as A^m A^(2^j)
+        reread = lambda m: (p, m + p) if p & (p - 1) == 0 else (p,)
         k = 0  # gallop to the bracket (2^(k-1), 2^k] of the index
         while not test(self.power(1 << k)):
             if 1 << k >= bound:
                 raise failed
+            if self._drops:
+                self._drop(1 << k, *reread(1 << k))
             k += 1
-        self.index = self.least(test, 1 << k >> 1, 1 << k)
+        top = 1 << k
+        if p == 1:  # the cycle is A^top alone (see the module docstring)
+            test = lambda m: self._same(m, top)
+        bracket = [top >> 1, top]  # the failing m and the best m
+
+        def level(m: int) -> bool:
+            """test(m), letting go of what no later level reads."""
+            passed = test(m)
+            bracket[passed] = m
+            self._drop(top, *bracket, *reread(bracket[0]))
+            return passed
+
+        self.index = self.least(level if self._drops else test, top >> 1, top)
         if self.index > bound:
             raise failed
-        for held in (self._rows, self._packed):
-            for m in [m for m in held if m & (m - 1) and m != self.index]:
-                del held[m]
+        self._drop(self.index)
         if any(p % e == 0 and self._same(self.index, self.step(self.index, e)) for e in range(1, p)):
             raise TheoremViolationError(f"period {p} of the components is not least")
+
+    def _drop(self, *keep: int) -> None:
+        """Let go of every power held but the squares A^(2^k) and A^m for m in
+        keep, and of the packed form of a square not in keep held as rows."""
+        for m in [m for m in self._rows if m & (m - 1) and m not in keep]:
+            del self._rows[m]
+        for m in [m for m in self._packed if m not in keep and (m & (m - 1) or m in self._rows)]:
+            del self._packed[m]
 
     def rows(self, m: int) -> BoolMatrix:
         """A^m as rows, unpacked at most once."""
@@ -167,8 +212,11 @@ class _Lift:
         """e, once A^e (e >= 1) is held.  A^(2^k) is made as the product of
         two A^(2^(k-1)), any other A^e by a step from A^(e - 2^k), 2^k the top
         bit of e: from the squares of its bits, ascending.  Squares by shifts
-        wait for the benchmark to stop keeping every answer (ROADMAP item 1),
-        since a faster run keeps more of them and reads as more memory."""
+        wait for the benchmark to stop keeping every answer (ROADMAP item 1):
+        over 8 alternating paced pairs they cut analyze-random's p50 latency by
+        38-42% and its wall_s by 22-28%, but the faster runs made 62-81 passes
+        instead of 45-51, kept about 50 KB of answers for each, and read a
+        peak RSS 0.6-7.0% higher, beyond the 5% bound in 4 of the 8 pairs."""
         if e not in self._rows and e not in self._packed:
             top = 1 << (e.bit_length() - 1)
             if e == top:
@@ -225,7 +273,8 @@ class _Lift:
     def competition(self) -> "CompetitionResult":
         """B_m = A^m (A^m)^T; its cycle is B_M, B_(M+1), ... up to the return to B_M,
         walked by B -> A B A^T on packed rows where the cost rule takes one step
-        of it, else as the grams of walk()."""
+        of it, else as the grams of walk().  Its members' first rows refute the
+        descent's gram levels (``advance``)."""
         shifts = self.shifts if self.shifts and self.shifts.cheaper(1, conjugate=True) else None
         limit = _gram(self.rows(self.index), self.transpose)  # B_M, B_q on a cycle of one
         if shifts is None:
@@ -235,19 +284,37 @@ class _Lift:
             later = islice(accumulate(repeat(1), shifts.conjugate, initial=b_index), 1, None)
         cycle = {b_index, *takewhile(b_index.__ne__, islice(later, self.period - 1))}
         period = len(cycle)
+        first_rows = {shifts.first_row(x) for x in cycle} if shifts else {x.rows[0] for x in cycle}
         b = {0: shifts.pack(BoolMatrix.identity(self.a.n))} if shifts else {}  # B_m by m
+        kept = {*self._rows, *self._packed}  # the index search's, which the walk reads
+
+        def gram(m: int) -> object:
+            """B_m, the gram of A^m, packed when the kernel steps."""
+            x = _gram(self.rows(m), self.transpose)
+            return shifts.pack(x) if shifts else x
 
         def advance(m: int, j: int) -> None:
-            """B_(m+2^j): 2^j steps of the map from B_m where the kernel's cost
-            rule takes them, else the gram of A^(m+2^j).  The shifted levels
-            are, as 2^j falls, the last, so A^m is not made on them."""
+            """B_(m+2^j), once the powers and grams that no later level reads
+            (all but A^m and B_m, m failing) are let go from order 32 on: 2^j
+            steps of the map
+            from B_m where the kernel's cost rule takes them, else the gram of
+            A^(m+2^j), made only when its row 1 is row 1 of a member of the
+            cycle, since B_m on the cycle is B_m equal to a member.  The shifted
+            levels are, as 2^j falls, the last, so A^m is not made on them, and
+            B_m of a refuted level is made only when the first of them steps
+            from it."""
+            if self._drops:
+                self._drop(m, *kept)
+                for e in [e for e in b if e != m]:
+                    del b[e]
             if shifts and shifts.cheaper(1 << j, conjugate=True):
-                b[m + (1 << j)] = shifts.conjugate(b[m], 1 << j)
+                b[m + (1 << j)] = shifts.conjugate(b[m] if m in b else gram(m), 1 << j)
             else:
-                gram = _gram(self.rows(self.step(m, 1 << j)), self.transpose)
-                b[m + (1 << j)] = shifts.pack(gram) if shifts else gram
+                x = self.rows(self.step(m, 1 << j))
+                if _gram_row(x) in first_rows:
+                    b[m + (1 << j)] = gram(m + (1 << j))
 
-        index = self.least(lambda m: b[m] in cycle, 0, self.index, advance)
+        index = self.least(lambda m: m in b and b[m] in cycle, 0, self.index, advance)
         return CompetitionResult(index, period, limit if period == 1 else None)
 
 

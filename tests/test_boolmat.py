@@ -271,6 +271,24 @@ def test_right_multiplier_agrees_with_matmul(n, rng):
         assert apply_m(x) == x @ m
 
 
+@pytest.mark.parametrize(
+    "orders", [range(32, 71), range(127, 130), range(159, 162), range(255, 258)], ids=str
+)
+def test_right_multiplier_at_both_widths_equals_matmul(orders, rng):
+    # 16-entry tables per 4 rows read each byte as two nibbles, 256-entry
+    # tables per 8 rows read it whole; orders on both sides of a multiple of
+    # 4 and 8 leave a short last table, and the crossover to 8-row tables
+    # lies between 127 and 161
+    for n in orders:
+        special = [BoolMatrix.zeros(n), BoolMatrix.identity(n), BoolMatrix.ones(n)]
+        x, y = random_boolmat(rng, n, 0.5), random_boolmat(rng, n, 0.5)
+        pairs = [(x, m) for m in (*special, y)] + [(m, y) for m in special]
+        for width in (4, 8):
+            for left, right in pairs:
+                assert _right_multiplier(right, width)(left) == left @ right, (n, width)
+        assert _product(x, y) == x @ y
+
+
 # --------------------------------------------------------------------------
 # shift kernel for a Toeplitz factor, against the row-selection product
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Period engine against naive brute-force oracles."""
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import islice
 
@@ -215,9 +216,12 @@ def test_descent_finds_every_threshold_within_one_test_per_bit():
 
 def test_competition_search_makes_one_gram_per_bit_of_the_index(monkeypatch):
     # a count, not a time: the search tests B_m only inside (0, M], with one
-    # gram for B_M and one per level of the descent whose 2^j steps of
-    # B -> A B A^T would take more than n shifts, 2 * 2^j * 3 > 128; the
-    # five levels below step B_m by the map
+    # gram for B_M and at most one per level of the descent whose 2^j steps of
+    # B -> A B A^T would take more than n shifts, 2 * 2^j * 3 > 128; the five
+    # levels below step B_m by the map.  A gram level whose row 1 of the gram
+    # is not that of B_M fails without the gram, so grams are made for B_M,
+    # the two levels that pass (8192 and 8064) and the failing m = 8032 that
+    # the first shifted level steps from
     grams = []
     monkeypatch.setattr(engine, "_gram", lambda x, t: grams.append(x) or _gram(x, t))
     n = 128
@@ -225,7 +229,44 @@ def test_competition_search_makes_one_gram_per_bit_of_the_index(monkeypatch):
     index = (n - 1) ** 2
     assert (comp.index, comp.period) == (8064, 1)
     levels = range((index - 1).bit_length())
-    assert len(grams) == 1 + sum(6 << j > n for j in levels) == 10
+    assert len(grams) == 4 < 1 + sum(6 << j > n for j in levels) == 10
+
+
+def test_a_refuted_level_makes_no_gram(monkeypatch):
+    # a count, not a time: a gram level reads row 1 of the gram of A^m (n
+    # ANDs) first; when it is row 1 of no member of B's cycle, B_m is not on
+    # the cycle and the level fails without the gram, unless a shifted level
+    # later steps B from there.  On the worst family the cycle is B_M alone
+    read, made = [], []
+    gram_row = engine._gram_row
+    monkeypatch.setattr(engine, "_gram_row", lambda x: read.append(x) or gram_row(x))
+    monkeypatch.setattr(engine, "_gram", lambda x, t: made.append(x) or _gram(x, t))
+    for n in (48, 64, 80, 128):
+        read.clear()
+        made.clear()
+        a = from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
+        lift = _Lift(a)
+        comp = lift.competition()
+        matched = [x for x in read if gram_row(x) == comp.limit.rows[0]]
+        refuted = [x for x in read if gram_row(x) != comp.limit.rows[0]]
+        assert matched and refuted, n
+        # grams of A^M, of the matched levels and, after every gram level, of
+        # the last refuted one: the failing m the first shifted level steps from
+        assert made == [lift.rows(lift.index), *matched, refuted[-1]], n
+
+
+def test_an_analyze_worst_pass_makes_8_gram_products_and_63_packs(monkeypatch):
+    # a count, not a time, over the benchmark's worst-family orders: the
+    # grams of B_M and of the levels whose row matches the limit's, and the
+    # packs of the shift steps' inputs; work added to a descent level fails
+    # here without a timing
+    counts = Counter()
+    for owner, name in ((engine, "_product"), (engine, "_gram"), (boolmat._ShiftKernel, "pack")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, fn=fn, name=name: counts.update([name]) or fn(*a))
+    for n in (48, 64, 80):
+        analyze(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
+    assert counts == {"_product": 8, "_gram": 20, "pack": 63}
 
 
 def test_analysis_unpacks_only_for_grams_and_the_index_power(monkeypatch):
@@ -233,7 +274,7 @@ def test_analysis_unpacks_only_for_grams_and_the_index_power(monkeypatch):
     # rows are read: A^M, made by shifts on the last levels of the index
     # descent and unpacked once for the gram B_M; and A^2, made by a shift
     # step in the first period test and read as rows once for the square
-    # A^4.  The eight grams that are not all ones mirror their rows, and
+    # A^4.  The two grams that are not all ones mirror their rows, and
     # nothing runs the transpose
     calls = Counter()
     for owner, name in (
@@ -248,7 +289,70 @@ def test_analysis_unpacks_only_for_grams_and_the_index_power(monkeypatch):
     report = analyze(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
     assert (report.matrix_index, report.competition_index) == ((n - 1) ** 2, 8064)
     assert report.certificate.rule is Rule.STAR
-    assert calls == {"_gram": 10, "unpack": 2, "_mirror": 8}
+    assert calls == {"_gram": 4, "unpack": 2, "_mirror": 2}
+
+
+def test_competition_with_the_row_check_equals_the_scan_on_every_small_descriptor():
+    for n in range(2, 7):
+        for spec in enumerate_specs(n):
+            a = from_toeplitz(spec)
+            comp = competition_analysis(a)
+            assert (comp.index, comp.period, comp.limit) == scanned_competition(a), spec
+
+
+def test_competition_with_the_row_check_equals_the_scan_on_the_worst_family():
+    # index (n-1)^2: about a dozen gram levels, most refuted by their row
+    for n in range(32, 49):
+        a = from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
+        comp = competition_analysis(a)
+        assert (comp.index, comp.period, comp.limit) == scanned_competition(a), n
+
+
+@pytest.mark.parametrize(
+    "text, period",
+    [
+        ("n=32;S=5,9;T=29", 6),
+        ("n=33;S=5,9;T=31", 12),
+        ("n=35;S=10,25;T=29,32", 3),
+        ("n=41;S=19;T=23,33", 16),
+        ("n=42;S=29;T=15,27", 4),
+        ("n=43;S=17,25;T=31", 8),
+    ],
+)
+def test_row_check_against_a_cycle_of_several_members_equals_the_scan(monkeypatch, text, period):
+    # competition period above 1 and an index large enough for gram levels:
+    # row 1 of a level's gram is matched against row 1 of every member
+    read = []
+    gram_row = engine._gram_row
+    monkeypatch.setattr(engine, "_gram_row", lambda x: read.append(x) or gram_row(x))
+    a = from_toeplitz(ToeplitzSpec.from_string(text))
+    comp = competition_analysis(a)
+    assert (comp.index, comp.period, comp.limit) == scanned_competition(a)
+    assert comp.period == period and read
+
+
+def test_index_test_against_the_limit_equals_the_scan_on_the_worst_family():
+    # period 1: the index descent compares A^m with A^top, the gallop's 2^k,
+    # instead of stepping to A^(m+1)
+    for n in range(32, 65):
+        a = from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
+        lift = _Lift(a)
+        assert (lift.index, lift.period) == PowerSequence(a).cycle() == ((n - 1) ** 2, 1), n
+
+
+def test_analysis_of_the_worst_family_at_order_256_peaks_below_one_mib():
+    # each descent level lets go of the powers and grams no later level reads,
+    # and a square keeps one form: the traced peak was 1.50 MiB when the
+    # index search held all of them until it ended
+    spec = ToeplitzSpec(256, (1,), (254, 255))
+    analyze(spec)  # fills the caches outside the lift
+    tracemalloc.start()
+    try:
+        analyze(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_lifted_competition_equals_the_scan_above_order_32():
@@ -365,12 +469,12 @@ def test_dense_offsets_take_products_where_shifts_cost_more():
 @pytest.mark.parametrize(
     "text, products, grams, rebuilt",
     [
-        ("n=128;S=1;T=126,127", 38, 10, 10),
+        ("n=128;S=1;T=126,127", 32, 4, 4),
         ("n=96;S=64,70,82;T=5", 18, 5, 7),  # period 3
         ("n=160;S=10,36;T=16", 5, 1, 2),  # period 13
-        ("n=48;S=1;T=46,47", 29, 9, 6),  # the analyze-worst orders
-        ("n=64;S=1;T=62,63", 32, 9, 9),
-        ("n=80;S=1;T=78,79", 33, 10, 7),
+        ("n=48;S=1;T=46,47", 28, 8, 5),  # the analyze-worst orders
+        ("n=64;S=1;T=62,63", 27, 4, 4),
+        ("n=80;S=1;T=78,79", 31, 8, 5),
     ],
 )
 def test_analysis_counts_products_grams_and_unpacks(monkeypatch, text, products, grams, rebuilt):
