@@ -271,11 +271,15 @@ class _ShiftKernel:
         return packed
 
 
+# The crossover order: below it a matrix is a few small ints, and row
+# selection costs less than packing, tables or counting ones
+_CROSSOVER_ORDER = 32
+
+
 def _shift_kernel(n: int, offsets: Offsets | None) -> _ShiftKernel | None:
-    """The shift kernel of T_n<S;T> for offsets = (S, T), from order 32 on;
-    None below it, where row selection on a few rows costs less than
-    packing, and when offsets is None or holds no offset."""
-    return _ShiftKernel(n, offsets) if n >= 32 and offsets and any(offsets) else None
+    """The shift kernel of T_n<S;T> for offsets = (S, T), from the crossover
+    order on; None below it and when offsets is None or holds no offset."""
+    return _ShiftKernel(n, offsets) if n >= _CROSSOVER_ORDER and offsets and any(offsets) else None
 
 
 _NIBBLES = tuple(bytes(b >> s & 15 for b in range(256)) for s in (0, 4))
@@ -310,14 +314,14 @@ def _right_multiplier(m: BoolMatrix, width: int = 8) -> Callable[[BoolMatrix], B
 
 def _dense(x: BoolMatrix, ones: int | None = None) -> bool:
     """Whether the tables of a right factor beat row selection by x, which
-    costs a step per 1 of x: from order 32 on, at a density of about
-    16/n + 1/16, derived for 8-row tables (32n ORs to build, n^2 / 8
+    costs a step per 1 of x: from the crossover order on, at a density of
+    about 16/n + 1/16, derived for 8-row tables (32n ORs to build, n^2 / 8
     lookups, a lookup and OR costing half a step).  The 4-row tables below
     order 144 win from a lower density (about 0.2 at n = 64), so there the
     products between the two keep row selection.  ones = x.count() when the
     caller has it."""
     n = x.n
-    return n >= 32 and (x.count() if ones is None else ones) > n * (16 + n // 16)
+    return n >= _CROSSOVER_ORDER and (x.count() if ones is None else ones) > n * (16 + n // 16)
 
 
 def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatrix:
@@ -331,10 +335,10 @@ def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatri
 
 
 def _power_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
-    """x y for two powers of one matrix.  They commute, so from order 32
-    on the sparser goes left, where row selection costs a step per 1;
+    """x y for two powers of one matrix.  They commute, so from the crossover
+    order on the sparser goes left, where row selection costs a step per 1;
     below it ``_product`` reads no count, so none is made."""
-    if x.n < 32:
+    if x.n < _CROSSOVER_ORDER:
         return _product(x, y)
     x_ones, y_ones = x.count(), y.count()
     return _product(y, x, y_ones) if x_ones > y_ones else _product(x, y, x_ones)

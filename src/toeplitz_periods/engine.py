@@ -10,17 +10,22 @@ stepping through the powers:
   (``digraph.power_period``), checked least at the index M;
 * a test on A^m that fails exactly below some m, known to fail at lo
   and to pass at hi, is settled by one descent over (lo, hi], one test
-  per bit of hi - lo - 1 from the top (``_Lift.least``, over exponents);
+  per bit of hi - lo - 1 from the top (``_Lift.least``, over exponents,
+  whose probe(m, j) makes what the test reads at m + 2^j from the
+  failing m);
 * A^m = A^(m+p) is such a test, so M, the least m where it holds, is
   found by galloping over A^(2^k) to the bracket (2^(k-1), 2^k] and
   descending: O(log M) products.  When p = 1 the cycle is the one
   matrix A^top, top = 2^k, and the descent tests A^m = A^top on held
   powers instead of making A^(m+1): A^m = A^top with m < M would give
-  A^(m+1) = A^(top+1) = A^top = A^m, so m >= M.  From order 32 on each
-  level lets go of what no later level reads, keeping the squares (as
-  rows), A^p, the failing m, the best m and, when p is a power of two,
-  A^(m+p); the squares and A^M stay.  Heap and Lynn (1964) bound M by (n-1)^2 + 1;
-  a larger M raises TheoremViolationError;
+  A^(m+1) = A^(top+1) = A^top = A^m, so m >= M.  One lifetime rule
+  holds for the powers and the B_m below: from the crossover order 32
+  on (``boolmat._CROSSOVER_ORDER``), each level of the gallop and of
+  either descent lets go of all but the squares A^(2^k), the two ends
+  of the bracket and what the caller keeps (``_Lift._drop``): A^top and
+  A^p here, and after the search the squares and A^M stay; below it
+  nothing is let go.  Heap and Lynn (1964) bound M by (n-1)^2 + 1; a
+  larger M raises TheoremViolationError;
 * B_m = A^m (A^T)^m steps by X -> A X A^T and B_(M+p) = B_M, so the
   walk from B_M until it returns gives the cycle, of size the period c.
   The map keeps the cycle, so "B_m is on it", the same as B_m = B_(m+c),
@@ -34,9 +39,9 @@ stepping through the powers:
   A^T = J A J (``boolmat._mirror``), and the product goes through OR
   tables of x^T (``boolmat._product``: 4-row tables below order 144,
   8-row ones from it on);
-* from order 32 on (below it, row selection on a few rows costs less
-  than packing), a Toeplitz A = T_n<S;T> steps by its offsets on its
-  rows packed into one integer (``boolmat._ShiftKernel``): x -> x A is
+* from the crossover order on (below it, row selection on a few rows
+  costs less than packing), a Toeplitz A = T_n<S;T> steps by its offsets
+  on its rows packed into one integer (``boolmat._ShiftKernel``): x -> x A is
   |S| + |T| shifts and B -> A B A^T twice that.  The offsets come from
   the caller's ToeplitzSpec when it has one, else from A's rows, and
   also give A's columns to ``power_period``.  One cost rule,
@@ -56,9 +61,7 @@ stepping through the powers:
   the first time something reads it: packed integers compare and hash
   as the matrices do, so only a product, a gram, A^M and the powers the
   walk yields unpack.  The squares A^(2^k) are products where no shift
-  step made them first (see ``_Lift.power``).  Over T_n<1;n-2,n-1> at
-  n = 48, 64 and 80 that is 8 gram products and 63 packs, and the traced
-  peak of ``analyze`` on T_256<1;254,255> is 0.90 MiB.
+  step made them first (see ``_Lift.power``).
 
 Heap-Lynn is the only bound on the search, and it is asserted; the
 sweep and the tests hold the index, period and exact verdict to
@@ -79,6 +82,7 @@ from .boolmat import (
     BoolMatrix,
     Offsets,
     PowerSequence,
+    _CROSSOVER_ORDER,
     _check_powers,
     _mirror,
     _power_product,
@@ -128,53 +132,39 @@ class _Lift:
     read from A otherwise, and are None for a matrix that is not Toeplitz.
     The grams transpose A's powers by ``boolmat._mirror`` when A is Toeplitz,
     else by ``BoolMatrix.transpose``.  shifts is A's shift kernel
-    (boolmat._shift_kernel), None below order 32 and without offsets.  One
-    memo: ``_rows[m]`` holds A^m as a BoolMatrix when a product made it,
-    ``_packed[m]`` as an int when shift steps did, and ``rows(m)`` and
-    ``packed(m)`` make the other form at most once, the first time something
-    reads it.  One maker: ``step(m, e)`` makes A^(m+e) from A^m, by e steps
-    of shifts wherever the kernel's cost rule takes them.  From order 32 on,
-    each level of the index search and of the competition descent lets go of
-    the powers that no later level reads (``_drop``); after the search the
-    squares A^(2^k), as rows, and A^index stay.
+    (boolmat._shift_kernel), None below the crossover order and without
+    offsets.  One memo: ``_rows[m]`` holds A^m as a BoolMatrix when a product
+    made it, ``_packed[m]`` as an int when shift steps did, and ``rows(m)``
+    and ``packed(m)`` make the other form at most once, the first time
+    something reads it; ``_b[m]`` holds B_m, made by the competition descent.
+    One maker: ``step(m, e)`` makes A^(m+e) from A^m, by e steps of shifts
+    wherever the kernel's cost rule takes them.  One descent, ``least``, and
+    one lifetime rule, ``_drop``: from the crossover order on, each level of
+    the gallop and of the descents lets go of every A^m and B_m but the
+    squares A^(2^k), the two ends of the bracket and what the caller keeps;
+    below it nothing is let go.
     """
 
     def __init__(self, a: BoolMatrix, offsets: Optional[Offsets] = None):
         if offsets is None:
             offsets = _toeplitz_offsets(a)
-        self.a, self._rows, self._packed = a, {1: a}, {}
+        self.a, self._rows, self._packed, self._b = a, {1: a}, {}, {}
         self.transpose = BoolMatrix.transpose if offsets is None else _mirror
         self.shifts = _shift_kernel(a.n, offsets)
-        # below order 32 a power is a few small ints, cheaper to hold than to
-        # let go level by level
-        self._drops = a.n >= 32
         self.period = p = power_period(a, offsets)
         bound = (a.n - 1) ** 2 + 1  # Heap and Lynn (1964): the index is at most this
         test = lambda m: self._same(m, self.step(m, p))  # A^m = A^(m+p)
         failed = TheoremViolationError(f"A^m = A^(m+{p}) holds for no m <= {bound}")
-        # what a later level reads besides the squares and A^m itself: A^p, and
-        # A^(m+p) when p is a power of two, which a level makes as A^m A^(2^j)
-        reread = lambda m: (p, m + p) if p & (p - 1) == 0 else (p,)
         k = 0  # gallop to the bracket (2^(k-1), 2^k] of the index
         while not test(self.power(1 << k)):
             if 1 << k >= bound:
                 raise failed
-            if self._drops:
-                self._drop(1 << k, *reread(1 << k))
+            self._drop(1 << k, p)
             k += 1
         top = 1 << k
         if p == 1:  # the cycle is A^top alone (see the module docstring)
             test = lambda m: self._same(m, top)
-        bracket = [top >> 1, top]  # the failing m and the best m
-
-        def level(m: int) -> bool:
-            """test(m), letting go of what no later level reads."""
-            passed = test(m)
-            bracket[passed] = m
-            self._drop(top, *bracket, *reread(bracket[0]))
-            return passed
-
-        self.index = self.least(level if self._drops else test, top >> 1, top)
+        self.index = self.least(lambda m, j: test(self.step(m, 1 << j)), top >> 1, top, (top, p))
         if self.index > bound:
             raise failed
         self._drop(self.index)
@@ -182,12 +172,17 @@ class _Lift:
             raise TheoremViolationError(f"period {p} of the components is not least")
 
     def _drop(self, *keep: int) -> None:
-        """Let go of every power held but the squares A^(2^k) and A^m for m in
-        keep, and of the packed form of a square not in keep held as rows."""
+        """From the crossover order on, let go of every A^m and B_m held but
+        the squares A^(2^k) and those for m in keep, and of the packed form
+        of a square not in keep held as rows."""
+        if self.a.n < _CROSSOVER_ORDER:
+            return
         for m in [m for m in self._rows if m & (m - 1) and m not in keep]:
             del self._rows[m]
         for m in [m for m in self._packed if m not in keep and (m & (m - 1) or m in self._rows)]:
             del self._packed[m]
+        for m in [m for m in self._b if m not in keep]:
+            del self._b[m]
 
     def rows(self, m: int) -> BoolMatrix:
         """A^m as rows, unpacked at most once."""
@@ -211,12 +206,7 @@ class _Lift:
     def power(self, e: int) -> int:
         """e, once A^e (e >= 1) is held.  A^(2^k) is made as the product of
         two A^(2^(k-1)), any other A^e by a step from A^(e - 2^k), 2^k the top
-        bit of e: from the squares of its bits, ascending.  Squares by shifts
-        wait for the benchmark to stop keeping every answer (ROADMAP item 1):
-        over 8 alternating paced pairs they cut analyze-random's p50 latency by
-        38-42% and its wall_s by 22-28%, but the faster runs made 62-81 passes
-        instead of 45-51, kept about 50 KB of answers for each, and read a
-        peak RSS 0.6-7.0% higher, beyond the 5% bound in 4 of the 8 pairs."""
+        bit of e: from the squares of its bits, ascending."""
         if e not in self._rows and e not in self._packed:
             top = 1 << (e.bit_length() - 1)
             if e == top:
@@ -247,74 +237,65 @@ class _Lift:
         """A^index, A^(index+1), ..., each made when asked for."""
         return map(self.rows, accumulate(repeat(1), self.step, initial=self.index))
 
-    def least(
-        self,
-        test: Callable[[int], bool],
-        lo: int,
-        hi: int,
-        advance: Optional[Callable[[int, int], object]] = None,
-    ) -> int:
-        """The least m in (lo, hi] with test(m), where test fails exactly below
-        some m, fails at lo and holds at hi.  advance(m, j) makes what
-        test(m + 2^j) reads, A^(m+2^j) by ``step`` unless given.  One test per
-        bit of hi - lo - 1, from the top: the failing m goes up by 2^j
-        whenever the test fails there."""
-        advance = advance or (lambda m, j: self.step(m, 1 << j))
+    def least(self, probe: Callable[[int, int], bool], lo: int, hi: int, keep: tuple[int, ...]) -> int:
+        """The least m in (lo, hi] where a test holds that fails exactly below
+        some m, fails at lo and holds at hi.  probe(m, j) makes what the test
+        reads at m + 2^j from the failing m and tests it there.  One probe per
+        bit of hi - lo - 1, from the top: the failing m goes up by 2^j whenever
+        the probe fails.  After each, ``_drop`` keeps the failing m, the best
+        m and keep."""
         m, best = lo, hi
         for j in reversed(range((hi - lo - 1).bit_length())):
             if m + (1 << j) < hi:
-                advance(m, j)
-                if test(m + (1 << j)):
+                if probe(m, j):
                     best = m + (1 << j)
                 else:
                     m += 1 << j
+                self._drop(m, best, *keep)
         return best
 
     def competition(self) -> "CompetitionResult":
         """B_m = A^m (A^m)^T; its cycle is B_M, B_(M+1), ... up to the return to B_M,
         walked by B -> A B A^T on packed rows where the cost rule takes one step
         of it, else as the grams of walk().  Its members' first rows refute the
-        descent's gram levels (``advance``)."""
+        descent's gram levels (``probe``)."""
         shifts = self.shifts if self.shifts and self.shifts.cheaper(1, conjugate=True) else None
         limit = _gram(self.rows(self.index), self.transpose)  # B_M, B_q on a cycle of one
         if shifts is None:
             b_index, later = limit, map(_gram, islice(self.walk(), 1, None), repeat(self.transpose))
         else:
+            self._b[0] = shifts.pack(BoolMatrix.identity(self.a.n))
             b_index = shifts.pack(limit)
             later = islice(accumulate(repeat(1), shifts.conjugate, initial=b_index), 1, None)
         cycle = {b_index, *takewhile(b_index.__ne__, islice(later, self.period - 1))}
         period = len(cycle)
         first_rows = {shifts.first_row(x) for x in cycle} if shifts else {x.rows[0] for x in cycle}
-        b = {0: shifts.pack(BoolMatrix.identity(self.a.n))} if shifts else {}  # B_m by m
-        kept = {*self._rows, *self._packed}  # the index search's, which the walk reads
 
         def gram(m: int) -> object:
             """B_m, the gram of A^m, packed when the kernel steps."""
             x = _gram(self.rows(m), self.transpose)
             return shifts.pack(x) if shifts else x
 
-        def advance(m: int, j: int) -> None:
-            """B_(m+2^j), once the powers and grams that no later level reads
-            (all but A^m and B_m, m failing) are let go from order 32 on: 2^j
-            steps of the map
-            from B_m where the kernel's cost rule takes them, else the gram of
+        def probe(m: int, j: int) -> bool:
+            """Whether B_(m+2^j) is on the cycle: 2^j steps of the map from B_m
+            where the kernel's cost rule takes them, else the gram of
             A^(m+2^j), made only when its row 1 is row 1 of a member of the
             cycle, since B_m on the cycle is B_m equal to a member.  The shifted
             levels are, as 2^j falls, the last, so A^m is not made on them, and
             B_m of a refuted level is made only when the first of them steps
             from it."""
-            if self._drops:
-                self._drop(m, *kept)
-                for e in [e for e in b if e != m]:
-                    del b[e]
             if shifts and shifts.cheaper(1 << j, conjugate=True):
-                b[m + (1 << j)] = shifts.conjugate(b[m] if m in b else gram(m), 1 << j)
+                b = shifts.conjugate(self._b[m] if m in self._b else gram(m), 1 << j)
+            elif _gram_row(self.rows(self.step(m, 1 << j))) in first_rows:
+                b = gram(m + (1 << j))
             else:
-                x = self.rows(self.step(m, 1 << j))
-                if _gram_row(x) in first_rows:
-                    b[m + (1 << j)] = gram(m + (1 << j))
+                return False
+            self._b[m + (1 << j)] = b
+            return b in cycle
 
-        index = self.least(lambda m: m in b and b[m] in cycle, 0, self.index, advance)
+        # the exact decision's walk reads again the A^M, ..., A^(M+p-1) that
+        # the minimality check and the cycle made
+        index = self.least(probe, 0, self.index, tuple(range(self.index, self.index + self.period)))
         return CompetitionResult(index, period, limit if period == 1 else None)
 
 

@@ -30,7 +30,7 @@ from toeplitz_periods.engine import (
     matrix_period,
     predicted_limit,
 )
-from toeplitz_periods.oracle import enumerate_specs
+from toeplitz_periods.oracle import SweepConfig, enumerate_specs, run_sweep
 from toeplitz_periods.toeplitz import Rule, Verdict, check_star, gcd_profile
 from toeplitz_periods.walksets import p_set, r_set
 
@@ -196,22 +196,25 @@ def test_descent_finds_every_threshold_within_one_test_per_bit():
     # N^m of the order-70 shift matrix has 70 - m ones, so "count <= 70 - t"
     # fails exactly below m = t; lo is 0 or the bracket the index gallop
     # leaves, the largest power of two below t; the descent takes and returns
-    # exponents, and its steps keep each power N^m under m, which N = T_70<1;>
-    # makes packed on the last levels, read as rows here
+    # exponents, and each probe steps from the failing m to N^(m+2^j), which
+    # N = T_70<1;> makes packed on the last levels and is read as rows here.
+    # Each level lets go of what the next does not read, so each power is
+    # checked against N^m when it is probed
     a = BoolMatrix([1 << (i + 1) for i in range(69)] + [0])
-    lift = _Lift(a)
+    lift, powers = _Lift(a), {m: a.power(m) for m in range(1, 65)}
     for hi in range(1, 65):
         for t in range(1, hi + 1):
             for lo in {0, 1 << (t - 1).bit_length() >> 1}:
-                tests = []
+                probed = []
 
-                def test(m):
-                    tests.append(m)
-                    return lift.rows(m).count() <= 70 - t
+                def probe(m, j):
+                    x = lift.rows(lift.step(m, 1 << j))
+                    probed.append(m + (1 << j))
+                    assert x == powers[m + (1 << j)], (lo, t, hi, m, j)
+                    return x.count() <= 70 - t
 
-                assert lift.least(test, lo, hi) == t, (lo, t, hi)
-                assert len(tests) <= (hi - lo - 1).bit_length(), (lo, t, hi)
-    assert all(lift.rows(m) == a.power(m) for m in range(1, 65))
+                assert lift.least(probe, lo, hi, ()) == t, (lo, t, hi)
+                assert len(probed) <= (hi - lo - 1).bit_length(), (lo, t, hi)
 
 
 def test_competition_search_makes_one_gram_per_bit_of_the_index(monkeypatch):
@@ -267,6 +270,60 @@ def test_an_analyze_worst_pass_makes_8_gram_products_and_63_packs(monkeypatch):
     for n in (48, 64, 80):
         analyze(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
     assert counts == {"_product": 8, "_gram": 20, "pack": 63}
+
+
+def test_the_sweep_makes_6821_power_products_and_1322_gram_products(monkeypatch):
+    # a count, not a time, over the sweep-exhaustive workload's orders 2..6:
+    # below order 32 the lift lets no power go, so none is made twice
+    counts = Counter()
+    for owner, name, key in (
+        (boolmat, "_product", "power"),
+        (engine, "_product", "gram"),
+        (engine, "_gram", "_gram"),
+    ):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, fn=fn, key=key: counts.update([key]) or fn(*a))
+    run_sweep(SweepConfig(2, 6))
+    assert counts == {"power": 6821, "gram": 1322, "_gram": 3558}
+
+
+@pytest.mark.parametrize(
+    "text", ["n=128;S=1;T=126,127", "n=96;S=64,70,82;T=5", "n=160;S=10,36;T=16"]
+)
+def test_each_level_holds_only_the_squares_the_bracket_and_keep(monkeypatch, text):
+    # the one lifetime rule, from order 32 on: after every level of the index
+    # descent and of the competition descent the lift holds A^m only for the
+    # squares, the failing m, the best m and the caller's keep, and B_m only
+    # for the last three (periods 1, 3 and 13 here)
+    least, levels = _Lift.least, []
+
+    def checked(lift, probe, lo, hi, keep):
+        bracket, levels_here = [lo, hi], []
+
+        def assert_held():
+            within = {*bracket, *keep}
+            powers = {*lift._rows, *lift._packed}
+            assert {e for e in powers if e & (e - 1)} <= within, (text, bracket)
+            assert set(lift._b) <= within, (text, bracket)
+
+        def level(m, j):
+            assert m == bracket[0]
+            if levels_here:
+                assert_held()
+            passed = probe(m, j)
+            bracket[passed] = m + (1 << j)
+            levels_here.append(m + (1 << j))
+            return passed
+
+        best = least(lift, level, lo, hi, keep)
+        assert best == bracket[1]
+        assert_held()
+        levels.append(len(levels_here))
+        return best
+
+    monkeypatch.setattr(_Lift, "least", checked)
+    analyze(ToeplitzSpec.from_string(text))
+    assert len(levels) == 2 and all(levels), levels
 
 
 def test_analysis_unpacks_only_for_grams_and_the_index_power(monkeypatch):
@@ -528,6 +585,7 @@ class _Memo(dict):
 @pytest.mark.parametrize(
     "text, remade",
     [
+        ("n=4;S=1;T=1", set()),  # below order 32 nothing is let go
         ("n=128;S=1;T=126,127", set()),
         ("n=121;S=83,85;T=46,102,118", set()),  # the first analyze-random draw of seed 1
         # the walk of the exact decision reads A^(M+1) again after the drop
@@ -541,7 +599,7 @@ class _Memo(dict):
 )
 def test_analysis_makes_each_power_once_but_for_what_the_drop_let_go(monkeypatch, text, remade):
     # each A^m is made once and kept under m; the one way to make it again is
-    # the drop after the index search, which keeps only the squares and A^M
+    # a drop (from order 32 on), after the index search or a level of a descent
     log = []
 
     def memo_setattr(lift, name, value):

@@ -143,6 +143,23 @@ def test_every_private_helper_in_src_is_referenced():
     assert sorted(where for name, where in defined.items() if name not in used) == []
 
 
+def test_the_crossover_order_is_compared_by_its_name_alone():
+    # the order from which the shift kernel, the OR tables and the lift's
+    # drops take over is boolmat._CROSSOVER_ORDER; a literal 32 compared
+    # anywhere in src/ would let one of them drift from the others
+    assert toeplitz_periods.boolmat._CROSSOVER_ORDER == 32
+    literal = []
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                literal += [
+                    f"{path.relative_to(ROOT)}:{const.lineno}"
+                    for const in ast.walk(node)
+                    if isinstance(const, ast.Constant) and type(const.value) is int and const.value == 32
+                ]
+    assert literal == []
+
+
 def _public_definitions(tree: ast.Module, module: str):
     """(module.[Class.]name, name) for every public module-level function or class
     and every public method of a module-level class."""
