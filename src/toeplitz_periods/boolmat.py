@@ -12,7 +12,7 @@ free during cycle detection.
 from __future__ import annotations
 
 from operator import or_
-from typing import Callable, Iterable, Iterator, TYPE_CHECKING
+from typing import Iterable, Iterator, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .toeplitz import ToeplitzSpec
@@ -246,12 +246,10 @@ class _ShiftKernel:
         less than the product they stand for, whose sparser factor has ones
         ones (None: a dense one).  A step is c = |S| + |T| shifts, 2c for
         A X A^T; a shift costs about n / 8 row selections, and a product about
-        n + ones of them, at most n^2 / 8, the tables' cost: counting a lookup
-        and OR as half a row selection, the 4-row tables ``_product`` takes
-        below order 144 cost n^2 / 8 + 2n, and the 8-row ones n^2 / 16 + 16n,
-        both within 1.5 times n^2 / 8 where they are used.  So the steps are
-        taken when e c n <= min(8 (n + ones), n^2): e c <= n against a dense
-        factor, fewer steps against a sparse one."""
+        n + ones of them, at most n^2 / 8, the tables' cost (derived at
+        ``_product``).  So the steps are taken when e c n <= min(8 (n + ones),
+        n^2): e c <= n against a dense factor, fewer steps against a sparse
+        one."""
         n = self.n
         product = n * n if ones is None else min(8 * (n + ones), n * n)
         return (e * self._cost << conjugate) * n <= product
@@ -285,53 +283,37 @@ def _shift_kernel(n: int, offsets: Offsets | None) -> _ShiftKernel | None:
 _NIBBLES = tuple(bytes(b >> s & 15 for b in range(256)) for s in (0, 4))
 
 
-def _right_multiplier(m: BoolMatrix, width: int = 8) -> Callable[[BoolMatrix], BoolMatrix]:
-    """Function computing X @ m for the fixed right factor m, through OR tables
-    of 2^width entries per width rows of m, width 4 or 8: a product is
-    n * ceil(n/width) lookups, one pass over field c of all X's rows per
-    table, regardless of density, after 2^width * ceil(n/width) ORs to build
-    the tables.  ``_dense`` says when they beat row selection.
-    """
-    nbytes = (m.n + 7) // 8
+def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatrix:
+    """x @ y, the one product through OR tables: 2^w entries per w rows of y,
+    w = 4 below order 144 and 8 from it on, read in one pass over field c of
+    all x's rows per table.  Counting a lookup and OR as half a row
+    selection, the 4-row tables cost n^2 / 8 + 2n (n^2 / 4 lookups, 4n ORs to
+    build) and the 8-row ones n^2 / 16 + 16n (n^2 / 8 and 32n), whatever the
+    density, both within 1.5 times n^2 / 8 where they are used; below order
+    144, building 8-row ones costs more than the lookups they save (measured
+    on dense random factors).  Row selection costs a step per 1 of x, so the
+    tables are taken when x is dense: from the crossover order on, with more
+    than n (16 + n/16) ones, the 8-row cost, a density of about 16/n + 1/16.
+    The 4-row tables win from a lower density (about 0.2 at n = 64), so
+    there the products between the two keep row selection.  ones = x.count()
+    when the caller has it."""
+    n = x.n
+    if n < _CROSSOVER_ORDER or (x.count() if ones is None else ones) <= n * (16 + n // 16):
+        return x @ y
+    width, nbytes = 4 if n < 144 else 8, (n + 7) // 8
     tables: list[list[int]] = []
-    for c in range(0, m.n, width):
+    for c in range(0, n, width):
         tab = [0]
-        for row in m.rows[c : c + width]:
+        for row in y.rows[c : c + width]:
             tab += [v | row for v in tab]
         tables.append(tab)
-
-    def apply(x: BoolMatrix) -> BoolMatrix:
-        data = b"".join([r.to_bytes(nbytes, "little") for r in x.rows])
-        pieces = [data] if width == 8 else [data.translate(f) for f in _NIBBLES]
-        fields = [piece[c::nbytes] for c in range(nbytes) for piece in pieces]
-        out = list(map(tables[0].__getitem__, fields[0]))
-        for tab, field in zip(tables[1:], fields[1:]):
-            out = list(map(or_, out, map(tab.__getitem__, field)))
-        return BoolMatrix(out)
-
-    return apply
-
-
-def _dense(x: BoolMatrix, ones: int | None = None) -> bool:
-    """Whether the tables of a right factor beat row selection by x, which
-    costs a step per 1 of x: from the crossover order on, at a density of
-    about 16/n + 1/16, derived for 8-row tables (32n ORs to build, n^2 / 8
-    lookups, a lookup and OR costing half a step).  The 4-row tables below
-    order 144 win from a lower density (about 0.2 at n = 64), so there the
-    products between the two keep row selection.  ones = x.count() when the
-    caller has it."""
-    n = x.n
-    return n >= _CROSSOVER_ORDER and (x.count() if ones is None else ones) > n * (16 + n // 16)
-
-
-def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatrix:
-    """x @ y, through y's tables when x is ``_dense``: 4-row tables below
-    order 144, where building 8-row ones costs more than the lookups they
-    save (measured on dense random factors), 8-row tables from it on.
-    ones = x.count() when the caller has it."""
-    if not _dense(x, ones):
-        return x @ y
-    return _right_multiplier(y, 4 if x.n < 144 else 8)(x)
+    data = b"".join([r.to_bytes(nbytes, "little") for r in x.rows])
+    pieces = [data] if width == 8 else [data.translate(f) for f in _NIBBLES]
+    fields = [piece[c::nbytes] for c in range(nbytes) for piece in pieces]
+    out = list(map(tables[0].__getitem__, fields[0]))
+    for tab, field in zip(tables[1:], fields[1:]):
+        out = list(map(or_, out, map(tab.__getitem__, field)))
+    return BoolMatrix(out)
 
 
 def _power_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
@@ -354,16 +336,13 @@ class PowerSequence:
     (``cycle()``).  A finite matrix has finitely many powers, so the
     scan always ends.  Later exponents fold into the cycle.
 
-    Powers of one matrix commute, so base^(m+1) = base base^m exactly:
-    base goes left, where row selection costs one OR per 1 of it rather
-    than per 1 of the denser power, unless base is ``_dense``, when the
-    right factor's fixed tables are cheaper; they are 8-row tables, built
-    once for every step.  The side is chosen once.
+    Each step is base^(m+1) = base base^m (powers of one matrix commute) by
+    row selection alone, one OR per 1 of base whatever its density, so the
+    scan, the ground truth that the lift is held to, reads no OR table.
     """
 
     def __init__(self, base: BoolMatrix):
         self._base = base
-        self._step = _right_multiplier(base, 8) if _dense(base) else base.__matmul__
         self._pows: list[BoolMatrix] = [BoolMatrix.identity(base.n), base]
         self._first: dict[BoolMatrix, int] = {base: 1}
         self._cycle: tuple[int, int] | None = None
@@ -373,7 +352,7 @@ class PowerSequence:
         return self._base
 
     def _advance(self) -> None:
-        nxt = self._step(self._pows[-1])
+        nxt = self._base @ self._pows[-1]
         m = len(self._pows)
         seen = self._first.get(nxt)
         if seen is not None:

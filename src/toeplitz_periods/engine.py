@@ -269,7 +269,10 @@ class _Lift:
             later = islice(accumulate(repeat(1), shifts.conjugate, initial=b_index), 1, None)
         cycle = {b_index, *takewhile(b_index.__ne__, islice(later, self.period - 1))}
         period = len(cycle)
-        first_rows = {shifts.first_row(x) for x in cycle} if shifts else {x.rows[0] for x in cycle}
+        if shifts:
+            first_rows = {shifts.first_row(x) for x in cycle}
+        else:  # rows[:1], as order 0 has no row 1 (and its descent no level)
+            first_rows = {r for x in cycle for r in x.rows[:1]}
 
         def gram(m: int) -> object:
             """B_m, the gram of A^m, packed when the kernel steps."""

@@ -313,12 +313,16 @@ def _check_competition_limit(sw, spec, powers, an) -> list[Result]:
 
 
 def _check_competition_divisibility(sw, spec, powers, an) -> list[Result]:
-    """Record specs whose competition period does not divide the matrix period."""
+    """The competition period c divides the matrix period p, a theorem, so a
+    finding is an engine fault.  From the index M on, A^(m+p) = A^m, so
+    B_(m+p) = A^(m+p) (A^(m+p))^T = A^m (A^m)^T = B_m: p is an eventual
+    period of B.  The least eventual period c divides every eventual period,
+    since g = gcd(c, p) = u c - v p with u, v >= 0 is one too: for m late
+    enough, B_(m+g) = B_(m+g+vp) = B_(m+uc) = B_m.  So c <= g, g | c, g = c."""
     if an.matrix_period % an.competition_period == 0:
         return []
-    want = f"no claim; matrix period {an.matrix_period}"
-    got = f"competition period {an.competition_period} does not divide it"
-    return [(spec, want, got, OBSERVATION)]
+    want = f"competition period divides matrix period {an.matrix_period}"
+    return [(spec, want, f"competition period {an.competition_period}", VIOLATION)]
 
 
 def _check_certificate_soundness(sw, spec, powers, an) -> list[Result]:

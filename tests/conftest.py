@@ -8,6 +8,7 @@ against an independent formulation, not against itself.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 import pytest
 from hypothesis import settings
@@ -96,6 +97,14 @@ def naive_competition_sequence(
     return out
 
 
+@cache
+def scanned_cycle(a: BoolMatrix) -> tuple[int, int]:
+    """(index, period) of a's powers by the linear scan, once per matrix in a
+    session.  The pair is kept, never the PowerSequence: one scan of
+    T_64<1;62,63> holds 10.9 MiB of powers."""
+    return PowerSequence(a).cycle()
+
+
 def scanned_competition(a: BoolMatrix) -> tuple[int, int, BoolMatrix | None]:
     """(index, period, limit) of B_m = A^m (A^T)^m by a linear scan.
 
@@ -111,7 +120,7 @@ def scanned_competition(a: BoolMatrix) -> tuple[int, int, BoolMatrix | None]:
         first[b] = len(first) + 1
         b = a @ b @ at
     index, closed = first[b], len(first) + 1
-    assert closed <= sum(PowerSequence(a).cycle()), "B closed after index + period of A"
+    assert closed <= sum(scanned_cycle(a)), "B closed after index + period of A"
     period = closed - index
     return index, period, b if period == 1 else None
 

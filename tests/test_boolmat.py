@@ -11,10 +11,8 @@ from toeplitz_periods import (
     from_toeplitz,
 )
 from toeplitz_periods.boolmat import (
-    _dense,
     _mirror,
     _product,
-    _right_multiplier,
     _shift_kernel,
     _ShiftKernel,
     _toeplitz_offsets,
@@ -164,13 +162,16 @@ def test_mirror_is_not_the_transpose_of_a_matrix_that_is_not_persymmetric():
 @PROPERTY
 @given(st.data())
 def test_product_kernels_match_naive(data):
-    # row selection, the 8-bit table kernel (from order 32 on) and the
-    # density-based choice between them, on orders around that threshold
+    # row selection and _product's density-based choice of y's 4-row tables
+    # (from order 32 on), on orders around that threshold; x | z, of density
+    # about 0.75, clears the density rule from order 32 on, x, of density
+    # about 0.5, from about order 36
     n = data.draw(st.integers(24, 40))
-    x, y = _matrix(data, n), _matrix(data, n)
-    want = naive_multiply(naive_from_boolmat(x), naive_from_boolmat(y))
-    for got in (x @ y, _right_multiplier(y)(x), _product(x, y)):
-        assert naive_from_boolmat(got) == want
+    x, y, z = _matrix(data, n), _matrix(data, n), _matrix(data, n)
+    for left in (x, BoolMatrix(map(int.__or__, x.rows, z.rows))):
+        want = naive_multiply(naive_from_boolmat(left), naive_from_boolmat(y))
+        for got in (left @ y, _product(left, y)):
+            assert naive_from_boolmat(got) == want
 
 
 def test_transpose_product_law(rng):
@@ -258,35 +259,43 @@ def test_from_toeplitz_empty_sides():
 
 
 # --------------------------------------------------------------------------
-# fixed-right-factor multiplier (both code paths) and row selectors
+# OR tables of a fixed right factor, through _product, and row selection
 # --------------------------------------------------------------------------
 
 
+def _tables_only(monkeypatch, x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
+    """_product(x, y) with row selection disabled, so only y's tables can make it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(BoolMatrix, "__matmul__", lambda *_: pytest.fail("row selection"))
+        return _product(x, y)
+
+
 @pytest.mark.parametrize("n", [5, 31, 32, 40, 100])
-def test_right_multiplier_agrees_with_matmul(n, rng):
+def test_right_multiplier_agrees_with_matmul(n, rng, monkeypatch):
+    # left factors of density 0.75: row selection below order 32, the right
+    # factor's 4-row tables from it on
     m = random_boolmat(rng, n)
-    apply_m = _right_multiplier(m)
     for _ in range(5):
-        x = random_boolmat(rng, n)
-        assert apply_m(x) == x @ m
+        x = random_boolmat(rng, n, 0.75)
+        want = x @ m
+        assert (_tables_only(monkeypatch, x, m) if n >= 32 else _product(x, m)) == want
 
 
 @pytest.mark.parametrize(
     "orders", [range(32, 71), range(127, 130), range(159, 162), range(255, 258)], ids=str
 )
-def test_right_multiplier_at_both_widths_equals_matmul(orders, rng):
-    # 16-entry tables per 4 rows read each byte as two nibbles, 256-entry
-    # tables per 8 rows read it whole; orders on both sides of a multiple of
-    # 4 and 8 leave a short last table, and the crossover to 8-row tables
-    # lies between 127 and 161
+def test_right_multiplier_at_both_widths_equals_matmul(orders, rng, monkeypatch):
+    # _product reads each byte as two nibbles into 16-entry tables per 4 rows
+    # below order 144 and whole into 256-entry tables per 8 rows from it on;
+    # orders on both sides of a multiple of 4 and 8 leave a short last table.
+    # The left factors, all ones and random at density 0.8, clear the
+    # density rule, so the tables make every product
     for n in orders:
         special = [BoolMatrix.zeros(n), BoolMatrix.identity(n), BoolMatrix.ones(n)]
-        x, y = random_boolmat(rng, n, 0.5), random_boolmat(rng, n, 0.5)
-        pairs = [(x, m) for m in (*special, y)] + [(m, y) for m in special]
-        for width in (4, 8):
-            for left, right in pairs:
-                assert _right_multiplier(right, width)(left) == left @ right, (n, width)
-        assert _product(x, y) == x @ y
+        lefts = [BoolMatrix.ones(n), random_boolmat(rng, n, 0.8)]
+        for right in (*special, random_boolmat(rng, n, 0.5)):
+            for left in lefts:
+                assert _tables_only(monkeypatch, left, right) == left @ right, n
 
 
 # --------------------------------------------------------------------------
@@ -412,28 +421,42 @@ def test_scan_matches_squaring_on_every_small_descriptor():
 
 
 def test_scan_matches_squaring_on_the_worst_index_at_order_64():
-    # every exponent: each scanned power is the right-table product of the one
-    # before, so by induction from A^1 it is A^m; BoolMatrix.power at all
-    # 3,970 would take seconds, so it is held to every 64th exponent
+    # every exponent: each scanned power, A A^(m-1), is A^(m-1) A, the product
+    # on the other side, so by induction from A^1 it is A^m; BoolMatrix.power
+    # at all 3,970 would take seconds, so it is held to every 64th exponent
     a = from_toeplitz(ToeplitzSpec(64, (1,), (62, 63)))
-    assert not _dense(a)
     assert scan_matches_squaring(a, every=64) == (63**2, 1)
-    ps, times_a = PowerSequence(a), _right_multiplier(a)
+    ps = PowerSequence(a)
     assert ps.power(1) == a
     for m in range(2, 63**2 + 2):
-        assert ps.power(m) == times_a(ps.power(m - 1)), m
+        assert ps.power(m) == ps.power(m - 1) @ a, m
 
 
 @pytest.mark.parametrize(
     "n, density, upper", [(40, 0.6, False), (64, 0.45, False), (40, 0.97, True), (64, 0.97, True)]
 )
 def test_scan_matches_squaring_on_a_dense_base(n, density, upper, rng):
-    # a dense base that is not Toeplitz keeps the right factor's tables.  A
-    # random one is all ones from its square on; one above the diagonal alone
-    # is nilpotent, so its scan runs through about n powers to the zero matrix
+    # a base that is not Toeplitz and dense enough for _product's tables is
+    # scanned by row selection all the same.  A random one is all ones from
+    # its square on; one above the diagonal alone is nilpotent, so its scan
+    # runs through about n powers to the zero matrix
     a = random_boolmat(rng, n, density)
     if upper:
         a = BoolMatrix(row & -(2 << i) for i, row in enumerate(a.rows))
-    assert _dense(a) and _toeplitz_offsets(a) is None
+    assert a.count() > n * (16 + n // 16) and _toeplitz_offsets(a) is None
     index, period = scan_matches_squaring(a)
     assert (index > n // 2) == upper
+
+
+@pytest.mark.parametrize("n", [40, 64])
+def test_scan_of_a_dense_base_makes_one_row_selection_per_step(n, rng, monkeypatch):
+    # the ground truth reads no OR table: each step is one BoolMatrix.__matmul__
+    # with the base on the left, however dense the base
+    a = random_boolmat(rng, n, 0.97)
+    a = BoolMatrix(row & -(2 << i) for i, row in enumerate(a.rows))
+    assert a.count() > n * (16 + n // 16) and _toeplitz_offsets(a) is None
+    lefts, matmul = [], BoolMatrix.__matmul__
+    monkeypatch.setattr(BoolMatrix, "__matmul__", lambda x, y: lefts.append(x) or matmul(x, y))
+    ps = PowerSequence(a)
+    index, period = ps.cycle()
+    assert index > n // 2 and lefts == [a] * (index + period - 1)

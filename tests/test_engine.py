@@ -45,6 +45,7 @@ from conftest import (
     naive_transpose,
     random_boolmat,
     scanned_competition,
+    scanned_cycle,
 )
 
 WORKED = ToeplitzSpec(6, (2, 4), (5,))
@@ -350,6 +351,11 @@ def test_analysis_unpacks_only_for_grams_and_the_index_power(monkeypatch):
 
 
 def test_competition_with_the_row_check_equals_the_scan_on_every_small_descriptor():
+    # and at orders 0 and 1, where the descent runs no level and reads no row
+    for n in (0, 1):
+        for a in (BoolMatrix.zeros(n), BoolMatrix.identity(n), BoolMatrix.ones(n)):
+            comp = competition_analysis(a)
+            assert (comp.index, comp.period, comp.limit) == scanned_competition(a), a
     for n in range(2, 7):
         for spec in enumerate_specs(n):
             a = from_toeplitz(spec)
@@ -394,7 +400,7 @@ def test_index_test_against_the_limit_equals_the_scan_on_the_worst_family():
     for n in range(32, 65):
         a = from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
         lift = _Lift(a)
-        assert (lift.index, lift.period) == PowerSequence(a).cycle() == ((n - 1) ** 2, 1), n
+        assert (lift.index, lift.period) == scanned_cycle(a) == ((n - 1) ** 2, 1), n
 
 
 def test_analysis_of_the_worst_family_at_order_256_peaks_below_one_mib():

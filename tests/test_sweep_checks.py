@@ -535,9 +535,10 @@ def test_competition_limit_reports_each_branch():
 
 
 def test_competition_divisibility_records_a_period_that_does_not_divide():
+    # c | p is a theorem, so a period that does not divide is a violation
     assert run_check("competition-divisibility", EVENS, competition_period=2) == [
-        "competition-divisibility\tn=6;S=2;T=4\tno claim; matrix period 3"
-        "\tcompetition period 2 does not divide it\tobservation"
+        "competition-divisibility\tn=6;S=2;T=4\tcompetition period divides matrix period 3"
+        "\tcompetition period 2\tviolation"
     ]
 
 
