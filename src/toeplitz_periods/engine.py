@@ -15,17 +15,17 @@ stepping through the powers:
   failing m);
 * A^m = A^(m+p) is such a test, so M, the least m where it holds, is
   found by galloping over A^(2^k) to the bracket (2^(k-1), 2^k] and
-  descending: O(log M) products.  When p = 1 the cycle is the one
-  matrix A^top, top = 2^k, and the descent tests A^m = A^top on held
-  powers instead of making A^(m+1): A^m = A^top with m < M would give
-  A^(m+1) = A^(top+1) = A^top = A^m, so m >= M.  One lifetime rule
-  holds for the powers and the B_m below: from the crossover order 32
-  on (``boolmat._CROSSOVER_ORDER``), each level of the gallop and of
-  either descent lets go of all but the squares A^(2^k), the two ends
-  of the bracket and what the caller keeps (``_Lift._drop``): A^top and
-  A^p here, and after the search the squares and A^M stay; below it
-  nothing is let go.  Heap and Lynn (1964) bound M by (n-1)^2 + 1; a
-  larger M raises TheoremViolationError;
+  descending: O(log M) products.  The powers from top = 2^k on are the
+  cycle A^top, ..., A^(top+p-1), each made once when first read and held;
+  A^m for m >= M is its member top + (m - top) mod p.  The descent tests
+  A^m against its member: A^m = A^(m+jp) with m < M would make the powers
+  from m on repeat with period jp, so A^m = A^(m+p).  The minimality
+  check and B_M read members, and the walk makes no power but members.
+  From the crossover order 32 on (``boolmat._CROSSOVER_ORDER``), each
+  level of the gallop and of either descent lets go of every A^m and the
+  B_m below but the squares A^(2^k), the cycle and the ends of the
+  bracket (``_Lift._drop``); below it nothing is let go.  Heap and Lynn
+  (1964) bound M by (n-1)^2 + 1; a larger M raises TheoremViolationError;
 * B_m = A^m (A^T)^m steps by X -> A X A^T and B_(M+p) = B_M, so the
   walk from B_M until it returns gives the cycle, of size the period c.
   The map keeps the cycle, so "B_m is on it", the same as B_m = B_(m+c),
@@ -50,18 +50,17 @@ stepping through the powers:
   ones being those of the product's sparser factor: e c <= n against a
   dense one, fewer steps against a sparse one.  So A^(m+e), priced by
   the ones of A^e, is e steps from A^m wherever the rule takes them: in
-  the period test, the minimality check, the walk from A^M and on the
-  low levels of the index descent.  B_m moves by 2^j steps of its map,
-  against a gram, on every level of the descent for q with
-  2^j * 2(|S| + |T|) <= n, and the cycle of B_M by single steps; since
-  2^j halves from level to level, these are the last levels, and no
-  A^m is made on them.
-  The lift holds a power as an int when shifts made it and as a
-  BoolMatrix when a product did, and makes the other form at most once,
-  the first time something reads it: packed integers compare and hash
-  as the matrices do, so only a product, a gram, A^M and the powers the
-  walk yields unpack.  The squares A^(2^k) are products where no shift
-  step made them first (see ``_Lift.power``).
+  the period test, for the members of the cycle and on the low levels
+  of the index descent.  B_m moves by 2^j steps of its map, against a
+  gram, on every level of the descent for q with 2^j * 2(|S| + |T|) <= n,
+  and the cycle of B_M by single steps; since 2^j halves from level to
+  level, these are the last levels, and no A^m is made on them.  The lift
+  holds a power as an int when shifts made it and as a BoolMatrix when a
+  product did, and makes the other form at most once, the first time
+  something reads it: packed integers compare and hash as the matrices
+  do, so only a product, a gram and the members the walk yields unpack.
+  The squares A^(2^k) are products where no shift step made them first
+  (see ``_Lift.power``).
 
 Heap-Lynn is the only bound on the search, and it is asserted; the
 sweep and the tests hold the index, period and exact verdict to
@@ -138,50 +137,54 @@ class _Lift:
     and ``packed(m)`` make the other form at most once, the first time
     something reads it; ``_b[m]`` holds B_m, made by the competition descent.
     One maker: ``step(m, e)`` makes A^(m+e) from A^m, by e steps of shifts
-    wherever the kernel's cost rule takes them.  One descent, ``least``, and
-    one lifetime rule, ``_drop``: from the crossover order on, each level of
-    the gallop and of the descents lets go of every A^m and B_m but the
-    squares A^(2^k), the two ends of the bracket and what the caller keeps;
-    below it nothing is let go.
+    wherever the kernel's cost rule takes them.  ``cycle`` holds top, ...,
+    top + p - 1, into which ``member(m)`` folds m >= index.  One descent,
+    ``least``, and one lifetime rule, ``_drop``.
     """
 
     def __init__(self, a: BoolMatrix, offsets: Optional[Offsets] = None):
         if offsets is None:
             offsets = _toeplitz_offsets(a)
-        self.a, self._rows, self._packed, self._b = a, {1: a}, {}, {}
+        self.a, self._rows, self._packed, self._b, self.cycle = a, {1: a}, {}, {}, range(0)
         self.transpose = BoolMatrix.transpose if offsets is None else _mirror
         self.shifts = _shift_kernel(a.n, offsets)
         self.period = p = power_period(a, offsets)
         bound = (a.n - 1) ** 2 + 1  # Heap and Lynn (1964): the index is at most this
-        test = lambda m: self._same(m, self.step(m, p))  # A^m = A^(m+p)
         failed = TheoremViolationError(f"A^m = A^(m+{p}) holds for no m <= {bound}")
         k = 0  # gallop to the bracket (2^(k-1), 2^k] of the index
-        while not test(self.power(1 << k)):
+        while not self._same(self.power(1 << k), self.step(1 << k, p)):
             if 1 << k >= bound:
                 raise failed
             self._drop(1 << k, p)
             k += 1
         top = 1 << k
-        if p == 1:  # the cycle is A^top alone (see the module docstring)
-            test = lambda m: self._same(m, top)
-        self.index = self.least(lambda m, j: test(self.step(m, 1 << j)), top >> 1, top, (top, p))
+        self.cycle = range(top, top + p)
+        probe = lambda m, j: self._same(self.step(m, 1 << j), self.member(m + (1 << j)))
+        self.index = self.least(probe, top >> 1, top)
         if self.index > bound:
             raise failed
-        self._drop(self.index)
-        if any(p % e == 0 and self._same(self.index, self.step(self.index, e)) for e in range(1, p)):
+        self._drop()
+        if any(p % e == 0 and self._same(top, self.member(top + e)) for e in range(1, p)):
             raise TheoremViolationError(f"period {p} of the components is not least")
 
-    def _drop(self, *keep: int) -> None:
-        """From the crossover order on, let go of every A^m and B_m held but
-        the squares A^(2^k) and those for m in keep, and of the packed form
-        of a square not in keep held as rows."""
+    def member(self, m: int) -> int:
+        """e = top + (m - top) mod p, the member A^m equals from the index on, made
+        when first read by a step from the member before it if held, else from A^top."""
+        e = self.cycle[(m - self.cycle.start) % len(self.cycle)]
+        before = e - 1 if e - 1 in self._rows or e - 1 in self._packed else self.cycle.start
+        return self.step(before, e - before)
+
+    def _drop(self, *ends: int) -> None:
+        """From the crossover order on, let go of every A^m and B_m but the squares,
+        the cycle and ends, and of the packed form of a square held as rows outside them."""
         if self.a.n < _CROSSOVER_ORDER:
             return
-        for m in [m for m in self._rows if m & (m - 1) and m not in keep]:
+        kept = lambda m: m in ends or m in self.cycle
+        for m in [m for m in self._rows if m & (m - 1) and not kept(m)]:
             del self._rows[m]
-        for m in [m for m in self._packed if m not in keep and (m & (m - 1) or m in self._rows)]:
+        for m in [m for m in self._packed if not kept(m) and (m & (m - 1) or m in self._rows)]:
             del self._packed[m]
-        for m in [m for m in self._b if m not in keep]:
+        for m in [m for m in self._b if not kept(m)]:
             del self._b[m]
 
     def rows(self, m: int) -> BoolMatrix:
@@ -234,16 +237,15 @@ class _Lift:
         return m + e
 
     def walk(self) -> Iterator[BoolMatrix]:
-        """A^index, A^(index+1), ..., each made when asked for."""
-        return map(self.rows, accumulate(repeat(1), self.step, initial=self.index))
+        """A^index, A^(index+1), ...: the members of the cycle they equal."""
+        return map(self.rows, map(self.member, count(self.index)))
 
-    def least(self, probe: Callable[[int, int], bool], lo: int, hi: int, keep: tuple[int, ...]) -> int:
+    def least(self, probe: Callable[[int, int], bool], lo: int, hi: int) -> int:
         """The least m in (lo, hi] where a test holds that fails exactly below
         some m, fails at lo and holds at hi.  probe(m, j) makes what the test
         reads at m + 2^j from the failing m and tests it there.  One probe per
         bit of hi - lo - 1, from the top: the failing m goes up by 2^j whenever
-        the probe fails.  After each, ``_drop`` keeps the failing m, the best
-        m and keep."""
+        the probe fails.  After each, ``_drop`` keeps the failing and best m."""
         m, best = lo, hi
         for j in reversed(range((hi - lo - 1).bit_length())):
             if m + (1 << j) < hi:
@@ -251,7 +253,7 @@ class _Lift:
                     best = m + (1 << j)
                 else:
                     m += 1 << j
-                self._drop(m, best, *keep)
+                self._drop(m, best)
         return best
 
     def competition(self) -> "CompetitionResult":
@@ -260,9 +262,9 @@ class _Lift:
         of it, else as the grams of walk().  Its members' first rows refute the
         descent's gram levels (``probe``)."""
         shifts = self.shifts if self.shifts and self.shifts.cheaper(1, conjugate=True) else None
-        limit = _gram(self.rows(self.index), self.transpose)  # B_M, B_q on a cycle of one
+        limit = _gram(next(powers := self.walk()), self.transpose)  # B_M, B_q on a cycle of one
         if shifts is None:
-            b_index, later = limit, map(_gram, islice(self.walk(), 1, None), repeat(self.transpose))
+            b_index, later = limit, map(_gram, powers, repeat(self.transpose))
         else:
             self._b[0] = shifts.pack(BoolMatrix.identity(self.a.n))
             b_index = shifts.pack(limit)
@@ -296,9 +298,7 @@ class _Lift:
             self._b[m + (1 << j)] = b
             return b in cycle
 
-        # the exact decision's walk reads again the A^M, ..., A^(M+p-1) that
-        # the minimality check and the cycle made
-        index = self.least(probe, 0, self.index, tuple(range(self.index, self.index + self.period)))
+        index = self.least(probe, 0, self.index)
         return CompetitionResult(index, period, limit if period == 1 else None)
 
 

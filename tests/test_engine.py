@@ -214,7 +214,7 @@ def test_descent_finds_every_threshold_within_one_test_per_bit():
                     assert x == powers[m + (1 << j)], (lo, t, hi, m, j)
                     return x.count() <= 70 - t
 
-                assert lift.least(probe, lo, hi, ()) == t, (lo, t, hi)
+                assert lift.least(probe, lo, hi) == t, (lo, t, hi)
                 assert len(probed) <= (hi - lo - 1).bit_length(), (lo, t, hi)
 
 
@@ -254,9 +254,10 @@ def test_a_refuted_level_makes_no_gram(monkeypatch):
         matched = [x for x in read if gram_row(x) == comp.limit.rows[0]]
         refuted = [x for x in read if gram_row(x) != comp.limit.rows[0]]
         assert matched and refuted, n
-        # grams of A^M, of the matched levels and, after every gram level, of
-        # the last refuted one: the failing m the first shifted level steps from
-        assert made == [lift.rows(lift.index), *matched, refuted[-1]], n
+        # grams of A^M (read as A^top, the member of the cycle it equals), of
+        # the matched levels and, after every gram level, of the last refuted
+        # one: the failing m the first shifted level steps from
+        assert made == [next(lift.walk()), *matched, refuted[-1]], n
 
 
 def test_an_analyze_worst_pass_makes_8_gram_products_and_63_packs(monkeypatch):
@@ -291,21 +292,22 @@ def test_the_sweep_makes_6821_power_products_and_1322_gram_products(monkeypatch)
 @pytest.mark.parametrize(
     "text", ["n=128;S=1;T=126,127", "n=96;S=64,70,82;T=5", "n=160;S=10,36;T=16"]
 )
-def test_each_level_holds_only_the_squares_the_bracket_and_keep(monkeypatch, text):
+def test_each_level_holds_only_the_squares_the_bracket_and_the_cycle(monkeypatch, text):
     # the one lifetime rule, from order 32 on: after every level of the index
     # descent and of the competition descent the lift holds A^m only for the
-    # squares, the failing m, the best m and the caller's keep, and B_m only
-    # for the last three (periods 1, 3 and 13 here)
+    # squares, the failing m, the best m and the members of the cycle
+    # A^top, ..., A^(top+p-1), and B_m only for the failing and the best m
+    # (periods 1, 3 and 13 here)
     least, levels = _Lift.least, []
 
-    def checked(lift, probe, lo, hi, keep):
+    def checked(lift, probe, lo, hi):
         bracket, levels_here = [lo, hi], []
 
         def assert_held():
-            within = {*bracket, *keep}
+            within = {*bracket, *lift.cycle}
             powers = {*lift._rows, *lift._packed}
             assert {e for e in powers if e & (e - 1)} <= within, (text, bracket)
-            assert set(lift._b) <= within, (text, bracket)
+            assert set(lift._b) <= set(bracket), (text, bracket)
 
         def level(m, j):
             assert m == bracket[0]
@@ -316,7 +318,7 @@ def test_each_level_holds_only_the_squares_the_bracket_and_keep(monkeypatch, tex
             levels_here.append(m + (1 << j))
             return passed
 
-        best = least(lift, level, lo, hi, keep)
+        best = least(lift, level, lo, hi)
         assert best == bracket[1]
         assert_held()
         levels.append(len(levels_here))
@@ -327,12 +329,12 @@ def test_each_level_holds_only_the_squares_the_bracket_and_keep(monkeypatch, tex
     assert len(levels) == 2 and all(levels), levels
 
 
-def test_analysis_unpacks_only_for_grams_and_the_index_power(monkeypatch):
+def test_analysis_unpacks_only_the_square_a_shift_step_made(monkeypatch):
     # T_128<1;126,127> steps by shifts; its powers stay packed except where
-    # rows are read: A^M, made by shifts on the last levels of the index
-    # descent and unpacked once for the gram B_M; and A^2, made by a shift
-    # step in the first period test and read as rows once for the square
-    # A^4.  The two grams that are not all ones mirror their rows, and
+    # rows are read.  The one unpack is A^2, made by a shift step in the
+    # first period test and read as rows once for the square A^4.  The gram
+    # B_M reads A^top, the one member of the cycle, which the squares made as
+    # rows.  The two grams that are not all ones mirror their rows, and
     # nothing runs the transpose
     calls = Counter()
     for owner, name in (
@@ -347,7 +349,7 @@ def test_analysis_unpacks_only_for_grams_and_the_index_power(monkeypatch):
     report = analyze(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
     assert (report.matrix_index, report.competition_index) == ((n - 1) ** 2, 8064)
     assert report.certificate.rule is Rule.STAR
-    assert calls == {"_gram": 4, "unpack": 2, "_mirror": 2}
+    assert calls == {"_gram": 4, "unpack": 1, "_mirror": 2}
 
 
 def test_competition_with_the_row_check_equals_the_scan_on_every_small_descriptor():
@@ -395,8 +397,8 @@ def test_row_check_against_a_cycle_of_several_members_equals_the_scan(monkeypatc
 
 
 def test_index_test_against_the_limit_equals_the_scan_on_the_worst_family():
-    # period 1: the index descent compares A^m with A^top, the gallop's 2^k,
-    # instead of stepping to A^(m+1)
+    # period 1: the index descent compares A^m with A^top, the gallop's 2^k
+    # and the one member of the cycle
     for n in range(32, 65):
         a = from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
         lift = _Lift(a)
@@ -433,9 +435,10 @@ def test_lifted_competition_equals_the_scan_above_order_32():
 
 
 def test_lifted_walk_and_exact_decision_equal_the_scan_above_order_32():
-    # from order 32 on the walk from A^M steps packed rows and unpacks each
-    # power; it and the verdict read from it are held to the scan.  Every
-    # other draw takes S = 1 and T = 2 mod 3, so that 3 divides the period
+    # from order 32 on the walk reads the members of the cycle, made by
+    # shifts, and unpacks each once; it and the verdict read from it are held
+    # to the scan.  Every other draw takes S = 1 and T = 2 mod 3, so that 3
+    # divides the period
     rng, checked, verdicts, periods = random.Random(20261019), 0, set(), set()
     while checked < 12:
         n, mod = rng.randint(32, 64), 3 if checked % 2 else 1
@@ -485,8 +488,8 @@ def cost_rule_cases(draw):
 def test_steps_and_products_agree_on_both_sides_of_the_cost_rule(case):
     # step(m, e) makes A^(m+e) by e steps of c = |S| + |T| shifts where the
     # kernel's rule takes them, at most n shifts and fewer when A^e is
-    # sparse, else by a product; either way it and "A^(M+e) = A^M" match the
-    # powers.  The lift's product may put A^e first, which only a power x
+    # sparse, else by a product; either way it and "A^(top+e) = A^top" match
+    # the powers.  The lift's product may put A^e first, which only a power x
     # allows, so a random x is held to the kernel's steps alone
     spec, e, x, packed = case
     a = from_toeplitz(spec)
@@ -506,8 +509,9 @@ def test_steps_and_products_agree_on_both_sides_of_the_cost_rule(case):
     else:
         x = random_boolmat(random.Random(x[1]), spec.n, x[2])
         assert lift.shifts.unpack(lift.shifts.times(lift.shifts.pack(x), e)) == x @ power
-    at_index = a.power(lift.index)
-    assert lift._same(lift.index, lift.step(lift.index, e)) == (at_index @ power == at_index)
+    top = lift.cycle.start
+    at_top = a.power(top)
+    assert lift._same(top, lift.step(top, e)) == (at_top @ power == at_top)
 
 
 def test_dense_offsets_take_products_where_shifts_cost_more():
@@ -532,22 +536,23 @@ def test_dense_offsets_take_products_where_shifts_cost_more():
 @pytest.mark.parametrize(
     "text, products, grams, rebuilt",
     [
-        ("n=128;S=1;T=126,127", 32, 4, 4),
+        ("n=128;S=1;T=126,127", 32, 4, 3),
         ("n=96;S=64,70,82;T=5", 18, 5, 7),  # period 3
         ("n=160;S=10,36;T=16", 5, 1, 2),  # period 13
-        ("n=48;S=1;T=46,47", 28, 8, 5),  # the analyze-worst orders
-        ("n=64;S=1;T=62,63", 27, 4, 4),
-        ("n=80;S=1;T=78,79", 31, 8, 5),
+        ("n=48;S=1;T=46,47", 28, 8, 4),  # the analyze-worst orders
+        ("n=64;S=1;T=62,63", 27, 4, 3),
+        ("n=80;S=1;T=78,79", 31, 8, 4),
     ],
 )
 def test_analysis_counts_products_grams_and_unpacks(monkeypatch, text, products, grams, rebuilt):
     # a count, not a time: x A^e steps by shifts on the levels of the index
-    # descent, in the period test and in the minimality check wherever the
-    # kernel's rule takes e steps; the squares and the higher levels multiply,
-    # and a power the lift holds is not made again.  Products are counted in
-    # both modules: boolmat's _power_product for powers, engine's _gram for
-    # grams.  rebuilt counts the rows made other than by a product: the
-    # powers unpacked from shift steps and the mirrors, one per gram product
+    # descent, in the period test and for the members of the cycle wherever
+    # the kernel's rule takes e steps; the squares and the higher levels
+    # multiply, and a power the lift holds is not made again.  Products are
+    # counted in both modules: boolmat's _power_product for powers, engine's
+    # _gram for grams.  rebuilt counts the rows made other than by a product:
+    # the powers unpacked from shift steps and the mirrors, one per gram
+    # product
     counts = {"power": 0, "gram": 0, "_gram": 0, "unpack": 0, "_mirror": 0}
     for owner, name, key in (
         (boolmat, "_product", "power"),
@@ -594,14 +599,16 @@ class _Memo(dict):
         ("n=4;S=1;T=1", set()),  # below order 32 nothing is let go
         ("n=128;S=1;T=126,127", set()),
         ("n=121;S=83,85;T=46,102,118", set()),  # the first analyze-random draw of seed 1
-        # the walk of the exact decision reads A^(M+1) again after the drop
-        ("n=99;S=6;T=27", {12}),
+        # period 11, top 16: the index descent reads A^12 and A^11 = A^p again
+        # after the gallop let them go, and A^3 again, for the A^7 of the
+        # step from A^16 to the member A^23 of its level at 12
+        ("n=99;S=6;T=27", {3, 11, 12}),
         # the competition descent's gram levels read A^(64+32) again: the
         # competition index q = 65 lies above 2^(k-1) = 64, so its descent
         # passes where the index descent did
         ("n=156;S=1,127;T=63,84", {96}),
     ],
-    ids=lambda value: value if isinstance(value, str) else ",".join(map(str, value)) or "none",
+    ids=lambda value: value if isinstance(value, str) else ",".join(map(str, sorted(value))) or "none",
 )
 def test_analysis_makes_each_power_once_but_for_what_the_drop_let_go(monkeypatch, text, remade):
     # each A^m is made once and kept under m; the one way to make it again is
@@ -629,16 +636,37 @@ def test_analysis_makes_each_power_once_but_for_what_the_drop_let_go(monkeypatch
 @pytest.mark.parametrize(
     "text", ["n=128;S=1;T=126,127", "n=96;S=64,70,82;T=5", "n=160;S=10,36;T=16"]
 )
-def test_the_lift_keeps_the_squares_and_the_index_power(text):
+def test_the_lift_keeps_the_squares_and_the_cycle(text):
     # after the index search only A^(2^k) for 2^k up to the bracket's top and
-    # A^M stay, and the minimality check adds A^(M+e) for each e | p below p
-    # (for periods 1, 3 and 13 here, e = 1 alone)
+    # the members of the cycle A^top, ..., A^(top+p-1), top = 2^k, that the
+    # descent and the minimality check read stay (periods 1, 3 and 13 here)
     spec = ToeplitzSpec.from_string(text)
     lift = _Lift(from_toeplitz(spec), (spec.S, spec.T))
-    index, period = lift.index, lift.period
-    squares = {1 << k for k in range((index - 1).bit_length() + 1)}
-    checked = {index + e for e in range(1, period) if period % e == 0}
-    assert set(lift._rows) | set(lift._packed) == squares | {index} | checked
+    top = 1 << (lift.index - 1).bit_length()
+    squares = {1 << k for k in range(top.bit_length())}
+    assert lift.cycle == range(top, top + lift.period)
+    assert squares <= set(lift._rows) | set(lift._packed) <= squares | set(lift.cycle)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["n=128;S=1;T=126,127", "n=96;S=64,70,82;T=5", "n=160;S=10,36;T=16", "n=10;S=2;T=3"],
+)
+def test_the_walk_makes_no_power_outside_the_cycle(text):
+    # A^m for m >= M is the member top + (m - top) mod p of the cycle, so
+    # the walk from A^M, twice round the cycle and on, adds to the lift only
+    # the members nothing read before, each once, and a second walk adds
+    # nothing (periods 1, 3, 13 and, below order 32, 5).  It equals the
+    # powers by squaring: a scan of T_128<1;126,127> would hold 16,130 powers
+    a = from_toeplitz(ToeplitzSpec.from_string(text))
+    lift = _Lift(a)
+    top = 1 << (lift.index - 1).bit_length()
+    held = set(lift._rows) | set(lift._packed)
+    walked = list(islice(lift.walk(), 2 * lift.period + 2))
+    assert set(lift._rows) | set(lift._packed) == held | set(range(top, top + lift.period))
+    assert list(islice(lift.walk(), 2 * lift.period + 2)) == walked
+    assert set(lift._rows) | set(lift._packed) == held | set(range(top, top + lift.period))
+    assert walked == [a.power(lift.index + i) for i in range(2 * lift.period + 2)]
 
 
 def _naive_gram(x):
