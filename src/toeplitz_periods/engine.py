@@ -72,10 +72,9 @@ the rules that transfer a period, each lifting its base at most once;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, count, islice, repeat, takewhile
 from math import lcm
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .boolmat import (
     BoolMatrix,
@@ -308,8 +307,7 @@ def matrix_period(a: BoolMatrix) -> tuple[int, int]:
     return lift.index, lift.period
 
 
-@dataclass(frozen=True)
-class CompetitionResult:
+class CompetitionResult(NamedTuple):
     """Transient and period of B_m = A^m (A^T)^m; limit is B_index when the period is 1."""
 
     index: int
@@ -440,8 +438,7 @@ def sink_source_same_period(spec: ToeplitzSpec, b: BoolMatrix) -> Optional[int]:
     return ext_period
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(NamedTuple):
     """Everything the analyzer knows about one descriptor.
 
     limit_matrix is present exactly when the competition period is 1.

@@ -17,12 +17,11 @@ configuration, including the random mode via its recorded seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import chain, count, product
 from math import gcd, lcm
 from operator import or_
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .boolmat import BoolMatrix, PowerSequence, from_toeplitz
 from .digraph import contract, cycle_decomposition
@@ -35,6 +34,7 @@ from .engine import (
     sink_source_same_period,
 )
 from .toeplitz import (
+    _Checked,
     Rule,
     ToeplitzSpec,
     Verdict,
@@ -59,8 +59,7 @@ SUPERSET_N_MAX = 6
 EXTENSION_N_MAX = 6
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One check outcome worth reporting; reproducible from check + spec."""
 
     check: str
@@ -73,8 +72,16 @@ class Finding:
         return "\t".join((self.check, self.spec, self.expected, self.actual, self.severity))
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class _SweepFields(NamedTuple):
+    n_lo: int
+    n_hi: int
+    mode: str
+    samples: int
+    seed: int
+    checks: Optional[frozenset[str]]
+
+
+class SweepConfig(_Checked, _SweepFields):
     """What to sweep and how hard.
 
     Exhaustive mode enumerates every nonempty offset pair and is held
@@ -83,33 +90,37 @@ class SweepConfig:
     means the full registry; an empty set is refused.
     """
 
-    n_lo: int
-    n_hi: int
-    mode: str = "exhaustive"
-    samples: int = 0
-    seed: int = 0
-    checks: Optional[frozenset[str]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_lo > self.n_hi:
-            raise ValueError(f"order range {self.n_lo}..{self.n_hi} is empty")
-        if not 2 <= self.n_lo <= self.n_hi <= 16:
-            raise ValueError(f"order range {self.n_lo}..{self.n_hi} outside [2, 16]")
-        if self.mode not in ("exhaustive", "random"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "exhaustive" and self.n_hi > 9:
+    def __new__(
+        cls,
+        n_lo: int,
+        n_hi: int,
+        mode: str = "exhaustive",
+        samples: int = 0,
+        seed: int = 0,
+        checks: Optional[frozenset[str]] = None,
+    ):
+        if n_lo > n_hi:
+            raise ValueError(f"order range {n_lo}..{n_hi} is empty")
+        if not 2 <= n_lo <= n_hi <= 16:
+            raise ValueError(f"order range {n_lo}..{n_hi} outside [2, 16]")
+        if mode not in ("exhaustive", "random"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "exhaustive" and n_hi > 9:
             raise ValueError("exhaustive mode is limited to orders up to 9")
-        if self.mode == "exhaustive" and self.samples != 0:
+        if mode == "exhaustive" and samples != 0:
             raise ValueError("exhaustive mode takes no sample count")
-        if self.mode == "random" and self.samples < 1:
+        if mode == "random" and samples < 1:
             raise ValueError("random mode needs a positive sample count")
-        if self.checks is not None:
-            object.__setattr__(self, "checks", frozenset(self.checks))
-            if not self.checks:
+        if checks is not None:
+            checks = frozenset(checks)
+            if not checks:
                 raise ValueError("no check selected")
-            unknown = self.checks - set(ALL_CHECK_NAMES)
+            unknown = checks - set(ALL_CHECK_NAMES)
             if unknown:
                 raise ValueError(f"unknown checks: {sorted(unknown)}")
+        return super().__new__(cls, n_lo, n_hi, mode, samples, seed, checks)
 
     def enabled(self, name: str) -> bool:
         return self.checks is None or name in self.checks

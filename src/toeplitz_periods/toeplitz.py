@@ -18,9 +18,8 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 
 class SpecFormatError(ValueError):
@@ -30,22 +29,38 @@ class SpecFormatError(ValueError):
 _INTEGER = re.compile(r"[+-]?[0-9]+")  # int() would also take "1_0" and non-ASCII digits
 
 
-@dataclass(frozen=True)
-class ToeplitzSpec:
+class _Checked:
+    """Base of a record whose __new__ validates its fields.
+
+    A named tuple's _make, and _replace through it, would build the
+    tuple without calling __new__; here both build through it.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _SpecFields(NamedTuple):
+    n: int
+    S: tuple[int, ...]
+    T: tuple[int, ...]
+
+
+class ToeplitzSpec(_Checked, _SpecFields):
     """Descriptor T_n<S;T>; offsets are stored sorted and duplicate-free.
 
     S holds the upward offsets (superdiagonals), T the downward ones.
     Either set may be empty at this level; operations that need gcd
     data require both nonempty and say so.  The gcd profile is worked
-    out on first use and kept on the instance; it is not a field, so
-    ==, hash and repr see only (n, S, T).
+    out on first use and kept in the instance dict, which the other
+    records do not have; it is not a field, so ==, hash and repr see
+    only (n, S, T).  No attribute can be set or deleted.
     """
 
-    n: int
-    S: tuple[int, ...]
-    T: tuple[int, ...]
-
-    def __init__(self, n: int, S: Iterable[int] = (), T: Iterable[int] = ()):
+    def __new__(cls, n: int, S: Iterable[int] = (), T: Iterable[int] = ()):
         S, T = tuple(S), tuple(T)
         for v in (n, *S, *T):
             if type(v) is not int:
@@ -58,9 +73,13 @@ class ToeplitzSpec:
             for v in vals:
                 if not 1 <= v <= n - 1:
                     raise ValueError(f"{name} offset {v} outside [1, {n - 1}]")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "T", T)
+        return super().__new__(cls, n, S, T)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: ToeplitzSpec is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: ToeplitzSpec is read-only")
 
     def to_string(self) -> str:
         s = ",".join(str(v) for v in self.S)
@@ -111,8 +130,7 @@ class ToeplitzSpec:
         )
 
 
-@dataclass(frozen=True)
-class GcdProfile:
+class GcdProfile(NamedTuple):
     """The gcd data of a descriptor with both offset sets nonempty.
 
     d divides d_plus (every s + t is a difference of sums of elements
@@ -154,8 +172,13 @@ class Rule(enum.Enum):
 Witness = Union[int, tuple, None]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class _CertificateFields(NamedTuple):
+    verdict: Verdict
+    rule: Optional[Rule]
+    witness: Witness
+
+
+class Certificate(_Checked, _CertificateFields):
     """Outcome of a walk-ensured query, with the rule that settled it.
 
     Witness payload by rule:
@@ -166,14 +189,12 @@ class Certificate:
       EXACT_DECISION  the stabilization threshold M
     """
 
-    verdict: Verdict
-    rule: Optional[Rule] = None
-    witness: Witness = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.verdict is Verdict.PROVEN_WALK_ENSURED:
-            if self.rule is None or self.witness is None:
-                raise ValueError("a proven certificate needs rule and witness")
+    def __new__(cls, verdict: Verdict, rule: Optional[Rule] = None, witness: Witness = None):
+        if verdict is Verdict.PROVEN_WALK_ENSURED and (rule is None or witness is None):
+            raise ValueError("a proven certificate needs rule and witness")
+        return super().__new__(cls, verdict, rule, witness)
 
     @property
     def walk_ensured(self) -> Optional[bool]:

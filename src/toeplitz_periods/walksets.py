@@ -29,11 +29,10 @@ after each term without losing a reachable end value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import cycle, islice
 from operator import or_
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .boolmat import BoolMatrix, _shift_or, from_toeplitz
 from .toeplitz import ToeplitzSpec, gcd_profile
@@ -151,8 +150,7 @@ def r_set(power: BoolMatrix) -> frozenset[int]:
     return _mask_to_set(_r_mask(power), power.n)
 
 
-@dataclass(frozen=True)
-class WalkSets:
+class WalkSets(NamedTuple):
     """The three displacement sets at one walk length."""
 
     i: int

@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports, no public name or parameter that nothing
-reads, the package exports what the README names, and importing the CLI leaves
-the sweep oracle unloaded."""
+reads, the package exports what the README names, importing the CLI leaves
+the sweep oracle unloaded, and importing either leaves dataclasses and inspect
+unloaded."""
 
 import ast
 import os
@@ -201,11 +202,25 @@ def test_package_exports_exactly_the_readme_names():
     assert isinstance(toeplitz_periods.__version__, str)
 
 
-def test_cli_import_leaves_the_sweep_oracle_unloaded():
-    # analyze, walksets and contract never compile the oracle; only sweep imports it
-    code = "import sys, toeplitz_periods.cli; print('toeplitz_periods.oracle' in sys.modules)"
+def _in_fresh_interpreter(code: str) -> str:
+    """What code prints, run by a new interpreter that imports the package from src/."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
         [sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_the_sweep_oracle_unloaded():
+    # analyze, walksets and contract never compile the oracle; only sweep imports it
+    code = "import sys, toeplitz_periods.cli; print('toeplitz_periods.oracle' in sys.modules)"
+    assert _in_fresh_interpreter(code) == "False"
+
+
+def test_package_import_leaves_dataclasses_and_inspect_unloaded():
+    # the records are named tuples; dataclasses would pull in inspect, ast and dis
+    code = (
+        "import sys, toeplitz_periods.cli, toeplitz_periods.oracle; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    assert _in_fresh_interpreter(code) == "[]"

@@ -1,6 +1,5 @@
 """The sweeping cross-validator: enumeration, determinism, reporting."""
 
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -71,6 +70,16 @@ def test_sweep_config_validation():
     for samples in (5, -1):  # exhaustive mode reads no sample count
         with pytest.raises(ValueError, match="^exhaustive mode takes no sample count$"):
             SweepConfig(2, 2, samples=samples)
+    # _replace and _make build through the constructor, so they raise its errors
+    with pytest.raises(ValueError, match=r"^order range 2\.\.99 outside \[2, 16\]$"):
+        SweepConfig(2, 3)._replace(n_hi=99)
+    with pytest.raises(ValueError, match="^exhaustive mode is limited to orders up to 9$"):
+        SweepConfig(2, 3)._replace(n_hi=10)
+    with pytest.raises(ValueError, match="^no check selected$"):
+        SweepConfig._make((2, 3, "exhaustive", 0, 0, ()))
+    with pytest.raises(AttributeError):
+        SweepConfig(2, 3).n_hi = 99
+    assert SweepConfig(2, 3)._replace(checks=["gcd-update"]).checks == frozenset({"gcd-update"})
     cfg = SweepConfig(2, 12, mode="random", samples=5)
     assert cfg.enabled("period-formula")
     only = SweepConfig(2, 4, checks=frozenset({"period-formula"}))
@@ -172,7 +181,7 @@ def test_sweep_holds_the_lifted_index_to_the_scan(monkeypatch):
 
     def off_by_one(spec):
         report = real(spec)
-        return dataclasses.replace(report, matrix_index=report.matrix_index + 1)
+        return report._replace(matrix_index=report.matrix_index + 1)
 
     monkeypatch.setattr(oracle, "analyze", off_by_one)
     with pytest.raises(TheoremViolationError) as err:
@@ -191,7 +200,7 @@ def test_sweep_holds_the_exact_verdict_to_the_scan(monkeypatch):
             return report
         assert report.certificate.rule is Rule.EXACT_DECISION and not report.walk_ensured
         cert = Certificate(Verdict.PROVEN_BY_EXACT_DECISION, Rule.EXACT_DECISION, 1)
-        return dataclasses.replace(report, certificate=cert)
+        return report._replace(certificate=cert)
 
     monkeypatch.setattr(oracle, "analyze", flipped)
     with pytest.raises(TheoremViolationError) as err:
@@ -262,9 +271,10 @@ def test_sweep_constructs_each_descriptor_once(monkeypatch):
     made = Counter()
 
     class CountedSpec(oracle.ToeplitzSpec):
-        def __init__(self, n, S=(), T=()):
-            super().__init__(n, S, T)
+        def __new__(cls, n, S=(), T=()):
+            self = super().__new__(cls, n, S, T)
             made[self.n, self.S, self.T] += 1
+            return self
 
     monkeypatch.setattr(oracle, "ToeplitzSpec", CountedSpec)
     run_sweep(SweepConfig(2, 6, checks=frozenset(name for name, _ in PER_SPEC_CHECKS)))

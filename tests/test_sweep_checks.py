@@ -13,7 +13,6 @@ check's draw must fail the identity term by term.
 """
 
 import ast
-import dataclasses
 import random
 import re
 from functools import reduce
@@ -361,7 +360,7 @@ def test_same_residue_walks_match_their_entrywise_twin_on_missing_walks(spec, ho
 def test_sum_congruence_matches_its_termwise_twin_on_doctored_profiles(spec, doctored):
     # both report the same claim; the check's draw is a unit draw
     an, sw = analyze(spec), sweep_of(spec)
-    bent = dataclasses.replace(an, profile=dataclasses.replace(an.profile, **doctored))
+    bent = an._replace(profile=an.profile._replace(**doctored))
     got = _check_sum_congruence(sw, spec, None, bent)
     twin = twin_sum_congruence(sw, spec, bent)
     assert twin != [] and got[0][:2] == twin[0][:2]
@@ -394,7 +393,7 @@ def test_sum_congruence_reports_wherever_its_termwise_twin_does(spec, data):
     prof = gcd_profile(spec)
     s1 = data.draw(st.sampled_from([prof.s1, *range(1, spec.n)]))
     d_plus = data.draw(st.sampled_from([prof.d_plus, *range(1, 2 * spec.n)]))
-    an = SimpleNamespace(profile=dataclasses.replace(prof, s1=s1, d_plus=d_plus))
+    an = SimpleNamespace(profile=prof._replace(s1=s1, d_plus=d_plus))
     sw = _Sweep(SweepConfig(2, 2))
     got = _check_sum_congruence(sw, spec, None, an)
     if got:
@@ -499,7 +498,7 @@ def run_check(name: str, spec: ToeplitzSpec, sw=None, **doctored) -> list[str]:
     """The finding lines of check name on spec's real powers and report,
     the report's fields replaced by doctored."""
     check = dict(PER_SPEC_CHECKS)[name]
-    an = dataclasses.replace(analyze(spec), **doctored)
+    an = analyze(spec)._replace(**doctored)
     powers = PowerSequence(from_toeplitz(spec))
     return finding_lines(name, check(sw or sweep_of(spec), spec, powers, an))
 

@@ -1,6 +1,5 @@
 """Descriptor parsing, gcd quantities, and walk-ensured certificates."""
 
-import dataclasses
 import math
 
 import pytest
@@ -47,6 +46,24 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ToeplitzSpec(4, (), (0,))  # offset below 1
     ToeplitzSpec(2, (1,), (1,))  # smallest legal descriptor
+    # _replace and _make build through the constructor, so they raise its errors
+    spec = ToeplitzSpec(6, (2, 4), (5,))
+    with pytest.raises(ValueError, match="^order must be at least 2, got 1$"):
+        spec._replace(n=1)
+    with pytest.raises(ValueError, match=r"^S offset 6 outside \[1, 5\]$"):
+        spec._replace(S=(2, 6))
+    with pytest.raises(ValueError, match="^order must be at least 2, got 1$"):
+        ToeplitzSpec._make((1, (), ()))
+    with pytest.raises(TypeError):
+        ToeplitzSpec._make((6, (2.0,), (5,)))
+    assert spec._replace(S=(4, 2, 2)) == spec  # normalized like a constructor call
+    assert ToeplitzSpec._make((6, [4, 2], [5])) == spec
+    for name in ("n", "S", "T", "extra", "_gcd_profile"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
+    assert spec == (6, (2, 4), (5,))
 
 
 @pytest.mark.parametrize(
@@ -162,8 +179,9 @@ def test_gcd_profile_leaves_spec_identity_alone():
     gcd_profile(derived)
     fresh = ToeplitzSpec(8, (2, 4), (2,))
     assert derived == fresh and hash(derived) == hash(fresh)
+    assert hash(derived) == hash((derived.n, derived.S, derived.T))
     assert repr(derived) == repr(fresh) and str(derived) == str(fresh)
-    assert [f.name for f in dataclasses.fields(ToeplitzSpec)] == ["n", "S", "T"]
+    assert ToeplitzSpec._fields == ("n", "S", "T")
 
 
 def test_gcd_profile_of_one_sided_spec_raises_every_time():
@@ -377,6 +395,13 @@ def test_certificate_requires_witness_when_proven():
         Certificate(Verdict.PROVEN_WALK_ENSURED)
     with pytest.raises(ValueError):
         Certificate(Verdict.PROVEN_WALK_ENSURED, Rule.STAR)
+    unknown = Certificate(Verdict.UNKNOWN)
+    with pytest.raises(ValueError, match="^a proven certificate needs rule and witness$"):
+        unknown._replace(verdict=Verdict.PROVEN_WALK_ENSURED)
+    with pytest.raises(ValueError, match="^a proven certificate needs rule and witness$"):
+        Certificate._make((Verdict.PROVEN_WALK_ENSURED, Rule.STAR, None))
+    with pytest.raises(AttributeError):
+        unknown.rule = Rule.STAR
     assert Certificate(Verdict.NOT_WALK_ENSURED, Rule.EXACT_DECISION).walk_ensured is False
     assert (
         Certificate(Verdict.PROVEN_BY_EXACT_DECISION, Rule.EXACT_DECISION, 3).walk_ensured
