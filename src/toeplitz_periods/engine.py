@@ -22,10 +22,11 @@ stepping through the powers:
   from m on repeat with period jp, so A^m = A^(m+p).  The minimality
   check and B_M read members, and the walk makes no power but members.
   From the crossover order 32 on (``boolmat._CROSSOVER_ORDER``), each
-  level of the gallop and of either descent lets go of every A^m and the
-  B_m below but the squares A^(2^k), the cycle and the ends of the
-  bracket (``_Lift._drop``); below it nothing is let go.  Heap and Lynn
-  (1964) bound M by (n-1)^2 + 1; a larger M raises TheoremViolationError;
+  level keeps only the squares A^(2^k), A^p, the cycle and the A^m in its
+  bracket, [2^k, 2^(k+1)] after a failing gallop test at 2^k and [failing
+  m, best m] in a descent: all a later level reads (``_Lift._drop``);
+  below it nothing is let go.  Heap and Lynn (1964) bound M by
+  (n-1)^2 + 1; a larger M raises TheoremViolationError;
 * B_m = A^m (A^T)^m steps by X -> A X A^T and B_(M+p) = B_M, so the
   walk from B_M until it returns gives the cycle, of size the period c.
   The map keeps the cycle, so "B_m is on it", the same as B_m = B_(m+c),
@@ -134,17 +135,16 @@ class _Lift:
     offsets.  One memo: ``_rows[m]`` holds A^m as a BoolMatrix when a product
     made it, ``_packed[m]`` as an int when shift steps did, and ``rows(m)``
     and ``packed(m)`` make the other form at most once, the first time
-    something reads it; ``_b[m]`` holds B_m, made by the competition descent.
-    One maker: ``step(m, e)`` makes A^(m+e) from A^m, by e steps of shifts
-    wherever the kernel's cost rule takes them.  ``cycle`` holds top, ...,
-    top + p - 1, into which ``member(m)`` folds m >= index.  One descent,
-    ``least``, and one lifetime rule, ``_drop``.
+    something reads it.  One maker: ``step(m, e)`` makes A^(m+e) from A^m,
+    by e steps of shifts wherever the kernel's cost rule takes them.
+    ``cycle`` holds top, ..., top + p - 1, into which ``member(m)`` folds
+    m >= index.  One descent, ``least``, and one lifetime rule, ``_drop``.
     """
 
     def __init__(self, a: BoolMatrix, offsets: Optional[Offsets] = None):
         if offsets is None:
             offsets = _toeplitz_offsets(a)
-        self.a, self._rows, self._packed, self._b, self.cycle = a, {1: a}, {}, {}, range(0)
+        self.a, self._rows, self._packed, self.cycle = a, {1: a}, {}, range(0)
         self.transpose = BoolMatrix.transpose if offsets is None else _mirror
         self.shifts = _shift_kernel(a.n, offsets)
         self.period = p = power_period(a, offsets)
@@ -154,7 +154,7 @@ class _Lift:
         while not self._same(self.power(1 << k), self.step(1 << k, p)):
             if 1 << k >= bound:
                 raise failed
-            self._drop(1 << k, p)
+            self._drop(1 << k, 2 << k)
             k += 1
         top = 1 << k
         self.cycle = range(top, top + p)
@@ -162,7 +162,6 @@ class _Lift:
         self.index = self.least(probe, top >> 1, top)
         if self.index > bound:
             raise failed
-        self._drop()
         if any(p % e == 0 and self._same(top, self.member(top + e)) for e in range(1, p)):
             raise TheoremViolationError(f"period {p} of the components is not least")
 
@@ -173,18 +172,16 @@ class _Lift:
         before = e - 1 if e - 1 in self._rows or e - 1 in self._packed else self.cycle.start
         return self.step(before, e - before)
 
-    def _drop(self, *ends: int) -> None:
-        """From the crossover order on, let go of every A^m and B_m but the squares,
-        the cycle and ends, and of the packed form of a square held as rows outside them."""
+    def _drop(self, lo: int, hi: int) -> None:
+        """From the crossover order on, keep of the A^m only the squares, A^p, the
+        cycle and the bracket [lo, hi], and a square outside them as rows alone."""
         if self.a.n < _CROSSOVER_ORDER:
             return
-        kept = lambda m: m in ends or m in self.cycle
+        kept = lambda m: lo <= m <= hi or m == self.period or m in self.cycle
         for m in [m for m in self._rows if m & (m - 1) and not kept(m)]:
             del self._rows[m]
         for m in [m for m in self._packed if not kept(m) and (m & (m - 1) or m in self._rows)]:
             del self._packed[m]
-        for m in [m for m in self._b if not kept(m)]:
-            del self._b[m]
 
     def rows(self, m: int) -> BoolMatrix:
         """A^m as rows, unpacked at most once."""
@@ -244,7 +241,7 @@ class _Lift:
         some m, fails at lo and holds at hi.  probe(m, j) makes what the test
         reads at m + 2^j from the failing m and tests it there.  One probe per
         bit of hi - lo - 1, from the top: the failing m goes up by 2^j whenever
-        the probe fails.  After each, ``_drop`` keeps the failing and best m."""
+        the probe fails.  After each, ``_drop`` keeps [failing m, best m]."""
         m, best = lo, hi
         for j in reversed(range((hi - lo - 1).bit_length())):
             if m + (1 << j) < hi:
@@ -265,7 +262,6 @@ class _Lift:
         if shifts is None:
             b_index, later = limit, map(_gram, powers, repeat(self.transpose))
         else:
-            self._b[0] = shifts.pack(BoolMatrix.identity(self.a.n))
             b_index = shifts.pack(limit)
             later = islice(accumulate(repeat(1), shifts.conjugate, initial=b_index), 1, None)
         cycle = {b_index, *takewhile(b_index.__ne__, islice(later, self.period - 1))}
@@ -274,10 +270,11 @@ class _Lift:
             first_rows = {shifts.first_row(x) for x in cycle}
         else:  # rows[:1], as order 0 has no row 1 (and its descent no level)
             first_rows = {r for x in cycle for r in x.rows[:1]}
+        failing = None  # B at the failing m, once made
 
         def gram(m: int) -> object:
-            """B_m, the gram of A^m, packed when the kernel steps."""
-            x = _gram(self.rows(m), self.transpose)
+            """B_m, the gram of A^m or I at m = 0, packed when the kernel steps."""
+            x = _gram(self.rows(m), self.transpose) if m else BoolMatrix.identity(self.a.n)
             return shifts.pack(x) if shifts else x
 
         def probe(m: int, j: int) -> bool:
@@ -285,17 +282,20 @@ class _Lift:
             where the kernel's cost rule takes them, else the gram of
             A^(m+2^j), made only when its row 1 is row 1 of a member of the
             cycle, since B_m on the cycle is B_m equal to a member.  The shifted
-            levels are, as 2^j falls, the last, so A^m is not made on them, and
-            B_m of a refuted level is made only when the first of them steps
-            from it."""
+            levels are, as 2^j falls, the last, so A^m is not made on them.  Only B
+            at the failing m is held: a failing level keeps its B, and a shifted
+            level with none (at m = 0 or after a refuted level) makes B_m once."""
+            nonlocal failing
             if shifts and shifts.cheaper(1 << j, conjugate=True):
-                b = shifts.conjugate(self._b[m] if m in self._b else gram(m), 1 << j)
+                failing = gram(m) if failing is None else failing
+                b = shifts.conjugate(failing, 1 << j)
             elif _gram_row(self.rows(self.step(m, 1 << j))) in first_rows:
                 b = gram(m + (1 << j))
             else:
-                return False
-            self._b[m + (1 << j)] = b
-            return b in cycle
+                b = None  # refuted: B_(m+2^j) is off the cycle, and not made
+            passed = b in cycle  # None is in no cycle
+            failing = failing if passed else b
+            return passed
 
         index = self.least(probe, 0, self.index)
         return CompetitionResult(index, period, limit if period == 1 else None)

@@ -260,18 +260,19 @@ def test_a_refuted_level_makes_no_gram(monkeypatch):
         assert made == [next(lift.walk()), *matched, refuted[-1]], n
 
 
-def test_an_analyze_worst_pass_makes_8_gram_products_and_63_packs(monkeypatch):
+def test_an_analyze_worst_pass_makes_8_gram_products_and_60_packs(monkeypatch):
     # a count, not a time, over the benchmark's worst-family orders: the
     # grams of B_M and of the levels whose row matches the limit's, and the
-    # packs of the shift steps' inputs; work added to a descent level fails
-    # here without a timing
+    # packs of the shift steps' inputs (the identity only where a shifted
+    # level steps B from m = 0); work added to a descent level fails here
+    # without a timing
     counts = Counter()
     for owner, name in ((engine, "_product"), (engine, "_gram"), (boolmat._ShiftKernel, "pack")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, fn=fn, name=name: counts.update([name]) or fn(*a))
     for n in (48, 64, 80):
         analyze(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
-    assert counts == {"_product": 8, "_gram": 20, "pack": 63}
+    assert counts == {"_product": 8, "_gram": 20, "pack": 60}
 
 
 def test_the_sweep_makes_6821_power_products_and_1322_gram_products(monkeypatch):
@@ -295,8 +296,8 @@ def test_the_sweep_makes_6821_power_products_and_1322_gram_products(monkeypatch)
 def test_each_level_holds_only_the_squares_the_bracket_and_the_cycle(monkeypatch, text):
     # the one lifetime rule, from order 32 on: after every level of the index
     # descent and of the competition descent the lift holds A^m only for the
-    # squares, the failing m, the best m and the members of the cycle
-    # A^top, ..., A^(top+p-1), and B_m only for the failing and the best m
+    # squares, A^p, the members of the cycle A^top, ..., A^(top+p-1) and the
+    # m inside the level's bracket [failing m, best m]; it holds no B_m
     # (periods 1, 3 and 13 here)
     least, levels = _Lift.least, []
 
@@ -304,10 +305,9 @@ def test_each_level_holds_only_the_squares_the_bracket_and_the_cycle(monkeypatch
         bracket, levels_here = [lo, hi], []
 
         def assert_held():
-            within = {*bracket, *lift.cycle}
+            within = {*range(bracket[0], bracket[1] + 1), *lift.cycle, lift.period}
             powers = {*lift._rows, *lift._packed}
             assert {e for e in powers if e & (e - 1)} <= within, (text, bracket)
-            assert set(lift._b) <= set(bracket), (text, bracket)
 
         def level(m, j):
             assert m == bracket[0]
@@ -599,10 +599,15 @@ class _Memo(dict):
         ("n=4;S=1;T=1", set()),  # below order 32 nothing is let go
         ("n=128;S=1;T=126,127", set()),
         ("n=121;S=83,85;T=46,102,118", set()),  # the first analyze-random draw of seed 1
-        # period 11, top 16: the index descent reads A^12 and A^11 = A^p again
-        # after the gallop let them go, and A^3 again, for the A^7 of the
-        # step from A^16 to the member A^23 of its level at 12
-        ("n=99;S=6;T=27", {3, 11, 12}),
+        # period 11, top 16: the index descent reads A^12 again, which the
+        # gallop's first test made as A^(1+p) and let go, p lying above its
+        # bracket [1, 2], and A^3 again, for the A^7 of the step from A^16 to
+        # the member A^23 of its level at 12
+        ("n=99;S=6;T=27", {3, 12}),
+        # period 1, top 256: the gallop's failing test at 128 made A^129,
+        # inside the bracket [128, 256] it keeps, and the index descent's
+        # last level reads it (M = 129)
+        ("n=151;S=11,146;T=81,143", set()),
         # the competition descent's gram levels read A^(64+32) again: the
         # competition index q = 65 lies above 2^(k-1) = 64, so its descent
         # passes where the index descent did
@@ -634,18 +639,40 @@ def test_analysis_makes_each_power_once_but_for_what_the_drop_let_go(monkeypatch
 
 
 @pytest.mark.parametrize(
+    "text", ["n=72;S=8,50;T=34,39", "n=79;S=1,6;T=51,68", "n=68;S=9,34,61;T=17"]
+)
+def test_a_shifted_level_after_a_refuted_one_makes_its_gram_once(monkeypatch, text):
+    # a count, not a time: the competition holds B at its failing m only.
+    # On all three a gram level that the row check refutes sets the failing m
+    # of the first shifted level, which makes B_m as the gram of A^m, once;
+    # every later shifted level steps from the B it holds, so a B held at
+    # the wrong m would move the index off the scan's.  B_M and the gram
+    # levels that pass are all ones, the limit J, and take no product
+    grams = []
+    product = engine._product
+    monkeypatch.setattr(engine, "_product", lambda *a: grams.append(a) or product(*a))
+    spec = ToeplitzSpec.from_string(text)
+    report = analyze(spec)
+    got = (report.competition_index, report.competition_period, report.limit_matrix)
+    assert got == scanned_competition(from_toeplitz(spec)), text
+    assert len(grams) == 1, text
+
+
+@pytest.mark.parametrize(
     "text", ["n=128;S=1;T=126,127", "n=96;S=64,70,82;T=5", "n=160;S=10,36;T=16"]
 )
 def test_the_lift_keeps_the_squares_and_the_cycle(text):
-    # after the index search only A^(2^k) for 2^k up to the bracket's top and
-    # the members of the cycle A^top, ..., A^(top+p-1), top = 2^k, that the
-    # descent and the minimality check read stay (periods 1, 3 and 13 here)
+    # after the index search only A^(2^k) for 2^k up to the bracket's top,
+    # A^p, the members of the cycle A^top, ..., A^(top+p-1), top = 2^k, that
+    # the descent and the minimality check read, and the last level's
+    # bracket [M - 1, M] stay (periods 1, 3 and 13 here)
     spec = ToeplitzSpec.from_string(text)
     lift = _Lift(from_toeplitz(spec), (spec.S, spec.T))
     top = 1 << (lift.index - 1).bit_length()
     squares = {1 << k for k in range(top.bit_length())}
+    kept = squares | set(lift.cycle) | {lift.period, lift.index - 1, lift.index}
     assert lift.cycle == range(top, top + lift.period)
-    assert squares <= set(lift._rows) | set(lift._packed) <= squares | set(lift.cycle)
+    assert squares <= set(lift._rows) | set(lift._packed) <= kept
 
 
 @pytest.mark.parametrize(

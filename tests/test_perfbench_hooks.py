@@ -11,6 +11,8 @@ imported, with bytecode writing off so that nothing is written next to
 them.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,3 +73,19 @@ def test_probes_and_the_table_step_follow_the_program(tracing):
     names = {span[0] for span in tracer.spans}
     assert {"walksets.r_set", "walksets.p_set", "walksets.q_sequence"} <= names
     assert tracing.table_step_fallback(tracer) > 0
+
+
+def test_the_benchmark_selftest_passes():
+    # the benchmark's verifier accepts the program's answers and rejects
+    # planted wrong ones, so an answer it would refuse (a certificate rule
+    # missing from verify.py's RULES, say) fails here too.  A new interpreter
+    # runs it as the benchmark does, importing the package from src/ and
+    # writing no bytecode next to the benchmark's files
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-B", str(PERFBENCH / "selftest.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
