@@ -249,7 +249,11 @@ class _ShiftKernel:
         n + ones of them, at most n^2 / 8, the tables' cost (derived at
         ``_product``).  So the steps are taken when e c n <= min(8 (n + ones),
         n^2): e c <= n against a dense factor, fewer steps against a sparse
-        one."""
+        one.  Measured against a dense product on powers of T_n<1;n-2,n-1>
+        (README's table), the n / 8 holds up to n = 256; from n = 512 on a
+        shift moves n fields of at least n + max(S u T) bits, and n / 8 is 4
+        to 25 times too low, so there the rule takes steps dearer than the
+        product they stand for."""
         n = self.n
         product = n * n if ones is None else min(8 * (n + ones), n * n)
         return (e * self._cost << conjugate) * n <= product
@@ -316,13 +320,22 @@ def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatri
     return BoolMatrix(out)
 
 
-def _power_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
+def _power_product(x: BoolMatrix, y: BoolMatrix, persymmetric: bool = False) -> BoolMatrix:
     """x y for two powers of one matrix.  They commute, so from the crossover
     order on the sparser goes left, where row selection costs a step per 1;
-    below it ``_product`` reads no count, so none is made."""
+    below it ``_product`` reads no count, so none is made.  persymmetric: the
+    matrix is Toeplitz, so y is persymmetric, its column j row n+1-j read
+    backwards (see ``_mirror``), and its lightest column weighs what its
+    lightest row does.  Then, from the crossover order on, x y is all ones
+    without a product when the lightest rows of x and y hold more than n
+    ones between them: every row of x and column of y share an index
+    (pigeonhole; ``engine._gram`` reads the same fact off x's rows alone)."""
     if x.n < _CROSSOVER_ORDER:
         return _product(x, y)
-    x_ones, y_ones = x.count(), y.count()
+    x_weights, y_weights = list(map(int.bit_count, x.rows)), list(map(int.bit_count, y.rows))
+    if persymmetric and min(x_weights) + min(y_weights) > x.n:
+        return BoolMatrix.ones(x.n)
+    x_ones, y_ones = sum(x_weights), sum(y_weights)
     return _product(y, x, y_ones) if x_ones > y_ones else _product(x, y, x_ones)
 
 

@@ -34,12 +34,20 @@ stepping through the powers:
   over (0, M], at most ceil(log2 M) grams and set lookups.  B_m on the
   cycle equals a member, so a level first reads row 1 of the gram of
   A^m (n ANDs) and fails without the gram when it is row 1 of no
-  member.  A gram x x^T is all ones without a product when the two
-  lightest rows of x hold more than n ones between them (pigeonhole);
-  else x^T, x a power of a Toeplitz A, is J x J, J the reversal, since
-  A^T = J A J (``boolmat._mirror``), and the product goes through OR
-  tables of x^T (``boolmat._product``: 4-row tables below order 144,
-  8-row ones from it on);
+  member.  Pigeonhole: a row of x and a column of y with more than n
+  ones between them share an index, so x y is all ones, and no product
+  is made, when x's lightest row and y's lightest column do.  The
+  columns of x^T are x's rows, so a gram x x^T takes this when the two
+  lightest rows of x do, at every order.  A power product x y
+  (``boolmat._power_product``) takes it, from the crossover order 32 on
+  and only when A is Toeplitz, when the lightest rows of x and y do: a
+  power of a Toeplitz A is persymmetric, its column j row n+1-j read
+  backwards, so its lightest column weighs what its lightest row does.
+  A primitive A reaches J at its index, so its lift meets many such
+  products.  Else x^T, x a power of a Toeplitz A, is J x J, J the
+  reversal, since A^T = J A J (``boolmat._mirror``), and the product
+  goes through OR tables of x^T (``boolmat._product``: 4-row tables
+  below order 144, 8-row ones from it on);
 * from the crossover order on (below it, row selection on a few rows
   costs less than packing), a Toeplitz A = T_n<S;T> steps by its offsets
   on its rows packed into one integer (``boolmat._ShiftKernel``): x -> x A is
@@ -110,7 +118,12 @@ class TheoremViolationError(RuntimeError):
 def _gram(x: BoolMatrix, transpose: Callable[[BoolMatrix], BoolMatrix]) -> BoolMatrix:
     """x x^T = x transpose(x): (u, v) = 1 iff rows u and v of x share a column.
     Two rows with more than n ones between them share one, so when the two
-    lightest rows do, every pair does and x x^T is all ones, diagonal included."""
+    lightest rows do, every pair does and x x^T is all ones, diagonal included.
+    This is the pigeonhole fact of ``boolmat._power_product`` with x's rows
+    for the columns of x^T, so it needs neither of that test's premises (a
+    persymmetric x, and order 32 or more).  Off the diagonal it pairs two
+    distinct rows, and a nonempty row meets itself, so it reads the two
+    lightest rows: a stronger test than the lightest row twice."""
     row_ones = sorted(map(int.bit_count, x.rows))
     if sum(row_ones[:2]) > x.n:
         return BoolMatrix.ones(x.n)
@@ -145,7 +158,8 @@ class _Lift:
         if offsets is None:
             offsets = _toeplitz_offsets(a)
         self.a, self._rows, self._packed, self.cycle = a, {1: a}, {}, range(0)
-        self.transpose = BoolMatrix.transpose if offsets is None else _mirror
+        self.persymmetric = offsets is not None  # A is Toeplitz: its powers are persymmetric
+        self.transpose = _mirror if self.persymmetric else BoolMatrix.transpose
         self.shifts = _shift_kernel(a.n, offsets)
         self.period = p = power_period(a, offsets)
         bound = (a.n - 1) ** 2 + 1  # Heap and Lynn (1964): the index is at most this
@@ -210,7 +224,7 @@ class _Lift:
             top = 1 << (e.bit_length() - 1)
             if e == top:
                 half = self.rows(self.power(e >> 1))
-                self._rows[e] = _power_product(half, half)
+                self._rows[e] = _power_product(half, half, self.persymmetric)
             else:
                 self.step(self.power(e - top), top)
         return e
@@ -229,7 +243,8 @@ class _Lift:
             if self.shifts and self.shifts.cheaper(e, self.ones(e)):
                 self._packed[m + e] = self.shifts.times(self.packed(m), e)
             else:
-                self._rows[m + e] = _power_product(self.rows(m), self.rows(self.power(e)))
+                x, y = self.rows(m), self.rows(self.power(e))
+                self._rows[m + e] = _power_product(x, y, self.persymmetric)
         return m + e
 
     def walk(self) -> Iterator[BoolMatrix]:

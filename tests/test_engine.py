@@ -536,12 +536,12 @@ def test_dense_offsets_take_products_where_shifts_cost_more():
 @pytest.mark.parametrize(
     "text, products, grams, rebuilt",
     [
-        ("n=128;S=1;T=126,127", 32, 4, 3),
+        ("n=128;S=1;T=126,127", 30, 4, 3),
         ("n=96;S=64,70,82;T=5", 18, 5, 7),  # period 3
         ("n=160;S=10,36;T=16", 5, 1, 2),  # period 13
-        ("n=48;S=1;T=46,47", 28, 8, 4),  # the analyze-worst orders
-        ("n=64;S=1;T=62,63", 27, 4, 3),
-        ("n=80;S=1;T=78,79", 31, 8, 4),
+        ("n=48;S=1;T=46,47", 23, 8, 4),  # the analyze-worst orders
+        ("n=64;S=1;T=62,63", 25, 4, 3),
+        ("n=80;S=1;T=78,79", 27, 8, 4),
     ],
 )
 def test_analysis_counts_products_grams_and_unpacks(monkeypatch, text, products, grams, rebuilt):
@@ -749,6 +749,50 @@ def test_gram_shortcut_needs_more_than_n_ones():
         assert naive_from_boolmat(g) == _naive_gram(x)
     assert _gram(BoolMatrix([1]), _mirror) == BoolMatrix([1])
     assert _gram(BoolMatrix([0]), _mirror) == BoolMatrix([0])
+
+
+def test_all_ones_power_products_need_persymmetric_powers():
+    # every row "all columns but the first": x x = x, yet its rows hold
+    # n - 1 ones each, 2n - 2 > n between two, and only its empty first
+    # column keeps x x off all ones.  x is not Toeplitz, so its lift takes
+    # no pigeonhole answer, which would read A^2 as all ones and the index
+    # as 2
+    for n in (32, 40):
+        x = BoolMatrix([(1 << n) - 2] * n)
+        assert x @ x == x and _toeplitz_offsets(x) is None
+        assert matrix_period(x) == PowerSequence(x).cycle() == (1, 1)
+        assert competition_analysis(x) == scanned_competition(x)
+
+
+def test_every_all_ones_power_product_equals_row_selection(monkeypatch):
+    # the power products that the lift answers as all ones, without a
+    # kernel, against x @ y: on the worst family, whose powers reach J at
+    # the index, and on seeded Toeplitz draws; the answer comes on both
+    made = []
+    kernel = boolmat._product
+    monkeypatch.setattr(boolmat, "_product", lambda *a: made.append(a) or kernel(*a))
+    product, answered = engine._power_product, Counter()
+
+    def checked(x, y, persymmetric=False):
+        before = len(made)
+        z = product(x, y, persymmetric)
+        if len(made) == before and x.n >= 32:
+            assert z == x @ y == BoolMatrix.ones(x.n), family
+            answered[family] += 1
+        return z
+
+    monkeypatch.setattr(engine, "_power_product", checked)
+    rng = random.Random(20261020)
+    drawn = []
+    for _ in range(16):
+        n = rng.randint(32, 64)
+        sides = [rng.sample(range(1, n), rng.randint(1, 3)) for _ in "ST"]
+        drawn.append(ToeplitzSpec(n, *sides))
+    worst = [ToeplitzSpec(n, (1,), (n - 2, n - 1)) for n in range(32, 49)]
+    for family, specs in (("worst", worst), ("drawn", drawn)):
+        for spec in specs:
+            analyze(spec)
+    assert answered["worst"] and answered["drawn"], answered
 
 
 # --------------------------------------------------------------------------
