@@ -202,30 +202,44 @@ def _shift_or(packed: int, left: Iterable[int], right: Iterable[int]) -> int:
     return out
 
 
+def _kept_shift_or(packed: int, left: list[tuple[int, int]], right: list[tuple[int, int]]) -> int:
+    """``_shift_or`` by the k of left's and right's (keep, k), each shift of
+    packed & keep."""
+    out = 0
+    for keep, k in left:
+        out |= (packed & keep) << k
+    for keep, k in right:
+        out |= (packed & keep) >> k
+    return out
+
+
 class _ShiftKernel:
     """Matrices of order n held as one integer, for stepping by A = T_n<S;T>.
 
-    The rows are packed as fields of whole bytes, at least n + max(S u T)
-    bits wide, so that a row shifted by an offset spills only into guard
-    bits, which the mask clears after every step.  Row i of x A is
-    OR_s (x_i << s) | OR_t (x_i >> t), so x -> x A is |S| + |T| shifts of
-    all rows at once.  A^T = T_n<T;S>, so X -> X A^T swaps those shifts,
-    and row i of A X is OR_s X_(i+s) | OR_t X_(i-t), shifts by whole
-    fields: X -> A X A^T is twice as many.  Packed integers are equal
-    exactly when the matrices are, so they compare and hash as they are.
-
-    ``cheaper`` is the one rule for steps against a product, and the one
-    place that knows what a shift costs.
+    Row i is field i of ceil(n / 8) bytes, with no guard band: bits n and up
+    of a field stay clear, so packed integers are equal exactly when the
+    matrices are, and compare and hash as they are.  Row i of x A is
+    OR_s (x_i << s) | OR_t (x_i >> t), masked to n bits, so x -> x A is
+    |S| + |T| shifts of all rows at once, each after an AND with the keep
+    mask of its offset and direction, which clears the bits the shift would
+    carry out of their field.  A^T = T_n<T;S>, so X -> X A^T swaps those
+    shifts, and row i of A X is OR_s X_(i+s) | OR_t X_(i-t), shifts by whole
+    fields, after which one mask drops the rows past n: X -> A X A^T is twice
+    as many shifts.  ``cheaper`` is the one rule for steps against a product.
     """
 
-    __slots__ = ("n", "offsets", "_cost", "_nbytes", "_mask", "_up", "_down")
+    __slots__ = ("n", "_cost", "_nbytes", "_times", "_transposed", "_up", "_down", "_rows")
 
     def __init__(self, n: int, offsets: Offsets):
-        S, T = self.offsets = offsets
+        S, T = offsets
         self.n, self._cost = n, len(S) + len(T)
-        self._nbytes = nbytes = (n + max(S + T) + 7) // 8
-        self._mask = int.from_bytes(((1 << n) - 1).to_bytes(nbytes, "little") * n, "little")
+        self._nbytes = nbytes = (n + 7) // 8
+        fields = lambda bits: int.from_bytes(bits.to_bytes(nbytes, "little") * n, "little")
+        left = lambda ks: [(fields((1 << n - k) - 1), k) for k in ks]  # bits n-k.. spill
+        right = lambda ks: [(fields((1 << n) - (1 << k)), k) for k in ks]  # bits ..k-1 spill
+        self._times, self._transposed = (left(S), right(T)), (left(T), right(S))
         self._up, self._down = [8 * nbytes * t for t in T], [8 * nbytes * s for s in S]
+        self._rows = (1 << 8 * nbytes * n) - 1
 
     def pack(self, x: BoolMatrix) -> int:
         nbytes = self._nbytes
@@ -245,31 +259,35 @@ class _ShiftKernel:
         """Whether e steps of x -> x A, or of X -> A X A^T when conjugate, cost
         less than the product they stand for, whose sparser factor has ones
         ones (None: a dense one).  A step is c = |S| + |T| shifts, 2c for
-        A X A^T; a shift costs about n / 8 row selections, and a product about
-        n + ones of them, at most n^2 / 8, the tables' cost (derived at
-        ``_product``).  So the steps are taken when e c n <= min(8 (n + ones),
-        n^2): e c <= n against a dense factor, fewer steps against a sparse
-        one.  Measured against a dense product on powers of T_n<1;n-2,n-1>
-        (README's table), the n / 8 holds up to n = 256; from n = 512 on a
-        shift moves n fields of at least n + max(S u T) bits, and n / 8 is 4
-        to 25 times too low, so there the rule takes steps dearer than the
-        product they stand for."""
+        A X A^T, and a shift moves the n ceil(n / 8) bytes of the packed rows;
+        a product makes about n + ones row selections, at most n^2 / 8, the
+        tables' cost (derived at ``_product``).  So the steps are taken when
+
+            e c n ceil(n / 8) <= K min(n + ones, n^2 / 8),
+
+        K = 200 bytes per row selection: against a dense factor e c <= about K
+        at every order, fewer steps against a sparse one.  README's table of
+        one shift against one dense product reads K = 350 to 550 at n = 64
+        and 160 to 170 at 2,048: 200 suits the large orders, where a step
+        costs most."""
         n = self.n
         product = n * n if ones is None else min(8 * (n + ones), n * n)
-        return (e * self._cost << conjugate) * n <= product
+        moved = (e * self._cost << conjugate) * n * self._nbytes
+        return 8 * moved <= 200 * product
 
     def times(self, packed: int, e: int) -> int:
         """x A^e for x packed."""
-        S, T = self.offsets
+        left, right = self._times
         for _ in range(e):
-            packed = _shift_or(packed, S, T) & self._mask
+            packed = _kept_shift_or(packed, left, right)
         return packed
 
     def conjugate(self, packed: int, e: int) -> int:
         """A^e X (A^T)^e for X packed."""
-        S, T = self.offsets
+        left, right = self._transposed
         for _ in range(e):
-            packed = _shift_or(_shift_or(packed, T, S), self._up, self._down) & self._mask
+            columns = _kept_shift_or(packed, left, right)
+            packed = _shift_or(columns, self._up, self._down) & self._rows
         return packed
 
 

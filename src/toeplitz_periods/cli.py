@@ -10,7 +10,8 @@ Subcommands:
 Descriptors are written "n=6;S=2,4;T=5" (whitespace ignored; an empty
 side is written "T=" and is accepted where the subcommand can work
 without it).  Exit codes: 0 success (for sweep: no violations),
-1 violations found, 2 usage or parse error, 3 an internal check failed
+1 violations found, 2 usage or parse error or an order too large to
+build, 3 an internal check failed
 (a TheoremViolationError: the Heap-Lynn bound, the period's minimality
 or the sweep's lifted-against-scanned check).
 """
@@ -221,6 +222,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except TheoremViolationError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    except OverflowError as exc:  # an order too large to build: 1 << n has too many digits
+        print(f"error: input too large: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 def entry() -> None:

@@ -53,17 +53,15 @@ stepping through the powers:
   on its rows packed into one integer (``boolmat._ShiftKernel``): x -> x A is
   |S| + |T| shifts and B -> A B A^T twice that.  The offsets come from
   the caller's ToeplitzSpec when it has one, else from A's rows, and
-  also give A's columns to ``power_period``.  One cost rule,
-  ``_ShiftKernel.cheaper``, takes e steps of a map of c shifts instead
-  of the product they stand for when e c n <= min(8 (n + ones), n^2),
-  ones being those of the product's sparser factor: e c <= n against a
-  dense one, fewer steps against a sparse one.  So A^(m+e), priced by
-  the ones of A^e, is e steps from A^m wherever the rule takes them: in
-  the period test, for the members of the cycle and on the low levels
-  of the index descent.  B_m moves by 2^j steps of its map, against a
-  gram, on every level of the descent for q with 2^j * 2(|S| + |T|) <= n,
-  and the cycle of B_M by single steps; since 2^j halves from level to
-  level, these are the last levels, and no A^m is made on them.  The lift
+  also give A's columns to ``power_period``.  One cost rule, stated at
+  ``_ShiftKernel.cheaper``, prices e steps against the product they stand
+  for.  So A^(m+e), priced by the ones of A^e, is e steps from A^m
+  wherever the rule takes them: in the period test, for the members of
+  the cycle and on the low levels of the index descent.  B_m moves by
+  2^j steps of its map, against a gram, on every level of the descent
+  for q where the rule takes them, and the cycle of B_M by single steps
+  where it takes one; since 2^j halves from level to level, these are
+  the last levels, and no A^m is made on them.  The lift
   holds a power as an int when shifts made it and as a BoolMatrix when a
   product did, and makes the other form at most once, the first time
   something reads it: packed integers compare and hash as the matrices

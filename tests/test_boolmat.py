@@ -1,5 +1,7 @@
 """Bit-packed matrix arithmetic against naive tuple-based references."""
 
+import random
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -306,7 +308,7 @@ def test_product_tables_at_both_widths_equal_matmul(orders, rng, monkeypatch):
 @st.composite
 def shift_cases(draw):
     """(T_n<S;T>, x, e, stray) with 2 <= n <= 70, up to three offsets a side and
-    at most one side empty, n - 1 (the widest guard) drawn often, a random x,
+    at most one side empty, n - 1 (the widest spill) drawn often, a random x,
     0 <= e <= 3 steps, and a 0-indexed entry off the one-entry corner diagonals."""
     n = draw(st.integers(2, 70))
     offset = st.one_of(st.just(n - 1), st.integers(1, n - 1))
@@ -329,8 +331,8 @@ def _case(n, S, T, e, stray=(0, 0)):
 @given(shift_cases())
 @example(_case(2, (1,), (), 3))  # order 2, one side empty, offset n - 1
 @example(_case(2, (), (1,), 2, (1, 1)))
-@example(_case(70, (69,), (3,), 3, (5, 6)))  # order not a multiple of 8, widest guard
-@example(_case(40, (24,), (1, 2), 3, (0, 1)))  # n + max(S u T) fills whole bytes
+@example(_case(70, (69,), (3,), 3, (5, 6)))  # order not a multiple of 8, offset n - 1
+@example(_case(40, (24,), (1, 2), 3, (0, 1)))  # n fills whole bytes
 @example(_case(33, (), (4, 32), 1, (32, 28)))
 def test_shift_steps_match_the_products(case):
     spec, x, e, (i, j) = case
@@ -354,13 +356,40 @@ def test_shift_steps_match_the_products(case):
     assert (_shift_kernel(spec.n, offsets) is None) == (spec.n < 32)
 
 
-def test_cost_rule_takes_at_most_n_shifts_and_fewer_against_a_sparse_factor():
-    # c = 2 at n = 32: e c n <= min(8 (n + ones), n^2)
+@pytest.mark.parametrize("n", [32, 33, 39, 40, 63, 64, 65, 127, 128, 129])
+def test_shift_steps_equal_the_products_on_both_sides_of_a_byte_boundary(n):
+    # fields of ceil(n / 8) bytes and no guard band: offsets 1 and n - 1 on
+    # both sides carry bits 1 and n of every third row of x out of their
+    # field, so each step must clear what it spills, and A X A^T must drop
+    # the rows its shifts push past n; @ is the naive twin
+    S = T = (1, n - 1)
+    a = from_toeplitz(ToeplitzSpec(n, S, T))
+    at = a.transpose()
+    rng = random.Random(n)
+    edges = 1 | 1 << (n - 1)
+    x = BoolMatrix(
+        rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) | edges * (i % 3 == 0)
+        for i in range(n)
+    )
+    kernel = _ShiftKernel(n, (S, T))
+    packed, times, conjugate = kernel.pack(x), x, x
+    for e in (1, 2):
+        times, conjugate = times @ a, a @ conjugate @ at
+        assert kernel.times(packed, e) == kernel.pack(times), (n, e)
+        assert kernel.conjugate(packed, e) == kernel.pack(conjugate), (n, e)
+
+
+def test_cost_rule_prices_steps_by_the_bytes_they_move():
+    # c = 2 at n = 32, fields of 4 bytes: e c n ceil(n / 8) <= K min(n + ones,
+    # n^2 / 8) with K = 200, so e c <= 200 against a dense factor
     kernel = _ShiftKernel(32, ((1,), (2,)))
-    assert kernel.cheaper(16) and not kernel.cheaper(17)
-    assert kernel.cheaper(8, conjugate=True) and not kernel.cheaper(9, conjugate=True)
-    assert kernel.cheaper(8, 32) and not kernel.cheaper(8, 31)
-    assert kernel.cheaper(16, 96) and not kernel.cheaper(17, 10**6)
+    assert kernel.cheaper(100) and not kernel.cheaper(101)
+    assert kernel.cheaper(50, conjugate=True) and not kernel.cheaper(51, conjugate=True)
+    assert kernel.cheaper(50, 32) and not kernel.cheaper(50, 31)
+    assert kernel.cheaper(100, 96) and not kernel.cheaper(101, 10**6)
+    # a field is whole bytes: at n = 33 one more per row, e c <= 165
+    kernel = _ShiftKernel(33, ((1,), (2,)))
+    assert kernel.cheaper(82) and not kernel.cheaper(83)
 
 
 def test_offsets_need_a_toeplitz_matrix_with_offsets_and_no_diagonal():

@@ -280,6 +280,9 @@ def test_out_writes_file(tmp_path, capsys):
         ("sweep", "--n", "9..1_0", "--mode", "random", "--samples", "1"),
         ("sweep", "--n", "\u0663"),  # --n reads the descriptor grammar too
         ("sweep", "--n", " 3..4"),
+        ("analyze", "n=99999999999999999999;S=1;T=1"),  # an order too large to build
+        ("walksets", "n=99999999999999999999;S=1;T=1", "--i", "2"),
+        ("contract", "n=99999999999999999999;S=1;T=1", "--d", "1"),
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv):

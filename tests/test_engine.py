@@ -221,19 +221,20 @@ def test_descent_finds_every_threshold_within_one_test_per_bit():
 def test_competition_search_makes_one_gram_per_bit_of_the_index(monkeypatch):
     # a count, not a time: the search tests B_m only inside (0, M], with one
     # gram for B_M and at most one per level of the descent whose 2^j steps of
-    # B -> A B A^T would take more than n shifts, 2 * 2^j * 3 > 128; the five
-    # levels below step B_m by the map.  A gram level whose row 1 of the gram
-    # is not that of B_M fails without the gram, so grams are made for B_M,
-    # the two levels that pass (8192 and 8064) and the failing m = 8032 that
-    # the first shifted level steps from
+    # B -> A B A^T the kernel's cost rule prices above a product (2^j > 33
+    # here); the six levels below step B_m by the map.  A gram level whose
+    # row 1 of the gram is not that of B_M fails without the gram, so grams
+    # are made for B_M, the two levels that pass (8192 and 8064) and the
+    # failing m = 8000 that the first shifted level steps from
     grams = []
     monkeypatch.setattr(engine, "_gram", lambda x, t: grams.append(x) or _gram(x, t))
     n = 128
-    comp = competition_analysis(from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1))))
-    index = (n - 1) ** 2
+    lift = _Lift(from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1))))
+    comp = lift.competition()
     assert (comp.index, comp.period) == (8064, 1)
-    levels = range((index - 1).bit_length())
-    assert len(grams) == 4 < 1 + sum(6 << j > n for j in levels) == 10
+    levels = range((lift.index - 1).bit_length())
+    gram_levels = sum(not lift.shifts.cheaper(1 << j, conjugate=True) for j in levels)
+    assert len(grams) == 4 < 1 + gram_levels == 9
 
 
 def test_a_refuted_level_makes_no_gram(monkeypatch):
@@ -260,7 +261,7 @@ def test_a_refuted_level_makes_no_gram(monkeypatch):
         assert made == [next(lift.walk()), *matched, refuted[-1]], n
 
 
-def test_an_analyze_worst_pass_makes_8_gram_products_and_60_packs(monkeypatch):
+def test_an_analyze_worst_pass_makes_5_gram_products_and_57_packs(monkeypatch):
     # a count, not a time, over the benchmark's worst-family orders: the
     # grams of B_M and of the levels whose row matches the limit's, and the
     # packs of the shift steps' inputs (the identity only where a shifted
@@ -272,7 +273,7 @@ def test_an_analyze_worst_pass_makes_8_gram_products_and_60_packs(monkeypatch):
         monkeypatch.setattr(owner, name, lambda *a, fn=fn, name=name: counts.update([name]) or fn(*a))
     for n in (48, 64, 80):
         analyze(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
-    assert counts == {"_product": 8, "_gram": 20, "pack": 60}
+    assert counts == {"_product": 5, "_gram": 17, "pack": 57}
 
 
 def test_the_sweep_makes_6821_power_products_and_1322_gram_products(monkeypatch):
@@ -376,17 +377,18 @@ def test_competition_with_the_row_check_equals_the_scan_on_the_worst_family():
 @pytest.mark.parametrize(
     "text, period",
     [
-        ("n=32;S=5,9;T=29", 6),
-        ("n=33;S=5,9;T=31", 12),
-        ("n=35;S=10,25;T=29,32", 3),
-        ("n=41;S=19;T=23,33", 16),
-        ("n=42;S=29;T=15,27", 4),
-        ("n=43;S=17,25;T=31", 8),
+        ("n=46;S=22,23,27;T=27", 2),
+        ("n=54;S=42,48,50;T=18,27", 3),
+        ("n=72;S=20,46;T=53", 6),
+        ("n=82;S=6,62,70;T=79", 19),
+        ("n=85;S=73,84;T=32,37,53,61", 3),
+        ("n=90;S=27,36,87;T=77", 8),
     ],
 )
 def test_row_check_against_a_cycle_of_several_members_equals_the_scan(monkeypatch, text, period):
-    # competition period above 1 and an index large enough for gram levels:
-    # row 1 of a level's gram is matched against row 1 of every member
+    # competition period above 1 and an index large enough for gram levels,
+    # those whose 2^j steps the cost rule prices above a product: row 1 of a
+    # level's gram is matched against row 1 of every member
     read = []
     gram_row = engine._gram_row
     monkeypatch.setattr(engine, "_gram_row", lambda x: read.append(x) or gram_row(x))
@@ -463,14 +465,14 @@ def test_lifted_walk_and_exact_decision_equal_the_scan_above_order_32():
 @st.composite
 def cost_rule_cases(draw):
     """(T_n<S;T>, e, x, packed) with n in {32, 33, 64, 127, 160}, up to three
-    offsets a side, 1 <= e <= n // (|S| + |T|) + 2, so that e steps of
-    |S| + |T| shifts fall on both sides of n, and x a power of A ("power", m),
-    held packed by the lift or not, or a random matrix ("random", seed,
-    density)."""
+    offsets a side, 1 <= e <= 25 n // (c ceil(n / 8)) + 2, c = |S| + |T|, so
+    that e steps fall on both sides of the cost rule against a dense factor,
+    and x a power of A ("power", m), held packed by the lift or not, or a
+    random matrix ("random", seed, density)."""
     n = draw(st.sampled_from((32, 33, 64, 127, 160)))
     S = draw(st.sets(st.integers(1, n - 1), max_size=3))
     T = draw(st.sets(st.integers(1, n - 1), min_size=0 if S else 1, max_size=3))
-    e = draw(st.integers(1, n // (len(S) + len(T)) + 2))
+    e = draw(st.integers(1, 25 * n // ((len(S) + len(T)) * ((n + 7) // 8)) + 2))
     power = st.tuples(st.just("power"), st.integers(1, 2 * n))
     matrix = st.tuples(st.just("random"), st.integers(0, 2**32), st.sampled_from((0.03, 0.3)))
     return ToeplitzSpec(n, S, T), e, draw(st.one_of(power, matrix)), draw(st.booleans())
@@ -478,24 +480,26 @@ def cost_rule_cases(draw):
 
 @PROPERTY
 @given(cost_rule_cases())
-@example((ToeplitzSpec(33, (1,), (2, 32)), 11, ("power", 5), True))  # e c = n
-@example((ToeplitzSpec(32, (1,), (30, 31)), 11, ("random", 7, 0.03), False))  # e c = n + 1
-@example((ToeplitzSpec(64, (1,), (7, 62, 63)), 16, ("random", 1, 0.3), True))  # e c = n
-@example((ToeplitzSpec(64, (1, 9), (5, 62, 63)), 13, ("power", 70), True))  # e c = n + 1
-@example((ToeplitzSpec(127, (1, 2), (125, 126)), 32, ("random", 3, 0.03), True))  # e c = n + 1
-@example((ToeplitzSpec(160, (3, 50, 77), (5, 90)), 32, ("power", 40), False))  # e c = n
+@example((ToeplitzSpec(33, (1,), (2, 32)), 55, ("power", 5), True))  # e c = 165, the bound
+@example((ToeplitzSpec(32, (1,), (30, 31)), 67, ("random", 7, 0.03), False))  # a step past
+@example((ToeplitzSpec(64, (1,), (7, 62, 63)), 50, ("random", 1, 0.3), True))  # e c = 200
+@example((ToeplitzSpec(64, (1, 9), (5, 62, 63)), 41, ("power", 70), True))  # a step past
+@example((ToeplitzSpec(127, (1, 2), (125, 126)), 50, ("random", 3, 0.03), True))  # a step past
+@example((ToeplitzSpec(160, (3, 50, 77), (5, 90)), 40, ("power", 40), False))  # e c = 200
 @example((ToeplitzSpec(160, (1,), (158, 159)), 8, ("power", 9000), True))  # sparse A^e
 def test_steps_and_products_agree_on_both_sides_of_the_cost_rule(case):
     # step(m, e) makes A^(m+e) by e steps of c = |S| + |T| shifts where the
-    # kernel's rule takes them, at most n shifts and fewer when A^e is
-    # sparse, else by a product; either way it and "A^(top+e) = A^top" match
-    # the powers.  The lift's product may put A^e first, which only a power x
-    # allows, so a random x is held to the kernel's steps alone
+    # kernel's rule takes them, while e c n ceil(n / 8) <= 200 n^2 / 8 and
+    # fewer when A^e is sparse, else by a product; either way it and
+    # "A^(top+e) = A^top" match the powers.  The lift's product may put A^e
+    # first, which only a power x allows, so a random x is held to the
+    # kernel's steps alone
     spec, e, x, packed = case
     a = from_toeplitz(spec)
     lift = _Lift(a)
     power = a.power(e)
-    assert lift.shifts.cheaper(e) == (e * (len(spec.S) + len(spec.T)) <= spec.n)
+    n, c = spec.n, len(spec.S) + len(spec.T)
+    assert lift.shifts.cheaper(e) == (8 * e * c * ((n + 7) // 8) <= 200 * n)
     assert lift.ones(e) == power.count()
     if x[0] == "power":
         m = lift.power(x[1])
@@ -515,15 +519,17 @@ def test_steps_and_products_agree_on_both_sides_of_the_cost_rule(case):
 
 
 def test_dense_offsets_take_products_where_shifts_cost_more():
-    # from |S| + |T| > n / 2 on, one step of B -> A B A^T costs more than n
-    # shifts, and from |S| + |T| > n on one step of x -> x A does too; the
-    # lift then multiplies, and every number is held to the scans
+    # one step of x -> x A moves c n ceil(n / 8) bytes, c = |S| + |T|, and
+    # B -> A B A^T twice that: from 2 c above 25 n / ceil(n / 8) (200 at n =
+    # 128 and 160, 189 at n = 129) one step of B costs more than a dense
+    # product, and from c above it one step of x does too; the lift then
+    # multiplies, and every number is held to the scans
     rng = random.Random(20261020)
-    for n, size in ((32, 9), (33, 17), (40, 21)):
+    for n, size in ((128, 51), (129, 96), (160, 101)):
         spec = ToeplitzSpec(n, rng.sample(range(1, n), size), rng.sample(range(1, n), size))
         a = from_toeplitz(spec)
         lift = _Lift(a, (spec.S, spec.T))
-        assert lift.shifts.cheaper(1) == (2 * size <= n)
+        assert lift.shifts.cheaper(1) == (8 * 2 * size * ((n + 7) // 8) <= 200 * n)
         assert not lift.shifts.cheaper(1, conjugate=True)
         scan = PowerSequence(a)
         assert (lift.index, lift.period) == scan.cycle()
@@ -536,12 +542,12 @@ def test_dense_offsets_take_products_where_shifts_cost_more():
 @pytest.mark.parametrize(
     "text, products, grams, rebuilt",
     [
-        ("n=128;S=1;T=126,127", 30, 4, 3),
-        ("n=96;S=64,70,82;T=5", 18, 5, 7),  # period 3
+        ("n=128;S=1;T=126,127", 28, 4, 3),
+        ("n=96;S=64,70,82;T=5", 12, 4, 7),  # period 3
         ("n=160;S=10,36;T=16", 5, 1, 2),  # period 13
-        ("n=48;S=1;T=46,47", 23, 8, 4),  # the analyze-worst orders
-        ("n=64;S=1;T=62,63", 25, 4, 3),
-        ("n=80;S=1;T=78,79", 27, 8, 4),
+        ("n=48;S=1;T=46,47", 17, 6, 2),  # the analyze-worst orders
+        ("n=64;S=1;T=62,63", 21, 4, 3),
+        ("n=80;S=1;T=78,79", 23, 7, 3),
     ],
 )
 def test_analysis_counts_products_grams_and_unpacks(monkeypatch, text, products, grams, rebuilt):
@@ -639,7 +645,7 @@ def test_analysis_makes_each_power_once_but_for_what_the_drop_let_go(monkeypatch
 
 
 @pytest.mark.parametrize(
-    "text", ["n=72;S=8,50;T=34,39", "n=79;S=1,6;T=51,68", "n=68;S=9,34,61;T=17"]
+    "text", ["n=72;S=8,50;T=34,39", "n=96;S=36,86;T=37,65", "n=68;S=9,34,61;T=17"]
 )
 def test_a_shifted_level_after_a_refuted_one_makes_its_gram_once(monkeypatch, text):
     # a count, not a time: the competition holds B at its failing m only.
@@ -1277,3 +1283,20 @@ def test_worst_family_index_at_large_orders(n):
     at_index = before @ a
     assert before != at_index
     assert at_index == at_index @ a
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_worst_family_competition_at_large_orders(n):
+    # B_m = A^m (A^m)^T of T_n<1;n-2,n-1> reaches J at the lift's competition
+    # index q = floor((n-1)^2 / 2) and not before, by BoolMatrix.power,
+    # transpose and @ alone; A J A^T = J, so from q on B stays J: period 1,
+    # limit J.  The scan twin, scanned_competition, stops at n = 48
+    a = from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
+    comp = competition_analysis(a)
+    assert comp.index == (n - 1) ** 2 // 2
+    gram = lambda x: x @ x.transpose()
+    ones = BoolMatrix.ones(n)
+    before = a.power(comp.index - 1)
+    assert gram(before @ a) == ones != gram(before)
+    assert a @ ones @ a.transpose() == ones
+    assert (comp.period, comp.limit) == (1, ones)
