@@ -377,6 +377,35 @@ def test_competition_with_the_row_check_equals_the_scan_on_the_worst_family():
 @pytest.mark.parametrize(
     "text, period",
     [
+        ("n=32;S=5,9;T=29", 6),
+        ("n=33;S=5,9;T=31", 12),
+        ("n=35;S=10,25;T=29,32", 3),
+        ("n=41;S=19;T=23,33", 16),
+        ("n=42;S=29;T=15,27", 4),
+        ("n=43;S=17,25;T=31", 8),
+    ],
+)
+def test_row_check_against_a_cycle_of_several_members_equals_the_scan(monkeypatch, text, period):
+    # competition period above 1, with the kernel's conjugate steps refused so
+    # that every level of the descent is a gram level, whatever the cost rule
+    # prices: row 1 of a level's gram is matched against row 1 of every member
+    read = []
+    gram_row, cheaper = engine._gram_row, boolmat._ShiftKernel.cheaper
+    monkeypatch.setattr(engine, "_gram_row", lambda x: read.append(x) or gram_row(x))
+    monkeypatch.setattr(
+        boolmat._ShiftKernel,
+        "cheaper",
+        lambda self, e, ones=None, conjugate=False: not conjugate and cheaper(self, e, ones),
+    )
+    a = from_toeplitz(ToeplitzSpec.from_string(text))
+    comp = competition_analysis(a)
+    assert (comp.index, comp.period, comp.limit) == scanned_competition(a)
+    assert comp.period == period and read
+
+
+@pytest.mark.parametrize(
+    "text, period",
+    [
         ("n=46;S=22,23,27;T=27", 2),
         ("n=54;S=42,48,50;T=18,27", 3),
         ("n=72;S=20,46;T=53", 6),
@@ -385,7 +414,7 @@ def test_competition_with_the_row_check_equals_the_scan_on_the_worst_family():
         ("n=90;S=27,36,87;T=77", 8),
     ],
 )
-def test_row_check_against_a_cycle_of_several_members_equals_the_scan(monkeypatch, text, period):
+def test_cost_rule_leaves_gram_levels_whose_row_check_equals_the_scan(monkeypatch, text, period):
     # competition period above 1 and an index large enough for gram levels,
     # those whose 2^j steps the cost rule prices above a product: row 1 of a
     # level's gram is matched against row 1 of every member
