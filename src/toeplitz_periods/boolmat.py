@@ -202,15 +202,10 @@ def _shift_or(packed: int, left: Iterable[int], right: Iterable[int]) -> int:
     return out
 
 
-def _kept_shift_or(packed: int, left: list[tuple[int, int]], right: list[tuple[int, int]]) -> int:
-    """``_shift_or`` by the k of left's and right's (keep, k), each shift of
-    packed & keep."""
-    out = 0
-    for keep, k in left:
-        out |= (packed & keep) << k
-    for keep, k in right:
-        out |= (packed & keep) >> k
-    return out
+# Keep masks a kernel holds: enough for the worst family's three offsets and
+# the six of three a side; each further offset makes its mask at every shift,
+# so the masks held never outgrow a few packed matrices
+_HELD_MASKS = 8
 
 
 class _ShiftKernel:
@@ -220,26 +215,51 @@ class _ShiftKernel:
     of a field stay clear, so packed integers are equal exactly when the
     matrices are, and compare and hash as they are.  Row i of x A is
     OR_s (x_i << s) | OR_t (x_i >> t), masked to n bits, so x -> x A is
-    |S| + |T| shifts of all rows at once, each after an AND with the keep
-    mask of its offset and direction, which clears the bits the shift would
-    carry out of their field.  A^T = T_n<T;S>, so X -> X A^T swaps those
-    shifts, and row i of A X is OR_s X_(i+s) | OR_t X_(i-t), shifts by whole
-    fields, after which one mask drops the rows past n: X -> A X A^T is twice
-    as many shifts.  ``cheaper`` is the one rule for steps against a product.
+    |S| + |T| shifts of all rows at once, each ANDed with the keep mask of
+    its offset, which clears the bits the shift carries out of their field.
+    A^T = T_n<T;S>, so X -> X A^T swaps those shifts, and row i of A X is
+    OR_s X_(i+s) | OR_t X_(i-t), shifts by whole fields, after which one mask
+    drops the rows past n: X -> A X A^T is twice as many shifts.  The masks
+    are made by the first step, so a kernel that never steps holds none.
+    ``cheaper`` is the one rule for steps against a product.
     """
 
-    __slots__ = ("n", "_cost", "_nbytes", "_times", "_transposed", "_up", "_down", "_rows")
+    __slots__ = ("n", "_offsets", "_held", "_cost", "_nbytes", "_keeps", "_unit", "_fields", "_rows")
 
     def __init__(self, n: int, offsets: Offsets):
         S, T = offsets
-        self.n, self._cost = n, len(S) + len(T)
-        self._nbytes = nbytes = (n + 7) // 8
-        fields = lambda bits: int.from_bytes(bits.to_bytes(nbytes, "little") * n, "little")
-        left = lambda ks: [(fields((1 << n - k) - 1), k) for k in ks]  # bits n-k.. spill
-        right = lambda ks: [(fields((1 << n) - (1 << k)), k) for k in ks]  # bits ..k-1 spill
-        self._times, self._transposed = (left(S), right(T)), (left(T), right(S))
-        self._up, self._down = [8 * nbytes * t for t in T], [8 * nbytes * s for s in S]
-        self._rows = (1 << 8 * nbytes * n) - 1
+        self.n, self._offsets = n, offsets
+        self._held = set(sorted({*S, *T})[:_HELD_MASKS])
+        self._cost = sum(3 if k in self._held else 5 for k in (*S, *T))  # thirds of a shift
+        self._nbytes = (n + 7) // 8
+        self._keeps: tuple[list[tuple[int, int]], list[tuple[int, int]]] | None = None
+
+    def _masks(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """S and T as lists of (keep, k) for ``_columns``, made on the first
+        call with the row shifts and the one row mask.  keep holds bits
+        0 .. n - k - 1 of every field, the bits a shift left by k keeps before
+        it and a shift right by k keeps after it.  The first ``_HELD_MASKS``
+        offsets of S u T hold theirs; the others have keep 0 and make theirs
+        at each shift from bit 0 of every field, which is held in their place."""
+        if self._keeps is None:
+            n, width, (S, T) = self.n, 8 * self._nbytes, self._offsets
+            unit = int.from_bytes((b"\1" + bytes(self._nbytes - 1)) * n, "little")
+            held = {k: (unit << n - k) - unit for k in self._held}
+            self._unit = unit if len(held) < len({*S, *T}) else 0
+            self._keeps = tuple([(held.get(k, 0), k) for k in ks] for ks in self._offsets)
+            self._fields = [width * t for t in T], [width * s for s in S]
+            self._rows = (1 << width * n) - 1
+        return self._keeps
+
+    def _columns(self, packed: int, left: list[tuple[int, int]], right: list[tuple[int, int]]) -> int:
+        """``_shift_or`` of packed by the k of left's and right's (keep, k),
+        each shift cleared of the bits it carries out of their field."""
+        out, unit, n = 0, self._unit, self.n
+        for keep, k in left:
+            out |= (packed & (keep or (unit << n - k) - unit)) << k
+        for keep, k in right:
+            out |= (packed >> k) & (keep or (unit << n - k) - unit)
+        return out
 
     def pack(self, x: BoolMatrix) -> int:
         nbytes = self._nbytes
@@ -258,10 +278,12 @@ class _ShiftKernel:
     def cheaper(self, e: int, ones: int | None = None, conjugate: bool = False) -> bool:
         """Whether e steps of x -> x A, or of X -> A X A^T when conjugate, cost
         less than the product they stand for, whose sparser factor has ones
-        ones (None: a dense one).  A step is c = |S| + |T| shifts, 2c for
-        A X A^T, and a shift moves the n ceil(n / 8) bytes of the packed rows;
-        a product makes about n + ones row selections, at most n^2 / 8, the
-        tables' cost (derived at ``_product``).  So the steps are taken when
+        ones (None: a dense one).  A step is c shifts, one per offset in S
+        and in T, 2c for A X A^T, and a shift moves the n ceil(n / 8) bytes of
+        the packed rows three times (AND, shift, OR), five when it makes its
+        keep mask, which c counts as 5/3 of a shift; a product makes about
+        n + ones row selections, at most n^2 / 8, the tables' cost (derived at
+        ``_product``).  So the steps are taken when
 
             e c n ceil(n / 8) <= K min(n + ones, n^2 / 8),
 
@@ -272,22 +294,22 @@ class _ShiftKernel:
         costs most."""
         n = self.n
         product = n * n if ones is None else min(8 * (n + ones), n * n)
-        moved = (e * self._cost << conjugate) * n * self._nbytes
-        return 8 * moved <= 200 * product
+        moved = (e * self._cost << conjugate) * n * self._nbytes  # in thirds
+        return 8 * moved <= 3 * 200 * product
 
     def times(self, packed: int, e: int) -> int:
         """x A^e for x packed."""
-        left, right = self._times
+        S, T = self._masks()
         for _ in range(e):
-            packed = _kept_shift_or(packed, left, right)
+            packed = self._columns(packed, S, T)
         return packed
 
     def conjugate(self, packed: int, e: int) -> int:
         """A^e X (A^T)^e for X packed."""
-        left, right = self._transposed
+        S, T = self._masks()
+        up, down = self._fields
         for _ in range(e):
-            columns = _kept_shift_or(packed, left, right)
-            packed = _shift_or(columns, self._up, self._down) & self._rows
+            packed = _shift_or(self._columns(packed, T, S), up, down) & self._rows
         return packed
 
 
@@ -298,8 +320,13 @@ _CROSSOVER_ORDER = 32
 
 def _shift_kernel(n: int, offsets: Offsets | None) -> _ShiftKernel | None:
     """The shift kernel of T_n<S;T> for offsets = (S, T), from the crossover
-    order on; None below it and when offsets is None or holds no offset."""
-    return _ShiftKernel(n, offsets) if n >= _CROSSOVER_ORDER and offsets and any(offsets) else None
+    order on; None below it, when offsets is None or holds no offset, and
+    when one step costs more than a dense product, since then the cost rule
+    takes no step at all."""
+    if n < _CROSSOVER_ORDER or not offsets or not any(offsets):
+        return None
+    kernel = _ShiftKernel(n, offsets)
+    return kernel if kernel.cheaper(1) else None
 
 
 _NIBBLES = tuple(bytes(b >> s & 15 for b in range(256)) for s in (0, 4))
@@ -323,17 +350,14 @@ def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatri
     if n < _CROSSOVER_ORDER or (x.count() if ones is None else ones) <= n * (16 + n // 16):
         return x @ y
     width, nbytes = 4 if n < 144 else 8, (n + 7) // 8
-    tables: list[list[int]] = []
-    for c in range(0, n, width):
+    data = b"".join([r.to_bytes(nbytes, "little") for r in x.rows])
+    pieces = [data] if width == 8 else [data.translate(f) for f in _NIBBLES]
+    fields = (piece[c::nbytes] for c in range(nbytes) for piece in pieces)
+    out = [0] * n
+    for c, field in zip(range(0, n, width), fields):  # one table held at a time
         tab = [0]
         for row in y.rows[c : c + width]:
             tab += [v | row for v in tab]
-        tables.append(tab)
-    data = b"".join([r.to_bytes(nbytes, "little") for r in x.rows])
-    pieces = [data] if width == 8 else [data.translate(f) for f in _NIBBLES]
-    fields = [piece[c::nbytes] for c in range(nbytes) for piece in pieces]
-    out = list(map(tables[0].__getitem__, fields[0]))
-    for tab, field in zip(tables[1:], fields[1:]):
         out = list(map(or_, out, map(tab.__getitem__, field)))
     return BoolMatrix(out)
 

@@ -45,6 +45,8 @@ def _parse_spec(text: str, *, need_both: bool) -> ToeplitzSpec:
     spec = ToeplitzSpec.from_string(text)
     if need_both and (not spec.S or not spec.T):
         raise SpecFormatError("this subcommand needs both S and T nonempty")
+    if spec.n > sys.maxsize:  # every subcommand builds the matrix, a list of n rows
+        raise SpecFormatError(f"order {spec.n} too large to build")
     return spec
 
 
@@ -222,9 +224,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except TheoremViolationError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
-    except OverflowError as exc:  # an order too large to build: 1 << n has too many digits
-        print(f"error: input too large: {exc}", file=sys.stderr)
-        return USAGE_ERROR
 
 
 def entry() -> None:

@@ -13,6 +13,7 @@ from toeplitz_periods import (
     from_toeplitz,
 )
 from toeplitz_periods.boolmat import (
+    _HELD_MASKS,
     _mirror,
     _product,
     _shift_kernel,
@@ -361,22 +362,26 @@ def test_shift_steps_equal_the_products_on_both_sides_of_a_byte_boundary(n):
     # fields of ceil(n / 8) bytes and no guard band: offsets 1 and n - 1 on
     # both sides carry bits 1 and n of every third row of x out of their
     # field, so each step must clear what it spills, and A X A^T must drop
-    # the rows its shifts push past n; @ is the naive twin
-    S = T = (1, n - 1)
-    a = from_toeplitz(ToeplitzSpec(n, S, T))
-    at = a.transpose()
+    # the rows its shifts push past n.  The second offsets are more than the
+    # kernel holds keep masks for, so the others make theirs at each shift.
+    # @ is the naive twin
     rng = random.Random(n)
     edges = 1 | 1 << (n - 1)
     x = BoolMatrix(
         rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) | edges * (i % 3 == 0)
         for i in range(n)
     )
-    kernel = _ShiftKernel(n, (S, T))
-    packed, times, conjugate = kernel.pack(x), x, x
-    for e in (1, 2):
-        times, conjugate = times @ a, a @ conjugate @ at
-        assert kernel.times(packed, e) == kernel.pack(times), (n, e)
-        assert kernel.conjugate(packed, e) == kernel.pack(conjugate), (n, e)
+    many = (*range(1, n, 4), n - 1), (*range(2, n, 7), n - 1)
+    assert len({*many[0], *many[1]}) > _HELD_MASKS
+    for S, T in (((1, n - 1), (1, n - 1)), many):
+        a = from_toeplitz(ToeplitzSpec(n, S, T))
+        at = a.transpose()
+        kernel = _ShiftKernel(n, (S, T))
+        packed, times, conjugate = kernel.pack(x), x, x
+        for e in (1, 2):
+            times, conjugate = times @ a, a @ conjugate @ at
+            assert kernel.times(packed, e) == kernel.pack(times), (n, S, e)
+            assert kernel.conjugate(packed, e) == kernel.pack(conjugate), (n, S, e)
 
 
 def test_cost_rule_prices_steps_by_the_bytes_they_move():
@@ -390,6 +395,17 @@ def test_cost_rule_prices_steps_by_the_bytes_they_move():
     # a field is whole bytes: at n = 33 one more per row, e c <= 165
     kernel = _ShiftKernel(33, ((1,), (2,)))
     assert kernel.cheaper(82) and not kernel.cheaper(83)
+    # a shift whose keep mask is not held makes it, and counts 5/3: S = T =
+    # {1, ..., m} holds 8 masks, so c = 16 + (10/3)(m - 8)
+    assert _HELD_MASKS == 8
+    side = lambda m: tuple(range(1, m + 1))
+    kernel = _ShiftKernel(32, (side(12), side(12)))
+    assert kernel.cheaper(6) and not kernel.cheaper(7)  # c = 29.3, e c <= 200
+    # where one step costs more than a dense product there is no kernel: at
+    # n = 512, c n ceil(n / 8) <= K n^2 / 8 holds for c <= 200
+    assert _shift_kernel(512, (side(63), side(63))) is not None  # c = 199.3
+    assert _shift_kernel(512, (side(63), side(64))) is None  # c = 201
+    assert _shift_kernel(512, (side(200), side(200))) is None
 
 
 def test_offsets_need_a_toeplitz_matrix_with_offsets_and_no_diagonal():

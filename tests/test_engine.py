@@ -374,38 +374,22 @@ def test_competition_with_the_row_check_equals_the_scan_on_the_worst_family():
         assert (comp.index, comp.period, comp.limit) == scanned_competition(a), n
 
 
-@pytest.mark.parametrize(
-    "text, period",
-    [
-        ("n=32;S=5,9;T=29", 6),
-        ("n=33;S=5,9;T=31", 12),
-        ("n=35;S=10,25;T=29,32", 3),
-        ("n=41;S=19;T=23,33", 16),
-        ("n=42;S=29;T=15,27", 4),
-        ("n=43;S=17,25;T=31", 8),
-    ],
-)
-def test_row_check_against_a_cycle_of_several_members_equals_the_scan(monkeypatch, text, period):
-    # competition period above 1, with the kernel's conjugate steps refused so
-    # that every level of the descent is a gram level, whatever the cost rule
-    # prices: row 1 of a level's gram is matched against row 1 of every member
-    read = []
-    gram_row, cheaper = engine._gram_row, boolmat._ShiftKernel.cheaper
-    monkeypatch.setattr(engine, "_gram_row", lambda x: read.append(x) or gram_row(x))
-    monkeypatch.setattr(
-        boolmat._ShiftKernel,
-        "cheaper",
-        lambda self, e, ones=None, conjugate=False: not conjugate and cheaper(self, e, ones),
-    )
-    a = from_toeplitz(ToeplitzSpec.from_string(text))
-    comp = competition_analysis(a)
-    assert (comp.index, comp.period, comp.limit) == scanned_competition(a)
-    assert comp.period == period and read
+# The cost rule shifts every level of these inputs' descent, so their test
+# refuses the kernel's conjugate steps to make every level a gram level
+_SHIFTED_AT_EVERY_LEVEL = [
+    ("n=32;S=5,9;T=29", 6),
+    ("n=33;S=5,9;T=31", 12),
+    ("n=35;S=10,25;T=29,32", 3),
+    ("n=41;S=19;T=23,33", 16),
+    ("n=42;S=29;T=15,27", 4),
+    ("n=43;S=17,25;T=31", 8),
+]
 
 
 @pytest.mark.parametrize(
     "text, period",
-    [
+    _SHIFTED_AT_EVERY_LEVEL
+    + [  # an index large enough for levels whose 2^j steps the rule prices above a product
         ("n=46;S=22,23,27;T=27", 2),
         ("n=54;S=42,48,50;T=18,27", 3),
         ("n=72;S=20,46;T=53", 6),
@@ -414,13 +398,18 @@ def test_row_check_against_a_cycle_of_several_members_equals_the_scan(monkeypatc
         ("n=90;S=27,36,87;T=77", 8),
     ],
 )
-def test_cost_rule_leaves_gram_levels_whose_row_check_equals_the_scan(monkeypatch, text, period):
-    # competition period above 1 and an index large enough for gram levels,
-    # those whose 2^j steps the cost rule prices above a product: row 1 of a
-    # level's gram is matched against row 1 of every member
+def test_row_check_against_a_cycle_of_several_members_equals_the_scan(monkeypatch, text, period):
+    # competition period above 1: on a gram level row 1 of the level's gram is
+    # matched against row 1 of every member
     read = []
-    gram_row = engine._gram_row
+    gram_row, cheaper = engine._gram_row, boolmat._ShiftKernel.cheaper
     monkeypatch.setattr(engine, "_gram_row", lambda x: read.append(x) or gram_row(x))
+    if (text, period) in _SHIFTED_AT_EVERY_LEVEL:
+        monkeypatch.setattr(
+            boolmat._ShiftKernel,
+            "cheaper",
+            lambda self, e, ones=None, conjugate=False: not conjugate and cheaper(self, e, ones),
+        )
     a = from_toeplitz(ToeplitzSpec.from_string(text))
     comp = competition_analysis(a)
     assert (comp.index, comp.period, comp.limit) == scanned_competition(a)
@@ -449,6 +438,23 @@ def test_analysis_of_the_worst_family_at_order_256_peaks_below_one_mib():
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20
+
+
+@pytest.mark.parametrize("side, mib", [(60, 1), (200, 0.5)])
+def test_analysis_with_many_offsets_at_order_512_peaks_below_the_old_layout(side, mib):
+    # S = T = {1, ..., side}: 60 a side steps with 8 keep masks held and 52
+    # made at each shift, 200 a side has no kernel; the traced peaks were
+    # 2.07 and 0.49 MiB on fields of n + max(S u T) bits, and 10.0 and 28.4
+    # MiB when the kernel held a mask per offset and direction
+    spec = ToeplitzSpec(512, range(1, side + 1), range(1, side + 1))
+    analyze(spec)  # fills the caches outside the lift
+    tracemalloc.start()
+    try:
+        analyze(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * (1 << 20)
 
 
 def test_lifted_competition_equals_the_scan_above_order_32():
@@ -548,18 +554,23 @@ def test_steps_and_products_agree_on_both_sides_of_the_cost_rule(case):
 
 
 def test_dense_offsets_take_products_where_shifts_cost_more():
-    # one step of x -> x A moves c n ceil(n / 8) bytes, c = |S| + |T|, and
-    # B -> A B A^T twice that: from 2 c above 25 n / ceil(n / 8) (200 at n =
-    # 128 and 160, 189 at n = 129) one step of B costs more than a dense
-    # product, and from c above it one step of x does too; the lift then
-    # multiplies, and every number is held to the scans
+    # one step of x -> x A moves c n ceil(n / 8) bytes, c counting a shift
+    # by one of the first 8 offsets of S u T as 1 and by any other, which
+    # makes its keep mask, as 5/3, and B -> A B A^T twice that: from 2 c
+    # above 25 n / ceil(n / 8) (200 at n = 128 and 160, 189 at n = 129) one
+    # step of B costs more than a dense product, and from c above it one
+    # step of x does too, and the lift has no kernel (c = 164 at n = 128,
+    # 313 and 330 at n = 129 and 160); it then multiplies, and every number
+    # is held to the scans
     rng = random.Random(20261020)
     for n, size in ((128, 51), (129, 96), (160, 101)):
         spec = ToeplitzSpec(n, rng.sample(range(1, n), size), rng.sample(range(1, n), size))
         a = from_toeplitz(spec)
         lift = _Lift(a, (spec.S, spec.T))
-        assert lift.shifts.cheaper(1) == (8 * 2 * size * ((n + 7) // 8) <= 200 * n)
-        assert not lift.shifts.cheaper(1, conjugate=True)
+        held = sorted({*spec.S, *spec.T})[:8]
+        thirds = sum(3 if k in held else 5 for k in (*spec.S, *spec.T))
+        assert (lift.shifts is not None) == (8 * thirds * ((n + 7) // 8) <= 3 * 200 * n)
+        assert not (lift.shifts and lift.shifts.cheaper(1, conjugate=True))
         scan = PowerSequence(a)
         assert (lift.index, lift.period) == scan.cycle()
         comp = lift.competition()
