@@ -1,16 +1,10 @@
 """Periods and competition structure of Boolean Toeplitz matrices.
 
-A Toeplitz descriptor T_n<S;T> fixes a 0/1 matrix whose powers, like
-those of every Boolean matrix, are eventually periodic.  This package
-computes the exact index and period of that sequence and of the
-competition sequence A^m (A^T)^m, decides the walk-ensured property
-(congruence-allowed displacements are all eventually realized by
-walks), certifies it through cheap sufficient rules where possible,
-and cross-validates every formula it uses against brute force on
-small instances.
-
-The top level exports the twelve names the README uses; everything
-else is imported from its submodule.
+The exact index and period of the powers of T_n<S;T> and of the competition
+sequence A^m (A^T)^m, the walk-ensured property, certified by sufficient
+rules where they apply and decided exactly otherwise, and sweeps that check
+every formula against brute force on small instances.  The top level exports
+the twelve names the README uses; the rest is imported from its submodule.
 """
 
 from .boolmat import BoolMatrix, PowerSequence, from_toeplitz

@@ -152,8 +152,8 @@ _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 def _mirror(x: BoolMatrix) -> BoolMatrix:
     """J x J, J the reversal permutation: the rows in reverse order, each read
     backwards, one table lookup per byte.  It is x^T when x is persymmetric,
-    as every power of a Toeplitz A is: A^T = T_n<T;S> = J A J, so
-    (A^m)^T = (J A J)^m = J A^m J."""
+    its column j row n+1-j read backwards, as every power of a Toeplitz A is:
+    A^T = T_n<T;S> = J A J, so (A^m)^T = (J A J)^m = J A^m J."""
     nbytes = (x.n + 7) // 8
     pad = 8 * nbytes - x.n
     return BoolMatrix([
@@ -202,10 +202,7 @@ def _shift_or(packed: int, left: Iterable[int], right: Iterable[int]) -> int:
     return out
 
 
-# Keep masks a kernel holds: enough for the worst family's three offsets and
-# the six of three a side; each further offset makes its mask at every shift,
-# so the masks held never outgrow a few packed matrices
-_HELD_MASKS = 8
+_HELD_MASKS = 8  # keep masks a kernel holds (see _ShiftKernel._masks)
 
 
 class _ShiftKernel:
@@ -213,15 +210,13 @@ class _ShiftKernel:
 
     Row i is field i of ceil(n / 8) bytes, with no guard band: bits n and up
     of a field stay clear, so packed integers are equal exactly when the
-    matrices are, and compare and hash as they are.  Row i of x A is
+    matrices are, and compare and hash as they do.  Row i of x A is
     OR_s (x_i << s) | OR_t (x_i >> t), masked to n bits, so x -> x A is
-    |S| + |T| shifts of all rows at once, each ANDed with the keep mask of
-    its offset, which clears the bits the shift carries out of their field.
-    A^T = T_n<T;S>, so X -> X A^T swaps those shifts, and row i of A X is
-    OR_s X_(i+s) | OR_t X_(i-t), shifts by whole fields, after which one mask
-    drops the rows past n: X -> A X A^T is twice as many shifts.  The masks
-    are made by the first step, so a kernel that never steps holds none.
-    ``cheaper`` is the one rule for steps against a product.
+    |S| + |T| shifts of all rows at once, each cleared of the bits it carries
+    out of their field (``_masks``).  A^T = T_n<T;S>, so X -> X A^T swaps
+    those shifts, and row i of A X is OR_s X_(i+s) | OR_t X_(i-t), shifts by
+    whole fields and one mask for the rows past n: X -> A X A^T is twice as
+    many shifts.  ``cheaper`` is the one rule for steps against a product.
     """
 
     __slots__ = ("n", "_offsets", "_held", "_cost", "_nbytes", "_keeps", "_unit", "_fields", "_rows")
@@ -235,12 +230,15 @@ class _ShiftKernel:
         self._keeps: tuple[list[tuple[int, int]], list[tuple[int, int]]] | None = None
 
     def _masks(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """S and T as lists of (keep, k) for ``_columns``, made on the first
-        call with the row shifts and the one row mask.  keep holds bits
-        0 .. n - k - 1 of every field, the bits a shift left by k keeps before
-        it and a shift right by k keeps after it.  The first ``_HELD_MASKS``
-        offsets of S u T hold theirs; the others have keep 0 and make theirs
-        at each shift from bit 0 of every field, which is held in their place."""
+        """S and T as lists of (keep, k) for ``_columns``, made by the first
+        step with the row shifts and the one row mask, so a kernel that never
+        steps holds none.  keep holds bits 0 .. n - k - 1 of every field, the
+        bits a shift left by k keeps before it and a shift right by k after
+        it, so one mask serves both directions.  The first ``_HELD_MASKS``
+        offsets of S u T hold theirs, enough for the worst family's three and
+        for three a side; the others have keep 0 and make theirs at each shift
+        from bit 0 of every field, held in their place, so the masks held never
+        outgrow a few packed matrices."""
         if self._keeps is None:
             n, width, (S, T) = self.n, 8 * self._nbytes, self._offsets
             unit = int.from_bytes((b"\1" + bytes(self._nbytes - 1)) * n, "little")
@@ -278,20 +276,18 @@ class _ShiftKernel:
     def cheaper(self, e: int, ones: int | None = None, conjugate: bool = False) -> bool:
         """Whether e steps of x -> x A, or of X -> A X A^T when conjugate, cost
         less than the product they stand for, whose sparser factor has ones
-        ones (None: a dense one).  A step is c shifts, one per offset in S
-        and in T, 2c for A X A^T, and a shift moves the n ceil(n / 8) bytes of
-        the packed rows three times (AND, shift, OR), five when it makes its
-        keep mask, which c counts as 5/3 of a shift; a product makes about
-        n + ones row selections, at most n^2 / 8, the tables' cost (derived at
-        ``_product``).  So the steps are taken when
+        ones (None: a dense one).  A step is c shifts, one per offset, 2c when
+        conjugate, and a shift moves the n ceil(n / 8) packed bytes three times
+        (AND, shift, OR), five when it makes its keep mask, counted in c as 5/3
+        of a shift; a product makes about n + ones row selections, at most the
+        tables' n^2 / 8 (``_product``).  So the steps are taken when
 
             e c n ceil(n / 8) <= K min(n + ones, n^2 / 8),
 
-        K = 200 bytes per row selection: against a dense factor e c <= about K
-        at every order, fewer steps against a sparse one.  README's table of
-        one shift against one dense product reads K = 350 to 550 at n = 64
-        and 160 to 170 at 2,048: 200 suits the large orders, where a step
-        costs most."""
+        K = 200 bytes per row selection, e c <= about K against a dense factor
+        at every order: README's table of one shift against one dense product
+        reads K = 350 to 550 at n = 64 and 160 to 170 at 2,048, and 200 suits
+        the large orders, where a step costs most."""
         n = self.n
         product = n * n if ones is None else min(8 * (n + ones), n * n)
         moved = (e * self._cost << conjugate) * n * self._nbytes  # in thirds
@@ -314,15 +310,15 @@ class _ShiftKernel:
 
 
 # The crossover order: below it a matrix is a few small ints, and row
-# selection costs less than packing, tables or counting ones
+# selection costs less than packing, tables or counting ones; from it on the
+# shift kernel, the OR tables, _power_product's tests and the lift's drops act
 _CROSSOVER_ORDER = 32
 
 
 def _shift_kernel(n: int, offsets: Offsets | None) -> _ShiftKernel | None:
-    """The shift kernel of T_n<S;T> for offsets = (S, T), from the crossover
-    order on; None below it, when offsets is None or holds no offset, and
-    when one step costs more than a dense product, since then the cost rule
-    takes no step at all."""
+    """The shift kernel of T_n<S;T> for offsets = (S, T); None below the
+    crossover order, without offsets, and where one step costs more than a
+    dense product, as the cost rule then takes no step."""
     if n < _CROSSOVER_ORDER or not offsets or not any(offsets):
         return None
     kernel = _ShiftKernel(n, offsets)
@@ -335,17 +331,16 @@ _NIBBLES = tuple(bytes(b >> s & 15 for b in range(256)) for s in (0, 4))
 def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatrix:
     """x @ y, the one product through OR tables: 2^w entries per w rows of y,
     w = 4 below order 144 and 8 from it on, read in one pass over field c of
-    all x's rows per table.  Counting a lookup and OR as half a row
-    selection, the 4-row tables cost n^2 / 8 + 2n (n^2 / 4 lookups, 4n ORs to
-    build) and the 8-row ones n^2 / 16 + 16n (n^2 / 8 and 32n), whatever the
-    density, both within 1.5 times n^2 / 8 where they are used; below order
-    144, building 8-row ones costs more than the lookups they save (measured
-    on dense random factors).  Row selection costs a step per 1 of x, so the
-    tables are taken when x is dense: from the crossover order on, with more
-    than n (16 + n/16) ones, the 8-row cost, a density of about 16/n + 1/16.
-    The 4-row tables win from a lower density (about 0.2 at n = 64), so
-    there the products between the two keep row selection.  ones = x.count()
-    when the caller has it."""
+    all x's rows per table, one table at a time (all n/8 8-row ones would take
+    about 4n^2 bytes).  Counting a lookup and OR as half a row selection, the
+    4-row tables cost n^2 / 8 + 2n (n^2 / 4 lookups, 4n ORs to build) and the
+    8-row ones n^2 / 16 + 16n (n^2 / 8 and 32n) at any density, within 1.5
+    times n^2 / 8 where used; below order 144, building 8-row ones costs more
+    than the lookups save (dense random factors).  Row selection costs a step
+    per 1 of x, so from the crossover order on the tables take an x with more
+    than n (16 + n/16) ones, the 8-row cost, a density of about 16/n + 1/16;
+    the 4-row tables win from about 0.2 at n = 64, so the products between keep
+    row selection.  ones = x.count() when the caller has it."""
     n = x.n
     if n < _CROSSOVER_ORDER or (x.count() if ones is None else ones) <= n * (16 + n // 16):
         return x @ y
@@ -365,13 +360,15 @@ def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatri
 def _power_product(x: BoolMatrix, y: BoolMatrix, persymmetric: bool = False) -> BoolMatrix:
     """x y for two powers of one matrix.  They commute, so from the crossover
     order on the sparser goes left, where row selection costs a step per 1;
-    below it ``_product`` reads no count, so none is made.  persymmetric: the
-    matrix is Toeplitz, so y is persymmetric, its column j row n+1-j read
-    backwards (see ``_mirror``), and its lightest column weighs what its
-    lightest row does.  Then, from the crossover order on, x y is all ones
-    without a product when the lightest rows of x and y hold more than n
-    ones between them: every row of x and column of y share an index
-    (pigeonhole; ``engine._gram`` reads the same fact off x's rows alone)."""
+    below it ``_product`` reads no count, so none is made.  Pigeonhole: a row
+    of x and a column of y with more than n ones between them share an index,
+    so x y is all ones, with no product, when x's lightest row and y's
+    lightest column do, as often for the powers of a primitive A, which
+    reaches J.  persymmetric: the matrix is Toeplitz, so y is persymmetric
+    (``_mirror``) and its lightest column weighs what its lightest row does,
+    which the test reads.  A matrix that is not Toeplitz may have heavy rows
+    and an empty column (every row "all columns but the first" is idempotent);
+    below the crossover order the test costs more than it saves."""
     if x.n < _CROSSOVER_ORDER:
         return _product(x, y)
     x_weights, y_weights = list(map(int.bit_count, x.rows)), list(map(int.bit_count, y.rows))
@@ -386,13 +383,11 @@ class PowerSequence:
 
     ``power(m)`` is base^m, power(0) the identity.  Powers grow one
     multiplication by base at a time, each value's first occurrence
-    recorded; the first repeat, power b == power a with a < b, closes
-    the cycle and gives the least index a and period b - a
-    (``cycle()``).  A finite matrix has finitely many powers, so the
-    scan always ends.  Later exponents fold into the cycle.
-
-    Each step is base^(m+1) = base base^m (powers of one matrix commute) by
-    row selection alone, one OR per 1 of base whatever its density, so the
+    recorded; the first repeat, power b == power a with a < b, closes the
+    cycle and gives the least index a and period b - a (``cycle()``), into
+    which later exponents fold; a finite matrix has finitely many powers, so
+    the scan ends.  Each step is base^(m+1) = base base^m (powers of one
+    matrix commute) by row selection alone, one OR per 1 of base, so the
     scan, the ground truth that the lift is held to, reads no OR table.
     """
 
@@ -417,8 +412,8 @@ class PowerSequence:
         self._pows.append(nxt)
 
     def cycle(self, max_steps: int | None = None) -> tuple[int, int]:
-        """(index, period), scanning from power 1; max_steps is accepted and
-        not read, because perfbench/tracing.py still passes it."""
+        """(index, period), scanning from power 1; max_steps is not read
+        (tests/test_hygiene.py, UNREAD_HARNESS_SLOTS)."""
         while self._cycle is None:
             self._advance()
         return self._cycle
@@ -433,9 +428,3 @@ class PowerSequence:
             if m >= a:
                 m = a + (m - a) % p
         return self._pows[m]
-
-
-def _check_powers(a: BoolMatrix, powers: PowerSequence | None) -> None:
-    """Raise ValueError when powers is given and is not the power sequence of a."""
-    if powers is not None and powers.base != a:
-        raise ValueError("power sequence belongs to a different matrix")

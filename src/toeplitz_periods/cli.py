@@ -1,19 +1,6 @@
-"""Command-line front end.
-
-Subcommands:
-  analyze    periods, competition data and walk-ensured status of one
-             descriptor
-  walksets   the three displacement sets at one walk length
-  contract   DOT text of a descriptor's digraph contracted mod d
-  sweep      cross-validation sweep over many descriptors
-
-Descriptors are written "n=6;S=2,4;T=5" (whitespace ignored; an empty
-side is written "T=" and is accepted where the subcommand can work
-without it).  Exit codes: 0 success (for sweep: no violations),
-1 violations found, 2 usage or parse error or an order too large to
-build, 3 an internal check failed
-(a TheoremViolationError: the Heap-Lynn bound, the period's minimality
-or the sweep's lifted-against-scanned check).
+"""Command-line front end: the subcommands analyze, walksets, contract and
+sweep (see ``build_parser``).  The descriptor grammar, the outputs and the
+exit codes are the contract that README's "Command line" section states.
 """
 
 from __future__ import annotations
@@ -45,7 +32,7 @@ def _parse_spec(text: str, *, need_both: bool) -> ToeplitzSpec:
     spec = ToeplitzSpec.from_string(text)
     if need_both and (not spec.S or not spec.T):
         raise SpecFormatError("this subcommand needs both S and T nonempty")
-    if spec.n > sys.maxsize:  # every subcommand builds the matrix, a list of n rows
+    if spec.n * ((spec.n + 7) // 8) > sys.maxsize:  # n rows of ceil(n/8) bytes, unaddressable
         raise SpecFormatError(f"order {spec.n} too large to build")
     return spec
 

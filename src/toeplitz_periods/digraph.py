@@ -67,9 +67,10 @@ def power_period(m: BoolMatrix, offsets: Optional[Offsets] = None) -> int:
     arc into a member from a vertex the forward BFS reached starts inside
     too, so the set bits of the OR of level k's rows within the component
     are the heads of the arcs inside that leave level k.  Each vertex's
-    level is recorded once and each such arc read once, until the gcd is
-    1.  When offsets = (S, T) says m = T_n<S;T>, its columns are the rows
-    of T_n<T;S>, built without a transpose.
+    level is recorded once and each such arc read once until the gcd is 1:
+    linear in the arcs, where comparing every pair of levels would be
+    quadratic in the BFS depth, about n on T_n<1;n-2,n-1>.  When offsets =
+    (S, T) says m = T_n<S;T>, its columns are the rows of T_n<T;S>.
     """
     rows = m.rows
     cols = m.transpose().rows if offsets is None else _toeplitz_rows(m.n, *offsets[::-1])

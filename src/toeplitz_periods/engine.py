@@ -1,80 +1,22 @@
 """Period and competition analysis of Boolean Toeplitz matrices.
 
-Every quantity here is read off the powers A^m, and A^(m+e) = A^m A^e, so
-the lift (``_Lift``) keeps each power it makes under its exponent m, and
-its one maker (``_Lift.step``) makes none twice while it is held.  Index
-and period are found by lifting over the binary powers A^(2^k), never by
-stepping through the powers:
+Every quantity is read off the powers A^m, which ``_Lift`` lifts over the
+binary powers A^(2^k).  Each fact of the design is stated once, at the code
+that rests on it:
 
-* the period p is the lcm of the cyclicities of A's strong components
-  (``digraph.power_period``), checked least at the index M;
-* a test on A^m that fails exactly below some m, known to fail at lo
-  and to pass at hi, is settled by one descent over (lo, hi], one test
-  per bit of hi - lo - 1 from the top (``_Lift.least``, over exponents,
-  whose probe(m, j) makes what the test reads at m + 2^j from the
-  failing m);
-* A^m = A^(m+p) is such a test, so M, the least m where it holds, is
-  found by galloping over A^(2^k) to the bracket (2^(k-1), 2^k] and
-  descending: O(log M) products.  The powers from top = 2^k on are the
-  cycle A^top, ..., A^(top+p-1), each made once when first read and held;
-  A^m for m >= M is its member top + (m - top) mod p.  The descent tests
-  A^m against its member: A^m = A^(m+jp) with m < M would make the powers
-  from m on repeat with period jp, so A^m = A^(m+p).  The minimality
-  check and B_M read members, and the walk makes no power but members.
-  From the crossover order 32 on (``boolmat._CROSSOVER_ORDER``), each
-  level keeps only the squares A^(2^k), A^p, the cycle and the A^m in its
-  bracket, [2^k, 2^(k+1)] after a failing gallop test at 2^k and [failing
-  m, best m] in a descent: all a later level reads (``_Lift._drop``);
-  below it nothing is let go.  Heap and Lynn (1964) bound M by
-  (n-1)^2 + 1; a larger M raises TheoremViolationError;
-* B_m = A^m (A^T)^m steps by X -> A X A^T and B_(M+p) = B_M, so the
-  walk from B_M until it returns gives the cycle, of size the period c.
-  The map keeps the cycle, so "B_m is on it", the same as B_m = B_(m+c),
-  is monotone in m; B_M is on it, so the index q is found by the descent
-  over (0, M], at most ceil(log2 M) grams and set lookups.  B_m on the
-  cycle equals a member, so a level first reads row 1 of the gram of
-  A^m (n ANDs) and fails without the gram when it is row 1 of no
-  member.  Pigeonhole: a row of x and a column of y with more than n
-  ones between them share an index, so x y is all ones, and no product
-  is made, when x's lightest row and y's lightest column do.  The
-  columns of x^T are x's rows, so a gram x x^T takes this when the two
-  lightest rows of x do, at every order.  A power product x y
-  (``boolmat._power_product``) takes it, from the crossover order 32 on
-  and only when A is Toeplitz, when the lightest rows of x and y do: a
-  power of a Toeplitz A is persymmetric, its column j row n+1-j read
-  backwards, so its lightest column weighs what its lightest row does.
-  A primitive A reaches J at its index, so its lift meets many such
-  products.  Else x^T, x a power of a Toeplitz A, is J x J, J the
-  reversal, since A^T = J A J (``boolmat._mirror``), and the product
-  goes through OR tables of x^T (``boolmat._product``: 4-row tables
-  below order 144, 8-row ones from it on);
-* from the crossover order on (below it, row selection on a few rows
-  costs less than packing), a Toeplitz A = T_n<S;T> steps by its offsets
-  on its rows packed into one integer (``boolmat._ShiftKernel``): x -> x A is
-  |S| + |T| shifts and B -> A B A^T twice that.  The offsets come from
-  the caller's ToeplitzSpec when it has one, else from A's rows, and
-  also give A's columns to ``power_period``.  One cost rule, stated at
-  ``_ShiftKernel.cheaper``, prices e steps against the product they stand
-  for.  So A^(m+e), priced by the ones of A^e, is e steps from A^m
-  wherever the rule takes them: in the period test, for the members of
-  the cycle and on the low levels of the index descent.  B_m moves by
-  2^j steps of its map, against a gram, on every level of the descent
-  for q where the rule takes them, and the cycle of B_M by single steps
-  where it takes one; since 2^j halves from level to level, these are
-  the last levels, and no A^m is made on them.  The lift
-  holds a power as an int when shifts made it and as a BoolMatrix when a
-  product did, and makes the other form at most once, the first time
-  something reads it: packed integers compare and hash as the matrices
-  do, so only a product, a gram and the members the walk yields unpack.
-  The squares A^(2^k) are products where no shift step made them first
-  (see ``_Lift.power``).
+* ``_Lift`` (the gallop), ``_Lift.least`` (the descent), ``_Lift.member``
+  (the cycle), ``_Lift._drop`` (the bracket rule), ``_Lift.competition``;
+* ``digraph.power_period`` (the period), ``boolmat._power_product``
+  (pigeonhole), ``_gram``, ``_mirror`` (persymmetry), ``boolmat._ShiftKernel``
+  and ``boolmat._ShiftKernel.cheaper`` (the cost rule), and
+  ``boolmat._CROSSOVER_ORDER``.
 
-Heap-Lynn is the only bound on the search, and it is asserted; the
-sweep and the tests hold the index, period and exact verdict to
-``PowerSequence``'s linear scan.  On top sit the congruence-class
-limit, an exact decision procedure for the walk-ensured property and
-the rules that transfer a period, each lifting its base at most once;
-``analyze`` assembles a ``PeriodReport``, rules first.
+Heap and Lynn (1964) bound the index by (n-1)^2 + 1, the only bound on the
+search, asserted in ``_Lift``; the sweep and the tests hold the index,
+period and exact verdict to ``PowerSequence``'s linear scan.  On top sit the
+congruence-class limit, an exact walk-ensured decision and the rules that
+transfer a period, each lifting its base at most once; ``analyze``
+assembles a ``PeriodReport``, rules first.
 """
 
 from __future__ import annotations
@@ -88,7 +30,6 @@ from .boolmat import (
     Offsets,
     PowerSequence,
     _CROSSOVER_ORDER,
-    _check_powers,
     _mirror,
     _power_product,
     _product,
@@ -113,19 +54,21 @@ class TheoremViolationError(RuntimeError):
     """A rule application contradicted the brute-force ground truth."""
 
 
-def _gram(x: BoolMatrix, transpose: Callable[[BoolMatrix], BoolMatrix]) -> BoolMatrix:
-    """x x^T = x transpose(x): (u, v) = 1 iff rows u and v of x share a column.
-    Two rows with more than n ones between them share one, so when the two
-    lightest rows do, every pair does and x x^T is all ones, diagonal included.
-    This is the pigeonhole fact of ``boolmat._power_product`` with x's rows
-    for the columns of x^T, so it needs neither of that test's premises (a
-    persymmetric x, and order 32 or more).  Off the diagonal it pairs two
-    distinct rows, and a nonempty row meets itself, so it reads the two
-    lightest rows: a stronger test than the lightest row twice."""
+def _check_powers(a: BoolMatrix, powers: Optional[PowerSequence]) -> None:
+    """Raise ValueError when powers is given and is not the power sequence of a."""
+    if powers is not None and powers.base != a:
+        raise ValueError("power sequence belongs to a different matrix")
+
+
+def _gram(x: BoolMatrix, persymmetric: bool) -> BoolMatrix:
+    """x x^T, (u, v) = 1 iff rows u and v of x share a column, with x^T by
+    ``_mirror`` when x is persymmetric, else ``BoolMatrix.transpose``.  All ones
+    (a nonempty row meets itself) when the two lightest rows hold more than n
+    ones: ``boolmat._power_product``'s pigeonhole, x's rows as x^T's columns."""
     row_ones = sorted(map(int.bit_count, x.rows))
     if sum(row_ones[:2]) > x.n:
         return BoolMatrix.ones(x.n)
-    return _product(x, transpose(x), sum(row_ones))
+    return _product(x, (_mirror if persymmetric else BoolMatrix.transpose)(x), sum(row_ones))
 
 
 def _gram_row(x: BoolMatrix) -> int:
@@ -136,20 +79,15 @@ def _gram_row(x: BoolMatrix) -> int:
 
 class _Lift:
     """Index and period of A's powers by lifting, each power A^m that it makes
-    kept under its exponent m.
+    kept under its exponent m, since A^(m+e) = A^m A^e.
 
-    offsets = (S, T) with A = T_n<S;T>, when the caller holds them; they are
-    read from A otherwise, and are None for a matrix that is not Toeplitz.
-    The grams transpose A's powers by ``boolmat._mirror`` when A is Toeplitz,
-    else by ``BoolMatrix.transpose``.  shifts is A's shift kernel
-    (boolmat._shift_kernel), None below the crossover order and without
-    offsets.  One memo: ``_rows[m]`` holds A^m as a BoolMatrix when a product
-    made it, ``_packed[m]`` as an int when shift steps did, and ``rows(m)``
-    and ``packed(m)`` make the other form at most once, the first time
-    something reads it.  One maker: ``step(m, e)`` makes A^(m+e) from A^m,
-    by e steps of shifts wherever the kernel's cost rule takes them.
-    ``cycle`` holds top, ..., top + p - 1, into which ``member(m)`` folds
-    m >= index.  One descent, ``least``, and one lifetime rule, ``_drop``.
+    offsets = (S, T) with A = T_n<S;T>, when the caller holds them; read from
+    A otherwise, None for a matrix that is not Toeplitz.  One memo: ``_rows[m]``
+    holds A^m as rows when a product made it, ``_packed[m]`` as an int when
+    shift steps did, packing costing more than a step; ``rows`` and ``packed``
+    make the other form at most once, when first read.  A^m = A^(m+p) fails
+    exactly below the index M, so a gallop over the A^(2^k) brackets M in
+    (2^(k-1), 2^k] and ``least`` settles the lower bits: O(log M) products.
     """
 
     def __init__(self, a: BoolMatrix, offsets: Optional[Offsets] = None):
@@ -157,7 +95,6 @@ class _Lift:
             offsets = _toeplitz_offsets(a)
         self.a, self._rows, self._packed, self.cycle = a, {1: a}, {}, range(0)
         self.persymmetric = offsets is not None  # A is Toeplitz: its powers are persymmetric
-        self.transpose = _mirror if self.persymmetric else BoolMatrix.transpose
         self.shifts = _shift_kernel(a.n, offsets)
         self.period = p = power_period(a, offsets)
         bound = (a.n - 1) ** 2 + 1  # Heap and Lynn (1964): the index is at most this
@@ -178,15 +115,26 @@ class _Lift:
             raise TheoremViolationError(f"period {p} of the components is not least")
 
     def member(self, m: int) -> int:
-        """e = top + (m - top) mod p, the member A^m equals from the index on, made
-        when first read by a step from the member before it if held, else from A^top."""
+        """e = top + (m - top) mod p: from top = 2^k >= M on, the powers are the
+        cycle A^top, ..., A^(top+p-1), and every A^m with m >= M equals A^e.  So
+        the index descent tests A^m against its member, not A^(m+p): A^m =
+        A^(m+jp) with m < M would make the powers from m on repeat with period
+        jp, so A^m = A^(m+p).  Members, which the minimality check, B_M and the
+        walk read too, are made when first read (a certificate may read none of
+        a long cycle), by a step from the member before it if held, else A^top."""
         e = self.cycle[(m - self.cycle.start) % len(self.cycle)]
         before = e - 1 if e - 1 in self._rows or e - 1 in self._packed else self.cycle.start
         return self.step(before, e - before)
 
     def _drop(self, lo: int, hi: int) -> None:
-        """From the crossover order on, keep of the A^m only the squares, A^p, the
-        cycle and the bracket [lo, hi], and a square outside them as rows alone."""
+        """The bracket rule, the one lifetime rule for the A^m, applied after each
+        level of the gallop and of a descent: from the crossover order on, keep
+        only the squares (as rows alone), A^p, the cycle and the bracket [lo, hi]
+        that later levels mostly read, [2^k, 2^(k+1)] after a failing gallop test
+        at 2^k (with the A^(2^k + p) it made when p <= 2^k) and [failing m,
+        best m] after a descent level.  Letting A^p go made 44 powers twice in an
+        analyze-random pass, not 7; below that order, where a power is a few
+        small ints, letting go made more products and ran slower."""
         if self.a.n < _CROSSOVER_ORDER:
             return
         kept = lambda m: lo <= m <= hi or m == self.period or m in self.cycle
@@ -233,10 +181,9 @@ class _Lift:
         return self._packed[e].bit_count() if e in self._packed else self._rows[e].count()
 
     def step(self, m: int, e: int) -> int:
-        """m + e, once A^(m+e) is held: made, when it is not, from A^m, which
-        is held (or m = 0 and A^e is), by e steps of shifts on A^m packed
-        where the kernel's cost rule takes them against the ones of A^e,
-        else by the product of A^m and A^e as rows."""
+        """m + e, once A^(m+e) is held: made, when it is not, from A^m (held, or
+        m = 0 and A^e is) by e shift steps where ``_ShiftKernel.cheaper`` takes
+        them against the ones of A^e, else by the product of A^m and A^e."""
         if m + e not in self._rows and m + e not in self._packed:
             if self.shifts and self.shifts.cheaper(e, self.ones(e)):
                 self._packed[m + e] = self.shifts.times(self.packed(m), e)
@@ -254,7 +201,7 @@ class _Lift:
         some m, fails at lo and holds at hi.  probe(m, j) makes what the test
         reads at m + 2^j from the failing m and tests it there.  One probe per
         bit of hi - lo - 1, from the top: the failing m goes up by 2^j whenever
-        the probe fails.  After each, ``_drop`` keeps [failing m, best m]."""
+        the probe fails.  After each, ``_drop(m, best)``, the bracket rule."""
         m, best = lo, hi
         for j in reversed(range((hi - lo - 1).bit_length())):
             if m + (1 << j) < hi:
@@ -266,14 +213,19 @@ class _Lift:
         return best
 
     def competition(self) -> "CompetitionResult":
-        """B_m = A^m (A^m)^T; its cycle is B_M, B_(M+1), ... up to the return to B_M,
-        walked by B -> A B A^T on packed rows where the cost rule takes one step
-        of it, else as the grams of walk().  Its members' first rows refute the
-        descent's gram levels (``probe``)."""
+        """Index q and period c of B_m = A^m (A^m)^T.  B_m is a function of A^m,
+        so B_(M+p) = B_M, and B_(m+1) = A B_m A^T: the cycle is B_M, B_(M+1),
+        ... up to the return to B_M, walked by the map on packed rows where the
+        cost rule takes a step, else as the grams of ``walk``.  The map keeps
+        the cycle, so "B_m is on it", the same as B_m = B_(m+c), is monotone in
+        m and holds at M: ``least`` finds q over (0, M].  On the cycle B_m equals
+        a member, so a gram level is refuted without the gram when row 1 of the
+        gram (``_gram_row``) is row 1 of no member.  Level 2^j moves B_m by 2^j
+        steps of the map where the rule takes them: the last levels, no A^m made."""
         shifts = self.shifts if self.shifts and self.shifts.cheaper(1, conjugate=True) else None
-        limit = _gram(next(powers := self.walk()), self.transpose)  # B_M, B_q on a cycle of one
+        limit = _gram(next(powers := self.walk()), self.persymmetric)  # B_M, B_q on a cycle of one
         if shifts is None:
-            b_index, later = limit, map(_gram, powers, repeat(self.transpose))
+            b_index, later = limit, map(_gram, powers, repeat(self.persymmetric))
         else:
             b_index = shifts.pack(limit)
             later = islice(accumulate(repeat(1), shifts.conjugate, initial=b_index), 1, None)
@@ -287,17 +239,14 @@ class _Lift:
 
         def gram(m: int) -> object:
             """B_m, the gram of A^m or I at m = 0, packed when the kernel steps."""
-            x = _gram(self.rows(m), self.transpose) if m else BoolMatrix.identity(self.a.n)
+            x = _gram(self.rows(m), self.persymmetric) if m else BoolMatrix.identity(self.a.n)
             return shifts.pack(x) if shifts else x
 
         def probe(m: int, j: int) -> bool:
-            """Whether B_(m+2^j) is on the cycle: 2^j steps of the map from B_m
-            where the kernel's cost rule takes them, else the gram of
-            A^(m+2^j), made only when its row 1 is row 1 of a member of the
-            cycle, since B_m on the cycle is B_m equal to a member.  The shifted
-            levels are, as 2^j falls, the last, so A^m is not made on them.  Only B
-            at the failing m is held: a failing level keeps its B, and a shifted
-            level with none (at m = 0 or after a refuted level) makes B_m once."""
+            """Whether B_(m+2^j) is on the cycle, by 2^j steps of the map from B_m
+            or by the row check and a gram.  Only B at the failing m is held: a
+            failing level keeps its B, and a shifted level with none (at m = 0 or
+            after a refuted level) makes B_m once."""
             nonlocal failing
             if shifts and shifts.cheaper(1 << j, conjugate=True):
                 failing = gram(m) if failing is None else failing
@@ -334,12 +283,10 @@ def competition_analysis(
     *,
     powers: Optional[PowerSequence] = None,
 ) -> CompetitionResult:
-    """Least q and c with B_m = B_(m+c) for all m >= q, B_m = A^m (A^T)^m.
-
-    The limit is B_q when c is 1.  powers, when given, must be the power
-    sequence of a (ValueError otherwise); it is not read.  max_power is
-    accepted and not read, because perfbench/tracing.py still passes it.
-    """
+    """Least q and c with B_m = B_(m+c) for all m >= q, B_m = A^m (A^T)^m, and
+    the limit B_q when c is 1.  powers, when given, must be the power sequence
+    of a (ValueError otherwise); neither it nor max_power is read
+    (tests/test_hygiene.py, UNREAD_HARNESS_SLOTS)."""
     _check_powers(a, powers)
     return _Lift(a).competition()
 
@@ -377,10 +324,10 @@ def decide_walk_ensured_exact(
     Congruence sets repeat in the length with period d+/d, realized
     sets with period p from the index M on; agreement on every length
     in [M, M + lcm(p, d+/d)) is therefore agreement on all lengths from
-    M on, and M is the threshold witness.  M, p and A^M A^j are lifted,
-    or read from powers when given, which must then be the power
-    sequence of spec's matrix (ValueError otherwise).  max_power is
-    accepted and not read, because perfbench/tracing.py still passes it.
+    M on, and M is the threshold witness.  M, p and A^M A^j are lifted, or
+    read from powers when given, which must then be the power sequence of
+    spec's matrix (ValueError otherwise); max_power is not read
+    (tests/test_hygiene.py, UNREAD_HARNESS_SLOTS).
     """
     a = from_toeplitz(spec)
     if powers is None:

@@ -1,17 +1,14 @@
 """Brute-force cross-validation sweeps.
 
 Every claim the library exploits as a formula is re-checked here from
-first principles on small instances: ground truth is always direct
-power iteration and explicit set computation on window masks, never
-the formula under test.  A sweep walks descriptors (exhaustively up to
-order 9, seeded random sampling above), runs a registry of named checks
-against each, and reports findings.
-
-Severities: a "violation" contradicts a claimed identity; an
-"observation" records behaviour in territory where nothing is claimed
-(kept because such instances are exactly the counterexample candidates
-worth collecting).  Reports are deterministic for a given
-configuration, including the random mode via its recorded seed.
+first principles on small instances: ground truth is always direct power
+iteration and explicit set computation on window masks, never the formula
+under test.  A sweep walks descriptors (exhaustively up to order 9, seeded
+random sampling above), runs a registry of named checks against each, and
+reports findings: a "violation" contradicts a claimed identity, and an
+"observation" records a case where nothing is claimed, a counterexample
+candidate.  Reports are deterministic for a given configuration, in random
+mode through its recorded seed.
 """
 
 from __future__ import annotations
@@ -200,14 +197,10 @@ class _WalkMasks:
 
 
 class _Sweep:
-    """Shared caches for one sweep run, freed with each order (with each
-    draw in random mode).
-
-    One table per order holds a record per descriptor, keyed by its
-    (S-mask, T-mask), so a descriptor met again as a superset or an
-    extension of another is the same instance, with the same d+, d and
-    ground truth, read from one scan, and no check hashes a ToeplitzSpec.
-    """
+    """Shared caches for one sweep run: one ``_Table`` per order, so a
+    descriptor met again as a superset or an extension of another is the same
+    record, with one ground truth read from one scan, and no check hashes a
+    ToeplitzSpec.  ``specs`` empties the tables before each batch."""
 
     def __init__(self, config: SweepConfig):
         self.config = config

@@ -5,12 +5,8 @@ S, T inside [1, n-1]; the matrix has a 1 at (i, j) exactly when j - i
 lies in S or i - j lies in T.  This module holds the descriptor type,
 the gcd quantities d = gcd(S u T) and d+ = gcd(S + T) that control
 periods, and the sufficient conditions under which a descriptor is
-certified walk-ensured (every displacement allowed by congruence is
-eventually realized by walks between all vertex pairs at once).
-
-Everything here is plain integer arithmetic; matrices never enter.
-The exact decision procedure that settles the cases these rules leave
-open lives in the engine module.
+certified walk-ensured (``walksets``), in plain integer arithmetic; the
+exact decision that settles what these rules leave open is the engine's.
 """
 
 from __future__ import annotations

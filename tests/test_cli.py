@@ -283,6 +283,9 @@ def test_out_writes_file(tmp_path, capsys):
         ("analyze", "n=99999999999999999999;S=1;T=1"),  # an order too large to build
         ("walksets", "n=99999999999999999999;S=1;T=1", "--i", "2"),
         ("contract", "n=99999999999999999999;S=1;T=1", "--d", "1"),
+        ("analyze", "n=9999999999;S=1;T=1"),  # 1 << n fits, n rows of n bits do not
+        ("walksets", "n=9999999999;S=1;T=1", "--i", "2"),
+        ("contract", "n=9999999999;S=1;T=1", "--d", "1"),
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv):

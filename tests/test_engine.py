@@ -23,7 +23,7 @@ from toeplitz_periods import (
     superset_same_period,
 )
 from toeplitz_periods import boolmat, engine
-from toeplitz_periods.boolmat import _mirror, _toeplitz_offsets
+from toeplitz_periods.boolmat import _toeplitz_offsets
 from toeplitz_periods.engine import (
     _gram,
     _Lift,
@@ -89,17 +89,30 @@ def test_matrix_period_of_disjoint_cycles_is_the_lcm():
     assert (got.index, got.period, got.limit) == scanned_competition(a)
 
 
+# a wrong period from the components, or the index the descent lands on; a case's
+# id leaves out the slot it leaves None
+HEAP_LYNN_CASES = [
+    ("n=2;S=1;T=1", 1, None, r"A\^m = A\^\(m\+1\) holds for no m <= 2"),
+    ("n=5;S=1;T=1,2", 2, None, "period 2 of the components is not least"),
+    ("n=5;S=1;T=1,2", None, 18, r"A\^m = A\^\(m\+1\) holds for no m <= 17"),
+]
+
+
 @pytest.mark.parametrize(
-    "text, wrong_period, message",
-    [
-        ("n=2;S=1;T=1", 1, r"A\^m = A\^\(m\+1\) holds for no m <= 2"),
-        ("n=5;S=1;T=1,2", 2, "period 2 of the components is not least"),
-    ],
+    "text, wrong_period, wrong_index, message",
+    HEAP_LYNN_CASES,
+    ids=["-".join(str(v) for v in case if v is not None) for case in HEAP_LYNN_CASES],
 )
-def test_lift_asserts_heap_lynn_and_the_least_period(monkeypatch, text, wrong_period, message):
+def test_lift_asserts_heap_lynn_and_the_least_period(
+    monkeypatch, text, wrong_period, wrong_index, message
+):
     # Heap-Lynn, index <= (n-1)^2 + 1, is the one bound on the index search;
-    # a wrong period from the components breaks it or the minimality check
-    monkeypatch.setattr(engine, "power_period", lambda *_: wrong_period)
+    # a wrong period from the components breaks it or the minimality check,
+    # and a descent that lands one above the bound breaks it too
+    if wrong_period is not None:
+        monkeypatch.setattr(engine, "power_period", lambda *_: wrong_period)
+    if wrong_index is not None:
+        monkeypatch.setattr(_Lift, "least", lambda *_: wrong_index)
     with pytest.raises(TheoremViolationError, match=message):
         matrix_period(from_toeplitz(ToeplitzSpec.from_string(text)))
 
@@ -763,7 +776,7 @@ def gram_inputs(draw):
 @PROPERTY
 @given(gram_inputs())
 def test_gram_matches_the_naive_product(x):
-    assert naive_from_boolmat(_gram(x, BoolMatrix.transpose)) == _naive_gram(x)
+    assert naive_from_boolmat(_gram(x, False)) == _naive_gram(x)
 
 
 def test_gram_matches_its_definition_above_order_32():
@@ -778,7 +791,7 @@ def test_gram_matches_its_definition_above_order_32():
             samples.append(BoolMatrix(planted))
         for x in samples:
             want = BoolMatrix([sum(1 << v for v, r in enumerate(x.rows) if r & u) for u in x.rows])
-            assert _gram(x, BoolMatrix.transpose) == want, (n, x)
+            assert _gram(x, False) == want, (n, x)
             shortcut += want == BoolMatrix.ones(n)
     assert shortcut >= 4
 
@@ -789,12 +802,12 @@ def test_gram_shortcut_needs_more_than_n_ones():
         low = (1 << (n // 2)) - 1
         full = (1 << n) - 1
         x = BoolMatrix([low, full ^ low] + [full] * (n - 2))
-        g = _gram(x, BoolMatrix.transpose)
+        g = _gram(x, False)
         assert g.get(1, 2) == g.get(2, 1) == 0
         assert g.count() == n * n - 2
         assert naive_from_boolmat(g) == _naive_gram(x)
-    assert _gram(BoolMatrix([1]), _mirror) == BoolMatrix([1])
-    assert _gram(BoolMatrix([0]), _mirror) == BoolMatrix([0])
+    assert _gram(BoolMatrix([1]), True) == BoolMatrix([1])
+    assert _gram(BoolMatrix([0]), True) == BoolMatrix([0])
 
 
 def test_all_ones_power_products_need_persymmetric_powers():
@@ -1236,7 +1249,7 @@ def test_non_toeplitz_matrices_above_order_32_take_the_products():
     for density in (0.03, 0.05, 0.08):
         a = random_boolmat(rng, 40, density)
         assert _toeplitz_offsets(a) is None
-        assert _Lift(a).transpose is BoolMatrix.transpose
+        assert not _Lift(a).persymmetric
         comp = competition_analysis(a)
         assert (comp.index, comp.period, comp.limit) == scanned_competition(a)
         assert matrix_period(a) == PowerSequence(a).cycle()

@@ -1,9 +1,11 @@
 """Source hygiene: no unused imports, no public name or parameter that nothing
-reads, the package exports what the README names, importing the CLI leaves
-the sweep oracle unloaded, and importing either leaves dataclasses and inspect
+reads, the package exports what the README names, every dotted name that a
+docstring or README points to exists, importing the CLI leaves the sweep
+oracle unloaded, and importing either leaves dataclasses and inspect
 unloaded."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -200,6 +202,38 @@ def test_package_exports_exactly_the_readme_names():
     }
     assert public == TOP_LEVEL
     assert isinstance(toeplitz_periods.__version__, str)
+
+
+MODULES = {p.stem: importlib.import_module(f"toeplitz_periods.{p.stem}") for p in SRC if p.stem[0] != "_"}
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether getattr along the dotted name succeeds from the package or one of
+    its modules."""
+    for root in (toeplitz_periods, *MODULES.values()):
+        target = root
+        for part in dotted.split("."):
+            target = getattr(target, part, None)
+        if target is not None:
+            return True
+    return False
+
+
+def test_every_dotted_pointer_resolves():
+    # the design is stated once, in the docstring of the code that rests on
+    # it, and other places point there: ``module.name`` or ``Class.method``
+    # in a src/ docstring, and `module.name` in README
+    pointers = []
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node) or ""
+                pointers += [(path.name, name) for name in re.findall(r"``(\w+(?:\.\w+)+)``", doc)]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = re.findall(r"`(\w+(?:\.\w+)+)`", readme)
+    pointers += [("README.md", name) for name in named if name.split(".")[0] in MODULES]
+    assert {where for where, _ in pointers} >= {"engine.py", "README.md"}
+    assert [(where, name) for where, name in pointers if not _resolves(name)] == []
 
 
 def _in_fresh_interpreter(code: str) -> str:
