@@ -26,7 +26,7 @@ class BoolMatrix:
     that want to work on the packed integers directly.
     """
 
-    __slots__ = ("n", "rows", "_hash")
+    __slots__ = ("n", "rows", "_hash", "_weights")
 
     def __init__(self, rows: Iterable[int]):
         rows = tuple(rows)
@@ -35,7 +35,7 @@ class BoolMatrix:
             raise ValueError("row value has bits outside column range")
         self.n = n
         self.rows = rows
-        self._hash = None
+        self._hash = self._weights = None
 
     @classmethod
     def zeros(cls, n: int) -> "BoolMatrix":
@@ -72,8 +72,16 @@ class BoolMatrix:
                 yield i, low.bit_length()
                 r ^= low
 
+    def weights(self) -> tuple[int, int, int]:
+        """The ones of the lightest row, of the two lightest rows and of all
+        rows, counted once, when first read."""
+        if self._weights is None:
+            w = sorted(map(int.bit_count, self.rows))
+            self._weights = sum(w[:1]), sum(w[:2]), sum(w)
+        return self._weights
+
     def count(self) -> int:
-        return sum(map(int.bit_count, self.rows))
+        return self.weights()[2]
 
     def __matmul__(self, other: "BoolMatrix") -> "BoolMatrix":
         if self.n != other.n:
@@ -371,10 +379,9 @@ def _power_product(x: BoolMatrix, y: BoolMatrix, persymmetric: bool = False) -> 
     below the crossover order the test costs more than it saves."""
     if x.n < _CROSSOVER_ORDER:
         return _product(x, y)
-    x_weights, y_weights = list(map(int.bit_count, x.rows)), list(map(int.bit_count, y.rows))
-    if persymmetric and min(x_weights) + min(y_weights) > x.n:
+    (x_light, _, x_ones), (y_light, _, y_ones) = x.weights(), y.weights()
+    if persymmetric and x_light + y_light > x.n:
         return BoolMatrix.ones(x.n)
-    x_ones, y_ones = sum(x_weights), sum(y_weights)
     return _product(y, x, y_ones) if x_ones > y_ones else _product(x, y, x_ones)
 
 

@@ -4,8 +4,9 @@ Every quantity is read off the powers A^m, which ``_Lift`` lifts over the
 binary powers A^(2^k).  Each fact of the design is stated once, at the code
 that rests on it:
 
-* ``_Lift`` (the gallop), ``_Lift.least`` (the descent), ``_Lift.member``
-  (the cycle), ``_Lift._drop`` (the bracket rule), ``_Lift.competition``;
+* ``_Lift`` (the gallop), ``_Lift._returns`` (its test), ``_Lift.least``
+  (the descent), ``_Lift.member`` (the cycle), ``_Lift._drop`` (the bracket
+  rule), ``_Lift.competition``;
 * ``digraph.power_period`` (the period), ``boolmat._power_product``
   (pigeonhole), ``_gram``, ``_mirror`` (persymmetry), ``boolmat._ShiftKernel``
   and ``boolmat._ShiftKernel.cheaper`` (the cost rule), and
@@ -65,10 +66,10 @@ def _gram(x: BoolMatrix, persymmetric: bool) -> BoolMatrix:
     ``_mirror`` when x is persymmetric, else ``BoolMatrix.transpose``.  All ones
     (a nonempty row meets itself) when the two lightest rows hold more than n
     ones: ``boolmat._power_product``'s pigeonhole, x's rows as x^T's columns."""
-    row_ones = sorted(map(int.bit_count, x.rows))
-    if sum(row_ones[:2]) > x.n:
+    _, lightest_two, ones = x.weights()
+    if lightest_two > x.n:
         return BoolMatrix.ones(x.n)
-    return _product(x, (_mirror if persymmetric else BoolMatrix.transpose)(x), sum(row_ones))
+    return _product(x, (_mirror if persymmetric else BoolMatrix.transpose)(x), ones)
 
 
 def _gram_row(x: BoolMatrix) -> int:
@@ -86,8 +87,9 @@ class _Lift:
     holds A^m as rows when a product made it, ``_packed[m]`` as an int when
     shift steps did, packing costing more than a step; ``rows`` and ``packed``
     make the other form at most once, when first read.  A^m = A^(m+p) fails
-    exactly below the index M, so a gallop over the A^(2^k) brackets M in
-    (2^(k-1), 2^k] and ``least`` settles the lower bits: O(log M) products.
+    exactly below the index M, so a gallop over the A^(2^k), testing each on
+    its rows (``_returns``), brackets M in (2^(k-1), 2^k] and ``least``
+    settles the lower bits: O(log M) products.
     """
 
     def __init__(self, a: BoolMatrix, offsets: Optional[Offsets] = None):
@@ -100,7 +102,7 @@ class _Lift:
         bound = (a.n - 1) ** 2 + 1  # Heap and Lynn (1964): the index is at most this
         failed = TheoremViolationError(f"A^m = A^(m+{p}) holds for no m <= {bound}")
         k = 0  # gallop to the bracket (2^(k-1), 2^k] of the index
-        while not self._same(self.power(1 << k), self.step(1 << k, p)):
+        while not self._returns(1 << k, p):
             if 1 << k >= bound:
                 raise failed
             self._drop(1 << k, 2 << k)
@@ -131,17 +133,18 @@ class _Lift:
         level of the gallop and of a descent: from the crossover order on, keep
         only the squares (as rows alone), A^p, the cycle and the bracket [lo, hi]
         that later levels mostly read, [2^k, 2^(k+1)] after a failing gallop test
-        at 2^k (with the A^(2^k + p) it made when p <= 2^k) and [failing m,
-        best m] after a descent level.  Letting A^p go made 44 powers twice in an
-        analyze-random pass, not 7; below that order, where a power is a few
-        small ints, letting go made more products and ran slower."""
+        at 2^k and [failing m, best m] after a descent level.  Letting A^p go
+        made 44 powers twice in an analyze-random pass, not 7; below that
+        order, where a power is a few small ints, letting go made more
+        products and ran slower."""
         if self.a.n < _CROSSOVER_ORDER:
             return
-        kept = lambda m: lo <= m <= hi or m == self.period or m in self.cycle
-        for m in [m for m in self._rows if m & (m - 1) and not kept(m)]:
-            del self._rows[m]
-        for m in [m for m in self._packed if not kept(m) and (m & (m - 1) or m in self._rows)]:
-            del self._packed[m]
+        p, cycle, rows = self.period, self.cycle, self._rows
+        for m in [m for m in rows if m & (m - 1) and not (lo <= m <= hi or m == p or m in cycle)]:
+            del rows[m]
+        for m in [m for m in self._packed if not (lo <= m <= hi or m == p or m in cycle)]:
+            if m & (m - 1) or m in rows:
+                del self._packed[m]
 
     def rows(self, m: int) -> BoolMatrix:
         """A^m as rows, unpacked at most once."""
@@ -154,6 +157,35 @@ class _Lift:
         if m not in self._packed:
             self._packed[m] = self.shifts.pack(self._rows[m])
         return self._packed[m]
+
+    def _returns(self, m: int, p: int) -> bool:
+        """Whether A^m = A^(m+p), decided on the rows of A^m without making
+        A^(m+p): row i of A^(m+p) = A^p A^m is the OR of the rows of A^m that
+        row i of A^p selects, so the two are equal exactly when each such OR
+        is row i of A^m.  One selection per 1 of A^p, the sparser factor,
+        stopping at the first row that differs: a failing test costs about
+        one row, and makes, packs and keeps nothing.  From the crossover order
+        on, a Toeplitz A^p A^m is all ones when the lightest rows of A^p and
+        A^m hold more than n ones between them (``boolmat._power_product``),
+        and the test is whether A^m is.  Where m + p is a power of two and the
+        kernel steps, A^(m+p) is a square that a later level reads, the next
+        one at m = p, so it is made by ``step`` under the cost rule and
+        compared."""
+        if self.shifts and (m + p) & (m + p - 1) == 0:
+            return self._same(m, self.step(m, p))
+        n, am, ap = self.a.n, self.rows(self.power(m)), self.rows(self.power(p))
+        if self.persymmetric and n >= _CROSSOVER_ORDER and ap.weights()[0] + am.weights()[0] > n:
+            return am.weights()[2] == n * n
+        x = am.rows
+        for row, select in zip(x, ap.rows):
+            acc = 0
+            while select:
+                top = select.bit_length() - 1
+                acc |= x[top]
+                select ^= 1 << top
+            if acc != row:
+                return False
+        return True
 
     def _same(self, m: int, k: int) -> bool:
         """A^m = A^k, on a form both are held in, else packed."""
@@ -176,16 +208,25 @@ class _Lift:
         return e
 
     def ones(self, e: int) -> int:
-        """The ones of A^e, counted on the packed form when it is held."""
+        """The ones of A^e, on the packed form when it is held, else on the
+        rows, counted once (``BoolMatrix.weights``)."""
         self.power(e)
         return self._packed[e].bit_count() if e in self._packed else self._rows[e].count()
 
     def step(self, m: int, e: int) -> int:
         """m + e, once A^(m+e) is held: made, when it is not, from A^m (held, or
         m = 0 and A^e is) by e shift steps where ``_ShiftKernel.cheaper`` takes
-        them against the ones of A^e, else by the product of A^m and A^e."""
+        them against the ones of A^e, else by the product of A^m and A^e.  With
+        the kernel, all ones, and priced at nothing, when A^m and A^e are held
+        as rows whose weights are counted and their lightest rows hold more
+        than n ones between them (``boolmat._power_product``); weights not yet
+        counted are not counted for it, as that costs more than it saves."""
         if m + e not in self._rows and m + e not in self._packed:
-            if self.shifts and self.shifts.cheaper(e, self.ones(e)):
+            x, y = self._rows.get(m), self._rows.get(self.power(e))
+            counted = self.shifts and x and y and x._weights and y._weights
+            if counted and x._weights[0] + y._weights[0] > self.a.n:
+                self._rows[m + e] = BoolMatrix.ones(self.a.n)
+            elif self.shifts and self.shifts.cheaper(e, self.ones(e)):
                 self._packed[m + e] = self.shifts.times(self.packed(m), e)
             else:
                 x, y = self.rows(m), self.rows(self.power(e))

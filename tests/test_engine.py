@@ -274,24 +274,26 @@ def test_a_refuted_level_makes_no_gram(monkeypatch):
         assert made == [next(lift.walk()), *matched, refuted[-1]], n
 
 
-def test_an_analyze_worst_pass_makes_5_gram_products_and_57_packs(monkeypatch):
+def test_an_analyze_worst_pass_makes_5_gram_products_and_26_packs(monkeypatch):
     # a count, not a time, over the benchmark's worst-family orders: the
     # grams of B_M and of the levels whose row matches the limit's, and the
     # packs of the shift steps' inputs (the identity only where a shifted
-    # level steps B from m = 0); work added to a descent level fails here
-    # without a timing
+    # level steps B from m = 0); the gallop's return test reads rows and
+    # packs only A, for the shift step to the square A^2; work added to a
+    # descent level fails here without a timing
     counts = Counter()
     for owner, name in ((engine, "_product"), (engine, "_gram"), (boolmat._ShiftKernel, "pack")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, fn=fn, name=name: counts.update([name]) or fn(*a))
     for n in (48, 64, 80):
         analyze(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
-    assert counts == {"_product": 5, "_gram": 17, "pack": 57}
+    assert counts == {"_product": 5, "_gram": 17, "pack": 26}
 
 
-def test_the_sweep_makes_6821_power_products_and_1322_gram_products(monkeypatch):
+def test_the_sweep_makes_5115_power_products_and_1322_gram_products(monkeypatch):
     # a count, not a time, over the sweep-exhaustive workload's orders 2..6:
-    # below order 32 the lift lets no power go, so none is made twice
+    # below order 32 the lift lets no power go, so none is made twice, and
+    # the gallop's return test makes no A^(2^k + p)
     counts = Counter()
     for owner, name, key in (
         (boolmat, "_product", "power"),
@@ -301,7 +303,7 @@ def test_the_sweep_makes_6821_power_products_and_1322_gram_products(monkeypatch)
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, fn=fn, key=key: counts.update([key]) or fn(*a))
     run_sweep(SweepConfig(2, 6))
-    assert counts == {"power": 6821, "gram": 1322, "_gram": 3558}
+    assert counts == {"power": 5115, "gram": 1322, "_gram": 3558}
 
 
 @pytest.mark.parametrize(
@@ -346,7 +348,8 @@ def test_each_level_holds_only_the_squares_the_bracket_and_the_cycle(monkeypatch
 def test_analysis_unpacks_only_the_square_a_shift_step_made(monkeypatch):
     # T_128<1;126,127> steps by shifts; its powers stay packed except where
     # rows are read.  The one unpack is A^2, made by a shift step in the
-    # first period test and read as rows once for the square A^4.  The gram
+    # first return test and read as rows once, by the next return test and
+    # the square A^4.  The gram
     # B_M reads A^top, the one member of the cycle, which the squares made as
     # rows.  The two grams that are not all ones mirror their rows, and
     # nothing runs the transpose
@@ -436,6 +439,68 @@ def test_index_test_against_the_limit_equals_the_scan_on_the_worst_family():
         a = from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
         lift = _Lift(a)
         assert (lift.index, lift.period) == scanned_cycle(a) == ((n - 1) ** 2, 1), n
+
+
+def _return_tests_against_the_powers(spec):
+    """Whether the row of A^m at which A^m and A^(m+p) first differ is row
+    n, for each pair that differs, after holding the lift's return test to
+    A^m == A^(m+p) for the lift's m = 2^k up to its top and for p its period
+    and 1..4."""
+    a = from_toeplitz(spec)
+    lift = _Lift(a, (spec.S, spec.T))
+    steps = {p: a.power(p) for p in {lift.period, 1, 2, 3, 4}}
+    at_row_n, x = [], a
+    for m in (1 << k for k in range(lift.cycle.start.bit_length())):
+        for p, y in sorted(steps.items()):
+            later = x @ y
+            assert lift._returns(m, p) == (x == later), (spec, m, p)
+            if x != later:
+                first = next(i for i, (r, s) in enumerate(zip(x.rows, later.rows)) if r != s)
+                at_row_n.append(first == spec.n - 1)
+        x = x @ x
+    return at_row_n
+
+
+def test_the_return_test_on_rows_equals_the_powers():
+    # _returns(m, p) decides A^m = A^(m+p) on the rows of A^m, stopping at
+    # the first row that differs, or, from order 32 on, by pigeonhole; held
+    # to A^m == A^m A^p on every descriptor of orders 2..6, on the worst
+    # family and on 30 seeded draws at each of n = 31, 32, 33 and 64, whose
+    # lifts have a kernel from order 32 on.  Some pairs first differ at row
+    # n, so a test that stops a row short fails here
+    rng = random.Random(20261021)
+    specs = [spec for n in range(2, 7) for spec in enumerate_specs(n)]
+    for n in (31, 32, 33, 64):
+        specs.append(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
+        for _ in range(30):
+            S = rng.sample(range(1, n), rng.randint(1, 3))
+            specs.append(ToeplitzSpec(n, S, rng.sample(range(1, n), rng.randint(1, 3))))
+    at_row_n = [first for spec in specs for first in _return_tests_against_the_powers(spec)]
+    assert any(at_row_n) and not all(at_row_n)
+    assert True in _return_tests_against_the_powers(ToeplitzSpec(4, (1, 2), (1,)))
+
+
+def test_a_step_between_rows_that_cover_n_is_all_ones_with_no_shift(monkeypatch):
+    # from order 32 on, step(m, e) of a Toeplitz lift is all ones, with no
+    # shift step, when A^m and A^e are held as rows whose counted lightest
+    # rows hold more than n ones between them.  At n = 256 with 50 offsets
+    # a side the one shift step of each lift makes A^2; at index 3 the
+    # descent's step to A^3 is all ones, as the return test found A^4 by its
+    # own pigeonhole, and a shift step there would be the second
+    steps, indices = [], []
+    times = boolmat._ShiftKernel.times
+    monkeypatch.setattr(boolmat._ShiftKernel, "times", lambda *a: steps.append(a[2]) or times(*a))
+    rng = random.Random(5)
+    for _ in range(3):
+        spec = ToeplitzSpec(256, rng.sample(range(1, 256), 50), rng.sample(range(1, 256), 50))
+        a = from_toeplitz(spec)
+        lift = _Lift(a, (spec.S, spec.T))
+        assert (lift.index, lift.period) == PowerSequence(a).cycle()
+        indices.append(lift.index)
+        if lift.index == 3:
+            assert lift.rows(2).weights()[0] + a.weights()[0] > spec.n
+            assert lift.rows(3) == BoolMatrix.ones(spec.n) == a.power(3)
+    assert steps == [1, 1, 1] and indices == [3, 2, 3]
 
 
 def test_analysis_of_the_worst_family_at_order_256_peaks_below_one_mib():
@@ -538,10 +603,11 @@ def cost_rule_cases(draw):
 def test_steps_and_products_agree_on_both_sides_of_the_cost_rule(case):
     # step(m, e) makes A^(m+e) by e steps of c = |S| + |T| shifts where the
     # kernel's rule takes them, while e c n ceil(n / 8) <= 200 n^2 / 8 and
-    # fewer when A^e is sparse, else by a product; either way it and
-    # "A^(top+e) = A^top" match the powers.  The lift's product may put A^e
-    # first, which only a power x allows, so a random x is held to the
-    # kernel's steps alone
+    # fewer when A^e is sparse, else by a product, and as all ones when A^m
+    # and A^e are rows whose counted lightest rows hold more than n ones;
+    # either way it and "A^(top+e) = A^top" match the powers.  The lift's
+    # product may put A^e first, which only a power x allows, so a random x
+    # is held to the kernel's steps alone
     spec, e, x, packed = case
     a = from_toeplitz(spec)
     lift = _Lift(a)
@@ -554,9 +620,11 @@ def test_steps_and_products_agree_on_both_sides_of_the_cost_rule(case):
         if packed:
             lift.packed(m)
         made = m + e not in lift._rows and m + e not in lift._packed
+        counted = [x._weights for x in map(lift._rows.get, (m, e)) if x is not None and x._weights]
+        full = len(counted) == 2 and counted[0][0] + counted[1][0] > n
         assert lift.step(m, e) == m + e
         if made:
-            assert (m + e in lift._packed) == lift.shifts.cheaper(e, power.count())
+            assert (m + e in lift._packed) == (not full and lift.shifts.cheaper(e, power.count()))
         assert lift.rows(m + e) == a.power(m) @ power
     else:
         x = random_boolmat(random.Random(x[1]), spec.n, x[2])
@@ -596,8 +664,8 @@ def test_dense_offsets_take_products_where_shifts_cost_more():
     "text, products, grams, rebuilt",
     [
         ("n=128;S=1;T=126,127", 28, 4, 3),
-        ("n=96;S=64,70,82;T=5", 12, 4, 7),  # period 3
-        ("n=160;S=10,36;T=16", 5, 1, 2),  # period 13
+        ("n=96;S=64,70,82;T=5", 12, 4, 8),  # period 3
+        ("n=160;S=10,36;T=16", 5, 1, 3),  # period 13
         ("n=48;S=1;T=46,47", 17, 6, 2),  # the analyze-worst orders
         ("n=64;S=1;T=62,63", 21, 4, 3),
         ("n=80;S=1;T=78,79", 23, 7, 3),
@@ -605,13 +673,14 @@ def test_dense_offsets_take_products_where_shifts_cost_more():
 )
 def test_analysis_counts_products_grams_and_unpacks(monkeypatch, text, products, grams, rebuilt):
     # a count, not a time: x A^e steps by shifts on the levels of the index
-    # descent, in the period test and for the members of the cycle wherever
-    # the kernel's rule takes e steps; the squares and the higher levels
-    # multiply, and a power the lift holds is not made again.  Products are
-    # counted in both modules: boolmat's _power_product for powers, engine's
-    # _gram for grams.  rebuilt counts the rows made other than by a product:
-    # the powers unpacked from shift steps and the mirrors, one per gram
-    # product
+    # descent, in the return test where 2^k + p is a power of two and for
+    # the members of the cycle wherever the kernel's rule takes e steps; the
+    # squares and the higher levels multiply, and a power the lift holds is
+    # not made again.  Products are counted in both modules: boolmat's
+    # _power_product for powers, engine's _gram for grams.  rebuilt counts
+    # the rows made other than by a product: the powers unpacked from shift
+    # steps (A^p for the return test when steps made it) and the mirrors,
+    # one per gram product
     counts = {"power": 0, "gram": 0, "_gram": 0, "unpack": 0, "_mirror": 0}
     for owner, name, key in (
         (boolmat, "_product", "power"),
@@ -658,14 +727,15 @@ class _Memo(dict):
         ("n=4;S=1;T=1", set()),  # below order 32 nothing is let go
         ("n=128;S=1;T=126,127", set()),
         ("n=121;S=83,85;T=46,102,118", set()),  # the first analyze-random draw of seed 1
-        # period 11, top 16: the index descent reads A^12 again, which the
-        # gallop's first test made as A^(1+p) and let go, p lying above its
-        # bracket [1, 2], and A^3 again, for the A^7 of the step from A^16 to
-        # the member A^23 of its level at 12
-        ("n=99;S=6;T=27", {3, 12}),
-        # period 1, top 256: the gallop's failing test at 128 made A^129,
-        # inside the bracket [128, 256] it keeps, and the index descent's
-        # last level reads it (M = 129)
+        # period 11, top 16: the index descent reads A^3 again, for the A^7
+        # of the step from A^16 to the member A^23 of its level at 12; A^3
+        # went into the A^11 of the return tests, and the gallop's first
+        # level let it go.  No 2^k + 11 is a power of two, so the return tests
+        # make no A^(2^k + p), and A^12 is made once, by the descent
+        ("n=99;S=6;T=27", {3}),
+        # period 1, top 256: the gallop's failing test at 128 reads the rows
+        # of A^128 and makes no A^129, which the index descent's last level
+        # makes, once (M = 129)
         ("n=151;S=11,146;T=81,143", set()),
         # the competition descent's gram levels read A^(64+32) again: the
         # competition index q = 65 lies above 2^(k-1) = 64, so its descent
