@@ -319,7 +319,7 @@ class _ShiftKernel:
 
 # The crossover order: below it a matrix is a few small ints, and row
 # selection costs less than packing, tables or counting ones; from it on the
-# shift kernel, the OR tables, _power_product's tests and the lift's drops act
+# shift kernel, the OR tables, the sparser-left order, pigeonhole and drops act
 _CROSSOVER_ORDER = 32
 
 
@@ -336,7 +336,7 @@ def _shift_kernel(n: int, offsets: Offsets | None) -> _ShiftKernel | None:
 _NIBBLES = tuple(bytes(b >> s & 15 for b in range(256)) for s in (0, 4))
 
 
-def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatrix:
+def _product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
     """x @ y, the one product through OR tables: 2^w entries per w rows of y,
     w = 4 below order 144 and 8 from it on, read in one pass over field c of
     all x's rows per table, one table at a time (all n/8 8-row ones would take
@@ -348,9 +348,9 @@ def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatri
     per 1 of x, so from the crossover order on the tables take an x with more
     than n (16 + n/16) ones, the 8-row cost, a density of about 16/n + 1/16;
     the 4-row tables win from about 0.2 at n = 64, so the products between keep
-    row selection.  ones = x.count() when the caller has it."""
+    row selection."""
     n = x.n
-    if n < _CROSSOVER_ORDER or (x.count() if ones is None else ones) <= n * (16 + n // 16):
+    if n < _CROSSOVER_ORDER or x.count() <= n * (16 + n // 16):
         return x @ y
     width, nbytes = 4 if n < 144 else 8, (n + 7) // 8
     data = b"".join([r.to_bytes(nbytes, "little") for r in x.rows])
@@ -365,24 +365,13 @@ def _product(x: BoolMatrix, y: BoolMatrix, ones: int | None = None) -> BoolMatri
     return BoolMatrix(out)
 
 
-def _power_product(x: BoolMatrix, y: BoolMatrix, persymmetric: bool = False) -> BoolMatrix:
+def _power_product(x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
     """x y for two powers of one matrix.  They commute, so from the crossover
     order on the sparser goes left, where row selection costs a step per 1;
-    below it ``_product`` reads no count, so none is made.  Pigeonhole: a row
-    of x and a column of y with more than n ones between them share an index,
-    so x y is all ones, with no product, when x's lightest row and y's
-    lightest column do, as often for the powers of a primitive A, which
-    reaches J.  persymmetric: the matrix is Toeplitz, so y is persymmetric
-    (``_mirror``) and its lightest column weighs what its lightest row does,
-    which the test reads.  A matrix that is not Toeplitz may have heavy rows
-    and an empty column (every row "all columns but the first" is idempotent);
-    below the crossover order the test costs more than it saves."""
-    if x.n < _CROSSOVER_ORDER:
-        return _product(x, y)
-    (x_light, _, x_ones), (y_light, _, y_ones) = x.weights(), y.weights()
-    if persymmetric and x_light + y_light > x.n:
-        return BoolMatrix.ones(x.n)
-    return _product(y, x, y_ones) if x_ones > y_ones else _product(x, y, x_ones)
+    below it ``_product`` reads no count, so none is made."""
+    if x.n >= _CROSSOVER_ORDER and x.count() > y.count():
+        x, y = y, x
+    return _product(x, y)
 
 
 class PowerSequence:

@@ -7,8 +7,8 @@ that rests on it:
 * ``_Lift`` (the gallop), ``_Lift._returns`` (its test), ``_Lift.least``
   (the descent), ``_Lift.member`` (the cycle), ``_Lift._drop`` (the bracket
   rule), ``_Lift.competition``;
-* ``digraph.power_period`` (the period), ``boolmat._power_product``
-  (pigeonhole), ``_gram``, ``_mirror`` (persymmetry), ``boolmat._ShiftKernel``
+* ``digraph.power_period`` (the period), ``_Lift._all_ones`` (pigeonhole),
+  ``_gram``, ``_mirror`` (persymmetry), ``boolmat._ShiftKernel``
   and ``boolmat._ShiftKernel.cheaper`` (the cost rule), and
   ``boolmat._CROSSOVER_ORDER``.
 
@@ -65,17 +65,28 @@ def _gram(x: BoolMatrix, persymmetric: bool) -> BoolMatrix:
     """x x^T, (u, v) = 1 iff rows u and v of x share a column, with x^T by
     ``_mirror`` when x is persymmetric, else ``BoolMatrix.transpose``.  All ones
     (a nonempty row meets itself) when the two lightest rows hold more than n
-    ones: ``boolmat._power_product``'s pigeonhole, x's rows as x^T's columns."""
-    _, lightest_two, ones = x.weights()
-    if lightest_two > x.n:
+    ones: ``_Lift._all_ones``'s pigeonhole, x's rows as x^T's columns."""
+    if x.weights()[1] > x.n:
         return BoolMatrix.ones(x.n)
-    return _product(x, (_mirror if persymmetric else BoolMatrix.transpose)(x), ones)
+    return _product(x, (_mirror if persymmetric else BoolMatrix.transpose)(x))
 
 
 def _gram_row(x: BoolMatrix) -> int:
     """Row 1 of x x^T, bit v - 1 set iff rows 1 and v of x share a column: n ANDs."""
     first = x.rows[0]
     return sum(1 << v for v, r in enumerate(x.rows) if r & first)
+
+
+def _primes(p: int) -> list[int]:
+    """The primes that divide p >= 1, ascending, by trial division."""
+    primes, r = [], 2
+    while r * r <= p:
+        if p % r == 0:
+            primes.append(r)
+            while p % r == 0:
+                p //= r
+        r += 1
+    return primes + [p] if p > 1 else primes
 
 
 class _Lift:
@@ -113,7 +124,9 @@ class _Lift:
         self.index = self.least(probe, top >> 1, top)
         if self.index > bound:
             raise failed
-        if any(p % e == 0 and self._same(top, self.member(top + e)) for e in range(1, p)):
+        # least: each proper divisor of p divides some p/r, r a prime factor,
+        # and from top on a return after e repeats at every multiple of e
+        if any(self._same(top, self.member(top + p // r)) for r in _primes(p)):
             raise TheoremViolationError(f"period {p} of the components is not least")
 
     def member(self, m: int) -> int:
@@ -164,18 +177,16 @@ class _Lift:
         row i of A^p selects, so the two are equal exactly when each such OR
         is row i of A^m.  One selection per 1 of A^p, the sparser factor,
         stopping at the first row that differs: a failing test costs about
-        one row, and makes, packs and keeps nothing.  From the crossover order
-        on, a Toeplitz A^p A^m is all ones when the lightest rows of A^p and
-        A^m hold more than n ones between them (``boolmat._power_product``),
-        and the test is whether A^m is.  Where m + p is a power of two and the
-        kernel steps, A^(m+p) is a square that a later level reads, the next
-        one at m = p, so it is made by ``step`` under the cost rule and
-        compared."""
+        one row, and makes, packs and keeps nothing.  Where ``_all_ones``
+        answers A^p A^m as J, the test is whether A^m is.  Where m + p is a
+        power of two and the kernel steps, A^(m+p) is a square that a later
+        level reads, the next one at m = p, so it is made by ``step`` under
+        the cost rule and compared."""
         if self.shifts and (m + p) & (m + p - 1) == 0:
             return self._same(m, self.step(m, p))
-        n, am, ap = self.a.n, self.rows(self.power(m)), self.rows(self.power(p))
-        if self.persymmetric and n >= _CROSSOVER_ORDER and ap.weights()[0] + am.weights()[0] > n:
-            return am.weights()[2] == n * n
+        am, ap = self.rows(self.power(m)), self.rows(self.power(p))
+        if self._all_ones(ap, am):
+            return am.count() == am.n * am.n
         x = am.rows
         for row, select in zip(x, ap.rows):
             acc = 0
@@ -202,7 +213,7 @@ class _Lift:
             top = 1 << (e.bit_length() - 1)
             if e == top:
                 half = self.rows(self.power(e >> 1))
-                self._rows[e] = _power_product(half, half, self.persymmetric)
+                self._rows[e] = self._times(half, half)
             else:
                 self.step(self.power(e - top), top)
         return e
@@ -216,22 +227,36 @@ class _Lift:
     def step(self, m: int, e: int) -> int:
         """m + e, once A^(m+e) is held: made, when it is not, from A^m (held, or
         m = 0 and A^e is) by e shift steps where ``_ShiftKernel.cheaper`` takes
-        them against the ones of A^e, else by the product of A^m and A^e.  With
-        the kernel, all ones, and priced at nothing, when A^m and A^e are held
-        as rows whose weights are counted and their lightest rows hold more
-        than n ones between them (``boolmat._power_product``); weights not yet
-        counted are not counted for it, as that costs more than it saves."""
+        them against the ones of A^e, else by ``_times``.  The steps are
+        declined where ``_all_ones`` answers from weights already counted
+        (counting them for it costs more than it saves)."""
         if m + e not in self._rows and m + e not in self._packed:
             x, y = self._rows.get(m), self._rows.get(self.power(e))
-            counted = self.shifts and x and y and x._weights and y._weights
-            if counted and x._weights[0] + y._weights[0] > self.a.n:
-                self._rows[m + e] = BoolMatrix.ones(self.a.n)
-            elif self.shifts and self.shifts.cheaper(e, self.ones(e)):
+            declined = x and y and x._weights and y._weights and self._all_ones(x, y)
+            if self.shifts and not declined and self.shifts.cheaper(e, self.ones(e)):
                 self._packed[m + e] = self.shifts.times(self.packed(m), e)
             else:
-                x, y = self.rows(m), self.rows(self.power(e))
-                self._rows[m + e] = _power_product(x, y, self.persymmetric)
+                self._rows[m + e] = self._times(self.rows(m), self.rows(e))
         return m + e
+
+    def _all_ones(self, x: BoolMatrix, y: BoolMatrix) -> bool:
+        """Whether x y, for two of A's powers, is J by pigeonhole: a row of x
+        and a column of y with more than n ones between them share an index,
+        so x y is all ones, with no product, when x's lightest row and y's
+        lightest column do, as often for the powers of a primitive A, which
+        reaches J.  A is Toeplitz (``persymmetric``), so y is persymmetric
+        (``_mirror``) and its lightest column weighs what its lightest row
+        does, which the test reads (``BoolMatrix.weights``).  A matrix that is
+        not Toeplitz may have heavy rows and an empty column (every row "all
+        columns but the first" is idempotent); below the crossover order the
+        test costs more than it saves."""
+        n = x.n
+        return self.persymmetric and n >= _CROSSOVER_ORDER and x.weights()[0] + y.weights()[0] > n
+
+    def _times(self, x: BoolMatrix, y: BoolMatrix) -> BoolMatrix:
+        """x y for two of A's powers: J where ``_all_ones`` answers, else made
+        (``boolmat._power_product``)."""
+        return BoolMatrix.ones(x.n) if self._all_ones(x, y) else _power_product(x, y)
 
     def walk(self) -> Iterator[BoolMatrix]:
         """A^index, A^(index+1), ...: the members of the cycle they equal."""

@@ -8,6 +8,7 @@ against an independent formulation, not against itself.
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
 from functools import cache
 
 import pytest
@@ -129,6 +130,35 @@ def j_conjugate(x: BoolMatrix) -> BoolMatrix:
     """J·x·J, J the exchange matrix: the rows in reverse order, each row's
     n bits reversed."""
     return BoolMatrix(int(format(row, f"0{x.n}b")[::-1], 2) for row in reversed(x.rows))
+
+
+class Calls(Counter):
+    """Calls per key, and in ``args[key]`` the positional arguments of each."""
+
+    def __init__(self):
+        super().__init__()
+        self.args = defaultdict(list)
+
+    def clear(self):
+        super().clear()
+        self.args.clear()
+
+
+def record_calls(monkeypatch, *targets) -> Calls:
+    """Wrap each target, (owner, name) or (owner, name, key), so that every
+    call still runs and is recorded under key, the name when none is given;
+    one function wrapped on two owners counts under each owner's key."""
+    calls = Calls()
+    for owner, name, *key in targets:
+        fn, key = getattr(owner, name), (key or [name])[0]
+
+        def recorded(*args, fn=fn, key=key):
+            calls[key] += 1
+            calls.args[key].append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, recorded)
+    return calls
 
 
 def random_boolmat(rng: random.Random, n: int, density: float = 0.5) -> BoolMatrix:

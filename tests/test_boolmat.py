@@ -30,6 +30,7 @@ from conftest import (
     naive_toeplitz,
     naive_transpose,
     random_boolmat,
+    record_calls,
 )
 
 
@@ -502,8 +503,8 @@ def test_scan_of_a_dense_base_makes_one_row_selection_per_step(n, rng, monkeypat
     a = random_boolmat(rng, n, 0.97)
     a = BoolMatrix(row & -(2 << i) for i, row in enumerate(a.rows))
     assert a.count() > n * (16 + n // 16) and _toeplitz_offsets(a) is None
-    lefts, matmul = [], BoolMatrix.__matmul__
-    monkeypatch.setattr(BoolMatrix, "__matmul__", lambda x, y: lefts.append(x) or matmul(x, y))
+    calls = record_calls(monkeypatch, (BoolMatrix, "__matmul__"))
     ps = PowerSequence(a)
     index, period = ps.cycle()
+    lefts = [x for x, _ in calls.args["__matmul__"]]
     assert index > n // 2 and lefts == [a] * (index + period - 1)

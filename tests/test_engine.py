@@ -44,6 +44,7 @@ from conftest import (
     naive_power_cycle,
     naive_transpose,
     random_boolmat,
+    record_calls,
     scanned_competition,
     scanned_cycle,
 )
@@ -94,6 +95,7 @@ def test_matrix_period_of_disjoint_cycles_is_the_lcm():
 HEAP_LYNN_CASES = [
     ("n=2;S=1;T=1", 1, None, r"A\^m = A\^\(m\+1\) holds for no m <= 2"),
     ("n=5;S=1;T=1,2", 2, None, "period 2 of the components is not least"),
+    ("n=5;S=1;T=1,2", 6, None, "period 6 of the components is not least"),
     ("n=5;S=1;T=1,2", None, 18, r"A\^m = A\^\(m\+1\) holds for no m <= 17"),
 ]
 
@@ -115,6 +117,31 @@ def test_lift_asserts_heap_lynn_and_the_least_period(
         monkeypatch.setattr(_Lift, "least", lambda *_: wrong_index)
     with pytest.raises(TheoremViolationError, match=message):
         matrix_period(from_toeplitz(ToeplitzSpec.from_string(text)))
+
+
+def _cycles(*lengths):
+    """The permutation matrix of disjoint cycles of the given lengths, whose
+    powers have index 1 and period the lcm of the lengths."""
+    starts = [sum(lengths[:k]) for k in range(len(lengths))]
+    return BoolMatrix(1 << s + (i + 1) % n for s, n in zip(starts, lengths) for i in range(n))
+
+
+def test_the_period_is_tested_least_at_one_member_per_prime(monkeypatch):
+    # A^top against A^(top + p/r) for each prime r | p: every proper divisor
+    # of p divides some p/r.  Cycles of lengths 2, 3, 5, ..., 19 have p =
+    # 9,699,690, with 255 proper divisors and 8 primes.  Each B_m of a
+    # permutation is I; the scan's twin runs on a smaller product of cycles,
+    # as scanned_competition would scan A's 9.7M powers
+    members = record_calls(monkeypatch, (_Lift, "member"))
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    a = _cycles(*primes)
+    lift = _Lift(a)
+    assert (lift.index, lift.period) == (1, 9699690)
+    assert [m for _, m in members.args["member"]] == [1 + lift.period // r for r in primes]
+    assert competition_analysis(a) == (1, 1, BoolMatrix.identity(a.n))
+    small = _cycles(2, 3, 5, 7, 17)
+    assert matrix_period(small) == scanned_cycle(small) == (1, 3570)
+    assert competition_analysis(small) == scanned_competition(small)
 
 
 def test_powers_constant_from_index_on():
@@ -239,15 +266,14 @@ def test_competition_search_makes_one_gram_per_bit_of_the_index(monkeypatch):
     # row 1 of the gram is not that of B_M fails without the gram, so grams
     # are made for B_M, the two levels that pass (8192 and 8064) and the
     # failing m = 8000 that the first shifted level steps from
-    grams = []
-    monkeypatch.setattr(engine, "_gram", lambda x, t: grams.append(x) or _gram(x, t))
+    grams = record_calls(monkeypatch, (engine, "_gram"))
     n = 128
     lift = _Lift(from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1))))
     comp = lift.competition()
     assert (comp.index, comp.period) == (8064, 1)
     levels = range((lift.index - 1).bit_length())
     gram_levels = sum(not lift.shifts.cheaper(1 << j, conjugate=True) for j in levels)
-    assert len(grams) == 4 < 1 + gram_levels == 9
+    assert grams["_gram"] == 4 < 1 + gram_levels == 9
 
 
 def test_a_refuted_level_makes_no_gram(monkeypatch):
@@ -255,22 +281,21 @@ def test_a_refuted_level_makes_no_gram(monkeypatch):
     # ANDs) first; when it is row 1 of no member of B's cycle, B_m is not on
     # the cycle and the level fails without the gram, unless a shifted level
     # later steps B from there.  On the worst family the cycle is B_M alone
-    read, made = [], []
     gram_row = engine._gram_row
-    monkeypatch.setattr(engine, "_gram_row", lambda x: read.append(x) or gram_row(x))
-    monkeypatch.setattr(engine, "_gram", lambda x, t: made.append(x) or _gram(x, t))
+    calls = record_calls(monkeypatch, (engine, "_gram_row"), (engine, "_gram"))
     for n in (48, 64, 80, 128):
-        read.clear()
-        made.clear()
+        calls.clear()
         a = from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
         lift = _Lift(a)
         comp = lift.competition()
+        read = [x for x, in calls.args["_gram_row"]]
         matched = [x for x in read if gram_row(x) == comp.limit.rows[0]]
         refuted = [x for x in read if gram_row(x) != comp.limit.rows[0]]
         assert matched and refuted, n
         # grams of A^M (read as A^top, the member of the cycle it equals), of
         # the matched levels and, after every gram level, of the last refuted
         # one: the failing m the first shifted level steps from
+        made = [x for x, _ in calls.args["_gram"]]
         assert made == [next(lift.walk()), *matched, refuted[-1]], n
 
 
@@ -281,10 +306,9 @@ def test_an_analyze_worst_pass_makes_5_gram_products_and_26_packs(monkeypatch):
     # level steps B from m = 0); the gallop's return test reads rows and
     # packs only A, for the shift step to the square A^2; work added to a
     # descent level fails here without a timing
-    counts = Counter()
-    for owner, name in ((engine, "_product"), (engine, "_gram"), (boolmat._ShiftKernel, "pack")):
-        fn = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a, fn=fn, name=name: counts.update([name]) or fn(*a))
+    counts = record_calls(
+        monkeypatch, (engine, "_product"), (engine, "_gram"), (boolmat._ShiftKernel, "pack")
+    )
     for n in (48, 64, 80):
         analyze(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
     assert counts == {"_product": 5, "_gram": 17, "pack": 26}
@@ -294,14 +318,9 @@ def test_the_sweep_makes_5115_power_products_and_1322_gram_products(monkeypatch)
     # a count, not a time, over the sweep-exhaustive workload's orders 2..6:
     # below order 32 the lift lets no power go, so none is made twice, and
     # the gallop's return test makes no A^(2^k + p)
-    counts = Counter()
-    for owner, name, key in (
-        (boolmat, "_product", "power"),
-        (engine, "_product", "gram"),
-        (engine, "_gram", "_gram"),
-    ):
-        fn = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a, fn=fn, key=key: counts.update([key]) or fn(*a))
+    counts = record_calls(
+        monkeypatch, (boolmat, "_product", "power"), (engine, "_product", "gram"), (engine, "_gram")
+    )
     run_sweep(SweepConfig(2, 6))
     assert counts == {"power": 5115, "gram": 1322, "_gram": 3558}
 
@@ -353,15 +372,13 @@ def test_analysis_unpacks_only_the_square_a_shift_step_made(monkeypatch):
     # B_M reads A^top, the one member of the cycle, which the squares made as
     # rows.  The two grams that are not all ones mirror their rows, and
     # nothing runs the transpose
-    calls = Counter()
-    for owner, name in (
+    calls = record_calls(
+        monkeypatch,
         (engine, "_gram"),
         (boolmat._ShiftKernel, "unpack"),
         (engine, "_mirror"),
         (BoolMatrix, "transpose"),
-    ):
-        fn = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+    )
     n = 128
     report = analyze(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
     assert (report.matrix_index, report.competition_index) == ((n - 1) ** 2, 8064)
@@ -417,9 +434,8 @@ _SHIFTED_AT_EVERY_LEVEL = [
 def test_row_check_against_a_cycle_of_several_members_equals_the_scan(monkeypatch, text, period):
     # competition period above 1: on a gram level row 1 of the level's gram is
     # matched against row 1 of every member
-    read = []
-    gram_row, cheaper = engine._gram_row, boolmat._ShiftKernel.cheaper
-    monkeypatch.setattr(engine, "_gram_row", lambda x: read.append(x) or gram_row(x))
+    read = record_calls(monkeypatch, (engine, "_gram_row"))
+    cheaper = boolmat._ShiftKernel.cheaper
     if (text, period) in _SHIFTED_AT_EVERY_LEVEL:
         monkeypatch.setattr(
             boolmat._ShiftKernel,
@@ -487,9 +503,7 @@ def test_a_step_between_rows_that_cover_n_is_all_ones_with_no_shift(monkeypatch)
     # a side the one shift step of each lift makes A^2; at index 3 the
     # descent's step to A^3 is all ones, as the return test found A^4 by its
     # own pigeonhole, and a shift step there would be the second
-    steps, indices = [], []
-    times = boolmat._ShiftKernel.times
-    monkeypatch.setattr(boolmat._ShiftKernel, "times", lambda *a: steps.append(a[2]) or times(*a))
+    steps, indices = record_calls(monkeypatch, (boolmat._ShiftKernel, "times")), []
     rng = random.Random(5)
     for _ in range(3):
         spec = ToeplitzSpec(256, rng.sample(range(1, 256), 50), rng.sample(range(1, 256), 50))
@@ -500,7 +514,7 @@ def test_a_step_between_rows_that_cover_n_is_all_ones_with_no_shift(monkeypatch)
         if lift.index == 3:
             assert lift.rows(2).weights()[0] + a.weights()[0] > spec.n
             assert lift.rows(3) == BoolMatrix.ones(spec.n) == a.power(3)
-    assert steps == [1, 1, 1] and indices == [3, 2, 3]
+    assert [e for _, _, e in steps.args["times"]] == [1, 1, 1] and indices == [3, 2, 3]
 
 
 def test_analysis_of_the_worst_family_at_order_256_peaks_below_one_mib():
@@ -681,21 +695,14 @@ def test_analysis_counts_products_grams_and_unpacks(monkeypatch, text, products,
     # the rows made other than by a product: the powers unpacked from shift
     # steps (A^p for the return test when steps made it) and the mirrors,
     # one per gram product
-    counts = {"power": 0, "gram": 0, "_gram": 0, "unpack": 0, "_mirror": 0}
-    for owner, name, key in (
+    counts = record_calls(
+        monkeypatch,
         (boolmat, "_product", "power"),
         (engine, "_product", "gram"),
-        (engine, "_gram", "_gram"),
-        (boolmat._ShiftKernel, "unpack", "unpack"),
-        (engine, "_mirror", "_mirror"),
-    ):
-        fn = getattr(owner, name)
-
-        def counted(*args, fn=fn, key=key):
-            counts[key] += 1
-            return fn(*args)
-
-        monkeypatch.setattr(owner, name, counted)
+        (engine, "_gram"),
+        (boolmat._ShiftKernel, "unpack"),
+        (engine, "_mirror"),
+    )
     analyze(ToeplitzSpec.from_string(text))
     assert counts["power"] + counts["gram"] == products
     assert counts["_gram"] == grams
@@ -777,14 +784,12 @@ def test_a_shifted_level_after_a_refuted_one_makes_its_gram_once(monkeypatch, te
     # every later shifted level steps from the B it holds, so a B held at
     # the wrong m would move the index off the scan's.  B_M and the gram
     # levels that pass are all ones, the limit J, and take no product
-    grams = []
-    product = engine._product
-    monkeypatch.setattr(engine, "_product", lambda *a: grams.append(a) or product(*a))
+    grams = record_calls(monkeypatch, (engine, "_product"))
     spec = ToeplitzSpec.from_string(text)
     report = analyze(spec)
     got = (report.competition_index, report.competition_period, report.limit_matrix)
     assert got == scanned_competition(from_toeplitz(spec)), text
-    assert len(grams) == 1, text
+    assert grams["_product"] == 1, text
 
 
 @pytest.mark.parametrize(
@@ -894,23 +899,33 @@ def test_all_ones_power_products_need_persymmetric_powers():
 
 
 def test_every_all_ones_power_product_equals_row_selection(monkeypatch):
-    # the power products that the lift answers as all ones, without a
-    # kernel, against x @ y: on the worst family, whose powers reach J at
-    # the index, and on seeded Toeplitz draws; the answer comes on both
-    made = []
-    kernel = boolmat._product
-    monkeypatch.setattr(boolmat, "_product", lambda *a: made.append(a) or kernel(*a))
-    product, answered = engine._power_product, Counter()
+    # the products of A's powers that the lift answers as all ones without a
+    # kernel (_Lift._times), and the shift steps that step declines for them
+    # where the cost rule would take the steps, against x @ y: on the worst
+    # family, whose powers reach J at the index, and on seeded Toeplitz
+    # draws; the answer comes on both, and the draws decline steps
+    made = record_calls(monkeypatch, (boolmat, "_product"))
+    times, step, answered = _Lift._times, _Lift.step, Counter()
 
-    def checked(x, y, persymmetric=False):
-        before = len(made)
-        z = product(x, y, persymmetric)
-        if len(made) == before and x.n >= 32:
+    def checked(lift, x, y):
+        before = made["_product"]
+        z = times(lift, x, y)
+        if made["_product"] == before:
             assert z == x @ y == BoolMatrix.ones(x.n), family
             answered[family] += 1
         return z
 
-    monkeypatch.setattr(engine, "_power_product", checked)
+    def declined(lift, m, e):
+        fresh = m + e not in lift._rows and m + e not in lift._packed
+        step(lift, m, e)
+        if fresh and lift.shifts and m + e in lift._rows and lift.shifts.cheaper(e, lift.ones(e)):
+            x, y = lift._rows[m], lift._rows[e]
+            assert lift._rows[m + e] == x @ y == BoolMatrix.ones(x.n), family
+            answered[family, "declined"] += 1
+        return m + e
+
+    monkeypatch.setattr(_Lift, "_times", checked)
+    monkeypatch.setattr(_Lift, "step", declined)
     rng = random.Random(20261020)
     drawn = []
     for _ in range(16):
@@ -921,7 +936,7 @@ def test_every_all_ones_power_product_equals_row_selection(monkeypatch):
     for family, specs in (("worst", worst), ("drawn", drawn)):
         for spec in specs:
             analyze(spec)
-    assert answered["worst"] and answered["drawn"], answered
+    assert answered["worst"] and answered["drawn"] and answered["drawn", "declined"], answered
 
 
 # --------------------------------------------------------------------------

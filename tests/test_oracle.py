@@ -24,6 +24,8 @@ from toeplitz_periods.oracle import (
 )
 from toeplitz_periods.toeplitz import Certificate, Rule, Verdict, gcd_profile
 
+from conftest import record_calls
+
 
 # --------------------------------------------------------------------------
 # descriptor enumeration
@@ -242,26 +244,15 @@ def test_sweep_makes_the_walk_masks_once_per_visit(monkeypatch):
     # containment-chain, p-set-laws and walk-displacements read one list of
     # P masks for i <= CHAIN_I_MAX + d+/d and one of Q masks for i <= CHAIN_I_MAX,
     # each made by one call
-    calls = Counter()
-
-    def counted(name):
-        fn = getattr(oracle, name)
-
-        def call(spec, *args):
-            calls[name, spec, args] += 1
-            return fn(spec, *args)
-
-        return call
-
-    for name in ("_p_masks", "_q_masks"):
-        monkeypatch.setattr(oracle, name, counted(name))
+    calls = record_calls(monkeypatch, (oracle, "_p_masks"), (oracle, "_q_masks"))
     run_sweep(SweepConfig(2, 5))
     specs = [spec for n in range(2, 6) for spec in enumerate_specs(n)]
+    p_args = []
     for spec in specs:
         prof = gcd_profile(spec)
-        assert calls["_p_masks", spec, (0, oracle.CHAIN_I_MAX + prof.d_plus // prof.d + 1)] == 1
-        assert calls["_q_masks", spec, (oracle.CHAIN_I_MAX,)] == 1
-    assert len(calls) == 2 * len(specs) and max(calls.values()) == 1
+        p_args.append((spec, 0, oracle.CHAIN_I_MAX + prof.d_plus // prof.d + 1))
+    assert Counter(calls.args["_p_masks"]) == Counter(p_args)
+    assert Counter(calls.args["_q_masks"]) == Counter((spec, oracle.CHAIN_I_MAX) for spec in specs)
 
 
 def test_sweep_constructs_each_descriptor_once(monkeypatch):
@@ -286,16 +277,14 @@ def test_sweep_orders_never_pack(monkeypatch):
     # below order 32 every step is a product, so the packed layout is never
     # built, and the grams of Toeplitz powers mirror their rows instead of
     # running the transpose
-    calls = []
-    for owner, name in (
+    calls = record_calls(
+        monkeypatch,
         (boolmat._ShiftKernel, "pack"),
         (boolmat._ShiftKernel, "unpack"),
         (boolmat.BoolMatrix, "transpose"),
-    ):
-        fn = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args, fn=fn: calls.append(fn) or fn(*args))
+    )
     run_sweep(SweepConfig(2, 5))
-    assert calls == []
+    assert not calls
 
 
 class _Kept(dict):
