@@ -138,16 +138,15 @@ def enumerate_specs(n: int) -> Iterator[ToeplitzSpec]:
 
 
 class _Record:
-    """A descriptor the sweep has met, in the table of its order: its spec, d+
-    and d, and once read from one scan of A, A^2, ..., its index and period and
-    the exact decision's verdict and threshold on those powers (index None
-    until then)."""
+    """A descriptor the sweep has met: its spec, and once read from one scan of
+    A, A^2, ..., its index and period and the exact decision's verdict and
+    threshold on those powers (index None until then).  Its d and d+ are
+    gcd_profile's, cached on the spec."""
 
-    __slots__ = ("spec", "d_plus", "d", "index", "period", "walk_ensured", "threshold")
+    __slots__ = ("spec", "index", "period", "walk_ensured", "threshold")
 
     def __init__(self, spec: ToeplitzSpec):
-        prof = gcd_profile(spec)
-        self.spec, self.d_plus, self.d, self.index = spec, prof.d_plus, prof.d, None
+        self.spec, self.index = spec, None
 
     def scanned(self, powers: Optional[PowerSequence] = None) -> "_Record":
         """The record with its ground truth, read the first time from powers:
@@ -165,15 +164,11 @@ class _Record:
 
 
 class _Table(dict):
-    """The records of one order by (S-mask, T-mask), each made when first
-    looked up."""
+    """Records by (n, S-mask, T-mask), each made when first looked up."""
 
-    def __init__(self, n: int):
-        self.n = n
-
-    def __missing__(self, masks: tuple[int, int]) -> _Record:
-        smask, tmask = masks
-        rec = self[masks] = _Record(ToeplitzSpec(self.n, _offsets(smask), _offsets(tmask)))
+    def __missing__(self, key: tuple[int, int, int]) -> _Record:
+        n, smask, tmask = key
+        rec = self[key] = _Record(ToeplitzSpec(n, _offsets(smask), _offsets(tmask)))
         return rec
 
 
@@ -197,23 +192,16 @@ class _WalkMasks:
 
 
 class _Sweep:
-    """Shared caches for one sweep run: one ``_Table`` per order, so a
-    descriptor met again as a superset or an extension of another is the same
-    record, with one ground truth read from one scan, and no check hashes a
-    ToeplitzSpec.  ``specs`` empties the tables before each batch."""
+    """Shared caches for one sweep run: one ``_Table`` of the batch's records,
+    so a descriptor met again as a superset or an extension of another is the
+    same record, with one ground truth read from one scan, and no check hashes
+    a ToeplitzSpec.  ``specs`` empties the table before each batch."""
 
     def __init__(self, config: SweepConfig):
         self.config = config
-        self._tables: dict[int, _Table] = {}
+        self.records = _Table()
         self._visit: Optional[_Record] = None
         self._masks: Optional[_WalkMasks] = None
-
-    def table(self, n: int) -> _Table:
-        """The table of order n."""
-        table = self._tables.get(n)
-        if table is None:
-            table = self._tables[n] = _Table(n)
-        return table
 
     def specs(self, n: int) -> Iterator[ToeplitzSpec]:
         """The descriptors of order n in visit order.
@@ -224,29 +212,29 @@ class _Sweep:
         comes no later, and every record superset-period and
         extension-closure read was made from that descriptor's own scan.
         Random mode yields the seeded draws, where few descriptors meet
-        again.  The tables are emptied before each batch: the order in
+        again.  The table is emptied before each batch: the order in
         exhaustive mode, since supersets and extensions keep n, and each
         draw in random mode.
         """
         full = 1 << (n - 1)
         if self.config.mode == "exhaustive":
-            batches = [product(range(full - 1, 0, -1), repeat=2)]
+            masks = range(full - 1, 0, -1)
+            batches = [product((n,), masks, masks)]
         else:
             rng = random.Random(f"{self.config.seed}:{n}")
-            pair = lambda: (rng.randrange(1, full), rng.randrange(1, full))
-            batches = ([pair()] for _ in range(self.config.samples))
+            draw = lambda: (n, rng.randrange(1, full), rng.randrange(1, full))
+            batches = ([draw()] for _ in range(self.config.samples))
         for batch in batches:
-            self._tables.clear()
-            table = self.table(n)
-            for masks in batch:
-                self._visit = table[masks]
+            self.records.clear()
+            for key in batch:
+                self._visit = self.records[key]
                 yield self._visit.spec
 
     def truth(self, spec: ToeplitzSpec, powers: Optional[PowerSequence] = None) -> _Record:
         """spec's record with its ground truth; the visit's record without a lookup."""
         rec = self._visit
         if rec is None or rec.spec is not spec:
-            rec = self.table(spec.n)[_mask(spec.S), _mask(spec.T)]
+            rec = self.records[spec.n, _mask(spec.S), _mask(spec.T)]
         return rec.scanned(powers)
 
     def walk_masks(self, spec: ToeplitzSpec) -> _WalkMasks:
@@ -449,11 +437,11 @@ def _check_superset_period(sw, spec, powers, an) -> list[Result]:
     n, d_plus = spec.n, an.profile.d_plus
     full = (1 << (n - 1)) - 1
     formula = d_plus // an.profile.d
-    table, tmasks = sw.table(n), list(_supersets(_mask(spec.T), full))
+    records, tmasks = sw.records, list(_supersets(_mask(spec.T), full))
     for smask in _supersets(_mask(spec.S), full):
         for tmask in tmasks:
-            star = table[smask, tmask]
-            if star.d_plus == d_plus and star.scanned().period != formula:
+            star = records[n, smask, tmask]
+            if gcd_profile(star.spec).d_plus == d_plus and star.scanned().period != formula:
                 want = f"superset {star.spec} keeps period {formula}"
                 return [(spec, want, f"period {star.period}", VIOLATION)]
     return []
@@ -469,7 +457,7 @@ def _check_tail_extension(sw, spec, powers, an) -> list[Result]:
             want = f"s*={s_star} inside the tail window"
             out.append((spec, want, "predicate disagrees", VIOLATION))
             continue
-        ext = sw.table(spec.n)[_mask(spec.S) | 1 << (s_star - 1), _mask(spec.T)].spec
+        ext = sw.records[spec.n, _mask(spec.S) | 1 << (s_star - 1), _mask(spec.T)].spec
         try:
             transferred = sink_source_same_period(spec, from_toeplitz(ext))
         except TheoremViolationError as exc:
@@ -485,10 +473,10 @@ def _check_extension_closure(sw, spec, powers, an) -> list[Result]:
     """Walk-ensured survives adjoining any offset bounded by n - d, either side."""
     if spec.n > EXTENSION_N_MAX or not sw.truth(spec).walk_ensured:
         return []
-    table, smask, tmask = sw.table(spec.n), _mask(spec.S), _mask(spec.T)
-    for s_star in range(1, spec.n - an.profile.d + 1):
+    records, n, smask, tmask = sw.records, spec.n, _mask(spec.S), _mask(spec.T)
+    for s_star in range(1, n - an.profile.d + 1):
         bit = 1 << (s_star - 1)
-        for ext in (table[smask | bit, tmask], table[smask, tmask | bit]):
+        for ext in (records[n, smask | bit, tmask], records[n, smask, tmask | bit]):
             if not ext.scanned().walk_ensured:
                 want = f"extension {ext.spec} stays walk-ensured (s*={s_star})"
                 return [(spec, want, "exact decision: not walk-ensured", VIOLATION)]
@@ -498,14 +486,14 @@ def _check_extension_closure(sw, spec, powers, an) -> list[Result]:
 def _check_gcd_update(sw, spec, powers, an) -> list[Result]:
     """Incremental gcd update agrees with the extension's gcd profile, whatever the reference."""
     prof = an.profile
-    table, smask, tmask = sw.table(spec.n), _mask(spec.S), _mask(spec.T)
-    for s_star in range(1, spec.n):
+    records, n, smask, tmask = sw.records, spec.n, _mask(spec.S), _mask(spec.T)
+    for s_star in range(1, n):
         bit = 1 << (s_star - 1)
         for label, ext, refs in (
-            ("s*", table[smask | bit, tmask], spec.S),
-            ("t*", table[smask, tmask | bit], spec.T),
+            ("s*", records[n, smask | bit, tmask], spec.S),
+            ("t*", records[n, smask, tmask | bit], spec.T),
         ):
-            want = (ext.d, ext.d_plus)
+            want = gcd_profile(ext.spec)[:2]  # (d, d+)
             for ref in refs:
                 got = gcd_after_extension(prof.d, prof.d_plus, s_star, ref)
                 if got != want:

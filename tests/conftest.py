@@ -112,7 +112,9 @@ def scanned_competition(a: BoolMatrix) -> tuple[int, int, BoolMatrix | None]:
     B_(m+1) = A B_m A^T, so B is the orbit of a fixed map and its first
     repeat gives the least index and period; B_m is a function of A^m,
     so the orbit closes by step index + period of A, which is asserted.
-    The limit is B_q when the period is 1.
+    A's orbit first repeats at that step, so B closes by it exactly when
+    A, ..., A^(closed - 1) are pairwise distinct, and only those powers
+    are read.  The limit is B_q when the period is 1.
     """
     at = a.transpose()
     first: dict[BoolMatrix, int] = {}
@@ -121,7 +123,9 @@ def scanned_competition(a: BoolMatrix) -> tuple[int, int, BoolMatrix | None]:
         first[b] = len(first) + 1
         b = a @ b @ at
     index, closed = first[b], len(first) + 1
-    assert closed <= sum(scanned_cycle(a)), "B closed after index + period of A"
+    powers = PowerSequence(a)
+    seen = set(map(powers.power, range(1, closed)))
+    assert len(seen) == closed - 1, "B closed after index + period of A"
     period = closed - index
     return index, period, b if period == 1 else None
 

@@ -130,15 +130,16 @@ def test_the_period_is_tested_least_at_one_member_per_prime(monkeypatch):
     # A^top against A^(top + p/r) for each prime r | p: every proper divisor
     # of p divides some p/r.  Cycles of lengths 2, 3, 5, ..., 19 have p =
     # 9,699,690, with 255 proper divisors and 8 primes.  Each B_m of a
-    # permutation is I; the scan's twin runs on a smaller product of cycles,
-    # as scanned_competition would scan A's 9.7M powers
+    # permutation is I, so the scan's twin closes B at step 2 and reads A
+    # alone of A's 9.7M powers; matrix_period's twin runs on a smaller
+    # product of cycles
     members = record_calls(monkeypatch, (_Lift, "member"))
     primes = (2, 3, 5, 7, 11, 13, 17, 19)
     a = _cycles(*primes)
     lift = _Lift(a)
     assert (lift.index, lift.period) == (1, 9699690)
     assert [m for _, m in members.args["member"]] == [1 + lift.period // r for r in primes]
-    assert competition_analysis(a) == (1, 1, BoolMatrix.identity(a.n))
+    assert competition_analysis(a) == scanned_competition(a) == (1, 1, BoolMatrix.identity(a.n))
     small = _cycles(2, 3, 5, 7, 17)
     assert matrix_period(small) == scanned_cycle(small) == (1, 3570)
     assert competition_analysis(small) == scanned_competition(small)

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from toeplitz_periods import BoolMatrix, TheoremViolationError, ToeplitzSpec, boolmat, oracle
+from toeplitz_periods.boolmat import from_toeplitz
 from toeplitz_periods.oracle import (
     ALL_CHECK_NAMES,
     PER_SPEC_CHECKS,
@@ -24,7 +25,7 @@ from toeplitz_periods.oracle import (
 )
 from toeplitz_periods.toeplitz import Certificate, Rule, Verdict, gcd_profile
 
-from conftest import record_calls
+from conftest import record_calls, scanned_cycle
 
 
 # --------------------------------------------------------------------------
@@ -287,8 +288,8 @@ def test_sweep_orders_never_pack(monkeypatch):
     assert not calls
 
 
-class _Kept(dict):
-    """Tables that ignore clear(), as the sweep's were before they were
+class _Kept(oracle._Table):
+    """A record table that ignores clear(), as the sweep's was before it was
     emptied per draw in random mode and per order in exhaustive mode."""
 
     def clear(self):
@@ -296,13 +297,13 @@ class _Kept(dict):
 
 
 def records(sweep) -> int:
-    """The records a sweep's tables hold, over every order."""
-    return sum(map(len, sweep._tables.values()))
+    """The records a sweep's table holds, over every order."""
+    return len(sweep.records)
 
 
 def test_random_sweep_holds_one_draw_at_a_time(monkeypatch):
     # gcd-update meets the 2(n - 1) one-offset extensions of every draw; few
-    # meet again in random mode, so the tables keep at most the draw and its
+    # meet again in random mode, so the table keeps at most the draw and its
     # extensions, and keeping every table entry instead changes no byte
     sweeps = []
 
@@ -319,7 +320,7 @@ def test_random_sweep_holds_one_draw_at_a_time(monkeypatch):
     class Kept(oracle._Sweep):
         def __init__(self, config):
             super().__init__(config)
-            self._tables = _Kept()
+            self.records = _Kept()
             sweeps.append(self)
 
     monkeypatch.setattr(oracle, "_Sweep", Kept)
@@ -328,8 +329,8 @@ def test_random_sweep_holds_one_draw_at_a_time(monkeypatch):
 
 
 def test_exhaustive_sweep_holds_one_order_at_a_time(monkeypatch):
-    # supersets and extensions keep n, so the tables are emptied when an
-    # order starts and end holding order 6's alone, 31 * 31 descriptors;
+    # supersets and extensions keep n, so the table is emptied when an
+    # order starts and ends holding order 6's alone, 31 * 31 descriptors;
     # keeping every table entry instead changes no byte
     sweeps = []
 
@@ -342,17 +343,42 @@ def test_exhaustive_sweep_holds_one_order_at_a_time(monkeypatch):
     cfg = SweepConfig(2, 6)
     report = render_report(run_sweep(cfg), cfg)
     assert records(sweeps[-1]) <= 31 * 31
-    assert set(sweeps[-1]._tables) == {6}
+    assert {n for n, _, _ in sweeps[-1].records} == {6}
 
     class Kept(oracle._Sweep):
         def __init__(self, config):
             super().__init__(config)
-            self._tables = _Kept()
+            self.records = _Kept()
             sweeps.append(self)
 
     monkeypatch.setattr(oracle, "_Sweep", Kept)
     assert render_report(run_sweep(cfg), cfg) == report
     assert records(sweeps[-1]) > 31 * 31
+
+
+def test_equal_masks_of_two_orders_are_two_records():
+    # the table keys records by order as well as masks: T_5<1;2> and
+    # T_6<1;2> share both masks, and each keeps its own spec and scan
+    sweep = oracle._Sweep(SweepConfig(5, 6))
+    specs = [ToeplitzSpec(n, (1,), (2,)) for n in (5, 6)]
+    got = [sweep.truth(spec) for spec in specs]
+    assert [rec.spec for rec in got] == specs
+    assert [(rec.index, rec.period) for rec in got] == [
+        scanned_cycle(from_toeplitz(spec)) for spec in specs
+    ]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SweepConfig(2, 5), SweepConfig(6, 12, mode="random", samples=10, seed=3)],
+    ids=["exhaustive", "random"],
+)
+def test_a_sweep_hashes_no_descriptor(monkeypatch, cfg):
+    # records are keyed by (n, S-mask, T-mask), and the checks look supersets
+    # and extensions up by masks, so no ToeplitzSpec is hashed
+    calls = record_calls(monkeypatch, (ToeplitzSpec, "__hash__"))
+    run_sweep(cfg)
+    assert not calls
 
 
 # --------------------------------------------------------------------------
