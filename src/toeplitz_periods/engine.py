@@ -6,7 +6,7 @@ that rests on it:
 
 * ``_Lift`` (the gallop), ``_Lift._returns`` (its test), ``_Lift.least``
   (the descent), ``_Lift.member`` (the cycle), ``_Lift._drop`` (the bracket
-  rule), ``_Lift.competition``;
+  rule), ``_Lift.competition``, ``_decide_exact`` (walk-ensured at the index);
 * ``digraph.power_period`` (the period), ``_Lift._all_ones`` (pigeonhole),
   ``_gram``, ``_mirror`` (persymmetry), ``boolmat._ShiftKernel``
   and ``boolmat._ShiftKernel.cheaper`` (the cost rule), and
@@ -23,7 +23,6 @@ assembles a ``PeriodReport``, rules first.
 from __future__ import annotations
 
 from itertools import accumulate, count, islice, repeat, takewhile
-from math import lcm
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .boolmat import (
@@ -48,7 +47,7 @@ from .toeplitz import (
     certify_walk_ensured,
     gcd_profile,
 )
-from .walksets import _p_masks, _r_mask, _shifted_comb
+from .walksets import _shifted_comb
 
 
 class TheoremViolationError(RuntimeError):
@@ -357,24 +356,43 @@ def competition_analysis(
     return _Lift(a).competition()
 
 
+def _congruence(spec: ToeplitzSpec, i: int) -> BoolMatrix:
+    """C_i, the congruence matrix: (u, v) = 1 iff v - u = i s1 mod d+."""
+    step, s1 = gcd_profile(spec)[1:3]  # (d+, s1)
+    return BoolMatrix(_shifted_comb(step, spec.n, (u + i * s1) % step) for u in range(spec.n))
+
+
 def predicted_limit(spec: ToeplitzSpec) -> Optional[BoolMatrix]:
-    """Congruence-class matrix: (x, y) = 1 iff x = y mod d+, diagonal included.
+    """Congruence-class matrix C_0: (x, y) = 1 iff x = y mod d+, diagonal included.
 
     This is the claimed competition limit only while d+ <= n; beyond
     that no limit shape is claimed and None is returned.
     """
-    step, n = gcd_profile(spec).d_plus, spec.n
-    if step > n:
-        return None
-    return BoolMatrix(_shifted_comb(step, n, i % step) for i in range(n))
+    return _congruence(spec, 0) if gcd_profile(spec).d_plus <= spec.n else None
 
 
 def _decide_exact(
-    spec: ToeplitzSpec, index: int, period: int, powers_from_index: Iterator[BoolMatrix]
+    spec: ToeplitzSpec, index: int, at_index: BoolMatrix
 ) -> tuple[bool, Optional[int]]:
-    prof = gcd_profile(spec)
-    congruent = _p_masks(spec, index, index + lcm(period, prof.d_plus // prof.d))
-    if any(p != _r_mask(x) for p, x in zip(congruent, powers_from_index)):
+    """(True, M) when A is walk-ensured, else (False, None), read off A^M alone,
+    M the index: A is walk-ensured iff d+ <= n and A^M = C_M (``_congruence``).
+
+    1. A^i <= C_i for every i: s = s1 and -t = s1 mod d+ for s in S, t in T,
+       so each arc moves by s1 mod d+ and each walk of length i by i s1.
+    2. P_i = R_i says that every diagonal congruent to i s1 is full, so by 1
+       a walk-ensured A has A^i = C_i for every large i.  From M on A^i repeats
+       with period p, and C_i, a function of i s1 mod d+, with period d+/d, so
+       A^M = A^(M+kL) = C_(M+kL) = C_M, L = lcm(p, d+/d) and k large.
+    3. If d+ <= n, every class mod d+ meets [1, n], so C_M has no empty row.
+       A^M = C_M then leaves A no empty row, and row u of A C_i is the class of
+       u + s + i s1 = u + (i+1) s1 over the arcs u -> u + s (s = -t for t in T):
+       A C_i = C_(i+1).  By induction A^i = C_i for every i >= M, so P_i = R_i
+       from M on, the threshold.
+    4. If d+ > n, vertex min S has no in-arc: u + s = min S needs s < min S,
+       and u - t = min S needs min S + t <= n, while d+ divides min S + min T.
+       So no power fills the diagonal of displacement 0, in P_i when d+ | i.
+    """
+    if gcd_profile(spec).d_plus > spec.n or at_index != _congruence(spec, index):
         return False, None
     return True, index
 
@@ -387,21 +405,17 @@ def decide_walk_ensured_exact(
 ) -> tuple[bool, Optional[int]]:
     """Decide the walk-ensured property; on True also return a threshold M.
 
-    Congruence sets repeat in the length with period d+/d, realized
-    sets with period p from the index M on; agreement on every length
-    in [M, M + lcm(p, d+/d)) is therefore agreement on all lengths from
-    M on, and M is the threshold witness.  M, p and A^M A^j are lifted, or
-    read from powers when given, which must then be the power sequence of
-    spec's matrix (ValueError otherwise); max_power is not read
-    (tests/test_hygiene.py, UNREAD_HARNESS_SLOTS).
+    M is the index, and A^M is lifted, or read from powers when given, which
+    must then be the power sequence of spec's matrix (ValueError otherwise);
+    max_power is not read (tests/test_hygiene.py, UNREAD_HARNESS_SLOTS).
     """
     a = from_toeplitz(spec)
     if powers is None:
         lift = _Lift(a, (spec.S, spec.T))
-        return _decide_exact(spec, lift.index, lift.period, lift.walk())
+        return _decide_exact(spec, lift.index, lift.rows(lift.member(lift.index)))
     _check_powers(a, powers)
-    index, period = powers.cycle()
-    return _decide_exact(spec, index, period, map(powers.power, count(index)))
+    index, _ = powers.cycle()
+    return _decide_exact(spec, index, powers.power(index))
 
 
 def _settled_certificate(spec: ToeplitzSpec, lift: Optional[_Lift] = None) -> Certificate:
@@ -412,7 +426,7 @@ def _settled_certificate(spec: ToeplitzSpec, lift: Optional[_Lift] = None) -> Ce
         return cert
     if lift is None:
         lift = _Lift(from_toeplitz(spec), (spec.S, spec.T))
-    ok, threshold = _decide_exact(spec, lift.index, lift.period, lift.walk())
+    ok, threshold = _decide_exact(spec, lift.index, lift.rows(lift.member(lift.index)))
     if ok:
         return Certificate(Verdict.PROVEN_BY_EXACT_DECISION, Rule.EXACT_DECISION, threshold)
     return Certificate(Verdict.NOT_WALK_ENSURED, Rule.EXACT_DECISION)

@@ -25,7 +25,6 @@ from .digraph import contract, cycle_decomposition
 from .engine import (
     PeriodReport,
     TheoremViolationError,
-    _decide_exact,
     analyze,
     predicted_limit,
     sink_source_same_period,
@@ -139,11 +138,10 @@ def enumerate_specs(n: int) -> Iterator[ToeplitzSpec]:
 
 class _Record:
     """A descriptor the sweep has met: its spec, and once read from one scan of
-    A, A^2, ..., its index and period and the exact decision's verdict and
-    threshold on those powers (index None until then).  Its d and d+ are
-    gcd_profile's, cached on the spec."""
+    A, A^2, ..., its index and period and whether it is walk-ensured (index
+    None until then).  Its d and d+ are gcd_profile's, cached on the spec."""
 
-    __slots__ = ("spec", "index", "period", "walk_ensured", "threshold")
+    __slots__ = ("spec", "index", "period", "walk_ensured")
 
     def __init__(self, spec: ToeplitzSpec):
         self.spec, self.index = spec, None
@@ -151,15 +149,18 @@ class _Record:
     def scanned(self, powers: Optional[PowerSequence] = None) -> "_Record":
         """The record with its ground truth, read the first time from powers:
         the scan analyze_spec makes, or a new one for a superset or extension
-        a check meets before its visit, which only random mode does.  The
-        exact decision runs on that scan."""
+        a check meets before its visit, which only random mode does.  Walk-ensured
+        is the definition, P_i = R_i from some i on, decided over the window
+        [M, M + lcm(p, d+/d)) of the scan: P_i repeats with period d+/d and R_i,
+        from the index M on, with period p, so every pair from M on is a pair
+        of the window."""
         if self.index is None:
             if powers is None:
                 powers = PowerSequence(from_toeplitz(self.spec))
             self.index, self.period = index, period = powers.cycle()
-            self.walk_ensured, self.threshold = _decide_exact(
-                self.spec, index, period, map(powers.power, count(index))
-            )
+            prof = gcd_profile(self.spec)
+            window = range(index, index + lcm(period, prof.d_plus // prof.d))
+            self.walk_ensured = all(p_set(self.spec, i) == r_set(powers.power(i)) for i in window)
         return self
 
 
@@ -248,7 +249,8 @@ class _Sweep:
         """The engine's report, held to the scan of A, A^2, ... that the checks read.
 
         A lifted index or period off the record raises TheoremViolationError,
-        and so does a verdict or threshold of the engine's exact decision.
+        and so does a verdict or threshold of the engine's exact decision,
+        A^M = C_M, off the record's, P_i = R_i over a window of the scan.
         The checks read the record's verdict, never the certificate, so that
         certificate-soundness compares two independent verdicts.
         """
@@ -260,7 +262,8 @@ class _Sweep:
         if lifted != scanned:
             raise TheoremViolationError(f"{spec}: lifted {lifted}, scanned {scanned}")
         cert = report.certificate
-        decided, scanned = (report.walk_ensured, cert.witness), (rec.walk_ensured, rec.threshold)
+        decided = report.walk_ensured, cert.witness
+        scanned = rec.walk_ensured, rec.index if rec.walk_ensured else None
         if cert.rule is Rule.EXACT_DECISION and decided != scanned:
             raise TheoremViolationError(f"{spec}: decided {decided}, scanned {scanned}")
         return powers, report

@@ -17,8 +17,8 @@ when p_set and r_set agree for every sufficiently long i.
 All three are window masks of 2n-1 bits inside the package, bit
 l + n - 1 standing for displacement l: P a comb of period d+ shifted
 into place, Q a shift-OR recurrence, R an AND over shifted rows.  The
-sweep oracle and the exact decision compare masks; frozensets are made
-at the API edge.  The Q recurrence never needs bits outside the window:
+sweep oracle's walk-set checks compare masks; frozensets are made at the
+API edge.  The Q recurrence never needs bits outside the window:
 the terms of any i-term sum that ends in I_n can be reordered to step
 up while the running sum is <= 0 and down while it is > 0, and once one
 kind of term runs out the sum moves monotonically to its end value.

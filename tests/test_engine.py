@@ -25,6 +25,7 @@ from toeplitz_periods import (
 from toeplitz_periods import boolmat, engine
 from toeplitz_periods.boolmat import _toeplitz_offsets
 from toeplitz_periods.engine import (
+    _congruence,
     _gram,
     _Lift,
     matrix_period,
@@ -1007,6 +1008,42 @@ def test_exact_decision_stable_under_longer_window():
             assert decide_walk_ensured_exact(spec, powers=powers)[0] == doubled, spec
 
 
+def test_every_power_lies_below_its_congruence_matrix():
+    # the first step of _decide_exact's proof: each arc moves by s1 mod d+, so
+    # A^i <= C_i for every i, held on the scan through M + p
+    for n in range(2, 7):
+        for spec in enumerate_specs(n):
+            powers = PowerSequence(from_toeplitz(spec))
+            index, period = powers.cycle()
+            for i in range(1, index + period + 1):
+                assert powers.power(i).dominated_by(_congruence(spec, i)), (spec, i)
+
+
+def test_the_order_guard_refutes_every_descriptor_with_d_plus_above_n():
+    # d+ > n leaves vertex min S without an in-arc, so none of these is
+    # walk-ensured; on six of them A^M = C_M all the same, so the comparison
+    # without the guard would call them walk-ensured
+    fooled = []
+    for n in range(2, 7):
+        for spec in enumerate_specs(n):
+            if gcd_profile(spec).d_plus <= n:
+                continue
+            powers = PowerSequence(from_toeplitz(spec))
+            assert decide_walk_ensured_exact(spec) == (False, None), spec
+            assert decide_walk_ensured_exact(spec, powers=powers) == (False, None), spec
+            index, _ = powers.cycle()
+            if powers.power(index) == _congruence(spec, index):
+                fooled.append(str(spec))
+    assert fooled == [
+        "n=3;S=2;T=2",
+        "n=4;S=3;T=3",
+        "n=5;S=3;T=3",
+        "n=5;S=4;T=4",
+        "n=6;S=4;T=4",
+        "n=6;S=5;T=5",
+    ]
+
+
 # --------------------------------------------------------------------------
 # period via certificates
 # --------------------------------------------------------------------------
@@ -1415,7 +1452,7 @@ def test_sparse_descriptors_keep_the_claims_at_large_orders():
 
 @pytest.mark.parametrize("n", [128, 256])
 def test_worst_family_index_at_large_orders(n):
-    # T_n<1;n-2,n-1> reaches the Heap-Lynn bound: index (n-1)^2, period 1
+    # T_n<1;n-2,n-1> has index (n-1)^2, one below the Heap-Lynn bound, period 1
     a = from_toeplitz(ToeplitzSpec(n, (1,), (n - 2, n - 1)))
     assert matrix_period(a) == ((n - 1) ** 2, 1)
     before = a.power((n - 1) ** 2 - 1)
@@ -1439,3 +1476,19 @@ def test_worst_family_competition_at_large_orders(n):
     assert gram(before @ a) == ones != gram(before)
     assert a @ ones @ a.transpose() == ones
     assert (comp.period, comp.limit) == (1, ones)
+
+
+@pytest.mark.parametrize("n", [65, 129, 257])
+def test_the_heap_lynn_bound_is_reached_at_odd_orders(n):
+    # at n = 2k + 1, T_n<k+1;k,2k> is Wielandt's digraph up to a relabelling:
+    # the rotation by k+1, an n-cycle, with the chord n -> 1, which closes a
+    # cycle of length n - 1 since 2(k+1) = 1 mod n.  Its index is the bound
+    # M = (n-1)^2 + 1 itself, checked by BoolMatrix.power and @ alone
+    k, bound = (n - 1) // 2, (n - 1) ** 2 + 1
+    spec = ToeplitzSpec(n, (k + 1,), (k, 2 * k))
+    report = analyze(spec)
+    assert (report.matrix_index, report.matrix_period) == (bound, 1)
+    a, ones = from_toeplitz(spec), BoolMatrix.ones(n)
+    before = a.power(bound - 1)
+    assert before != ones
+    assert before @ a == ones

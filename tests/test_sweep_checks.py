@@ -576,7 +576,7 @@ def test_tail_extension_reports_a_contraction_without_source_or_sink(monkeypatch
 
 def test_extension_closure_reports_an_extension_that_is_not_walk_ensured():
     ext = ToeplitzSpec(6, (1, 2), (4,))  # EVENS with s* = 1 on the S side
-    sw = sweep_with_truth(EVENS, ext, walk_ensured=False, threshold=None)
+    sw = sweep_with_truth(EVENS, ext, walk_ensured=False)
     assert run_check("extension-closure", EVENS, sw) == [
         "extension-closure\tn=6;S=2;T=4\textension n=6;S=1,2;T=4 stays walk-ensured (s*=1)"
         "\texact decision: not walk-ensured\tviolation"
